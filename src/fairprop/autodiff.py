@@ -2,8 +2,10 @@
 
 Define-by-run: every primitive appends one record to the active Tape, and
 ``Tape.backward`` replays the records in reverse, accumulating gradients in
-64-bit. The primitive set is intentionally small; the only broadcasting is
-the row-bias add and the row-sum broadcast.
+64-bit, then drops them: a tape is replayed once. The primitive set is
+intentionally small; the only broadcasting is the row-bias add and the
+row-sum broadcast. Other modules add fused primitives of their own through
+``Tape._result`` (the debiasing layer in ``fairprop.debias``).
 """
 
 from __future__ import annotations
@@ -56,14 +58,20 @@ class Tape:
     def backward(self, loss: Tensor) -> dict:
         """Gradients of a scalar loss for every requires_grad tensor.
 
-        Returns a dict keyed by node_id; also sets ``.grad`` on leaves.
+        Returns a dict keyed by node_id; also sets ``.grad`` on leaves. A tape
+        is single-use: replaying drops its records, which also breaks the
+        tape <-> tensor reference cycle so the tape is freed without the
+        cyclic garbage collector.
         """
         if loss.shape != (1, 1):
             raise ValueError(f"loss must be 1x1, got {loss.shape}")
         if loss.tape is not self:
             raise ValueError("loss belongs to a different tape")
+        if self._records is None:
+            raise RuntimeError("tape already replayed; record a new one")
+        records, self._records = self._records, None
         grads: dict[int, Array] = {loss.node_id: np.ones((1, 1))}
-        for out, inputs, backward_fn in reversed(self._records):
+        for out, inputs, backward_fn in reversed(records):
             g = grads.get(out.node_id)
             if g is None:
                 continue
@@ -72,7 +80,7 @@ class Tape:
                     continue
                 acc = grads.get(tensor.node_id)
                 grads[tensor.node_id] = contrib if acc is None else acc + contrib
-        for out, inputs, _ in self._records:
+        for out, inputs, _ in records:
             for t in inputs:
                 if t.requires_grad and t.node_id in grads:
                     t.grad = grads[t.node_id]

@@ -4,6 +4,15 @@ Each layer runs one predictor-corrector iteration: aggregate with a skip
 connection, take a gradient step on the node features against the group
 probability gap, update the dual perturbation direction, and project it
 back into the l-infinity ball of radius lambda_fair.
+
+The numpy functions (``fairness_grad``, ``prox_dual``, ``ml1_step``) state the
+update on plain arrays. Training runs it on the tape as two hand-differentiated
+records per layer (``layer_step``): the dual update ``u_next`` from
+(F, u, X_trans) and the primal step ``F_next`` from (F, u_next, X_trans).
+Both share one softmax of F and one aggregation, and both compute with the
+same private core as ``fairness_grad``. The direct-subgradient baseline
+(``ml1_forward``) records only the primal step, with the constant dual
+lambda_fair * sign(p).
 """
 
 from __future__ import annotations
@@ -44,19 +53,56 @@ class DebiasParams:
         return (1.0 + self.lambda_smooth) / 2.0
 
 
+def _row_sum(M: Array) -> Array:
+    """Row sums repeated in every column: ``M @ ones((d, d))``, the shape of M.
+
+    At n x 2, numpy's reduction along ``axis=1`` and the broadcast of an n x 1
+    column against an n x 2 matrix each cost several times this product.
+    """
+    d = M.shape[1]
+    return M @ np.ones((d, d))
+
+
+def _row_max(M: Array) -> Array:
+    """Row maxima as an n x 1 column, taken one column at a time."""
+    out = M[:, :1].copy()
+    for j in range(1, M.shape[1]):
+        np.maximum(out, M[:, j : j + 1], out=out)
+    return out
+
+
 def row_softmax(F: Array) -> Array:
     """Plain numpy softmax over the column dimension of each row."""
-    z = F - F.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(F - _row_max(F))
+    return e / _row_sum(e)
+
+
+def _fair_grad(S: Array, dcol: Array, u: Array, log=lambda buf: buf) -> Array:
+    """T - rowsum(T) * S with T = (delta^T u) * S, for S = softmax(F)."""
+    t = log(log(dcol * u) * S)
+    return log(t - log(_row_sum(t)) * S)
+
+
+def _fair_grad_vjp(S: Array, dcol: Array, u: Array, h: Array):
+    """Gradients (dF, du) of <h, _fair_grad(softmax(F), dcol, u)>.
+
+    With q = S * (h - rowsum(h * S)), the softmax Jacobian applied to h:
+    dF = delta * (q * (u - rowsum(S * u)) - S * rowsum(q * u)) and
+    du = delta^T q.
+    """
+    hs = h * S
+    q = hs - _row_sum(hs) * S
+    qu = q * u
+    dF = dcol * (qu - q * _row_sum(S * u) - S * _row_sum(qu))
+    return dF, dcol.T @ q
 
 
 def fairness_grad(F: Array, u: Array, delta: IncidentVector, alloc_log=None) -> Array:
     """Gradient of <delta . softmax(F), u> with respect to F.
 
     Closed form: T - rowsum(T) * softmax(F) with T = (delta^T u) * softmax(F).
-    Every intermediate is n x d or n x 1; ``alloc_log`` (a list, if given)
-    collects the shape of each allocated buffer.
+    Every intermediate is n x d; ``alloc_log`` (a list, if given) collects the
+    shape of each allocated buffer.
     """
     F = np.asarray(F, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64).reshape(1, -1)
@@ -70,11 +116,7 @@ def fairness_grad(F: Array, u: Array, delta: IncidentVector, alloc_log=None) -> 
             alloc_log.append(buf.shape)
         return buf
 
-    sf = log(row_softmax(F))
-    us = log(delta.values[:, None] * u)
-    t = log(us * sf)
-    row = log(t.sum(axis=1, keepdims=True))
-    return log(t - row * sf)
+    return _fair_grad(log(row_softmax(F)), delta.values[:, None], u, log)
 
 
 def prox_dual(u_bar: Array, lambda_fair: float) -> Array:
@@ -120,47 +162,66 @@ def ml1_step(
 # ---------------------------------------------------------------------------
 
 
-def _fairness_grad_ops(
-    tape: ad.Tape, F: ad.Tensor, u: ad.Tensor, delta_col: ad.Tensor
-) -> ad.Tensor:
-    """fairness_grad composed from tape primitives (differentiable in F and u)."""
-    sf = ad.row_softmax(F)
-    us = ad.matmul(delta_col, u)  # outer product, delta constant
-    t = ad.elementwise_mul(us, sf)
-    row = ad.row_sum_broadcast(t)
-    return ad.add(t, ad.scale(ad.elementwise_mul(row, sf), -1.0))
+def _primal_step(F, u, X_trans, g, dcol, gamma, S, agg) -> ad.Tensor:
+    """Tape record of agg - gamma * fairness_grad(F, u), from (F, u, X_trans).
+
+    ``S = softmax(F)`` and ``agg = gamma X + (1 - gamma) A F`` come from the
+    caller, which shares them with the layer's other record.
+    """
+    out = agg - gamma * _fair_grad(S, dcol, u.data)
+    if np.isnan(out).any():
+        raise FloatingPointError("NaN produced in debiasing layer")
+
+    def backward(gout):
+        dF, du = _fair_grad_vjp(S, dcol, u.data, -gamma * gout)
+        # the normalized adjacency is symmetric, so A^T = A
+        return [(F, g.adjacency @ ((1.0 - gamma) * gout) + dF), (u, du), (X_trans, gamma * gout)]
+
+    return F.tape._result(out, (F, u, X_trans), backward)
 
 
-class DebiasLeaves:
-    """Constant incident-vector leaves shared by the layer steps of one tape."""
-
-    def __init__(self, tape: ad.Tape, delta: IncidentVector):
-        self.col = tape.leaf(delta.values.reshape(-1, 1))
-        self.row = tape.leaf(delta.values.reshape(1, -1))
+def _aggregate(F: ad.Tensor, X_trans: ad.Tensor, g: SparseGraph, gamma: float):
+    """softmax(F) and gamma X + (1 - gamma) A F, computed once per layer."""
+    return row_softmax(F.data), gamma * X_trans.data + (1.0 - gamma) * (g.adjacency @ F.data)
 
 
 def layer_step(
-    tape: ad.Tape,
     F: ad.Tensor,
     u: ad.Tensor,
     X_trans: ad.Tensor,
     g: SparseGraph,
-    leaves: DebiasLeaves,
+    delta: IncidentVector,
     hp: DebiasParams,
 ):
-    """One aggregation + debiasing layer on the tape; returns (F_next, u_next)."""
+    """One aggregation + debiasing layer on the tape; returns (F_next, u_next).
+
+    Two records share one softmax and one aggregation: ``u_next`` from
+    (F, u, X_trans), the dual ascent and l-infinity prox, then ``F_next`` from
+    (F, u_next, X_trans), the primal step. Both gradients are hand-derived.
+    """
     gamma, beta, lam = hp.gamma, hp.beta, hp.lambda_fair
-    agg = ad.add(ad.scale(X_trans, gamma), ad.scale(ad.spmm_const(g, F), 1.0 - gamma))
-    grad_k = _fairness_grad_ops(tape, F, u, leaves.col)
-    f_bar = ad.add(agg, ad.scale(grad_k, -gamma))
-    p_bar = ad.matmul(leaves.row, ad.row_softmax(f_bar))
-    u_bar = ad.add(u, ad.scale(p_bar, beta))
-    u_next = ad.clamp(u_bar, -lam, lam)
-    grad_next = _fairness_grad_ops(tape, F, u_next, leaves.col)
-    f_next = ad.add(agg, ad.scale(grad_next, -gamma))
-    if np.isnan(f_next.data).any():
-        raise FloatingPointError("NaN produced in debiasing layer")
-    return f_next, u_next
+    dcol = delta.values[:, None]
+    S, agg = _aggregate(F, X_trans, g, gamma)
+    S_bar = row_softmax(agg - gamma * _fair_grad(S, dcol, u.data))
+    u_bar = u.data + beta * (delta.values @ S_bar)
+    inside = np.abs(u_bar) <= lam  # where the prox passes the gradient through
+
+    def dual_backward(gu):
+        gu_bar = gu * inside
+        if not gu_bar.any():  # every entry clamped: nothing flows back
+            return []
+        # p_bar = delta^T softmax(f_bar), so its pullback to f_bar is the
+        # fairness gradient at f_bar with dual beta * gu_bar
+        gf_bar = _fair_grad(S_bar, dcol, beta * gu_bar)
+        dF, du = _fair_grad_vjp(S, dcol, u.data, -gamma * gf_bar)
+        return [
+            (F, g.adjacency @ ((1.0 - gamma) * gf_bar) + dF),
+            (u, gu_bar + du),
+            (X_trans, gamma * gf_bar),
+        ]
+
+    u_next = F.tape._result(prox_dual(u_bar, lam), (F, u, X_trans), dual_backward)
+    return _primal_step(F, u_next, X_trans, g, dcol, gamma, S, agg), u_next
 
 
 def forward(
@@ -179,28 +240,9 @@ def forward(
     x_trans, params = mlp_forward(mlp, tape, x)
     F = x_trans
     u = tape.leaf(np.zeros((1, mlp.config.out_dim)))
-    leaves = DebiasLeaves(tape, delta)
     for _ in range(hp.num_layers):
-        F, u = layer_step(tape, F, u, x_trans, g, leaves, hp)
+        F, u = layer_step(F, u, x_trans, g, delta, hp)
     return F, params
-
-
-def ml1_layer_step(
-    tape: ad.Tape,
-    F: ad.Tensor,
-    X_trans: ad.Tensor,
-    g: SparseGraph,
-    leaves: DebiasLeaves,
-    delta: IncidentVector,
-    hp: DebiasParams,
-) -> ad.Tensor:
-    """Tape version of the direct-subgradient baseline step."""
-    gamma = hp.gamma
-    agg = ad.add(ad.scale(X_trans, gamma), ad.scale(ad.spmm_const(g, F), 1.0 - gamma))
-    _, p = fairness_objective(F.data, delta, hp.lambda_fair)
-    u_eff = tape.leaf(hp.lambda_fair * np.sign(p).reshape(1, -1))
-    grad = _fairness_grad_ops(tape, F, u_eff, leaves.col)
-    return ad.add(agg, ad.scale(grad, -gamma))
 
 
 def ml1_forward(
@@ -211,10 +253,15 @@ def ml1_forward(
     delta: IncidentVector,
     hp: DebiasParams,
 ):
-    """MLP transform followed by ``num_layers`` direct-subgradient steps."""
+    """MLP transform followed by ``num_layers`` direct-subgradient steps.
+
+    Each step is the primal step with the constant dual lambda_fair * sign(p).
+    """
     x_trans, params = mlp_forward(mlp, tape, x)
     F = x_trans
-    leaves = DebiasLeaves(tape, delta)
+    dcol = delta.values[:, None]
     for _ in range(hp.num_layers):
-        F = ml1_layer_step(tape, F, x_trans, g, leaves, delta, hp)
+        S, agg = _aggregate(F, x_trans, g, hp.gamma)
+        u_eff = tape.leaf(hp.lambda_fair * np.sign(delta.values @ S).reshape(1, -1))
+        F = _primal_step(F, u_eff, x_trans, g, dcol, hp.gamma, S, agg)
     return F, params

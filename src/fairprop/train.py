@@ -33,7 +33,7 @@ from .metrics import (
     predict_labels,
 )
 from .nn import AdamState, Mlp, MlpConfig, adam_step, cross_entropy, init_weights, mlp_forward
-from .propagation import PPNP_DENSE_CAP, SCHEMES, ppnp_exact
+from .propagation import SCHEMES, ppnp_exact
 
 Array = np.ndarray
 
@@ -125,6 +125,17 @@ def load_run_dataset(cfg: RunConfig) -> Dataset:
     )
 
 
+def ppnp_kernel(cfg: RunConfig, dataset: Dataset):
+    """The dense teleport kernel of a ``ppnp_exact`` run, else None.
+
+    The kernel is constant for a run; ``train_one`` and ``evaluate`` solve for
+    it once and pass it to every ``forward_logits`` call.
+    """
+    if cfg.scheme != "ppnp_exact":
+        return None
+    return ppnp_exact(dataset.graph, np.eye(dataset.graph.n), cfg.alpha)
+
+
 def forward_logits(
     cfg: RunConfig,
     mlp: Mlp,
@@ -132,8 +143,12 @@ def forward_logits(
     x: ad.Tensor,
     dataset: Dataset,
     delta: IncidentVector,
+    kernel: Array | None = None,
 ):
-    """Dispatch the scheme-specific forward pass on the tape."""
+    """Dispatch the scheme-specific forward pass on the tape.
+
+    ``kernel`` is ``ppnp_kernel(cfg, dataset)``, required by ``ppnp_exact``.
+    """
     g = dataset.graph
     scheme = cfg.scheme
     if scheme == "mlp":
@@ -166,11 +181,10 @@ def forward_logits(
             )
         return f, params
     if scheme == "ppnp_exact":
-        if g.n > PPNP_DENSE_CAP:
-            raise ValueError(f"ppnp_exact limited to n <= {PPNP_DENSE_CAP}")
+        if kernel is None:
+            raise ValueError("ppnp_exact needs the kernel from ppnp_kernel(cfg, dataset)")
         x_trans, params = mlp_forward(mlp, tape, x)
-        kernel = tape.leaf(ppnp_exact(g, np.eye(g.n), cfg.alpha))
-        return ad.matmul(kernel, x_trans), params
+        return ad.matmul(tape.leaf(kernel), x_trans), params
     if scheme == "fair":
         return debias.forward(mlp, tape, x, g, delta, cfg.debias_params())
     if scheme == "ml1":
@@ -198,6 +212,7 @@ def train_one(cfg: RunConfig, dataset: Dataset, masks: SplitMasks, seed: int):
     )
     mlp = init_weights(mlp_cfg, seed)
     state = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
+    kernel = ppnp_kernel(cfg, dataset)
 
     trace = TrainTrace()
     best_val = -1.0
@@ -205,7 +220,7 @@ def train_one(cfg: RunConfig, dataset: Dataset, masks: SplitMasks, seed: int):
     for epoch in range(cfg.epochs):
         tape = ad.Tape()
         x = tape.leaf(features)
-        logits, param_tensors = forward_logits(cfg, mlp, tape, x, dataset, delta)
+        logits, param_tensors = forward_logits(cfg, mlp, tape, x, dataset, delta, kernel)
         loss = cross_entropy(logits, dataset.labels, masks.train)
         loss_val = float(loss.data[0, 0])
         if not np.isfinite(loss_val):
@@ -249,7 +264,7 @@ def evaluate(
     features = _prepare_features(cfg, dataset, masks)
     tape = ad.Tape()
     x = tape.leaf(features)
-    logits, _ = forward_logits(cfg, mlp, tape, x, dataset, delta)
+    logits, _ = forward_logits(cfg, mlp, tape, x, dataset, delta, ppnp_kernel(cfg, dataset))
     mask = getattr(masks, mask_name)
     y_hat = predict_labels(logits.data)
     fair_obj, _ = debias.fairness_objective(logits.data, delta, 1.0)

@@ -1,8 +1,14 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from conftest import assert_close_rel, finite_diff, random_graph
 from fairprop import autodiff as ad
+from fairprop.debias import DebiasParams, forward
+from fairprop.graph import incident_vector
+from fairprop.nn import MlpConfig, cross_entropy, init_weights
 
 
 def scalar_of(op, *args, **kwargs):
@@ -215,3 +221,34 @@ class TestBackwardPass:
         gx1, gw1 = run()
         gx2, gw2 = run()
         assert np.array_equal(gx1, gx2) and np.array_equal(gw1, gw2)
+
+
+class TestTapeLifetime:
+    @staticmethod
+    def _backpropagated_tape(rng):
+        """Weak reference to the tape of one forward + backward through the debiasing stack."""
+        g = random_graph(rng, n_max=8)
+        s = np.where(np.arange(g.n) % 2 == 0, 1, -1)
+        mlp = init_weights(MlpConfig(in_dim=3, hidden=[4], out_dim=2), 0)
+        hp = DebiasParams(lambda_smooth=1.0, lambda_fair=2.0, num_layers=3)
+        tape = ad.Tape()
+        x = tape.leaf(rng.standard_normal((g.n, 3)))
+        logits, _ = forward(mlp, tape, x, g, incident_vector(s), hp)
+        tape.backward(cross_entropy(logits, rng.integers(0, 2, size=g.n), np.ones(g.n, dtype=bool)))
+        return weakref.ref(tape)
+
+    def test_freed_without_cyclic_gc(self, rng):
+        gc.disable()
+        try:
+            ref = self._backpropagated_tape(rng)
+            assert ref() is None, "a replayed tape is kept alive by a reference cycle"
+        finally:
+            gc.enable()
+
+    def test_single_use(self, rng):
+        tape = ad.Tape()
+        x = tape.leaf(rng.standard_normal((2, 2)), requires_grad=True)
+        loss = ad.total_sum(x)
+        tape.backward(loss)
+        with pytest.raises(RuntimeError, match="already replayed"):
+            tape.backward(loss)

@@ -3,13 +3,14 @@ import pytest
 
 from conftest import assert_close_rel, finite_diff, random_graph
 from fairprop import autodiff as ad
+from fairprop import debias
 from fairprop.debias import (
-    DebiasLeaves,
     DebiasParams,
     fairness_grad,
     fairness_objective,
     forward,
     layer_step,
+    ml1_forward,
     ml1_step,
     prox_dual,
     row_softmax,
@@ -182,12 +183,11 @@ class TestLayerStep:
         F0 = rng.standard_normal((g.n, 3))
         tape = ad.Tape()
         F, u = layer_step(
-            tape,
             tape.leaf(F0),
             tape.leaf(np.zeros((1, 3))),
             tape.leaf(Xt),
             g,
-            DebiasLeaves(tape, delta),
+            delta,
             hp,
         )
         assert np.array_equal(F.data, appnp_step(g, F0, Xt, hp.gamma))
@@ -200,12 +200,11 @@ class TestLayerStep:
         Xt = rng.standard_normal((4, 3))
 
         tape = ad.Tape()
-        leaves = DebiasLeaves(tape, delta)
         F = tape.leaf(Xt)
         u = tape.leaf(np.zeros((1, 3)))
         xt_t = tape.leaf(Xt)
         for _ in range(2):
-            F, u = layer_step(tape, F, u, xt_t, g, leaves, hp)
+            F, u = layer_step(F, u, xt_t, g, delta, hp)
 
         A = g.dense_adjacency()
         F_ref, u_ref = Xt.copy(), np.zeros(3)
@@ -221,13 +220,120 @@ class TestLayerStep:
         delta = random_incident(rng, g.n)
         hp = DebiasParams(lambda_smooth=0.5, lambda_fair=0.3, num_layers=1)
         tape = ad.Tape()
-        leaves = DebiasLeaves(tape, delta)
         F = tape.leaf(rng.standard_normal((g.n, 3)))
         u = tape.leaf(np.zeros((1, 3)))
         xt = tape.leaf(rng.standard_normal((g.n, 3)))
         for _ in range(5):
-            F, u = layer_step(tape, F, u, xt, g, leaves, hp)
+            F, u = layer_step(F, u, xt, g, delta, hp)
             assert np.abs(u.data).max() <= hp.lambda_fair
+
+
+class TestLayerGradients:
+    """The hand-written VJPs of one layer against central finite differences."""
+
+    @staticmethod
+    def _check(step, rng, F0, u0, Xt):
+        """Gradient of a fixed weighting of step's (F_next, u_next) in F, u and X_trans."""
+        w_F = rng.standard_normal(F0.shape)
+        w_u = rng.standard_normal(u0.shape)
+
+        def scalar(tape, F, u, X):
+            F_next, u_next = step(F, u, X)
+            return ad.add(
+                ad.total_sum(ad.elementwise_mul(F_next, tape.leaf(w_F))),
+                ad.total_sum(ad.elementwise_mul(u_next, tape.leaf(w_u))),
+            )
+
+        tape = ad.Tape()
+        leaves = [tape.leaf(a, requires_grad=True) for a in (F0, u0, Xt)]
+        tape.backward(scalar(tape, *leaves))
+        for k, leaf in enumerate(leaves):
+
+            def f(v):
+                t2 = ad.Tape()
+                args = [t2.leaf(a) for a in (F0, u0, Xt)]
+                args[k] = t2.leaf(v)
+                return float(scalar(t2, *args).data[0, 0])
+
+            grad = np.zeros(leaf.shape) if leaf.grad is None else leaf.grad
+            assert_close_rel(grad, finite_diff(f, leaf.data.copy()), rtol=1e-6, afloor=1e-9)
+
+    @staticmethod
+    def _graph():
+        g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 3)])
+        return g, incident_vector([1, 1, -1, 1, -1, -1])
+
+    def test_dual_partly_clamped(self, rng):
+        g, delta = self._graph()
+        hp = DebiasParams(lambda_smooth=1.5, lambda_fair=0.5, num_layers=1)
+        F0, Xt = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
+        u0 = np.array([[0.1, 0.8, -0.9]])
+        tape = ad.Tape()
+        _, u = layer_step(tape.leaf(F0), tape.leaf(u0), tape.leaf(Xt), g, delta, hp)
+        on_ball = np.abs(u.data) == hp.lambda_fair
+        assert on_ball.any() and not on_ball.all()
+        self._check(lambda F, u, X: layer_step(F, u, X, g, delta, hp), rng, F0, u0, Xt)
+
+    def test_zero_fair_weight(self, rng):
+        g, delta = self._graph()
+        hp = DebiasParams(lambda_smooth=0.5, lambda_fair=0.0, num_layers=1)
+        F0, Xt = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
+        u0 = np.array([[0.3, -0.2]])
+        self._check(lambda F, u, X: layer_step(F, u, X, g, delta, hp), rng, F0, u0, Xt)
+
+    def test_ml1_step(self, rng):
+        g, delta = self._graph()
+        hp = DebiasParams(lambda_smooth=2.0, lambda_fair=0.7, num_layers=1)
+        F0, Xt = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
+        p = delta.values @ row_softmax(F0)
+        assert np.abs(p).min() > 1e-3  # sign(p) stays put under the probe steps
+
+        def step(F, u, X):
+            # ml1_forward's layer: the primal step with dual lambda_fair * sign(p)
+            S, agg = debias._aggregate(F, X, g, hp.gamma)
+            u_eff = F.tape.leaf(hp.lambda_fair * np.sign(delta.values @ S).reshape(1, -1))
+            dcol = delta.values[:, None]
+            return debias._primal_step(F, u_eff, X, g, dcol, hp.gamma, S, agg), u
+
+        self._check(step, rng, F0, np.zeros((1, 3)), Xt)
+
+
+class TestTapeSize:
+    """One fused primitive per layer: a silent un-fusing fails here."""
+
+    @staticmethod
+    def _extra_records(fwd, layers, rng):
+        g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        delta = incident_vector([1, -1, 1, -1, 1])
+        mlp = init_weights(MlpConfig(in_dim=3, hidden=[4], out_dim=2), 0)
+        X = rng.standard_normal((5, 3))
+        hp = DebiasParams(lambda_smooth=1.0, lambda_fair=2.0, num_layers=layers)
+        tape, mlp_tape = ad.Tape(), ad.Tape()
+        fwd(mlp, tape, tape.leaf(X), g, delta, hp)
+        mlp_forward(mlp, mlp_tape, mlp_tape.leaf(X))
+        return len(tape._records) - len(mlp_tape._records)
+
+    @pytest.mark.parametrize("layers", [1, 4])
+    def test_fair_records_two_per_layer(self, rng, layers):
+        assert self._extra_records(forward, layers, rng) <= 2 * layers
+
+    @pytest.mark.parametrize("layers", [1, 4])
+    def test_ml1_records_one_per_layer(self, rng, layers):
+        assert self._extra_records(ml1_forward, layers, rng) <= layers
+
+
+class TestNanGuard:
+    @pytest.mark.parametrize("fwd", [forward, ml1_forward])
+    def test_nan_input_raises(self, rng, fwd):
+        g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        delta = incident_vector([1, -1, 1, -1])
+        mlp = init_weights(MlpConfig(in_dim=3, hidden=[4], out_dim=2), 0)
+        X = rng.standard_normal((4, 3))
+        X[2, 1] = np.nan
+        hp = DebiasParams(lambda_smooth=1.0, lambda_fair=2.0, num_layers=2)
+        tape = ad.Tape()
+        with pytest.raises(FloatingPointError, match="NaN produced in debiasing layer"):
+            fwd(mlp, tape, tape.leaf(X), g, delta, hp)
 
 
 class TestForward:
@@ -361,6 +467,22 @@ class TestMl1Step:
         np.testing.assert_allclose(ml1_step(F, Xt, g, delta, hp), expected, atol=1e-12)
 
 
+    def test_tape_forward_matches_numpy_step(self, rng):
+        g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+        delta = incident_vector([1, -1, 1, -1, -1])
+        hp = DebiasParams(lambda_smooth=1.0, lambda_fair=0.6, num_layers=3)
+        mlp = init_weights(MlpConfig(in_dim=4, hidden=[6], out_dim=3), 2)
+        X = rng.standard_normal((5, 4))
+        tape = ad.Tape()
+        out, _ = ml1_forward(mlp, tape, tape.leaf(X), g, delta, hp)
+        t2 = ad.Tape()
+        xt = mlp_forward(mlp, t2, t2.leaf(X))[0].data
+        F = xt
+        for _ in range(3):
+            F = ml1_step(F, xt, g, delta, hp)
+        np.testing.assert_allclose(out.data, F, atol=1e-12)
+
+
 class TestSingleStepDebiasEffect:
     def test_report_objective_reduction(self, rng, capsys):
         # empirical observation, not a guarantee: one debias pass starting
@@ -373,12 +495,11 @@ class TestSingleStepDebiasEffect:
             Xt = rng.standard_normal((g.n, 3))
             tape = ad.Tape()
             F, u = layer_step(
-                tape,
                 tape.leaf(Xt),
                 tape.leaf(np.zeros((1, 3))),
                 tape.leaf(Xt),
                 g,
-                DebiasLeaves(tape, delta),
+                delta,
                 hp,
             )
             agg = appnp_step(g, Xt, Xt, hp.gamma)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from fairprop import autodiff as ad
+from fairprop import train
 from fairprop.data import SynthConfig, make_splits, read_results, synth_generate
-from fairprop.nn import load_checkpoint, save_checkpoint
+from fairprop.graph import incident_vector
+from fairprop.nn import MlpConfig, init_weights, load_checkpoint, mlp_forward, save_checkpoint
+from fairprop.propagation import ppnp_exact
 from fairprop.train import RunConfig, evaluate, run, summarize, sweep, train_one
 
 
@@ -119,6 +123,35 @@ class TestTrainOne:
         masks = make_splits(small_dataset, cfg.split_fractions, 0)
         _, _, trace = train_one(cfg, small_dataset, masks, 0)
         assert trace.best_epoch == cfg.epochs - 1
+
+
+class TestPpnpKernel:
+    def test_solved_once_per_train_and_per_evaluate(self, small_dataset, monkeypatch):
+        solves = []
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return ppnp_exact(*args, **kwargs)
+
+        monkeypatch.setattr(train, "ppnp_exact", counting)
+        cfg = small_cfg(scheme="ppnp_exact", epochs=5)
+        masks = make_splits(small_dataset, cfg.split_fractions, 0)
+        train_one(cfg, small_dataset, masks, 0)
+        assert len(solves) <= 2
+
+    def test_logits_match_a_fresh_solve(self, small_dataset):
+        cfg = small_cfg(scheme="ppnp_exact")
+        mlp = init_weights(MlpConfig(in_dim=6, hidden=[8], out_dim=2), 0)
+        kernel = train.ppnp_kernel(cfg, small_dataset)
+        delta = incident_vector(small_dataset.sensitive)
+        tape = ad.Tape()
+        logits, _ = train.forward_logits(
+            cfg, mlp, tape, tape.leaf(small_dataset.features), small_dataset, delta, kernel
+        )
+        t2 = ad.Tape()
+        x_trans, _ = mlp_forward(mlp, t2, t2.leaf(small_dataset.features))
+        expected = ppnp_exact(small_dataset.graph, x_trans.data, cfg.alpha)
+        np.testing.assert_allclose(logits.data, expected, rtol=0, atol=1e-12)
 
 
 class TestRunAndSweep:
