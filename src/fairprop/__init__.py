@@ -4,7 +4,6 @@ from .debias import (
     DebiasParams,
     fairness_grad,
     fairness_objective,
-    ml1_step,
     prox_dual,
 )
 from .graph import (
@@ -14,10 +13,9 @@ from .graph import (
     edge_homophily,
     incident_vector,
     smoothness_energy,
-    spmm,
 )
 from .metrics import MetricsReport, accuracy, demographic_parity, equal_opportunity
-from .propagation import appnp_step, gcn_step, ppnp_exact
+from .propagation import ppnp_exact
 
 __all__ = [
     "DebiasParams",
@@ -25,20 +23,16 @@ __all__ = [
     "MetricsReport",
     "SparseGraph",
     "accuracy",
-    "appnp_step",
     "build_graph",
     "demographic_parity",
     "edge_homophily",
     "equal_opportunity",
     "fairness_grad",
     "fairness_objective",
-    "gcn_step",
     "incident_vector",
-    "ml1_step",
     "ppnp_exact",
     "prox_dual",
     "smoothness_energy",
-    "spmm",
 ]
 
 __version__ = "0.1.0"

@@ -2,10 +2,11 @@
 
 Define-by-run: every primitive appends one record to the active Tape, and
 ``Tape.backward`` replays the records in reverse, accumulating gradients in
-64-bit, then drops them: a tape is replayed once. The primitive set is
-intentionally small; the only broadcasting is the row-bias add and the
-row-sum broadcast. Other modules add fused primitives of their own through
-``Tape._result`` (the debiasing layer in ``fairprop.debias``).
+64-bit, returns them keyed by node id, then drops the records: a tape is
+replayed once. The primitives are the ones training records: ``matmul``,
+``spmm_const``, ``add`` (with a row-bias broadcast), ``scale``, ``relu`` and
+``cross_entropy_with_logits``. Other modules add fused records of their own
+through ``Tape._result`` (the debiasing layer in ``fairprop.debias``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ Array = np.ndarray
 class Tensor:
     """Dense matrix participating in a recorded computation."""
 
-    __slots__ = ("data", "tape", "node_id", "requires_grad", "grad")
+    __slots__ = ("data", "tape", "node_id", "requires_grad")
 
     def __init__(self, data: Array, tape: "Tape", node_id: int, requires_grad: bool):
         data = np.asarray(data, dtype=np.float64)
@@ -28,7 +29,6 @@ class Tensor:
         self.tape = tape
         self.node_id = node_id
         self.requires_grad = requires_grad
-        self.grad = None
 
     @property
     def shape(self):
@@ -55,13 +55,20 @@ class Tape:
             self._records.append((out, inputs, backward_fn))
         return out
 
-    def backward(self, loss: Tensor) -> dict:
-        """Gradients of a scalar loss for every requires_grad tensor.
+    def release(self):
+        """Drop the records; the tape can no longer be replayed.
 
-        Returns a dict keyed by node_id; also sets ``.grad`` on leaves. A tape
-        is single-use: replaying drops its records, which also breaks the
-        tape <-> tensor reference cycle so the tape is freed without the
-        cyclic garbage collector.
+        This breaks the tape <-> tensor reference cycle, so the tape is freed
+        without the cyclic garbage collector. ``backward`` calls it; a
+        forward-only pass calls it once it is done with the tape.
+        """
+        records, self._records = self._records, None
+        return records
+
+    def backward(self, loss: Tensor) -> dict:
+        """Gradients of a scalar loss for every requires_grad tensor, by node_id.
+
+        A tape is single-use: replaying releases it.
         """
         if loss.shape != (1, 1):
             raise ValueError(f"loss must be 1x1, got {loss.shape}")
@@ -69,9 +76,8 @@ class Tape:
             raise ValueError("loss belongs to a different tape")
         if self._records is None:
             raise RuntimeError("tape already replayed; record a new one")
-        records, self._records = self._records, None
         grads: dict[int, Array] = {loss.node_id: np.ones((1, 1))}
-        for out, inputs, backward_fn in reversed(records):
+        for out, inputs, backward_fn in reversed(self.release()):
             g = grads.get(out.node_id)
             if g is None:
                 continue
@@ -80,10 +86,6 @@ class Tape:
                     continue
                 acc = grads.get(tensor.node_id)
                 grads[tensor.node_id] = contrib if acc is None else acc + contrib
-        for out, inputs, _ in records:
-            for t in inputs:
-                if t.requires_grad and t.node_id in grads:
-                    t.grad = grads[t.node_id]
         return grads
 
 
@@ -139,17 +141,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return a.tape._result(c * a.data, (a,), backward)
 
 
-def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
-    _check(a, b)
-    if a.shape != b.shape:
-        raise ValueError(f"elementwise_mul shape mismatch {a.shape} * {b.shape}")
-
-    def backward(g):
-        return [(a, g * b.data), (b, g * a.data)]
-
-    return a.tape._result(a.data * b.data, (a, b), backward)
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0
 
@@ -157,51 +148,6 @@ def relu(a: Tensor) -> Tensor:
         return [(a, g * mask)]
 
     return a.tape._result(a.data * mask, (a,), backward)
-
-
-def row_softmax(a: Tensor) -> Tensor:
-    """Softmax over the column dimension of each row."""
-    if np.isnan(a.data).any():
-        raise ValueError("NaN input to row_softmax")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-
-    def backward(g):
-        gy = g * y
-        return [(a, gy - gy.sum(axis=1, keepdims=True) * y)]
-
-    return a.tape._result(y, (a,), backward)
-
-
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clip entrywise; gradient passes through inside [lo, hi] inclusive."""
-    mask = (a.data >= lo) & (a.data <= hi)
-
-    def backward(g):
-        return [(a, g * mask)]
-
-    return a.tape._result(np.clip(a.data, lo, hi), (a,), backward)
-
-
-def row_sum_broadcast(a: Tensor) -> Tensor:
-    """Sum each row over columns, broadcast back to the input shape."""
-    d = a.shape[1]
-    sums = a.data.sum(axis=1, keepdims=True)
-
-    def backward(g):
-        return [(a, np.broadcast_to(g.sum(axis=1, keepdims=True), a.shape).copy())]
-
-    return a.tape._result(np.broadcast_to(sums, a.shape).copy(), (a,), backward)
-
-
-def total_sum(a: Tensor) -> Tensor:
-    """Sum all entries into a 1x1 scalar."""
-
-    def backward(g):
-        return [(a, np.full(a.shape, g[0, 0]))]
-
-    return a.tape._result(np.array([[a.data.sum()]]), (a,), backward)
 
 
 def cross_entropy_with_logits(logits: Tensor, labels, mask) -> Tensor:

@@ -53,7 +53,8 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
 
     ``schema`` declares {"id": col, "sensitive": col, "sensitive_pos_value":
     raw, "label": col, "drop": [cols]}. Nodes are indexed densely in file
-    order; label values below zero are treated as missing.
+    order; a repeated node id is an error. Label values below zero are
+    treated as missing.
     """
     with open(node_csv_path, newline="") as f:
         reader = csv.reader(f)
@@ -80,6 +81,8 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
     features = np.empty((n, len(feat_cols)), dtype=np.float64)
     pos_value = str(schema["sensitive_pos_value"])
     for idx, row in enumerate(rows):
+        if row[id_col] in id_map:
+            raise ValueError(f"duplicate node id {row[id_col]!r} in node CSV")
         id_map[row[id_col]] = idx
         sensitive[idx] = 1 if row[sens_col] == pos_value else -1
         raw_label = float(row[label_col]) if row[label_col] != "" else MISSING_LABEL

@@ -5,13 +5,13 @@ connection, take a gradient step on the node features against the group
 probability gap, update the dual perturbation direction, and project it
 back into the l-infinity ball of radius lambda_fair.
 
-The numpy functions (``fairness_grad``, ``prox_dual``, ``ml1_step``) state the
-update on plain arrays. Training runs it on the tape as two hand-differentiated
-records per layer (``layer_step``): the dual update ``u_next`` from
-(F, u, X_trans) and the primal step ``F_next`` from (F, u_next, X_trans).
-Both share one softmax of F and one aggregation, and both compute with the
-same private core as ``fairness_grad``. The direct-subgradient baseline
-(``ml1_forward``) records only the primal step, with the constant dual
+The numpy functions (``fairness_grad``, ``prox_dual``, ``fairness_objective``)
+state the pieces of the update on plain arrays. Training runs the layer on the
+tape as two hand-differentiated records (``layer_step``): the dual update
+``u_next`` from (F, u, X_trans) and the primal step ``F_next`` from
+(F, u_next, X_trans). Both share one softmax of F and one aggregation, and both
+compute with the same private core as ``fairness_grad``. The direct-subgradient
+baseline (``ml1_forward``) records only the primal step, with the constant dual
 lambda_fair * sign(p).
 """
 
@@ -132,29 +132,6 @@ def fairness_objective(F: Array, delta: IncidentVector, lambda_fair: float):
     F = np.asarray(F, dtype=np.float64)
     p = delta.values @ row_softmax(F)
     return lambda_fair * float(np.abs(p).sum()), p
-
-
-def ml1_step(
-    F: Array,
-    X_trans: Array,
-    g: SparseGraph,
-    delta: IncidentVector,
-    hp: DebiasParams,
-) -> Array:
-    """Direct subgradient step on the combined objective (no dual variable).
-
-    Uses lambda_fair * sign(p) in place of the dual variable; sign is treated
-    as constant.
-    """
-    F = np.asarray(F, dtype=np.float64)
-    X_trans = np.asarray(X_trans, dtype=np.float64)
-    if F.shape != X_trans.shape:
-        raise ValueError("shape mismatch")
-    gamma = hp.gamma
-    agg = gamma * X_trans + (1.0 - gamma) * (g.adjacency @ F)
-    _, p = fairness_objective(F, delta, hp.lambda_fair)
-    u_eff = hp.lambda_fair * np.sign(p).reshape(1, -1)
-    return agg - gamma * fairness_grad(F, u_eff, delta)
 
 
 # ---------------------------------------------------------------------------

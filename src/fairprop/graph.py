@@ -101,14 +101,6 @@ def incident_vector(s) -> IncidentVector:
     return IncidentVector(values=values, group_sizes=(n_pos, n_neg))
 
 
-def spmm(g: SparseGraph, X: Array) -> Array:
-    """Multiply the normalized adjacency by a dense n x d matrix."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != g.n:
-        raise ValueError(f"expected ({g.n}, d) matrix, got {X.shape}")
-    return g.adjacency @ X
-
-
 def smoothness_energy(g: SparseGraph, F: Array, method: str = "trace") -> float:
     """Quadratic smoothness energy tr(F^T (I - A_norm) F).
 

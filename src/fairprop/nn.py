@@ -1,4 +1,4 @@
-"""Feature-transformation MLP, cross-entropy loss, and Adam optimizer."""
+"""Feature-transformation MLP, Adam optimizer, and JSON checkpoints."""
 
 from __future__ import annotations
 
@@ -88,11 +88,6 @@ def mlp_forward(mlp: Mlp, tape: ad.Tape, x: ad.Tensor):
         if i != last:
             h = ad.relu(h)
     return h, param_tensors
-
-
-def cross_entropy(logits: ad.Tensor, labels, mask) -> ad.Tensor:
-    """Masked mean cross-entropy on the active tape."""
-    return ad.cross_entropy_with_logits(logits, labels, mask)
 
 
 @dataclass

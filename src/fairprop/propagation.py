@@ -1,48 +1,20 @@
-"""Baseline denoising-derived propagation schemes (GCN/SGC step, APPNP, PPNP)."""
+"""Exact teleport propagation (PPNP) by a dense solve.
+
+This is the fixed point that the ``appnp`` iteration approaches. The
+iterative baselines (``gcn``, ``sgc``, ``appnp``) are tape passes in
+``fairprop.train``.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .graph import SparseGraph, spmm
+from .graph import SparseGraph
 
 Array = np.ndarray
 
 PPNP_DENSE_CAP = 500
-
-SCHEMES = ("mlp", "gcn", "sgc", "appnp", "ppnp_exact", "fair", "ml1")
-
-
-@dataclass
-class PropagationConfig:
-    scheme: str = "appnp"
-    k: int = 2
-    alpha: float = 0.1
-
-    def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.k < 1:
-            raise ValueError("iteration count must be >= 1")
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError("alpha must be in (0, 1]")
-
-
-def gcn_step(g: SparseGraph, X: Array) -> Array:
-    """One aggregation step: normalized adjacency times X."""
-    return spmm(g, X)
-
-
-def appnp_step(g: SparseGraph, F: Array, X_trans: Array, alpha: float) -> Array:
-    """(1 - alpha) * A_norm F + alpha * X_trans."""
-    F = np.asarray(F, dtype=np.float64)
-    X_trans = np.asarray(X_trans, dtype=np.float64)
-    if F.shape != X_trans.shape:
-        raise ValueError(f"shape mismatch {F.shape} vs {X_trans.shape}")
-    return alpha * X_trans + (1.0 - alpha) * spmm(g, F)
 
 
 def ppnp_exact(g: SparseGraph, X_trans: Array, alpha: float, cap: int = PPNP_DENSE_CAP) -> Array:

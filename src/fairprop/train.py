@@ -32,8 +32,8 @@ from .metrics import (
     equal_opportunity,
     predict_labels,
 )
-from .nn import AdamState, Mlp, MlpConfig, adam_step, cross_entropy, init_weights, mlp_forward
-from .propagation import SCHEMES, ppnp_exact
+from .nn import AdamState, Mlp, MlpConfig, adam_step, init_weights, mlp_forward
+from .propagation import ppnp_exact
 
 Array = np.ndarray
 
@@ -136,6 +136,64 @@ def ppnp_kernel(cfg: RunConfig, dataset: Dataset):
     return ppnp_exact(dataset.graph, np.eye(dataset.graph.n), cfg.alpha)
 
 
+def _mlp(cfg, mlp, tape, x, g, delta, kernel):
+    return mlp_forward(mlp, tape, x)
+
+
+def _gcn(cfg, mlp, tape, x, g, delta, kernel):
+    # transform + aggregate in every layer, ReLU between layers
+    params = []
+    h = x
+    last = len(mlp.weights) - 1
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        wt = tape.leaf(w, requires_grad=True)
+        bt = tape.leaf(b.reshape(1, -1), requires_grad=True)
+        params += [wt, bt]
+        h = ad.spmm_const(g, ad.add(ad.matmul(h, wt), bt))
+        if i != last:
+            h = ad.relu(h)
+    return h, params
+
+
+def _appnp(cfg, mlp, tape, x, g, delta, kernel):
+    x_trans, params = mlp_forward(mlp, tape, x)
+    f = x_trans
+    for _ in range(cfg.prop_k):
+        f = ad.add(ad.scale(x_trans, cfg.alpha), ad.scale(ad.spmm_const(g, f), 1.0 - cfg.alpha))
+    return f, params
+
+
+def _ppnp_exact(cfg, mlp, tape, x, g, delta, kernel):
+    if kernel is None:
+        raise ValueError("ppnp_exact needs the kernel from ppnp_kernel(cfg, dataset)")
+    x_trans, params = mlp_forward(mlp, tape, x)
+    return ad.matmul(tape.leaf(kernel), x_trans), params
+
+
+def _fair(cfg, mlp, tape, x, g, delta, kernel):
+    return debias.forward(mlp, tape, x, g, delta, cfg.debias_params())
+
+
+def _ml1(cfg, mlp, tape, x, g, delta, kernel):
+    return debias.ml1_forward(mlp, tape, x, g, delta, cfg.debias_params())
+
+
+# Scheme -> forward pass on the tape. ``sgc`` is the MLP on features that
+# ``_prepare_features`` has already propagated ``prop_k`` times. The entries
+# look their callees up by name when called, so a rebound module attribute
+# (a profiler's wrapper, say) is the one that runs.
+_FORWARDS = {
+    "mlp": _mlp,
+    "gcn": _gcn,
+    "sgc": _mlp,
+    "appnp": _appnp,
+    "ppnp_exact": _ppnp_exact,
+    "fair": _fair,
+    "ml1": _ml1,
+}
+SCHEMES = tuple(_FORWARDS)
+
+
 def forward_logits(
     cfg: RunConfig,
     mlp: Mlp,
@@ -147,55 +205,25 @@ def forward_logits(
 ):
     """Dispatch the scheme-specific forward pass on the tape.
 
-    ``kernel`` is ``ppnp_kernel(cfg, dataset)``, required by ``ppnp_exact``.
+    ``x`` holds ``_prepare_features(cfg, dataset, masks)``. ``kernel`` is
+    ``ppnp_kernel(cfg, dataset)``, required by ``ppnp_exact``.
     """
-    g = dataset.graph
-    scheme = cfg.scheme
-    if scheme == "mlp":
-        return mlp_forward(mlp, tape, x)
-    if scheme == "gcn":
-        # transform + aggregate in every layer, ReLU between layers
-        params = []
-        h = x
-        last = len(mlp.weights) - 1
-        for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-            wt = tape.leaf(w, requires_grad=True)
-            bt = tape.leaf(b.reshape(1, -1), requires_grad=True)
-            params += [wt, bt]
-            h = ad.spmm_const(g, ad.add(ad.matmul(h, wt), bt))
-            if i != last:
-                h = ad.relu(h)
-        return h, params
-    if scheme == "sgc":
-        h = x
-        for _ in range(cfg.prop_k):
-            h = ad.spmm_const(g, h)
-        return mlp_forward(mlp, tape, h)
-    if scheme == "appnp":
-        x_trans, params = mlp_forward(mlp, tape, x)
-        f = x_trans
-        for _ in range(cfg.prop_k):
-            f = ad.add(
-                ad.scale(x_trans, cfg.alpha),
-                ad.scale(ad.spmm_const(g, f), 1.0 - cfg.alpha),
-            )
-        return f, params
-    if scheme == "ppnp_exact":
-        if kernel is None:
-            raise ValueError("ppnp_exact needs the kernel from ppnp_kernel(cfg, dataset)")
-        x_trans, params = mlp_forward(mlp, tape, x)
-        return ad.matmul(tape.leaf(kernel), x_trans), params
-    if scheme == "fair":
-        return debias.forward(mlp, tape, x, g, delta, cfg.debias_params())
-    if scheme == "ml1":
-        return debias.ml1_forward(mlp, tape, x, g, delta, cfg.debias_params())
-    raise ValueError(f"unknown scheme {scheme!r}")
+    return _FORWARDS[cfg.scheme](cfg, mlp, tape, x, dataset.graph, delta, kernel)
 
 
 def _prepare_features(cfg: RunConfig, dataset: Dataset, masks: SplitMasks) -> Array:
+    """Model input: standardized features, propagated ``prop_k`` times for ``sgc``.
+
+    The propagation is constant for a run, so it runs once per ``train_one``
+    and ``evaluate``, off the tape.
+    """
+    features = dataset.features
     if cfg.standardize:
-        return standardize_features(dataset.features, masks.train)
-    return dataset.features
+        features = standardize_features(features, masks.train)
+    if cfg.scheme == "sgc":
+        for _ in range(cfg.prop_k):
+            features = dataset.graph.adjacency @ features
+    return features
 
 
 def _num_classes(dataset: Dataset) -> int:
@@ -221,7 +249,7 @@ def train_one(cfg: RunConfig, dataset: Dataset, masks: SplitMasks, seed: int):
         tape = ad.Tape()
         x = tape.leaf(features)
         logits, param_tensors = forward_logits(cfg, mlp, tape, x, dataset, delta, kernel)
-        loss = cross_entropy(logits, dataset.labels, masks.train)
+        loss = ad.cross_entropy_with_logits(logits, dataset.labels, masks.train)
         loss_val = float(loss.data[0, 0])
         if not np.isfinite(loss_val):
             raise RuntimeError(
@@ -265,6 +293,7 @@ def evaluate(
     tape = ad.Tape()
     x = tape.leaf(features)
     logits, _ = forward_logits(cfg, mlp, tape, x, dataset, delta, ppnp_kernel(cfg, dataset))
+    tape.release()  # forward only: nothing replays it
     mask = getattr(masks, mask_name)
     y_hat = predict_labels(logits.data)
     fair_obj, _ = debias.fairness_objective(logits.data, delta, 1.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fairprop.debias import fairness_grad, fairness_objective
 from fairprop.graph import build_graph
 
 
@@ -48,6 +49,46 @@ def assert_close_rel(actual, expected, rtol, afloor=1e-9):
     assert worst <= 0.0, (
         f"worst excess {worst:.3e}; max abs diff {diff.max():.3e}, rtol {rtol}"
     )
+
+
+def weighted_sum(out, w):
+    """Tape record of sum(out * w) for a constant array w, as a 1x1 loss.
+
+    Gradient checks reduce an op's output to a scalar with it; the gradient
+    with respect to ``out`` is ``w``.
+    """
+    w = np.asarray(w, dtype=np.float64)
+
+    def backward(g):
+        return [(out, g[0, 0] * w)]
+
+    return out.tape._result(np.array([[np.sum(out.data * w)]]), (out,), backward)
+
+
+def appnp_step(g, F, X_trans, alpha):
+    """Oracle: one teleport-propagation step (1 - alpha) * A_norm F + alpha * X_trans."""
+    F = np.asarray(F, dtype=np.float64)
+    X_trans = np.asarray(X_trans, dtype=np.float64)
+    if F.shape != X_trans.shape:
+        raise ValueError(f"shape mismatch {F.shape} vs {X_trans.shape}")
+    return alpha * X_trans + (1.0 - alpha) * (g.adjacency @ F)
+
+
+def ml1_step(F, X_trans, g, delta, hp):
+    """Oracle: one direct subgradient step on the combined objective (no dual variable).
+
+    Uses lambda_fair * sign(p) in place of the dual variable; sign is treated
+    as constant.
+    """
+    F = np.asarray(F, dtype=np.float64)
+    X_trans = np.asarray(X_trans, dtype=np.float64)
+    if F.shape != X_trans.shape:
+        raise ValueError("shape mismatch")
+    gamma = hp.gamma
+    agg = gamma * X_trans + (1.0 - gamma) * (g.adjacency @ F)
+    _, p = fairness_objective(F, delta, hp.lambda_fair)
+    u_eff = hp.lambda_fair * np.sign(p).reshape(1, -1)
+    return agg - gamma * fairness_grad(F, u_eff, delta)
 
 
 @pytest.fixture

@@ -4,25 +4,13 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import assert_close_rel, finite_diff, random_graph
+from conftest import assert_close_rel, finite_diff, random_graph, weighted_sum
 from fairprop import autodiff as ad
-from fairprop.debias import DebiasParams, forward
+from fairprop import train
+from fairprop.data import SynthConfig, make_splits, synth_generate
+from fairprop.debias import DebiasParams, forward, row_softmax
 from fairprop.graph import incident_vector
-from fairprop.nn import MlpConfig, cross_entropy, init_weights
-
-
-def scalar_of(op, *args, **kwargs):
-    """Wrap an op so its output is reduced to a scalar via a fixed weighting."""
-
-    def run(x_data, weights):
-        tape = ad.Tape()
-        x = tape.leaf(x_data, requires_grad=True)
-        out = op(tape, x, **kwargs)
-        w = tape.leaf(weights)
-        loss = ad.total_sum(ad.elementwise_mul(out, w))
-        return tape, x, loss
-
-    return run
+from fairprop.nn import MlpConfig, init_weights
 
 
 def check_backward(op, rng, n_shapes=50, **kwargs):
@@ -34,16 +22,14 @@ def check_backward(op, rng, n_shapes=50, **kwargs):
         x = tape.leaf(x_data, requires_grad=True)
         out = op(tape, x, **kwargs)
         w_data = rng.standard_normal(out.shape)
-        w = tape.leaf(w_data)
-        loss = ad.total_sum(ad.elementwise_mul(out, w))
-        tape.backward(loss)
+        grads = tape.backward(weighted_sum(out, w_data))
 
         def f(xv):
             t2 = ad.Tape()
             o = op(t2, t2.leaf(xv), **kwargs)
             return float(np.sum(o.data * w_data))
 
-        assert_close_rel(x.grad, finite_diff(f, x_data), rtol=1e-6, afloor=1e-9)
+        assert_close_rel(grads[x.node_id], finite_diff(f, x_data), rtol=1e-6, afloor=1e-9)
 
 
 class TestPrimitiveBackward:
@@ -52,15 +38,6 @@ class TestPrimitiveBackward:
 
     def test_scale(self, rng):
         check_backward(lambda t, x: ad.scale(x, -1.7), rng)
-
-    def test_row_softmax(self, rng):
-        check_backward(lambda t, x: ad.row_softmax(x), rng)
-
-    def test_row_sum_broadcast(self, rng):
-        check_backward(lambda t, x: ad.row_sum_broadcast(x), rng)
-
-    def test_clamp(self, rng):
-        check_backward(lambda t, x: ad.clamp(x, -0.5, 0.5), rng)
 
     def test_matmul_both_sides(self, rng):
         for _ in range(50):
@@ -71,8 +48,7 @@ class TestPrimitiveBackward:
             tape = ad.Tape()
             a = tape.leaf(a_data, requires_grad=True)
             b = tape.leaf(b_data, requires_grad=True)
-            loss = ad.total_sum(ad.elementwise_mul(ad.matmul(a, b), tape.leaf(w_data)))
-            tape.backward(loss)
+            grads = tape.backward(weighted_sum(ad.matmul(a, b), w_data))
 
             def fa(av):
                 return float(np.sum((av @ b_data) * w_data))
@@ -82,8 +58,8 @@ class TestPrimitiveBackward:
 
             # matmul is linear, so a large step has no truncation error and
             # keeps the oracle's roundoff below the 1e-6 tolerance
-            assert_close_rel(a.grad, finite_diff(fa, a_data, step=1e-2), rtol=1e-6)
-            assert_close_rel(b.grad, finite_diff(fb, b_data, step=1e-2), rtol=1e-6)
+            assert_close_rel(grads[a.node_id], finite_diff(fa, a_data, step=1e-2), rtol=1e-6)
+            assert_close_rel(grads[b.node_id], finite_diff(fb, b_data, step=1e-2), rtol=1e-6)
 
     def test_add_row_broadcast(self, rng):
         for _ in range(50):
@@ -94,22 +70,9 @@ class TestPrimitiveBackward:
             tape = ad.Tape()
             a = tape.leaf(a_data, requires_grad=True)
             b = tape.leaf(b_data, requires_grad=True)
-            loss = ad.total_sum(ad.elementwise_mul(ad.add(a, b), tape.leaf(w_data)))
-            tape.backward(loss)
-            np.testing.assert_allclose(a.grad, w_data)
-            np.testing.assert_allclose(b.grad, w_data.sum(axis=0, keepdims=True))
-
-    def test_elementwise_mul(self, rng):
-        for _ in range(50):
-            shape = (int(rng.integers(1, 6)), int(rng.integers(1, 5)))
-            a_data = rng.standard_normal(shape)
-            b_data = rng.standard_normal(shape)
-            tape = ad.Tape()
-            a = tape.leaf(a_data, requires_grad=True)
-            b = tape.leaf(b_data, requires_grad=True)
-            tape.backward(ad.total_sum(ad.elementwise_mul(a, b)))
-            np.testing.assert_allclose(a.grad, b_data)
-            np.testing.assert_allclose(b.grad, a_data)
+            grads = tape.backward(weighted_sum(ad.add(a, b), w_data))
+            np.testing.assert_allclose(grads[a.node_id], w_data)
+            np.testing.assert_allclose(grads[b.node_id], w_data.sum(axis=0, keepdims=True))
 
     def test_spmm_const(self, rng):
         for _ in range(20):
@@ -118,15 +81,12 @@ class TestPrimitiveBackward:
             w_data = rng.standard_normal((g.n, 3))
             tape = ad.Tape()
             x = tape.leaf(x_data, requires_grad=True)
-            loss = ad.total_sum(
-                ad.elementwise_mul(ad.spmm_const(g, x), tape.leaf(w_data))
-            )
-            tape.backward(loss)
+            grads = tape.backward(weighted_sum(ad.spmm_const(g, x), w_data))
 
             def f(xv):
                 return float(np.sum((g.dense_adjacency() @ xv) * w_data))
 
-            assert_close_rel(x.grad, finite_diff(f, x_data, step=1e-2), rtol=1e-6)
+            assert_close_rel(grads[x.node_id], finite_diff(f, x_data, step=1e-2), rtol=1e-6)
 
     def test_cross_entropy_backward(self, rng):
         for _ in range(20):
@@ -138,8 +98,7 @@ class TestPrimitiveBackward:
                 mask[0] = True
             tape = ad.Tape()
             logits = tape.leaf(logits_data, requires_grad=True)
-            loss = ad.cross_entropy_with_logits(logits, labels, mask)
-            tape.backward(loss)
+            grads = tape.backward(ad.cross_entropy_with_logits(logits, labels, mask))
 
             def f(lv):
                 t2 = ad.Tape()
@@ -147,58 +106,45 @@ class TestPrimitiveBackward:
                     ad.cross_entropy_with_logits(t2.leaf(lv), labels, mask).data[0, 0]
                 )
 
-            assert_close_rel(logits.grad, finite_diff(f, logits_data), rtol=1e-5)
+            assert_close_rel(grads[logits.node_id], finite_diff(f, logits_data), rtol=1e-5)
 
 
 class TestSoftmaxValues:
+    """The softmax the debiasing layer computes in plain numpy."""
+
     def test_symmetric_row(self):
-        tape = ad.Tape()
-        out = ad.row_softmax(tape.leaf([[0.0, 0.0]]))
-        np.testing.assert_allclose(out.data, [[0.5, 0.5]])
+        np.testing.assert_allclose(row_softmax(np.array([[0.0, 0.0]])), [[0.5, 0.5]])
 
     def test_log3_row(self):
-        tape = ad.Tape()
-        out = ad.row_softmax(tape.leaf([[np.log(3.0), 0.0]]))
-        np.testing.assert_allclose(out.data, [[0.75, 0.25]], atol=1e-15)
+        out = row_softmax(np.array([[np.log(3.0), 0.0]]))
+        np.testing.assert_allclose(out, [[0.75, 0.25]], atol=1e-15)
 
     def test_rows_sum_to_one(self, rng):
-        tape = ad.Tape()
-        out = ad.row_softmax(tape.leaf(rng.standard_normal((7, 4))))
-        np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_nan_rejected(self):
-        tape = ad.Tape()
-        with pytest.raises(ValueError):
-            ad.row_softmax(tape.leaf([[np.nan, 0.0]]))
-
-
-class TestClampSubgradient:
-    def test_zero_outside_passthrough_at_boundary(self):
-        tape = ad.Tape()
-        x = tape.leaf([[-2.0, -1.0, 0.0, 1.0, 2.0]], requires_grad=True)
-        tape.backward(ad.total_sum(ad.clamp(x, -1.0, 1.0)))
-        np.testing.assert_array_equal(x.grad, [[0.0, 1.0, 1.0, 1.0, 0.0]])
+        out = row_softmax(rng.standard_normal((7, 4)))
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestBackwardPass:
     def test_sum_gives_ones(self, rng):
         tape = ad.Tape()
         x = tape.leaf(rng.standard_normal((3, 4)), requires_grad=True)
-        tape.backward(ad.total_sum(x))
-        np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
+        grads = tape.backward(weighted_sum(x, np.ones((3, 4))))
+        np.testing.assert_array_equal(grads[x.node_id], np.ones((3, 4)))
 
     def test_zero_scaled_loss_gives_zero(self, rng):
         tape = ad.Tape()
         x = tape.leaf(rng.standard_normal((3, 4)), requires_grad=True)
-        tape.backward(ad.total_sum(ad.scale(x, 0.0)))
-        np.testing.assert_array_equal(x.grad, np.zeros((3, 4)))
+        grads = tape.backward(weighted_sum(ad.scale(x, 0.0), np.ones((3, 4))))
+        np.testing.assert_array_equal(grads[x.node_id], np.zeros((3, 4)))
 
     def test_gradient_accumulation_square(self, rng):
-        x_data = rng.standard_normal((2, 3))
+        # x enters one record twice: <w, x @ x> has gradient w x^T + x^T w
+        x_data = rng.standard_normal((3, 3))
+        w_data = rng.standard_normal((3, 3))
         tape = ad.Tape()
         x = tape.leaf(x_data, requires_grad=True)
-        tape.backward(ad.total_sum(ad.elementwise_mul(x, x)))
-        np.testing.assert_allclose(x.grad, 2.0 * x_data)
+        grads = tape.backward(weighted_sum(ad.matmul(x, x), w_data))
+        np.testing.assert_allclose(grads[x.node_id], w_data @ x_data.T + x_data.T @ w_data)
 
     def test_non_scalar_loss_rejected(self, rng):
         tape = ad.Tape()
@@ -215,8 +161,8 @@ class TestBackwardPass:
             x = tape.leaf(x_data, requires_grad=True)
             w = tape.leaf(w_data, requires_grad=True)
             h = ad.relu(ad.matmul(x, w))
-            tape.backward(ad.total_sum(ad.row_softmax(h)))
-            return x.grad.copy(), w.grad.copy()
+            grads = tape.backward(ad.cross_entropy_with_logits(h, [0, 1, 1, 0], [True] * 4))
+            return grads[x.node_id], grads[w.node_id]
 
         gx1, gw1 = run()
         gx2, gw2 = run()
@@ -234,7 +180,8 @@ class TestTapeLifetime:
         tape = ad.Tape()
         x = tape.leaf(rng.standard_normal((g.n, 3)))
         logits, _ = forward(mlp, tape, x, g, incident_vector(s), hp)
-        tape.backward(cross_entropy(logits, rng.integers(0, 2, size=g.n), np.ones(g.n, dtype=bool)))
+        loss = ad.cross_entropy_with_logits(logits, rng.integers(0, 2, size=g.n), np.ones(g.n, dtype=bool))
+        tape.backward(loss)
         return weakref.ref(tape)
 
     def test_freed_without_cyclic_gc(self, rng):
@@ -245,10 +192,31 @@ class TestTapeLifetime:
         finally:
             gc.enable()
 
+    def test_evaluate_frees_its_tape_without_cyclic_gc(self, monkeypatch):
+        refs = []
+
+        class WatchedTape(ad.Tape):
+            def __init__(self):
+                super().__init__()
+                refs.append(weakref.ref(self))
+
+        cfg = train.RunConfig(dataset={}, num_layers=2, hidden=[4], epochs=1, seeds=[0])
+        dataset = synth_generate(SynthConfig(n=50, mean_degree=4.0, feat_dim=6, seed=0))
+        masks = make_splits(dataset, cfg.split_fractions, 0)
+        mlp = init_weights(MlpConfig(in_dim=6, hidden=[4], out_dim=2), 0)
+        monkeypatch.setattr(ad, "Tape", WatchedTape)
+        gc.disable()
+        try:
+            train.evaluate(cfg, mlp, dataset, masks)
+            assert len(refs) == 1
+            assert refs[0]() is None, "an evaluation tape is kept alive by a reference cycle"
+        finally:
+            gc.enable()
+
     def test_single_use(self, rng):
         tape = ad.Tape()
         x = tape.leaf(rng.standard_normal((2, 2)), requires_grad=True)
-        loss = ad.total_sum(x)
+        loss = weighted_sum(x, np.ones((2, 2)))
         tape.backward(loss)
         with pytest.raises(RuntimeError, match="already replayed"):
             tape.backward(loss)

@@ -77,6 +77,13 @@ class TestLoadDataset:
         with pytest.raises(ValueError):
             load_dataset(nodes, edges, SCHEMA)
 
+    def test_duplicate_id_rejected(self, tmp_path):
+        nodes, edges = write_fixture(
+            tmp_path, "id,sens,y,f0\na,1,0,1.0\nb,0,1,2.0\na,0,1,3.0\n", "a b\n"
+        )
+        with pytest.raises(ValueError, match="duplicate node id 'a'"):
+            load_dataset(nodes, edges, SCHEMA)
+
     def test_self_loop_edges_skipped(self, tmp_path):
         nodes, edges = write_fixture(tmp_path, BASIC_NODES, "a a\na b\n")
         ds = load_dataset(nodes, edges, SCHEMA)

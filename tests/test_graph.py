@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import dense_normalized_adjacency, random_graph
+from fairprop import autodiff as ad
 from fairprop.graph import (
     build_graph,
     edge_homophily,
     incident_vector,
     smoothness_energy,
-    spmm,
 )
 
 
@@ -80,17 +80,19 @@ class TestIncidentVector:
 
 
 class TestSpmm:
+    """The normalized adjacency product every propagation scheme multiplies by."""
+
     def test_averaging(self):
         g = build_graph(2, [(0, 1)])
-        np.testing.assert_allclose(spmm(g, [[1.0], [0.0]]), [[0.5], [0.5]])
+        np.testing.assert_allclose(g.adjacency @ np.array([[1.0], [0.0]]), [[0.5], [0.5]])
 
     def test_zeros(self, rng):
         g = random_graph(rng)
-        np.testing.assert_allclose(spmm(g, np.zeros((g.n, 3))), 0.0)
+        np.testing.assert_allclose(g.adjacency @ np.zeros((g.n, 3)), 0.0)
 
     def test_path_graph(self):
         g = build_graph(3, [(0, 1), (1, 2)])
-        out = spmm(g, [[1.0], [0.0], [0.0]])
+        out = g.adjacency @ np.array([[1.0], [0.0], [0.0]])
         np.testing.assert_allclose(out, [[0.5], [1.0 / np.sqrt(6.0)], [0.0]])
 
     def test_matches_dense_oracle(self, rng):
@@ -98,13 +100,14 @@ class TestSpmm:
             g = random_graph(rng)
             X = rng.standard_normal((g.n, int(rng.integers(1, 5))))
             np.testing.assert_allclose(
-                spmm(g, X), g.dense_adjacency() @ X, atol=1e-12
+                g.adjacency @ X, g.dense_adjacency() @ X, atol=1e-12
             )
 
     def test_dimension_mismatch(self, rng):
         g = build_graph(2, [(0, 1)])
-        with pytest.raises(ValueError):
-            spmm(g, np.zeros((3, 2)))
+        tape = ad.Tape()
+        with pytest.raises(ValueError, match="spmm shape mismatch"):
+            ad.spmm_const(g, tape.leaf(np.zeros((3, 2))))
 
 
 class TestSmoothnessEnergy:

@@ -1,42 +1,33 @@
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import appnp_step, random_graph
+from fairprop import autodiff as ad
+from fairprop import train
+from fairprop.data import Dataset
 from fairprop.graph import build_graph
-from fairprop.propagation import (
-    PropagationConfig,
-    appnp_step,
-    gcn_step,
-    ppnp_exact,
-)
+from fairprop.propagation import ppnp_exact
 
 
 def cycle(n):
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-class TestConfig:
-    def test_validation(self):
-        PropagationConfig(scheme="appnp", k=2, alpha=0.1)
-        with pytest.raises(ValueError):
-            PropagationConfig(scheme="nope")
-        with pytest.raises(ValueError):
-            PropagationConfig(k=0)
-        with pytest.raises(ValueError):
-            PropagationConfig(alpha=0.0)
+def gcn_step(g, X):
+    """One aggregation step as the ``gcn`` scheme records it on the tape."""
+    tape = ad.Tape()
+    return ad.spmm_const(g, tape.leaf(X)).data
 
 
 class TestGcnStep:
-    def test_delegates_to_spmm(self, rng):
-        g = random_graph(rng)
-        X = rng.standard_normal((g.n, 3))
-        np.testing.assert_array_equal(gcn_step(g, X), g.adjacency @ X)
-
     def test_sgc_is_repeated_gcn(self, rng):
         g = random_graph(rng)
         X = rng.standard_normal((g.n, 2))
+        s = np.where(np.arange(g.n) % 2 == 0, 1, -1)
+        dataset = Dataset(graph=g, features=X, sensitive=s, labels=np.zeros(g.n, dtype=np.int64))
+        cfg = train.RunConfig(scheme="sgc", prop_k=2, standardize=False)
         np.testing.assert_allclose(
-            gcn_step(g, gcn_step(g, X)), (g.adjacency @ (g.adjacency @ X))
+            train._prepare_features(cfg, dataset, None), gcn_step(g, gcn_step(g, X))
         )
 
     def test_one_step_denoising_identity(self, rng):

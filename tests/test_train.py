@@ -3,7 +3,13 @@ import pytest
 
 from fairprop import autodiff as ad
 from fairprop import train
-from fairprop.data import SynthConfig, make_splits, read_results, synth_generate
+from fairprop.data import (
+    SynthConfig,
+    make_splits,
+    read_results,
+    standardize_features,
+    synth_generate,
+)
 from fairprop.graph import incident_vector
 from fairprop.nn import MlpConfig, init_weights, load_checkpoint, mlp_forward, save_checkpoint
 from fairprop.propagation import ppnp_exact
@@ -56,9 +62,7 @@ class TestRunConfig:
 
 
 class TestTrainOne:
-    @pytest.mark.parametrize(
-        "scheme", ["mlp", "gcn", "sgc", "appnp", "ppnp_exact", "fair", "ml1"]
-    )
+    @pytest.mark.parametrize("scheme", train.SCHEMES)
     def test_all_schemes_smoke(self, scheme, small_dataset):
         cfg = small_cfg(scheme=scheme, epochs=1)
         masks = make_splits(small_dataset, cfg.split_fractions, 0)
@@ -152,6 +156,38 @@ class TestPpnpKernel:
         x_trans, _ = mlp_forward(mlp, t2, t2.leaf(small_dataset.features))
         expected = ppnp_exact(small_dataset.graph, x_trans.data, cfg.alpha)
         np.testing.assert_allclose(logits.data, expected, rtol=0, atol=1e-12)
+
+
+class TestSgc:
+    def test_logits_are_mlp_on_propagated_features(self, small_dataset):
+        cfg = small_cfg(scheme="sgc", prop_k=3)
+        masks = make_splits(small_dataset, cfg.split_fractions, 0)
+        mlp = init_weights(MlpConfig(in_dim=6, hidden=[8], out_dim=2), 0)
+        delta = incident_vector(small_dataset.sensitive)
+        tape = ad.Tape()
+        x = tape.leaf(train._prepare_features(cfg, small_dataset, masks))
+        logits, _ = train.forward_logits(cfg, mlp, tape, x, small_dataset, delta)
+
+        h = standardize_features(small_dataset.features, masks.train)
+        for _ in range(cfg.prop_k):
+            h = small_dataset.graph.dense_adjacency() @ h
+        t2 = ad.Tape()
+        expected, _ = mlp_forward(mlp, t2, t2.leaf(h))
+        np.testing.assert_allclose(logits.data, expected.data, rtol=0, atol=1e-12)
+
+    def test_epoch_records_no_spmm_const(self, small_dataset, monkeypatch):
+        calls = []
+        spmm_const = ad.spmm_const
+
+        def counting(*args):
+            calls.append(1)
+            return spmm_const(*args)
+
+        monkeypatch.setattr(ad, "spmm_const", counting)
+        cfg = small_cfg(scheme="sgc", epochs=1)
+        masks = make_splits(small_dataset, cfg.split_fractions, 0)
+        train_one(cfg, small_dataset, masks, 0)
+        assert calls == []
 
 
 class TestRunAndSweep:
