@@ -99,14 +99,9 @@ def synth_cmd(config_path, out_dir):
     with open(node_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["id", "sensitive", "label"] + [f"f{k}" for k in range(d)])
-        for i in range(dataset.graph.n):
-            writer.writerow(
-                [i, dataset.sensitive[i], dataset.labels[i]]
-                + [repr(float(v)) for v in dataset.features[i]]
-            )
-    with open(edge_path, "w") as f:
-        for i, j in dataset.graph.edges:
-            f.write(f"{i} {j}\n")
+        rows = zip(dataset.sensitive.tolist(), dataset.labels.tolist(), dataset.features.tolist())
+        writer.writerows([i, s, y, *map(repr, x)] for i, (s, y, x) in enumerate(rows))
+    np.savetxt(edge_path, dataset.graph.edges, fmt="%d")
     click.echo(
         f"n={dataset.graph.n} m={dataset.graph.num_edges} "
         f"nodes={node_path} edges={edge_path}"

@@ -75,31 +75,34 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
     ]
 
     n = len(rows)
-    id_map = {}
-    sensitive = np.empty(n, dtype=np.int64)
-    labels = np.empty(n, dtype=np.int64)
-    features = np.empty((n, len(feat_cols)), dtype=np.float64)
+    columns = list(zip(*rows)) or [()] * len(header)
+    ids = columns[id_col]
+    id_map = dict(zip(ids, range(n)))
+    if len(id_map) < n:
+        repeated = next(node_id for k, node_id in enumerate(ids) if id_map[node_id] != k)
+        raise ValueError(f"duplicate node id {repeated!r} in node CSV")
     pos_value = str(schema["sensitive_pos_value"])
-    for idx, row in enumerate(rows):
-        if row[id_col] in id_map:
-            raise ValueError(f"duplicate node id {row[id_col]!r} in node CSV")
-        id_map[row[id_col]] = idx
-        sensitive[idx] = 1 if row[sens_col] == pos_value else -1
-        raw_label = float(row[label_col]) if row[label_col] != "" else MISSING_LABEL
-        labels[idx] = MISSING_LABEL if raw_label < 0 else int(raw_label)
-        for k, col in enumerate(feat_cols):
-            cell = row[col]
-            try:
-                features[idx, k] = float(cell) if cell != "" else 0.0
-            except ValueError:
-                raise ValueError(
-                    f"non-numeric feature cell {cell!r} in column {header[col]!r}"
-                ) from None
+    sensitive = np.where(np.array(columns[sens_col], dtype=str) == pos_value, 1, -1)
+    raw_labels = np.array([float(cell or MISSING_LABEL) for cell in columns[label_col]])
+    labels = np.where(raw_labels < 0, MISSING_LABEL, raw_labels)
+    if not np.all(np.isfinite(labels)):
+        raise ValueError(f"non-finite label in column {header[label_col]!r}")
+    labels = labels.astype(np.int64)
+    features = np.empty((n, len(feat_cols)), dtype=np.float64)
+    for k, col in enumerate(feat_cols):
+        cells, parsed = columns[col], []
+        try:
+            parsed.extend(float(cell or 0) for cell in cells)  # an empty cell reads as 0
+        except ValueError:  # extend keeps the cells it parsed, so the bad one is next
+            raise ValueError(
+                f"non-numeric feature cell {cells[len(parsed)]!r} in column {header[col]!r}"
+            ) from None
+        features[:, k] = parsed
 
     if len(set(sensitive.tolist())) < 2:
         raise ValueError("sensitive column takes a single value")
 
-    edges = []
+    ends = []  # endpoints of every edge line, flattened
     with open(edge_path) as f:
         for line in f:
             line = line.split("#", 1)[0].strip()
@@ -111,10 +114,10 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
             a, b = parts
             if a not in id_map or b not in id_map:
                 raise ValueError(f"edge references unknown node id in {line!r}")
-            if id_map[a] != id_map[b]:
-                edges.append((id_map[a], id_map[b]))
+            ends += id_map[a], id_map[b]
 
-    graph = build_graph(n, edges)
+    edges = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    graph = build_graph(n, edges[edges[:, 0] != edges[:, 1]])  # self-loops are dropped
     return Dataset(graph=graph, features=features, sensitive=sensitive, labels=labels, name=name)
 
 
@@ -203,7 +206,7 @@ def synth_generate(cfg: SynthConfig, max_attempts: int = 20) -> Dataset:
                     edges.add((min(i, j), max(i, j)))
                     break
 
-        graph = build_graph(n, sorted(edges))
+        graph = build_graph(n, list(edges))
         if abs(edge_homophily(graph, labels) - cfg.eps_label) <= 0.05:
             break
     else:
@@ -249,24 +252,33 @@ def write_results(path, reports, append: bool = False):
 
 
 def read_results(path):
-    """Parse a results CSV back into MetricsReport objects."""
+    """Parse a results CSV back into MetricsReport objects.
+
+    A row with the wrong number of fields or an unparseable value raises one
+    ValueError line naming the file and the line.
+    """
     reports = []
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         for row in reader:
-            reports.append(
-                MetricsReport(
-                    accuracy=float(row["acc"]),
-                    dp=float(row["dp"]),
-                    eo=float(row["eo"]),
-                    fairness_obj=float(row["fairness_obj"]),
-                    n_eval=int(row["n_eval"]),
-                    seed=int(row["seed"]),
-                    config_fingerprint=row["fingerprint"],
-                    scheme=row["scheme"],
-                    lambda_s=float(row["lambda_s"]),
-                    lambda_f=float(row["lambda_f"]),
-                    wall_time_ms=float(row["wall_time_ms"]),
+            try:
+                if None in row or None in row.values():
+                    raise ValueError(f"expected {len(reader.fieldnames)} fields")
+                reports.append(
+                    MetricsReport(
+                        accuracy=float(row["acc"]),
+                        dp=float(row["dp"]),
+                        eo=float(row["eo"]),
+                        fairness_obj=float(row["fairness_obj"]),
+                        n_eval=int(row["n_eval"]),
+                        seed=int(row["seed"]),
+                        config_fingerprint=row["fingerprint"],
+                        scheme=row["scheme"],
+                        lambda_s=float(row["lambda_s"]),
+                        lambda_f=float(row["lambda_f"]),
+                        wall_time_ms=float(row["wall_time_ms"]),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     return reports

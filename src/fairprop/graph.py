@@ -1,8 +1,8 @@
 """Graph representation, degree normalization, and smoothness utilities.
 
-The graph is stored as a CSR matrix over the self-loop-augmented,
-symmetrically normalized adjacency D^{-1/2} (A + I) D^{-1/2}, which is the
-operator every propagation scheme in this package multiplies by.
+A graph keeps its edges as one sorted, deduplicated (m, 2) int64 array and a
+CSR matrix of the self-loop-augmented, normalized adjacency D^{-1/2} (A + I)
+D^{-1/2}, the operator every propagation scheme in this package multiplies by.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ class SparseGraph:
     """
 
     n: int
-    edges: tuple  # sorted tuple of (i, j) pairs with i < j, deduplicated
+    edges: Array  # (m, 2) int64 rows (i, j) with i < j, sorted, deduplicated, read-only
     adjacency: sp.csr_matrix = field(repr=False)  # normalized, with self-loops
-    degrees: Array = field(repr=False)  # per-node degree, self-loop excluded
 
     @property
     def num_edges(self) -> int:
@@ -49,43 +48,37 @@ class IncidentVector:
 
 
 def build_graph(n: int, edges) -> SparseGraph:
-    """Build a SparseGraph from an undirected edge list.
+    """Build a SparseGraph from an undirected edge list of shape (m, 2).
 
     Duplicate edges and reversed orientations are deduplicated. Self-loops
     are rejected in the input; the normalization adds exactly one per node.
     """
     if n <= 0:
         raise ValueError("node count must be positive")
-    unique = set()
-    for i, j in edges:
-        if not (0 <= i < n and 0 <= j < n):
+    edges = np.asarray(edges, dtype=np.int64)
+    if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
+        raise ValueError(f"expected an (m, 2) edge list, got shape {edges.shape}")
+    edges = edges.reshape(-1, 2)
+    lo, hi = edges.min(axis=1), edges.max(axis=1)
+    bad = (lo < 0) | (hi >= n) | (lo == hi)
+    if bad.any():
+        i, j = edges[np.argmax(bad)]
+        if i != j or not 0 <= i < n:
             raise ValueError(f"edge ({i}, {j}) references a node outside [0, {n})")
-        if i == j:
-            raise ValueError(f"self-loop ({i}, {j}) not allowed in input edges")
-        unique.add((min(i, j), max(i, j)))
-    edge_tuple = tuple(sorted(unique))
-
-    degrees = np.zeros(n, dtype=np.int64)
-    for i, j in edge_tuple:
-        degrees[i] += 1
-        degrees[j] += 1
+        raise ValueError(f"self-loop ({i}, {j}) not allowed in input edges")
+    lo, hi = np.divmod(np.unique(lo * n + hi), n)
+    edges = np.column_stack([lo, hi])
+    edges.setflags(write=False)
 
     # Entries of D^{-1/2} (A + I) D^{-1/2} with D the self-loop degree.
-    inv_sqrt = 1.0 / np.sqrt(degrees + 1.0)
-    rows, cols, vals = [], [], []
-    for i, j in edge_tuple:
-        w = inv_sqrt[i] * inv_sqrt[j]
-        rows += [i, j]
-        cols += [j, i]
-        vals += [w, w]
-    rows += list(range(n))
-    cols += list(range(n))
-    vals += list(inv_sqrt * inv_sqrt)
-    adjacency = sp.csr_matrix(
-        (np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(n, n)
-    )
+    inv_sqrt = 1.0 / np.sqrt(np.bincount(edges.ravel(), minlength=n) + 1.0)
+    w = inv_sqrt[lo] * inv_sqrt[hi]
+    diag = np.arange(n)
+    rows, cols = np.concatenate([lo, hi, diag]), np.concatenate([hi, lo, diag])
+    vals = np.concatenate([w, w, inv_sqrt * inv_sqrt])
+    adjacency = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     adjacency.sum_duplicates()
-    return SparseGraph(n=n, edges=edge_tuple, adjacency=adjacency, degrees=degrees)
+    return SparseGraph(n=n, edges=edges, adjacency=adjacency)
 
 
 def incident_vector(s) -> IncidentVector:
@@ -101,25 +94,12 @@ def incident_vector(s) -> IncidentVector:
     return IncidentVector(values=values, group_sizes=(n_pos, n_neg))
 
 
-def smoothness_energy(g: SparseGraph, F: Array, method: str = "trace") -> float:
-    """Quadratic smoothness energy tr(F^T (I - A_norm) F).
-
-    ``method="edges"`` evaluates the equivalent edge-centric sum
-    sum_{(i,j) in E} ||F_i/sqrt(d_i+1) - F_j/sqrt(d_j+1)||^2.
-    """
+def smoothness_energy(g: SparseGraph, F: Array) -> float:
+    """Quadratic smoothness energy tr(F^T (I - A_norm) F)."""
     F = np.asarray(F, dtype=np.float64)
     if F.ndim != 2 or F.shape[0] != g.n:
         raise ValueError(f"expected ({g.n}, d) matrix, got {F.shape}")
-    if method == "trace":
-        return float(np.sum(F * F) - np.sum(F * (g.adjacency @ F)))
-    if method == "edges":
-        scaled = F / np.sqrt(g.degrees + 1.0)[:, None]
-        total = 0.0
-        for i, j in g.edges:
-            diff = scaled[i] - scaled[j]
-            total += float(diff @ diff)
-        return total
-    raise ValueError(f"unknown method {method!r}")
+    return float(np.sum(F * F) - np.sum(F * (g.adjacency @ F)))
 
 
 def edge_homophily(g: SparseGraph, labels) -> float:
@@ -127,7 +107,5 @@ def edge_homophily(g: SparseGraph, labels) -> float:
     labels = np.asarray(labels)
     if labels.shape[0] != g.n:
         raise ValueError("labels must cover all nodes")
-    if g.num_edges == 0:
-        return 0.0
-    same = sum(1 for i, j in g.edges if labels[i] == labels[j])
-    return same / g.num_edges
+    same = int(np.count_nonzero(labels[g.edges[:, 0]] == labels[g.edges[:, 1]]))
+    return same / g.num_edges if g.num_edges else 0.0

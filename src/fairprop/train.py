@@ -7,7 +7,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -78,23 +78,10 @@ class RunConfig:
         return cfg
 
     def semantic_dict(self) -> dict:
-        """Fields that affect results (excludes output location and seeds)."""
-        return {
-            "dataset": self.dataset,
-            "scheme": self.scheme,
-            "lambda_s": self.lambda_s,
-            "lambda_f": self.lambda_f,
-            "num_layers": self.num_layers,
-            "alpha": self.alpha,
-            "prop_k": self.prop_k,
-            "hidden": list(self.hidden),
-            "epochs": self.epochs,
-            "lr": self.lr,
-            "weight_decay": self.weight_decay,
-            "split_fractions": list(self.split_fractions),
-            "standardize": self.standardize,
-            "selection": self.selection,
-        }
+        """Fields that affect results: all but the output location and seeds."""
+        doc = asdict(self)
+        del doc["seeds"], doc["out_dir"]
+        return doc
 
     def fingerprint(self) -> str:
         blob = json.dumps(self.semantic_dict(), sort_keys=True).encode()
@@ -346,6 +333,9 @@ def sweep(cfg: RunConfig, lambda_s_grid, lambda_f_grid, results_path=None):
         results_path = os.path.join(cfg.out_dir, "sweep.csv")
     done = set()
     if os.path.exists(results_path):
+        # an interrupted append leaves a torn last row: drop it so it is re-run
+        with open(results_path, "rb+") as f:
+            f.truncate(f.read().rfind(b"\n") + 1)
         for r in read_results(results_path):
             done.add((r.config_fingerprint, r.seed))
 
@@ -353,10 +343,7 @@ def sweep(cfg: RunConfig, lambda_s_grid, lambda_f_grid, results_path=None):
     reports = []
     for lam_s in lambda_s_grid:
         for lam_f in lambda_f_grid:
-            point = RunConfig.from_dict({**cfg.semantic_dict(), "seeds": cfg.seeds})
-            point.lambda_s = float(lam_s)
-            point.lambda_f = float(lam_f)
-            point.out_dir = cfg.out_dir
+            point = replace(cfg, lambda_s=float(lam_s), lambda_f=float(lam_f))
             fp = point.fingerprint()
             for seed in cfg.seeds:
                 if (fp, seed) in done:

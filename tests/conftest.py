@@ -27,6 +27,21 @@ def dense_normalized_adjacency(n, edges):
     return d_inv_sqrt[:, None] * A_hat * d_inv_sqrt[None, :]
 
 
+def edge_energy(g, F):
+    """Oracle: the edge form of the smoothness energy, one edge at a time.
+
+    sum over (i, j) in E of ||F_i/sqrt(d_i+1) - F_j/sqrt(d_j+1)||^2, which
+    equals ``smoothness_energy``'s trace form tr(F^T (I - A_norm) F).
+    """
+    degrees = np.bincount(g.edges.ravel(), minlength=g.n)
+    scaled = np.asarray(F, dtype=np.float64) / np.sqrt(degrees + 1.0)[:, None]
+    total = 0.0
+    for i, j in g.edges:
+        diff = scaled[i] - scaled[j]
+        total += float(diff @ diff)
+    return total
+
+
 def finite_diff(f, x, step=1e-5):
     """Central finite differences of scalar-valued f at x, elementwise."""
     g = np.zeros_like(x, dtype=np.float64)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import assert_close_rel, dense_normalized_adjacency, finite_diff, random_graph
+from conftest import assert_close_rel, dense_normalized_adjacency, edge_energy, finite_diff, random_graph
 from fairprop import autodiff as ad
 from fairprop import debias
 from fairprop.data import Dataset, SynthConfig, synth_generate
@@ -169,15 +169,15 @@ class TestCriterion5:
             F = rng.standard_normal((g.n, int(rng.integers(1, 5)))) * 2
             A = dense_normalized_adjacency(g.n, g.edges)
             oracle = float(np.trace(F.T @ (np.eye(g.n) - A) @ F))
-            got = smoothness_energy(g, F, method="trace")
+            got = smoothness_energy(g, F)
             worst = max(worst, abs(got - oracle))
             assert worst <= 1e-9
         for n in (3, 5, 8, 12):
             g = build_graph(n, [(i, (i + 1) % n) for i in range(n)])
             F = rng.standard_normal((n, 3))
             diff = abs(
-                smoothness_energy(g, F, method="trace")
-                - smoothness_energy(g, F, method="edges")
+                smoothness_energy(g, F)
+                - edge_energy(g, F)
             )
             assert diff <= 1e-9
         report(5, f"200 dense-oracle checks (max dev {worst:.2e}) + cycle edge form")

@@ -1,10 +1,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from fairprop.cli import main
+from fairprop.data import SynthConfig, load_dataset, synth_generate
 from fairprop.train import RunConfig
 
 
@@ -14,6 +16,7 @@ def runner():
 
 
 SYNTH_DOC = {"n": 60, "mean_degree": 4.0, "feat_dim": 6, "seed": 0}
+NODE_SCHEMA = {"id": "id", "sensitive": "sensitive", "sensitive_pos_value": "1", "label": "label"}
 
 
 def write_json(path, doc):
@@ -48,6 +51,24 @@ class TestSynth:
         assert set(rows[0]) >= {"id", "sensitive", "label", "f0"}
         assert (tmp_path / "data" / "edges.txt").read_text().strip()
 
+    def test_round_trip_matches_generated_dataset(self, runner, tmp_path):
+        cfg = write_json(tmp_path / "synth.json", SYNTH_DOC)
+        data_dir = tmp_path / "data"
+        result = runner.invoke(main, ["synth", "--config", cfg, "--out", str(data_dir)])
+        assert result.exit_code == 0, result.output
+        loaded = load_dataset(data_dir / "nodes.csv", data_dir / "edges.txt", NODE_SCHEMA)
+        made = synth_generate(SynthConfig(**SYNTH_DOC))
+        assert np.array_equal(loaded.graph.edges, made.graph.edges)
+        for part in ("indptr", "indices", "data"):
+            a = getattr(loaded.graph.adjacency, part)
+            b = getattr(made.graph.adjacency, part)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert loaded.features.tobytes() == made.features.tobytes()
+        np.testing.assert_array_equal(loaded.labels, made.labels)
+        np.testing.assert_array_equal(loaded.sensitive, made.sensitive)
+        lines = (data_dir / "edges.txt").read_text().splitlines()
+        assert lines == [f"{i} {j}" for i, j in made.graph.edges.tolist()]
+
 
 class TestTrainEvalPipeline:
     def test_synth_train_eval_metrics(self, runner, tmp_path):
@@ -67,12 +88,7 @@ class TestTrainEvalPipeline:
             dataset={
                 "node_csv": str(data_dir / "nodes.csv"),
                 "edges": str(data_dir / "edges.txt"),
-                "schema": {
-                    "id": "id",
-                    "sensitive": "sensitive",
-                    "sensitive_pos_value": "1",
-                    "label": "label",
-                },
+                "schema": NODE_SCHEMA,
             },
         )
         train_cfg = write_json(tmp_path / "run.json", doc)

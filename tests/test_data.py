@@ -35,7 +35,7 @@ class TestLoadDataset:
         nodes, edges = write_fixture(tmp_path, BASIC_NODES, BASIC_EDGES)
         ds = load_dataset(nodes, edges, SCHEMA, name="toy")
         assert ds.graph.n == 3
-        assert ds.graph.edges == ((0, 1), (1, 2))
+        assert ds.graph.edges.tolist() == [[0, 1], [1, 2]]
         np.testing.assert_array_equal(ds.sensitive, [1, -1, 1])
         np.testing.assert_array_equal(ds.labels, [0, 1, MISSING_LABEL])
         np.testing.assert_array_equal(ds.features, [[1.5, 0.0], [-2.0, 3.0], [0.5, 0.0]])
@@ -87,7 +87,7 @@ class TestLoadDataset:
     def test_self_loop_edges_skipped(self, tmp_path):
         nodes, edges = write_fixture(tmp_path, BASIC_NODES, "a a\na b\n")
         ds = load_dataset(nodes, edges, SCHEMA)
-        assert ds.graph.edges == ((0, 1),)
+        assert ds.graph.edges.tolist() == [[0, 1]]
 
 
 def toy_dataset(n, n_labeled=None):
@@ -157,7 +157,7 @@ class TestSynthGenerate:
     def test_bitwise_reproducible(self):
         cfg = SynthConfig(n=300, seed=9)
         a, b = synth_generate(cfg), synth_generate(cfg)
-        assert a.graph.edges == b.graph.edges
+        assert np.array_equal(a.graph.edges, b.graph.edges)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
@@ -231,3 +231,20 @@ class TestResultsIo:
         loaded = read_results(path)
         assert [r.seed for r in loaded] == [0, 1]
         assert path.read_text().count("fingerprint") == 1
+
+    def test_short_row_names_file_and_line(self, tmp_path):
+        path = tmp_path / "results.csv"
+        write_results(path, [make_report(0)])
+        with open(path, "a", newline="") as f:
+            f.write("1,fair,1.0\r\n")
+        with pytest.raises(ValueError, match=r"results\.csv, line 3: ") as exc:
+            read_results(path)
+        assert "\n" not in str(exc.value)
+
+    def test_unparseable_row_names_file_and_line(self, tmp_path):
+        path = tmp_path / "results.csv"
+        write_results(path, [make_report(0), make_report(1)])
+        text = path.read_text().replace("0.5", "oops", 1)
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"results\.csv, line 2: .*'oops'"):
+            read_results(path)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import dense_normalized_adjacency, random_graph
+from conftest import dense_normalized_adjacency, edge_energy, random_graph
 from fairprop import autodiff as ad
 from fairprop.graph import (
     build_graph,
@@ -29,16 +29,32 @@ class TestBuildGraph:
 
     def test_deduplicates_both_orientations(self):
         g = build_graph(3, [(0, 1), (1, 0), (0, 1)])
-        assert g.edges == ((0, 1),)
-        assert list(g.degrees) == [1, 1, 0]
+        assert g.edges.tolist() == [[0, 1]]
+        assert np.bincount(g.edges.ravel(), minlength=g.n).tolist() == [1, 1, 0]
+
+    def test_array_input_with_repeats_and_reversals(self):
+        edges = np.array([[3, 1], [0, 2], [1, 3], [2, 0], [1, 3], [0, 1]])
+        g = build_graph(4, edges)
+        assert g.edges.dtype == np.int64 and g.edges.shape == (3, 2)
+        assert g.edges.tolist() == [[0, 1], [0, 2], [1, 3]]
+        np.testing.assert_array_equal(
+            g.dense_adjacency(), build_graph(4, [(0, 1), (0, 2), (1, 3)]).dense_adjacency()
+        )
+        assert not g.edges.flags.writeable
 
     def test_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="node count must be positive"):
             build_graph(0, [])
-        with pytest.raises(ValueError):
-            build_graph(2, [(0, 2)])
-        with pytest.raises(ValueError):
-            build_graph(2, [(1, 1)])
+        with pytest.raises(ValueError, match=r"edge \(0, 2\) references a node outside \[0, 2\)"):
+            build_graph(2, [(0, 1), (0, 2)])
+        with pytest.raises(ValueError, match=r"edge \(-1, 0\) references a node outside"):
+            build_graph(2, [(-1, 0)])
+        with pytest.raises(ValueError, match=r"self-loop \(1, 1\) not allowed"):
+            build_graph(2, [(0, 1), (1, 1), (0, 5)])
+        with pytest.raises(ValueError, match=r"edge \(0, 5\) references"):
+            build_graph(2, [(0, 1), (0, 5), (1, 1)])
+        with pytest.raises(ValueError, match=r"\(m, 2\) edge list"):
+            build_graph(3, [(0, 1, 2)])
 
     def test_random_graphs_match_dense_oracle(self, rng):
         for _ in range(30):
@@ -52,7 +68,8 @@ class TestBuildGraph:
             for i, j in g.edges:
                 A_hat[i, j] = A_hat[j, i] = 1.0
             A_hat += np.eye(g.n)
-            np.testing.assert_allclose(A_hat.sum(axis=1), g.degrees + 1.0)
+            degrees = np.bincount(g.edges.ravel(), minlength=g.n)
+            np.testing.assert_allclose(A_hat.sum(axis=1), degrees + 1.0)
 
 
 class TestIncidentVector:
@@ -129,15 +146,15 @@ class TestSmoothnessEnergy:
             F = rng.standard_normal((g.n, int(rng.integers(1, 4))))
             L = np.eye(g.n) - g.dense_adjacency()
             expected = float(np.trace(F.T @ L @ F))
-            got = smoothness_energy(g, F, method="trace")
+            got = smoothness_energy(g, F)
             assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected))
 
     def test_edge_form_agrees_on_cycles(self, rng):
         for n in (3, 5, 8, 12):
             g = build_graph(n, [(i, (i + 1) % n) for i in range(n)])
             F = rng.standard_normal((n, 3))
-            a = smoothness_energy(g, F, method="trace")
-            b = smoothness_energy(g, F, method="edges")
+            a = smoothness_energy(g, F)
+            b = edge_energy(g, F)
             assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
     def test_edge_form_agrees_in_general(self, rng):
@@ -146,8 +163,8 @@ class TestSmoothnessEnergy:
         for _ in range(50):
             g = random_graph(rng, n_max=12)
             F = rng.standard_normal((g.n, 2))
-            a = smoothness_energy(g, F, method="trace")
-            b = smoothness_energy(g, F, method="edges")
+            a = smoothness_energy(g, F)
+            b = edge_energy(g, F)
             assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
 
@@ -160,3 +177,6 @@ class TestEdgeHomophily:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             edge_homophily(build_graph(2, [(0, 1)]), [1])
+
+    def test_no_edges(self):
+        assert edge_homophily(build_graph(3, []), [0, 1, 0]) == 0.0

@@ -60,6 +60,10 @@ class TestRunConfig:
         assert small_cfg().fingerprint() != small_cfg(lambda_f=6.0).fingerprint()
         assert len(small_cfg().fingerprint()) == 16
 
+    def test_default_fingerprint_is_pinned(self):
+        # resume keys of existing result files depend on this exact value
+        assert RunConfig().fingerprint() == "eaf878215c30936f"
+
 
 class TestTrainOne:
     @pytest.mark.parametrize("scheme", train.SCHEMES)
@@ -209,6 +213,20 @@ class TestRunAndSweep:
         again, _ = sweep(cfg, [0.5, 1.0], [0.0, 5.0])
         assert again == []
         assert len(read_results(path)) == 4
+
+    def test_resume_after_torn_row(self, tmp_path):
+        # an interrupted append leaves the last row without its line ending
+        cfg = small_cfg(epochs=1, seeds=[0], out_dir=str(tmp_path / "out"))
+        _, path = sweep(cfg, [0.5], [0.0, 5.0])
+        with open(path, newline="") as f:
+            text = f.read()
+        last_row = text.rstrip("\r\n").rfind("\n") + 1
+        with open(path, "w", newline="") as f:
+            f.write(text[: last_row + 12])
+        again, _ = sweep(cfg, [0.5], [0.0, 5.0])
+        assert [(r.lambda_f, r.seed) for r in again] == [(5.0, 0)]
+        rows = read_results(path)
+        assert [(r.lambda_f, r.seed) for r in rows] == [(0.0, 0), (5.0, 0)]
 
     def test_summarize(self):
         cfg = small_cfg(epochs=1, seeds=[0, 1])
