@@ -96,12 +96,12 @@ def synth_cmd(config_path, out_dir):
     node_path = os.path.join(out_dir, "nodes.csv")
     edge_path = os.path.join(out_dir, "edges.txt")
     d = dataset.features.shape[1]
-    with open(node_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["id", "sensitive", "label"] + [f"f{k}" for k in range(d)])
-        rows = zip(dataset.sensitive.tolist(), dataset.labels.tolist(), dataset.features.tolist())
-        writer.writerows([i, s, y, *map(repr, x)] for i, (s, y, x) in enumerate(rows))
-    np.savetxt(edge_path, dataset.graph.edges, fmt="%d")
+    rows = zip(dataset.sensitive.tolist(), dataset.labels.tolist(), dataset.features.tolist())
+    with open(node_path, "w", newline="") as f:  # the bytes csv.writer writes: no cell needs quotes
+        f.write(",".join(["id", "sensitive", "label"] + [f"f{k}" for k in range(d)]) + "\r\n")
+        f.write("".join(",".join(map(repr, (i, s, y, *x))) + "\r\n" for i, (s, y, x) in enumerate(rows)))
+    with open(edge_path, "w", newline="") as f:
+        f.write("".join(f"{i} {j}\n" for i, j in dataset.graph.edges.tolist()))
     click.echo(
         f"n={dataset.graph.n} m={dataset.graph.num_edges} "
         f"nodes={node_path} edges={edge_path}"

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import os
+import re
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,72 +55,112 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
 
     ``schema`` declares {"id": col, "sensitive": col, "sensitive_pos_value":
     raw, "label": col, "drop": [cols]}. Nodes are indexed densely in file
-    order; a repeated node id is an error. Label values below zero are
-    treated as missing.
+    order. The node CSV is read in one pass and no row outlives its parse;
+    the edge list is parsed as one text, one pair of ids per line, split on
+    whitespace or commas, with ``#`` starting a comment. An empty feature
+    cell reads as 0, and an empty or negative label marks the node
+    unlabeled. Each of these raises one ValueError line: a missing column, a
+    row whose cell count differs from the header's (named by file and line),
+    a repeated node id, a non-numeric feature cell or a non-integer or
+    non-finite label (named by column), a sensitive column with a single
+    value, and an edge line that is malformed or names an unknown id (quoted
+    without its comment).
     """
     with open(node_csv_path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader)
-        rows = [r for r in reader if r]
+        for key in ("id", "sensitive", "label"):
+            if schema[key] not in header:
+                raise ValueError(f"missing column {schema[key]!r} in node CSV")
+        drop = set(schema.get("drop", []))
+        id_col = header.index(schema["id"])
+        sens_col = header.index(schema["sensitive"])
+        label_col = header.index(schema["label"])
+        feat_cols = [
+            i
+            for i, col in enumerate(header)
+            if i not in (id_col, sens_col, label_col) and col not in drop
+        ]
+        pos_value = str(schema["sensitive_pos_value"])
+        ids, positive, label_cells = [], [], []
+        features = array("d")  # row-major feature values, 8 bytes each
+        for row in reader:
+            if len(row) != len(header):
+                if not row:
+                    continue
+                raise ValueError(
+                    f"{node_csv_path}, line {reader.line_num}: "
+                    f"expected {len(header)} cells, got {len(row)}"
+                )
+            ids.append(row[id_col])
+            positive.append(row[sens_col] == pos_value)
+            label_cells.append(row[label_col])
+            start = len(features)
+            try:
+                features.extend(map(float, map(row.__getitem__, feat_cols)))
+            except ValueError:  # an empty cell reads as 0; anything else is an error
+                del features[start:]
+                for col in feat_cols:
+                    try:
+                        features.append(float(row[col] or 0))
+                    except ValueError:
+                        raise ValueError(
+                            f"non-numeric feature cell {row[col]!r} in column {header[col]!r}"
+                        ) from None
 
-    for key in ("id", "sensitive", "label"):
-        if schema[key] not in header:
-            raise ValueError(f"missing column {schema[key]!r} in node CSV")
-    drop = set(schema.get("drop", []))
-    id_col = header.index(schema["id"])
-    sens_col = header.index(schema["sensitive"])
-    label_col = header.index(schema["label"])
-    feat_cols = [
-        i
-        for i, col in enumerate(header)
-        if i not in (id_col, sens_col, label_col) and col not in drop
-    ]
-
-    n = len(rows)
-    columns = list(zip(*rows)) or [()] * len(header)
-    ids = columns[id_col]
+    n = len(ids)
     id_map = dict(zip(ids, range(n)))
     if len(id_map) < n:
         repeated = next(node_id for k, node_id in enumerate(ids) if id_map[node_id] != k)
         raise ValueError(f"duplicate node id {repeated!r} in node CSV")
-    pos_value = str(schema["sensitive_pos_value"])
-    sensitive = np.where(np.array(columns[sens_col], dtype=str) == pos_value, 1, -1)
-    raw_labels = np.array([float(cell or MISSING_LABEL) for cell in columns[label_col]])
+    sensitive = np.where(np.array(positive, dtype=bool), 1, -1)
+    raw_labels = np.array([float(cell or MISSING_LABEL) for cell in label_cells])
     labels = np.where(raw_labels < 0, MISSING_LABEL, raw_labels)
     if not np.all(np.isfinite(labels)):
         raise ValueError(f"non-finite label in column {header[label_col]!r}")
+    fractional = labels != np.floor(labels)
+    if fractional.any():
+        raise ValueError(
+            f"non-integer label {label_cells[np.argmax(fractional)]!r} "
+            f"in column {header[label_col]!r}"
+        )
     labels = labels.astype(np.int64)
-    features = np.empty((n, len(feat_cols)), dtype=np.float64)
-    for k, col in enumerate(feat_cols):
-        cells, parsed = columns[col], []
-        try:
-            parsed.extend(float(cell or 0) for cell in cells)  # an empty cell reads as 0
-        except ValueError:  # extend keeps the cells it parsed, so the bad one is next
-            raise ValueError(
-                f"non-numeric feature cell {cells[len(parsed)]!r} in column {header[col]!r}"
-            ) from None
-        features[:, k] = parsed
-
+    features = np.frombuffer(features, dtype=np.float64).reshape(n, len(feat_cols))
     if len(set(sensitive.tolist())) < 2:
         raise ValueError("sensitive column takes a single value")
+    del ids, positive, label_cells, raw_labels  # free the cell strings before the edge parse
 
-    ends = []  # endpoints of every edge line, flattened
+    with open(edge_path) as f:
+        text = re.sub(r"#[^\n]*", "", f.read())
+    commas_only_line = "," in text and _COMMAS_ONLY_LINE.search(text)
+    text = text.replace(",", " ")
+    if commas_only_line or not set(map(len, map(str.split, text.split("\n")))) <= {0, 2}:
+        raise ValueError(_first_bad_edge_line(edge_path, id_map))
+    try:
+        ends = np.fromiter(map(id_map.__getitem__, text.split()), np.int64)
+    except KeyError:
+        raise ValueError(_first_bad_edge_line(edge_path, id_map)) from None
+    del text
+    edges = ends.reshape(-1, 2)
+    graph = build_graph(n, edges[edges[:, 0] != edges[:, 1]])  # self-loops are dropped
+    return Dataset(graph=graph, features=features, sensitive=sensitive, labels=labels, name=name)
+
+
+# a line holding commas and nothing else, which has no ids but is not blank
+_COMMAS_ONLY_LINE = re.compile(r"^[^\S\n]*,(?:[^\S\n]|,)*$", re.MULTILINE)
+
+
+def _first_bad_edge_line(edge_path, id_map) -> str:
+    """The error for the first edge line that is malformed or names an unknown id."""
     with open(edge_path) as f:
         for line in f:
             line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
             parts = line.replace(",", " ").split()
-            if len(parts) != 2:
-                raise ValueError(f"malformed edge line {line!r}")
-            a, b = parts
-            if a not in id_map or b not in id_map:
-                raise ValueError(f"edge references unknown node id in {line!r}")
-            ends += id_map[a], id_map[b]
-
-    edges = np.array(ends, dtype=np.int64).reshape(-1, 2)
-    graph = build_graph(n, edges[edges[:, 0] != edges[:, 1]])  # self-loops are dropped
-    return Dataset(graph=graph, features=features, sensitive=sensitive, labels=labels, name=name)
+            if line and len(parts) != 2:
+                return f"malformed edge line {line!r}"
+            if not all(part in id_map for part in parts):
+                return f"edge references unknown node id in {line!r}"
+    raise AssertionError("no malformed edge line or unknown id found")
 
 
 def make_splits(dataset: Dataset, fractions=(0.5, 0.25, 0.25), seed: int = 0) -> SplitMasks:

@@ -66,7 +66,8 @@ def build_graph(n: int, edges) -> SparseGraph:
         if i != j or not 0 <= i < n:
             raise ValueError(f"edge ({i}, {j}) references a node outside [0, {n})")
         raise ValueError(f"self-loop ({i}, {j}) not allowed in input edges")
-    lo, hi = np.divmod(np.unique(lo * n + hi), n)
+    keys = np.sort(lo * n + hi)
+    lo, hi = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)  # sorted, each key once
     edges = np.column_stack([lo, hi])
     edges.setflags(write=False)
 

@@ -326,7 +326,8 @@ def sweep(cfg: RunConfig, lambda_s_grid, lambda_f_grid, results_path=None):
 
     Rows already present in the results file (same fingerprint and seed) are
     skipped, so an interrupted sweep can resume without duplicates. Per-run
-    failures are recorded as NaN rows and do not abort the sweep.
+    failures are recorded as NaN rows and do not abort the sweep; a resumed
+    sweep removes those rows and runs them again.
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     if results_path is None:
@@ -336,8 +337,11 @@ def sweep(cfg: RunConfig, lambda_s_grid, lambda_f_grid, results_path=None):
         # an interrupted append leaves a torn last row: drop it so it is re-run
         with open(results_path, "rb+") as f:
             f.truncate(f.read().rfind(b"\n") + 1)
-        for r in read_results(results_path):
-            done.add((r.config_fingerprint, r.seed))
+        prior = read_results(results_path)
+        kept = [r for r in prior if np.isfinite(r.accuracy)]
+        if len(kept) < len(prior):  # a failed run's row is dropped so it is re-run too
+            write_results(results_path, kept)
+        done = {(r.config_fingerprint, r.seed) for r in kept}
 
     dataset = load_run_dataset(cfg)
     reports = []

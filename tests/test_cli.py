@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -69,6 +70,22 @@ class TestSynth:
         lines = (data_dir / "edges.txt").read_text().splitlines()
         assert lines == [f"{i} {j}" for i, j in made.graph.edges.tolist()]
 
+
+    def test_written_files_are_pinned(self, runner, tmp_path):
+        # the bytes of both files are fixed: a changed writer must reproduce them
+        doc = {"n": 50, "mean_degree": 4.0, "feat_dim": 6, "seed": 0}
+        cfg = write_json(tmp_path / "synth.json", doc)
+        data_dir = tmp_path / "data"
+        result = runner.invoke(main, ["synth", "--config", cfg, "--out", str(data_dir)])
+        assert result.exit_code == 0, result.output
+        digests = {
+            name: hashlib.sha256((data_dir / name).read_bytes()).hexdigest()
+            for name in ("nodes.csv", "edges.txt")
+        }
+        assert digests == {
+            "nodes.csv": "d009de5b26061ddbd26be12b3c948c7f02e89b34e8b61c87973ec89d07cc96a5",
+            "edges.txt": "36812ef65363cf009bf51334587f266c08f8402769e351d91af2bfae1b5aac36",
+        }
 
 class TestTrainEvalPipeline:
     def test_synth_train_eval_metrics(self, runner, tmp_path):

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,16 @@ def write_fixture(tmp_path, node_text, edge_text):
 
 BASIC_NODES = "id,sens,y,f0,f1\na,1,0,1.5,0.0\nb,0,1,-2.0,3.0\nc,1,-1,0.5,\n"
 BASIC_EDGES = "a b\nb,c  # comment\n# full comment line\n\n"
+
+
+def exact(message):
+    return "^" + re.escape(message) + "$"
+
+
+def edges_of(tmp_path, edge_text, nodes=BASIC_NODES):
+    nodes_path, edges_path = write_fixture(tmp_path, nodes, "")
+    edges_path.write_bytes(edge_text.encode())  # keep line endings as written
+    return load_dataset(nodes_path, edges_path, SCHEMA).graph.edges.tolist()
 
 
 class TestLoadDataset:
@@ -88,6 +101,146 @@ class TestLoadDataset:
         nodes, edges = write_fixture(tmp_path, BASIC_NODES, "a a\na b\n")
         ds = load_dataset(nodes, edges, SCHEMA)
         assert ds.graph.edges.tolist() == [[0, 1]]
+
+    def test_empty_feature_cell_reads_as_zero(self, tmp_path):
+        nodes, edges = write_fixture(
+            tmp_path, "id,sens,y,f0,f1,f2\na,1,0,,2.5,\nb,0,1,1.0,,-3\n", "a b\n"
+        )
+        ds = load_dataset(nodes, edges, SCHEMA)
+        assert ds.features.tolist() == [[0.0, 2.5, 0.0], [1.0, 0.0, -3.0]]
+
+    def test_quoted_cells(self, tmp_path):
+        nodes, edges = write_fixture(
+            tmp_path, 'id,sens,y,f0\n"a,1",1,0,"1.5"\nb,0,1,2\n', '"a,1" b\n'
+        )
+        with pytest.raises(ValueError, match="malformed edge line"):
+            load_dataset(nodes, edges, SCHEMA)  # an edge line splits on the comma
+        edges.write_text("b x\n")
+        with pytest.raises(ValueError, match="unknown node id"):
+            load_dataset(nodes, edges, SCHEMA)
+        edges.write_text("")
+        ds = load_dataset(nodes, edges, SCHEMA)
+        assert ds.features.tolist() == [[1.5], [2.0]]
+
+    def test_non_integer_label_rejected(self, tmp_path):
+        nodes, edges = write_fixture(
+            tmp_path, "id,sens,y,f0\na,1,0,1.0\nb,0,2.7,2.0\nc,0,3.5,0.0\n", "a b\n"
+        )
+        with pytest.raises(ValueError, match=exact("non-integer label '2.7' in column 'y'")):
+            load_dataset(nodes, edges, SCHEMA)
+
+    def test_integral_and_negative_labels(self, tmp_path):
+        nodes, edges = write_fixture(
+            tmp_path,
+            "id,sens,y,f0\na,1,1.0,1.0\nb,0,-3,2.0\nc,0,-0.5,0.0\nd,1,,0.0\ne,0,2,0.0\n",
+            "a b\n",
+        )
+        ds = load_dataset(nodes, edges, SCHEMA)
+        assert ds.labels.dtype == np.int64
+        assert ds.labels.tolist() == [1, MISSING_LABEL, MISSING_LABEL, MISSING_LABEL, 2]
+
+    @pytest.mark.parametrize(
+        "row, line, got",
+        [
+            ("b,0,1\n", 3, 3),  # a feature cell is missing
+            ("b,0,1,2.0,3.0,4.0\n", 3, 6),  # one cell too many
+            ("\nb,0,1,2.0\n", 4, 4),  # blank lines still count as lines
+        ],
+    )
+    def test_row_with_wrong_cell_count(self, tmp_path, row, line, got):
+        nodes, edges = write_fixture(tmp_path, "id,sens,y,f0,f1\na,1,0,1.0,1.0\n" + row, "a b\n")
+        message = f"{nodes}, line {line}: expected 5 cells, got {got}"
+        with pytest.raises(ValueError, match=exact(message)):
+            load_dataset(nodes, edges, SCHEMA)
+
+    def test_short_row_rejected_when_only_dropped_cells_missing(self, tmp_path):
+        nodes, edges = write_fixture(
+            tmp_path, "id,sens,y,f0,extra\na,1,0,1.0,x\nb,0,1,2.0\n", "a b\n"
+        )
+        with pytest.raises(ValueError, match=exact(f"{nodes}, line 3: expected 5 cells, got 4")):
+            load_dataset(nodes, edges, dict(SCHEMA, drop=["extra"]))
+
+
+class TestEdgeFileFormat:
+    """The edge-file grammar: one pair per line, split on whitespace or commas."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a b\r\nb c\r\n",  # CRLF line endings
+            "a\tb\n\tb\tc\t\n",  # tabs
+            "a,b # c\nb , c#d\n",  # commas and trailing comments
+            "\n# only a comment\n   \n  # indented comment\na b\n\nb c\n#\n",
+            "a b\nb c",  # no final newline
+            "b a\na b\nc b\n",  # repeated and reversed pairs
+        ],
+    )
+    def test_accepted_layouts(self, tmp_path, text):
+        assert edges_of(tmp_path, text) == [[0, 1], [1, 2]]
+
+    def test_empty_edge_file(self, tmp_path):
+        assert edges_of(tmp_path, "# nothing here\n\n") == []
+
+    def test_vertical_tab_does_not_end_a_line(self, tmp_path):
+        with pytest.raises(ValueError, match=exact("malformed edge line 'a b\\x0bb c'")):
+            edges_of(tmp_path, "a b\x0bb c\n")
+
+    @pytest.mark.parametrize(
+        "text, quoted",
+        [
+            ("a b\na b c  # three ids\n", "'a b c'"),
+            ("a b\n\ta\t\n", "'a'"),
+            ("a b\n , \n", "','"),
+            ("a b\r\nb,c,a\r\n", "'b,c,a'"),
+        ],
+    )
+    def test_malformed_line_message(self, tmp_path, text, quoted):
+        with pytest.raises(ValueError, match=exact(f"malformed edge line {quoted}")):
+            edges_of(tmp_path, text)
+
+    @pytest.mark.parametrize(
+        "text, quoted",
+        [
+            ("a b\n  a,z # z is not a node\n", "'a,z'"),
+            ("a b\nq\tb\r\n", "'q\\tb'"),
+            ("a z\na b c\n", "'a z'"),  # the first bad line is reported
+        ],
+    )
+    def test_unknown_id_message(self, tmp_path, text, quoted):
+        with pytest.raises(ValueError, match=exact(f"edge references unknown node id in {quoted}")):
+            edges_of(tmp_path, text)
+
+    def test_malformed_line_before_unknown_id(self, tmp_path):
+        with pytest.raises(ValueError, match="^malformed edge line 'a'$"):
+            edges_of(tmp_path, "a\na z\n")
+
+
+class TestLoadMemory:
+    def test_traced_peak_of_a_20k_node_load(self, tmp_path):
+        # The reader must not hold every row of the node CSV at once. On this
+        # input the streaming reader peaks near 9 MiB; one that keeps all
+        # rows as lists of cell strings peaks near 35 MiB.
+        rng = np.random.default_rng(0)
+        n, d, m = 20_000, 16, 20_000
+        ids = (rng.permutation(n) + 100_000).tolist()
+        rows = zip(ids, rng.integers(2, size=n).tolist(), rng.standard_normal((n, d)).tolist())
+        header = ",".join(["id", "sens", "y"] + [f"f{k}" for k in range(d)])
+        body = "".join(
+            f"{i},{i % 2},{y}," + ",".join(f"{x:.6f}" for x in xs) + "\n" for i, y, xs in rows
+        )
+        a = rng.integers(n, size=m)
+        b = (a + rng.integers(1, n, size=m)) % n
+        pairs = "".join(f"{ids[i]} {ids[j]}\n" for i, j in zip(a.tolist(), b.tolist()))
+        nodes, edges = write_fixture(tmp_path, header + "\n" + body, pairs)
+
+        tracemalloc.start()
+        try:
+            ds = load_dataset(nodes, edges, SCHEMA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.features.shape == (n, d) and ds.graph.num_edges > 0
+        assert peak < 16 * 2**20, f"load_dataset peaked at {peak / 2**20:.1f} MiB"
 
 
 def toy_dataset(n, n_labeled=None):

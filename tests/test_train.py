@@ -228,6 +228,36 @@ class TestRunAndSweep:
         rows = read_results(path)
         assert [(r.lambda_f, r.seed) for r in rows] == [(0.0, 0), (5.0, 0)]
 
+    def test_resume_retries_failed_rows(self, tmp_path, monkeypatch):
+        cfg = small_cfg(epochs=1, seeds=[0, 1], out_dir=str(tmp_path / "out"))
+        real_train_one = train.train_one
+
+        def flaky(point, dataset, masks, seed):
+            if point.lambda_f == 5.0 and seed == 0:
+                raise FloatingPointError("diverged")
+            return real_train_one(point, dataset, masks, seed)
+
+        monkeypatch.setattr(train, "train_one", flaky)
+        _, path = sweep(cfg, [0.5], [0.0, 5.0])
+        first = read_results(path)
+        assert [np.isfinite(r.accuracy) for r in first] == [True, True, False, True]
+        with open(path, "rb") as f:
+            lines = f.read().splitlines(keepends=True)
+
+        monkeypatch.setattr(train, "train_one", real_train_one)
+        again, _ = sweep(cfg, [0.5], [0.0, 5.0])
+        assert [(r.lambda_f, r.seed) for r in again] == [(5.0, 0)]
+        assert np.isfinite(again[0].accuracy)
+        with open(path, "rb") as f:
+            retried = f.read().splitlines(keepends=True)
+        # the failed row is gone, every other row is kept byte for byte
+        assert retried[:-1] == lines[:3] + lines[4:]
+        rows = read_results(path)
+        assert len({(r.config_fingerprint, r.seed) for r in rows}) == len(rows) == 4
+        assert all(np.isfinite(r.accuracy) for r in rows)
+        # a further resume trains nothing
+        assert sweep(cfg, [0.5], [0.0, 5.0])[0] == []
+
     def test_summarize(self):
         cfg = small_cfg(epochs=1, seeds=[0, 1])
         dataset = synth_generate(SynthConfig(n=50, mean_degree=4.0, feat_dim=6, seed=0))
