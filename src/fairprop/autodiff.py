@@ -2,11 +2,14 @@
 
 Define-by-run: every primitive appends one record to the active Tape, and
 ``Tape.backward`` replays the records in reverse, accumulating gradients in
-64-bit, returns them keyed by node id, then drops the records: a tape is
-replayed once. The primitives are the ones training records: ``matmul``,
-``spmm_const``, ``add`` (with a row-bias broadcast), ``scale``, ``relu`` and
-``cross_entropy_with_logits``. Other modules add fused records of their own
-through ``Tape._result`` (the debiasing layer in ``fairprop.debias``).
+64-bit. It frees each record and its output's gradient once they are used,
+so it returns the gradients of the leaves only, keyed by node id: a tape is
+replayed once. The primitives are the ones training records: ``dense`` (one
+record for ``relu(x @ W + b)``), ``matmul``, ``spmm_const``, ``add``
+(same-shape), ``scale``, ``relu`` and ``cross_entropy_with_logits``.
+``matmul`` and ``dense`` compute no gradient for an operand that requires
+none. Other modules add fused records of their own through ``Tape._result``
+(the debiasing layer in ``fairprop.debias``).
 """
 
 from __future__ import annotations
@@ -66,9 +69,11 @@ class Tape:
         return records
 
     def backward(self, loss: Tensor) -> dict:
-        """Gradients of a scalar loss for every requires_grad tensor, by node_id.
+        """Gradients of a scalar loss for every requires_grad leaf, by node_id.
 
-        A tape is single-use: replaying releases it.
+        A tape is single-use: replaying releases it. Each record is dropped,
+        and its output's gradient popped, as soon as the record is replayed,
+        so intermediate gradients do not outlive their use.
         """
         if loss.shape != (1, 1):
             raise ValueError(f"loss must be 1x1, got {loss.shape}")
@@ -77,8 +82,10 @@ class Tape:
         if self._records is None:
             raise RuntimeError("tape already replayed; record a new one")
         grads: dict[int, Array] = {loss.node_id: np.ones((1, 1))}
-        for out, inputs, backward_fn in reversed(self.release()):
-            g = grads.get(out.node_id)
+        records = self.release()
+        while records:
+            out, _, backward_fn = records.pop()
+            g = grads.pop(out.node_id, None)
             if g is None:
                 continue
             for tensor, contrib in backward_fn(g):
@@ -100,9 +107,43 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul shape mismatch {a.shape} @ {b.shape}")
 
     def backward(g):
-        return [(a, g @ b.data.T), (b, a.data.T @ g)]
+        grads = []
+        if a.requires_grad:
+            grads.append((a, g @ b.data.T))
+        if b.requires_grad:
+            grads.append((b, a.data.T @ g))
+        return grads
 
     return a.tape._result(a.data @ b.data, (a, b), backward)
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
+    """One record for ``x @ w + b``, with a ReLU after it when ``relu`` is set.
+
+    ``b`` is a 1 x d row bias. The bias add and the ReLU mask are applied in
+    place, so the record keeps one n x d output; the values, signed zeros
+    included, equal those of ``matmul`` then ``add`` then ``relu``.
+    """
+    _check(x, w)
+    _check(x, b)
+    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+        raise ValueError(f"dense shape mismatch {x.shape} @ {w.shape} + {b.shape}")
+    h = x.data @ w.data
+    h += b.data
+    mask = None
+    if relu:
+        mask = h > 0.0
+        h *= mask
+
+    def backward(g):
+        if mask is not None:
+            g = g * mask
+        grads = [(w, x.data.T @ g), (b, g.sum(axis=0, keepdims=True))]
+        if x.requires_grad:
+            grads.append((x, g @ w.data.T))
+        return grads
+
+    return x.tape._result(h, (x, w, b), backward)
 
 
 def spmm_const(graph, x: Tensor) -> Tensor:
@@ -119,16 +160,14 @@ def spmm_const(graph, x: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise add; b may be 1 x d for a row-broadcast bias."""
+    """Elementwise add of two same-shape tensors."""
     _check(a, b)
-    if a.shape == b.shape:
-        def backward(g):
-            return [(a, g), (b, g)]
-    elif b.shape == (1, a.shape[1]):
-        def backward(g):
-            return [(a, g), (b, g.sum(axis=0, keepdims=True))]
-    else:
+    if a.shape != b.shape:
         raise ValueError(f"add shape mismatch {a.shape} + {b.shape}")
+
+    def backward(g):
+        return [(a, g), (b, g)]
+
     return a.tape._result(a.data + b.data, (a, b), backward)
 
 

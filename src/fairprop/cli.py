@@ -10,7 +10,7 @@ import sys
 import click
 import numpy as np
 
-from .data import SynthConfig, make_splits, synth_generate
+from .data import MISSING_LABEL, SynthConfig, make_splits, synth_generate
 from .metrics import accuracy as accuracy_metric
 from .metrics import demographic_parity, equal_opportunity
 from .nn import load_checkpoint
@@ -114,23 +114,28 @@ def synth_cmd(config_path, out_dir):
 def metrics_cmd(pred_path, truth_path):
     """Compute accuracy/dp/eo from prediction and truth CSVs.
 
-    Prediction CSV: columns id,pred. Truth CSV: columns id,label,sensitive.
+    Prediction CSV: columns id,pred. Truth CSV: columns id,label,sensitive;
+    a row with an empty or negative label is unlabeled, as in the node CSV,
+    and is left out.
     """
     preds = {}
     with open(pred_path, newline="") as f:
         for row in csv.DictReader(f):
             preds[row["id"]] = int(row["pred"])
-    ids, y_hat, y, s = [], [], [], []
+    y_hat, y, s = [], [], []
     with open(truth_path, newline="") as f:
         for row in csv.DictReader(f):
+            if float(row["label"] or MISSING_LABEL) < 0:
+                continue
             if row["id"] not in preds:
                 raise ValueError(f"no prediction for id {row['id']}")
-            ids.append(row["id"])
             y_hat.append(preds[row["id"]])
             y.append(int(row["label"]))
             s.append(int(row["sensitive"]))
+    if not y:
+        raise ValueError(f"no labeled row in {truth_path}")
     y_hat, y, s = np.array(y_hat), np.array(y), np.array(s)
-    mask = np.ones(len(ids), dtype=bool)
+    mask = np.ones(len(y), dtype=bool)
     click.echo(
         f"acc={accuracy_metric(y_hat, y, mask):.4f} "
         f"dp={demographic_parity(y_hat, s, mask):.4f} "

@@ -61,10 +61,10 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
     cell reads as 0, and an empty or negative label marks the node
     unlabeled. Each of these raises one ValueError line: a missing column, a
     row whose cell count differs from the header's (named by file and line),
-    a repeated node id, a non-numeric feature cell or a non-integer or
-    non-finite label (named by column), a sensitive column with a single
-    value, and an edge line that is malformed or names an unknown id (quoted
-    without its comment).
+    a repeated node id, a non-numeric feature cell or a non-numeric,
+    non-integer or non-finite label (named by column), a sensitive column
+    with a single value, and an edge line that is malformed or names an
+    unknown id (quoted without its comment).
     """
     with open(node_csv_path, newline="") as f:
         reader = csv.reader(f)
@@ -114,7 +114,16 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
         repeated = next(node_id for k, node_id in enumerate(ids) if id_map[node_id] != k)
         raise ValueError(f"duplicate node id {repeated!r} in node CSV")
     sensitive = np.where(np.array(positive, dtype=bool), 1, -1)
-    raw_labels = np.array([float(cell or MISSING_LABEL) for cell in label_cells])
+    try:
+        raw_labels = np.array([float(cell or MISSING_LABEL) for cell in label_cells])
+    except ValueError:  # name the first cell that is not a number
+        for cell in label_cells:
+            try:
+                float(cell or MISSING_LABEL)
+            except ValueError:
+                raise ValueError(
+                    f"non-numeric label {cell!r} in column {header[label_col]!r}"
+                ) from None
     labels = np.where(raw_labels < 0, MISSING_LABEL, raw_labels)
     if not np.all(np.isfinite(labels)):
         raise ValueError(f"non-finite label in column {header[label_col]!r}")

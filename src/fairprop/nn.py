@@ -1,4 +1,8 @@
-"""Feature-transformation MLP, Adam optimizer, and JSON checkpoints."""
+"""Feature-transformation MLP, Adam optimizer, and JSON checkpoints.
+
+On the tape each MLP layer is one ``autodiff.dense`` record, which holds a
+single n x d output and computes no gradient for the constant input features.
+"""
 
 from __future__ import annotations
 
@@ -68,7 +72,7 @@ def init_weights(config: MlpConfig, seed: int) -> Mlp:
 
 
 def mlp_forward(mlp: Mlp, tape: ad.Tape, x: ad.Tensor):
-    """Run the MLP on the tape.
+    """Run the MLP on the tape, one ``dense`` record per layer.
 
     Returns (output tensor, list of parameter leaf tensors in the order of
     ``mlp.parameters()``).
@@ -84,9 +88,7 @@ def mlp_forward(mlp: Mlp, tape: ad.Tape, x: ad.Tensor):
         wt = tape.leaf(w, requires_grad=True)
         bt = tape.leaf(b.reshape(1, -1), requires_grad=True)
         param_tensors += [wt, bt]
-        h = ad.add(ad.matmul(h, wt), bt)
-        if i != last:
-            h = ad.relu(h)
+        h = ad.dense(h, wt, bt, relu=i != last)
     return h, param_tensors
 
 

@@ -136,7 +136,7 @@ def _gcn(cfg, mlp, tape, x, g, delta, kernel):
         wt = tape.leaf(w, requires_grad=True)
         bt = tape.leaf(b.reshape(1, -1), requires_grad=True)
         params += [wt, bt]
-        h = ad.spmm_const(g, ad.add(ad.matmul(h, wt), bt))
+        h = ad.spmm_const(g, ad.dense(h, wt, bt, relu=False))
         if i != last:
             h = ad.relu(h)
     return h, params

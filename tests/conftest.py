@@ -66,6 +66,19 @@ def assert_close_rel(actual, expected, rtol, afloor=1e-9):
     )
 
 
+def add_row_bias(a, b):
+    """Tape record of a + b for a 1 x d row bias b.
+
+    ``matmul`` -> ``add_row_bias`` -> ``relu`` is the three-record chain that
+    ``ad.dense`` fuses into one; tests compare the two bit for bit.
+    """
+
+    def backward(g):
+        return [(a, g), (b, g.sum(axis=0, keepdims=True))]
+
+    return a.tape._result(a.data + b.data, (a, b), backward)
+
+
 def weighted_sum(out, w):
     """Tape record of sum(out * w) for a constant array w, as a 1x1 loss.
 

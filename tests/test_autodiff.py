@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import assert_close_rel, finite_diff, random_graph, weighted_sum
+from conftest import add_row_bias, assert_close_rel, finite_diff, random_graph, weighted_sum
 from fairprop import autodiff as ad
 from fairprop import train
 from fairprop.data import SynthConfig, make_splits, synth_generate
@@ -62,17 +62,16 @@ class TestPrimitiveBackward:
             assert_close_rel(grads[b.node_id], finite_diff(fb, b_data, step=1e-2), rtol=1e-6)
 
     def test_add_row_broadcast(self, rng):
+        # the row-bias add lives in ``dense``: the bias gradient sums over rows
         for _ in range(50):
-            n, d = int(rng.integers(1, 6)), int(rng.integers(1, 5))
-            a_data = rng.standard_normal((n, d))
-            b_data = rng.standard_normal((1, d))
-            w_data = rng.standard_normal((n, d))
+            n, k, d = (int(rng.integers(1, 6)) for _ in range(3))
+            g_data = rng.standard_normal((n, d))
             tape = ad.Tape()
-            a = tape.leaf(a_data, requires_grad=True)
-            b = tape.leaf(b_data, requires_grad=True)
-            grads = tape.backward(weighted_sum(ad.add(a, b), w_data))
-            np.testing.assert_allclose(grads[a.node_id], w_data)
-            np.testing.assert_allclose(grads[b.node_id], w_data.sum(axis=0, keepdims=True))
+            x = tape.leaf(rng.standard_normal((n, k)))
+            w = tape.leaf(rng.standard_normal((k, d)), requires_grad=True)
+            b = tape.leaf(rng.standard_normal((1, d)), requires_grad=True)
+            grads = tape.backward(weighted_sum(ad.dense(x, w, b, relu=False), g_data))
+            np.testing.assert_allclose(grads[b.node_id], g_data.sum(axis=0, keepdims=True))
 
     def test_spmm_const(self, rng):
         for _ in range(20):
@@ -107,6 +106,87 @@ class TestPrimitiveBackward:
                 )
 
             assert_close_rel(grads[logits.node_id], finite_diff(f, logits_data), rtol=1e-5)
+
+
+class TestDense:
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("x_grad", [False, True])
+    def test_backward_matches_finite_differences(self, rng, relu, x_grad):
+        for _ in range(30):
+            n, k, d = (int(rng.integers(1, 5)) for _ in range(3))
+            data = [rng.standard_normal(shape) for shape in ((n, k), (k, d), (1, d))]
+            g_data = rng.standard_normal((n, d))
+            tape = ad.Tape()
+            leaves = [tape.leaf(v, requires_grad=grad) for v, grad in zip(data, (x_grad, True, True))]
+            grads = tape.backward(weighted_sum(ad.dense(*leaves, relu), g_data))
+            assert set(grads) == {t.node_id for t in leaves if t.requires_grad}
+
+            def loss_at(i):
+                def f(v):
+                    t2 = ad.Tape()
+                    args = [t2.leaf(v if j == i else data[j]) for j in range(3)]
+                    return float(np.sum(ad.dense(*args, relu).data * g_data))
+
+                return f
+
+            for i, t in enumerate(leaves):
+                if t.requires_grad:
+                    fd = finite_diff(loss_at(i), data[i])
+                    assert_close_rel(grads[t.node_id], fd, rtol=1e-6, afloor=1e-9)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("x_grad", [False, True])
+    def test_bitwise_equal_to_matmul_add_relu(self, rng, relu, x_grad):
+        x_data = rng.standard_normal((40, 5))
+        x_data[:3] = 0.0  # with a zero bias entry, an exact +0.0 pre-activation
+        w_data = rng.standard_normal((5, 6))
+        b_data = rng.standard_normal((1, 6))
+        b_data[0, :2] = 0.0
+        g_data = rng.standard_normal((40, 6))
+
+        def run(layer):
+            tape = ad.Tape()
+            x = tape.leaf(x_data, requires_grad=x_grad)
+            w = tape.leaf(w_data, requires_grad=True)
+            b = tape.leaf(b_data, requires_grad=True)
+            out = layer(x, w, b)
+            grads = tape.backward(weighted_sum(out, g_data))
+            assert set(grads) <= {x.node_id, w.node_id, b.node_id}
+            return out.data.tobytes(), [
+                None if t.node_id not in grads else grads[t.node_id].tobytes() for t in (x, w, b)
+            ]
+
+        def chain(x, w, b):
+            h = add_row_bias(ad.matmul(x, w), b)
+            return ad.relu(h) if relu else h
+
+        out, grads = run(lambda x, w, b: ad.dense(x, w, b, relu))
+        ref_out, ref_grads = run(chain)
+        assert out == ref_out
+        assert grads == ref_grads
+        assert (grads[0] is None) == (not x_grad)
+        if relu:
+            ref = np.frombuffer(ref_out).reshape(40, 6)
+            signs = np.signbit(ref[ref == 0.0])
+            assert signs.any() and not signs.all(), "both signed zeros are covered"
+
+    def test_constant_input_gets_no_gradient(self, rng):
+        tape = ad.Tape()
+        x = tape.leaf(rng.standard_normal((4, 3)))
+        w = tape.leaf(rng.standard_normal((3, 2)), requires_grad=True)
+        b = tape.leaf(rng.standard_normal((1, 2)), requires_grad=True)
+        out = ad.dense(x, w, b, relu=True)
+        ((_, _, backward_fn),) = tape._records
+        assert [t.node_id for t, _ in backward_fn(np.ones(out.shape))] == [w.node_id, b.node_id]
+
+    def test_shape_mismatch(self, rng):
+        tape = ad.Tape()
+        x = tape.leaf(rng.standard_normal((4, 3)))
+        w = tape.leaf(rng.standard_normal((3, 2)), requires_grad=True)
+        with pytest.raises(ValueError, match="dense shape mismatch"):
+            ad.dense(x, w, tape.leaf(np.zeros((2, 2))), relu=False)
+        with pytest.raises(ValueError, match="dense shape mismatch"):
+            ad.dense(x, tape.leaf(np.zeros((2, 2))), tape.leaf(np.zeros((1, 2))), relu=False)
 
 
 class TestSoftmaxValues:
@@ -145,6 +225,25 @@ class TestBackwardPass:
         x = tape.leaf(x_data, requires_grad=True)
         grads = tape.backward(weighted_sum(ad.matmul(x, x), w_data))
         np.testing.assert_allclose(grads[x.node_id], w_data @ x_data.T + x_data.T @ w_data)
+
+    def test_returns_leaf_gradients_only(self, rng):
+        tape = ad.Tape()
+        x = tape.leaf(rng.standard_normal((4, 3)), requires_grad=True)
+        w = tape.leaf(rng.standard_normal((3, 2)), requires_grad=True)
+        b = tape.leaf(rng.standard_normal((1, 2)), requires_grad=True)
+        h = ad.add(ad.dense(x, w, b, relu=True), ad.scale(ad.relu(ad.matmul(x, w)), 0.5))
+        grads = tape.backward(ad.cross_entropy_with_logits(h, [0, 1, 1, 0], [True] * 4))
+        assert set(grads) == {x.node_id, w.node_id, b.node_id}
+
+    def test_constant_matmul_operand_gets_no_gradient(self, rng):
+        tape = ad.Tape()
+        kernel = tape.leaf(rng.standard_normal((4, 4)))  # constant, as in ppnp_exact
+        x = tape.leaf(rng.standard_normal((4, 3)), requires_grad=True)
+        out = ad.matmul(kernel, x)
+        ((_, _, backward_fn),) = tape._records
+        assert [t.node_id for t, _ in backward_fn(np.ones(out.shape))] == [x.node_id]
+        grads = tape.backward(weighted_sum(out, np.ones(out.shape)))
+        assert set(grads) == {x.node_id}
 
     def test_non_scalar_loss_rejected(self, rng):
         tape = ad.Tape()

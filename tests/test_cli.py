@@ -138,6 +138,30 @@ class TestTrainEvalPipeline:
         assert "dp=0.0000" in result.output  # constant predictions have no gap
 
 
+class TestMetrics:
+    @staticmethod
+    def _invoke(runner, tmp_path, truth_rows):
+        pred = tmp_path / "pred.csv"
+        truth = tmp_path / "truth.csv"
+        pred.write_text("id,pred\na,1\nb,0\nc,1\nd,0\ne,1\n")
+        truth.write_text("id,label,sensitive\n" + "".join(f"{r}\n" for r in truth_rows))
+        return runner.invoke(main, ["metrics", "--pred", str(pred), "--truth", str(truth)])
+
+    def test_unlabeled_truth_rows_left_out(self, runner, tmp_path):
+        # d (empty label) and e (negative label) are unlabeled, as in the node
+        # CSV. Over a, b, c: acc = 1/3; dp = |1 - 1/2| (counting d and e it
+        # would be |2/3 - 1/2|); eo over the positives a and b is |1 - 0|.
+        rows = ["a,1,1", "b,1,-1", "c,0,-1", "d,,1", "e,-1,1"]
+        result = self._invoke(runner, tmp_path, rows)
+        assert result.exit_code == 0, result.output
+        assert result.output.strip() == "acc=0.3333 dp=0.5000 eo=1.0000"
+
+    def test_no_labeled_truth_row_is_one_error(self, runner, tmp_path):
+        result = self._invoke(runner, tmp_path, ["a,,1", "b,-1,-1"])
+        assert isinstance(result.exception, ValueError)
+        assert str(result.exception) == f"no labeled row in {tmp_path / 'truth.csv'}"
+
+
 class TestSweep:
     def test_sweep_command(self, runner, tmp_path):
         cfg = write_json(tmp_path / "run.json", run_config_doc(tmp_path, epochs=1))

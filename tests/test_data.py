@@ -129,6 +129,13 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match=exact("non-integer label '2.7' in column 'y'")):
             load_dataset(nodes, edges, SCHEMA)
 
+    def test_non_numeric_label_rejected(self, tmp_path):
+        nodes, edges = write_fixture(
+            tmp_path, "id,sens,y,f0\na,1,0,1.0\nb,0,x,2.0\nc,0,1,0.0\n", "a b\n"
+        )
+        with pytest.raises(ValueError, match=exact("non-numeric label 'x' in column 'y'")):
+            load_dataset(nodes, edges, SCHEMA)
+
     def test_integral_and_negative_labels(self, tmp_path):
         nodes, edges = write_fixture(
             tmp_path,
