@@ -9,7 +9,7 @@ record for ``relu(x @ W + b)``), ``matmul``, ``spmm_const``, ``add``
 (same-shape), ``scale``, ``relu`` and ``cross_entropy_with_logits``.
 ``matmul`` and ``dense`` compute no gradient for an operand that requires
 none. Other modules add fused records of their own through ``Tape._result``
-(the debiasing layer in ``fairprop.debias``).
+(the whole debiasing stack, ``fairprop.debias.stack``).
 """
 
 from __future__ import annotations

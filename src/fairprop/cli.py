@@ -10,7 +10,7 @@ import sys
 import click
 import numpy as np
 
-from .data import MISSING_LABEL, SynthConfig, make_splits, synth_generate
+from .data import MISSING_LABEL, SynthConfig, make_splits, parse_labels, synth_generate
 from .metrics import accuracy as accuracy_metric
 from .metrics import demographic_parity, equal_opportunity
 from .nn import load_checkpoint
@@ -71,11 +71,15 @@ def sweep_cmd(config_path, grid_path):
 @click.option("--mask", default="test", show_default=True,
               type=click.Choice(["train", "val", "test"]))
 def eval_cmd(checkpoint, config_path, seed, mask):
-    """Evaluate a saved checkpoint on one split mask."""
+    """Evaluate a saved checkpoint on one split mask.
+
+    The checkpoint must have been trained under this config: one whose
+    fingerprint differs, the scheme included, is refused.
+    """
     cfg = _load_config(config_path)
+    mlp = load_checkpoint(checkpoint, cfg)
     dataset = load_run_dataset(cfg)
     masks = make_splits(dataset, cfg.split_fractions, seed)
-    mlp = load_checkpoint(checkpoint)
     report = evaluate(cfg, mlp, dataset, masks, seed=seed, mask_name=mask)
     click.echo(
         f"acc={report.accuracy:.4f} dp={report.dp:.4f} eo={report.eo:.4f} "
@@ -115,23 +119,25 @@ def metrics_cmd(pred_path, truth_path):
     """Compute accuracy/dp/eo from prediction and truth CSVs.
 
     Prediction CSV: columns id,pred. Truth CSV: columns id,label,sensitive;
-    a row with an empty or negative label is unlabeled, as in the node CSV,
-    and is left out.
+    labels follow the node CSV's rule (``parse_labels``): a row with an empty
+    or negative label is unlabeled and is left out, and ``1.0`` is class 1.
     """
     preds = {}
     with open(pred_path, newline="") as f:
         for row in csv.DictReader(f):
             preds[row["id"]] = int(row["pred"])
-    y_hat, y, s = [], [], []
     with open(truth_path, newline="") as f:
-        for row in csv.DictReader(f):
-            if float(row["label"] or MISSING_LABEL) < 0:
-                continue
-            if row["id"] not in preds:
-                raise ValueError(f"no prediction for id {row['id']}")
-            y_hat.append(preds[row["id"]])
-            y.append(int(row["label"]))
-            s.append(int(row["sensitive"]))
+        rows = list(csv.DictReader(f))
+    labels = parse_labels([row["label"] for row in rows], "label")
+    y_hat, y, s = [], [], []
+    for row, label in zip(rows, labels.tolist()):
+        if label == MISSING_LABEL:
+            continue
+        if row["id"] not in preds:
+            raise ValueError(f"no prediction for id {row['id']}")
+        y_hat.append(preds[row["id"]])
+        y.append(label)
+        s.append(int(row["sensitive"]))
     if not y:
         raise ValueError(f"no labeled row in {truth_path}")
     y_hat, y, s = np.array(y_hat), np.array(y), np.array(s)

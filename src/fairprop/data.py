@@ -114,30 +114,11 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
         repeated = next(node_id for k, node_id in enumerate(ids) if id_map[node_id] != k)
         raise ValueError(f"duplicate node id {repeated!r} in node CSV")
     sensitive = np.where(np.array(positive, dtype=bool), 1, -1)
-    try:
-        raw_labels = np.array([float(cell or MISSING_LABEL) for cell in label_cells])
-    except ValueError:  # name the first cell that is not a number
-        for cell in label_cells:
-            try:
-                float(cell or MISSING_LABEL)
-            except ValueError:
-                raise ValueError(
-                    f"non-numeric label {cell!r} in column {header[label_col]!r}"
-                ) from None
-    labels = np.where(raw_labels < 0, MISSING_LABEL, raw_labels)
-    if not np.all(np.isfinite(labels)):
-        raise ValueError(f"non-finite label in column {header[label_col]!r}")
-    fractional = labels != np.floor(labels)
-    if fractional.any():
-        raise ValueError(
-            f"non-integer label {label_cells[np.argmax(fractional)]!r} "
-            f"in column {header[label_col]!r}"
-        )
-    labels = labels.astype(np.int64)
+    labels = parse_labels(label_cells, header[label_col])
     features = np.frombuffer(features, dtype=np.float64).reshape(n, len(feat_cols))
     if len(set(sensitive.tolist())) < 2:
         raise ValueError("sensitive column takes a single value")
-    del ids, positive, label_cells, raw_labels  # free the cell strings before the edge parse
+    del ids, positive, label_cells  # free the cell strings before the edge parse
 
     with open(edge_path) as f:
         text = re.sub(r"#[^\n]*", "", f.read())
@@ -153,6 +134,32 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
     edges = ends.reshape(-1, 2)
     graph = build_graph(n, edges[edges[:, 0] != edges[:, 1]])  # self-loops are dropped
     return Dataset(graph=graph, features=features, sensitive=sensitive, labels=labels, name=name)
+
+
+def parse_labels(cells, column: str) -> Array:
+    """Integer classes from label cells, the node CSV's rule.
+
+    An empty or negative cell marks the node unlabeled (MISSING_LABEL); a
+    cell written ``1.0`` is class 1. A non-numeric, non-finite or
+    non-integer cell raises one ValueError line naming it and ``column``.
+    """
+    try:
+        raw = np.array([float(cell or MISSING_LABEL) for cell in cells])
+    except ValueError:  # name the first cell that is not a number
+        for cell in cells:
+            try:
+                float(cell or MISSING_LABEL)
+            except ValueError:
+                raise ValueError(f"non-numeric label {cell!r} in column {column!r}") from None
+    labels = np.where(raw < 0, MISSING_LABEL, raw)
+    if not np.all(np.isfinite(labels)):
+        raise ValueError(f"non-finite label in column {column!r}")
+    fractional = labels != np.floor(labels)
+    if fractional.any():
+        raise ValueError(
+            f"non-integer label {cells[np.argmax(fractional)]!r} in column {column!r}"
+        )
+    return labels.astype(np.int64)
 
 
 # a line holding commas and nothing else, which has no ids but is not blank

@@ -6,13 +6,16 @@ probability gap, update the dual perturbation direction, and project it
 back into the l-infinity ball of radius lambda_fair.
 
 The numpy functions (``fairness_grad``, ``prox_dual``, ``fairness_objective``)
-state the pieces of the update on plain arrays. Training runs the layer on the
-tape as two hand-differentiated records (``layer_step``): the dual update
-``u_next`` from (F, u, X_trans) and the primal step ``F_next`` from
-(F, u_next, X_trans). Both share one softmax of F and one aggregation, and both
-compute with the same private core as ``fairness_grad``. The direct-subgradient
-baseline (``ml1_forward``) records only the primal step, with the constant dual
-lambda_fair * sign(p).
+state the pieces of the update on plain arrays. Training records the whole
+stack of layers as one hand-differentiated tape record (``stack``), the
+unrolled primal-dual solver differentiated as one unit. It runs class-major:
+node states are C x n, so per-node sums over the C classes run along axis 0
+and the duals are C x 1 columns; ``fairness_grad`` and ``row_softmax`` call
+the same class-major core on a transpose. Its reverse sweep adds the primal
+and dual cotangents on each aggregation before one sparse product, so a layer
+costs two sparse products per epoch, one forward and one backward. The
+direct-subgradient baseline (``ml1_forward``) runs the same sweep with the
+constant dual lambda_fair * sign(p) in place of the dual update.
 """
 
 from __future__ import annotations
@@ -53,61 +56,64 @@ class DebiasParams:
         return (1.0 + self.lambda_smooth) / 2.0
 
 
-def _row_sum(M: Array) -> Array:
-    """Row sums repeated in every column: ``M @ ones((d, d))``, the shape of M.
-
-    At n x 2, numpy's reduction along ``axis=1`` and the broadcast of an n x 1
-    column against an n x 2 matrix each cost several times this product.
-    """
-    d = M.shape[1]
-    return M @ np.ones((d, d))
-
-
-def _row_max(M: Array) -> Array:
-    """Row maxima as an n x 1 column, taken one column at a time."""
-    out = M[:, :1].copy()
-    for j in range(1, M.shape[1]):
-        np.maximum(out, M[:, j : j + 1], out=out)
-    return out
+def _softmax(F: Array) -> Array:
+    """Softmax of each column of a class-major C x n matrix."""
+    e = np.exp(F - F.max(axis=0))
+    e /= e.sum(axis=0)
+    return e
 
 
 def row_softmax(F: Array) -> Array:
     """Plain numpy softmax over the column dimension of each row."""
-    e = np.exp(F - _row_max(F))
-    return e / _row_sum(e)
+    return _softmax(np.asarray(F, dtype=np.float64).T).T
 
 
-def _fair_grad(S: Array, dcol: Array, u: Array, log=lambda buf: buf) -> Array:
-    """T - rowsum(T) * S with T = (delta^T u) * S, for S = softmax(F)."""
-    t = log(log(dcol * u) * S)
-    return log(t - log(_row_sum(t)) * S)
+def _centered(S: Array, u: Array) -> Array:
+    """u - <S_i, u> for every node i, class-major (C x n)."""
+    return u - u.T @ S
 
 
-def _fair_grad_vjp(S: Array, dcol: Array, u: Array, h: Array):
-    """Gradients (dF, du) of <h, _fair_grad(softmax(F), dcol, u)>.
+def _fair_grad(S: Array, Sd: Array, u: Array, log=lambda buf: buf) -> Array:
+    """delta_i * S_i * (u - <S_i, u>) for S = softmax(F) and Sd = S * delta, class-major.
 
-    With q = S * (h - rowsum(h * S)), the softmax Jacobian applied to h:
-    dF = delta * (q * (u - rowsum(S * u)) - S * rowsum(q * u)) and
-    du = delta^T q.
+    This is the gradient of <delta . softmax(F), u> in F, for the length-n
+    incident vector delta and a C x 1 dual u.
     """
-    hs = h * S
-    q = hs - _row_sum(hs) * S
-    qu = q * u
-    dF = dcol * (qu - q * _row_sum(S * u) - S * _row_sum(qu))
-    return dF, dcol.T @ q
+    return log(Sd * log(_centered(S, u)))
+
+
+def _softmax_vjp(S: Array, h: Array) -> Array:
+    """S * (h - <h, S>): the pullback of h through S = softmax(F), class-major."""
+    return S * (h - (h * S).sum(axis=0))
+
+
+def _fair_grad_vjp(S: Array, delta: Array, terms) -> Array:
+    """F-cotangent of sum_k <h_k, _fair_grad(S, S * delta, u_k)> over terms sharing S.
+
+    Each term is (u_k, q_k) with q_k = _softmax_vjp(S, h_k); the u_k-cotangent,
+    q_k delta^T, is left to the caller. With P = sum_k q_k * (u_k - <S, u_k>),
+    the F-cotangent is delta * (P - S * colsum(P)): the columns of q_k sum to
+    zero, so <q_k, u_k> is the column sum of q_k * (u_k - <S, u_k>).
+    """
+    (u, q), *rest = terms
+    P = q * _centered(S, u)
+    for u, q in rest:
+        P += q * _centered(S, u)
+    return delta * (P - S * P.sum(axis=0))
 
 
 def fairness_grad(F: Array, u: Array, delta: IncidentVector, alloc_log=None) -> Array:
     """Gradient of <delta . softmax(F), u> with respect to F.
 
-    Closed form: T - rowsum(T) * softmax(F) with T = (delta^T u) * softmax(F).
-    Every intermediate is n x d; ``alloc_log`` (a list, if given) collects the
-    shape of each allocated buffer.
+    Closed form: delta_i * S_i * (u - <S_i, u>) with S = softmax(F), computed
+    class-major on the transpose of F. Every intermediate holds at most n x d
+    values; ``alloc_log`` (a list, if given) collects the shape of each
+    allocated buffer.
     """
     F = np.asarray(F, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64).reshape(1, -1)
-    if F.shape[1] != u.shape[1]:
-        raise ValueError(f"shape mismatch: F {F.shape}, u {u.shape}")
+    u = np.asarray(u, dtype=np.float64).reshape(-1, 1)
+    if F.shape[1] != u.shape[0]:
+        raise ValueError(f"shape mismatch: F {F.shape}, u {u.T.shape}")
     if F.shape[0] != delta.values.shape[0]:
         raise ValueError("row count mismatch with incident vector")
 
@@ -116,7 +122,8 @@ def fairness_grad(F: Array, u: Array, delta: IncidentVector, alloc_log=None) -> 
             alloc_log.append(buf.shape)
         return buf
 
-    return _fair_grad(log(row_softmax(F)), delta.values[:, None], u, log)
+    S = log(_softmax(F.T))
+    return _fair_grad(S, log(S * delta.values), u, log).T
 
 
 def prox_dual(u_bar: Array, lambda_fair: float) -> Array:
@@ -135,70 +142,94 @@ def fairness_objective(F: Array, delta: IncidentVector, lambda_fair: float):
 
 
 # ---------------------------------------------------------------------------
-# Tape-recorded versions used during training
+# The layer stack on the tape
 # ---------------------------------------------------------------------------
 
 
-def _primal_step(F, u, X_trans, g, dcol, gamma, S, agg) -> ad.Tensor:
-    """Tape record of agg - gamma * fairness_grad(F, u), from (F, u, X_trans).
-
-    ``S = softmax(F)`` and ``agg = gamma X + (1 - gamma) A F`` come from the
-    caller, which shares them with the layer's other record.
-    """
-    out = agg - gamma * _fair_grad(S, dcol, u.data)
-    if np.isnan(out).any():
-        raise FloatingPointError("NaN produced in debiasing layer")
-
-    def backward(gout):
-        dF, du = _fair_grad_vjp(S, dcol, u.data, -gamma * gout)
-        # the normalized adjacency is symmetric, so A^T = A
-        return [(F, g.adjacency @ ((1.0 - gamma) * gout) + dF), (u, du), (X_trans, gamma * gout)]
-
-    return F.tape._result(out, (F, u, X_trans), backward)
-
-
-def _aggregate(F: ad.Tensor, X_trans: ad.Tensor, g: SparseGraph, gamma: float):
-    """softmax(F) and gamma X + (1 - gamma) A F, computed once per layer."""
-    return row_softmax(F.data), gamma * X_trans.data + (1.0 - gamma) * (g.adjacency @ F.data)
-
-
-def layer_step(
-    F: ad.Tensor,
-    u: ad.Tensor,
+def stack(
+    F0: ad.Tensor,
+    u0: ad.Tensor | None,
     X_trans: ad.Tensor,
     g: SparseGraph,
     delta: IncidentVector,
     hp: DebiasParams,
-):
-    """One aggregation + debiasing layer on the tape; returns (F_next, u_next).
+) -> ad.Tensor:
+    """All ``num_layers`` layers from (F0, u0, X_trans) as one tape record.
 
-    Two records share one softmax and one aggregation: ``u_next`` from
-    (F, u, X_trans), the dual ascent and l-infinity prox, then ``F_next`` from
-    (F, u_next, X_trans), the primal step. Both gradients are hand-derived.
+    Each layer aggregates, ``agg = gamma X + (1 - gamma) A F``, and then takes
+    the dual ascent and l-infinity prox from u to u_next and the primal step
+    ``agg - gamma * fairness_grad(F, u_next)``. With u0 None the stack is the
+    direct-subgradient baseline: the primal step uses the constant dual
+    lambda_fair * sign(p) instead. Returns F_L.
+
+    The sweep runs class-major (C x n), so per-node sums run along axis 0 and
+    no n x 1 column is broadcast. It keeps softmax(F) and, with a dual,
+    softmax(f_bar) and the clamp mask of every layer; its hand-written reverse
+    sweep adds the primal and dual cotangents on the aggregation before one
+    sparse product per layer.
     """
-    gamma, beta, lam = hp.gamma, hp.beta, hp.lambda_fair
-    dcol = delta.values[:, None]
-    S, agg = _aggregate(F, X_trans, g, gamma)
-    S_bar = row_softmax(agg - gamma * _fair_grad(S, dcol, u.data))
-    u_bar = u.data + beta * (delta.values @ S_bar)
-    inside = np.abs(u_bar) <= lam  # where the prox passes the gradient through
+    n_layers, gamma, beta, lam = hp.num_layers, hp.gamma, hp.beta, hp.lambda_fair
+    if n_layers == 0:
+        return F0
+    ml1 = u0 is None
+    A, d = g.adjacency, delta.values
+    X = np.ascontiguousarray(X_trans.data.T)
+    teleport = gamma * X
+    F = X if F0 is X_trans else np.ascontiguousarray(F0.data.T)
+    u = None if ml1 else u0.data.reshape(-1, 1)
+    duals, Ss, S_bars, insides = [u], [], [], []
+    for _ in range(n_layers):
+        S = _softmax(F)
+        Sd = S * d
+        agg = teleport + (1.0 - gamma) * (A @ F.T).T
+        if ml1:
+            u = lam * np.sign(S @ d)[:, None]
+        else:
+            S_bar = _softmax(agg - _fair_grad(S, Sd, gamma * u))
+            u_bar = u + beta * (S_bar @ d)[:, None]
+            insides.append(np.abs(u_bar) <= lam)  # where the prox passes the gradient through
+            S_bars.append(S_bar)
+            u = prox_dual(u_bar, lam)
+        F = agg - _fair_grad(S, Sd, gamma * u)
+        if np.isnan(F).any():
+            raise FloatingPointError("NaN produced in debiasing layer")
+        Ss.append(S)
+        duals.append(u)
 
-    def dual_backward(gu):
-        gu_bar = gu * inside
-        if not gu_bar.any():  # every entry clamped: nothing flows back
-            return []
-        # p_bar = delta^T softmax(f_bar), so its pullback to f_bar is the
-        # fairness gradient at f_bar with dual beta * gu_bar
-        gf_bar = _fair_grad(S_bar, dcol, beta * gu_bar)
-        dF, du = _fair_grad_vjp(S, dcol, u.data, -gamma * gf_bar)
-        return [
-            (F, g.adjacency @ ((1.0 - gamma) * gf_bar) + dF),
-            (u, gu_bar + du),
-            (X_trans, gamma * gf_bar),
-        ]
+    def backward(gout):
+        gF = np.ascontiguousarray(gout.T)  # cotangent of a layer's output F
+        gu = np.zeros_like(u)  # and of its output dual
+        gX = None
+        for k in reversed(range(n_layers)):
+            # the primal step subtracts gamma * _fair_grad: -gamma goes on the duals
+            S = Ss[k]
+            q = _softmax_vjp(S, gF)
+            terms, g_agg = [(-gamma * duals[k + 1], q)], gF
+            if not ml1:
+                gu = (gu - gamma * (q @ d)[:, None]) * insides[k]  # through the prox
+                if gu.any():  # else every entry is clamped: nothing flows back
+                    # p_bar = S_bar delta^T, so its pullback to f_bar is the
+                    # fairness gradient at f_bar with dual beta * gu
+                    S_bar = S_bars[k]
+                    gf_bar = _fair_grad(S_bar, S_bar * d, beta * gu)
+                    q_bar = _softmax_vjp(S, gf_bar)
+                    terms.append((-gamma * duals[k], q_bar))
+                    gu = gu - gamma * (q_bar @ d)[:, None]
+                    g_agg = gF + gf_bar
+            # the normalized adjacency is symmetric, so A^T = A
+            gF = (A @ ((1.0 - gamma) * g_agg).T).T + _fair_grad_vjp(S, d, terms)
+            if k == 0 and F0 is X_trans:  # joins X's cotangent before layer 1's own term
+                gX = gF if gX is None else gX + gF
+            gX = gamma * g_agg if gX is None else gX + gamma * g_agg
+        grads = [(X_trans, np.ascontiguousarray(gX.T))]
+        if F0 is not X_trans:
+            grads.append((F0, np.ascontiguousarray(gF.T)))
+        if not ml1:
+            grads.append((u0, gu.T))
+        return grads
 
-    u_next = F.tape._result(prox_dual(u_bar, lam), (F, u, X_trans), dual_backward)
-    return _primal_step(F, u_next, X_trans, g, dcol, gamma, S, agg), u_next
+    inputs = (F0, X_trans) if ml1 else (F0, u0, X_trans)
+    return F0.tape._result(np.ascontiguousarray(F.T), inputs, backward)
 
 
 def forward(
@@ -209,17 +240,14 @@ def forward(
     delta: IncidentVector,
     hp: DebiasParams,
 ):
-    """Transform features, then apply ``num_layers`` debiasing layers.
+    """Transform features, then apply the ``num_layers`` debiasing layers.
 
     Returns (logits tensor, MLP parameter tensors). The dual variable starts
     at zero and is threaded through the layers within this forward pass only.
     """
     x_trans, params = mlp_forward(mlp, tape, x)
-    F = x_trans
-    u = tape.leaf(np.zeros((1, mlp.config.out_dim)))
-    for _ in range(hp.num_layers):
-        F, u = layer_step(F, u, x_trans, g, delta, hp)
-    return F, params
+    u0 = tape.leaf(np.zeros((1, mlp.config.out_dim)))
+    return stack(x_trans, u0, x_trans, g, delta, hp), params
 
 
 def ml1_forward(
@@ -235,10 +263,4 @@ def ml1_forward(
     Each step is the primal step with the constant dual lambda_fair * sign(p).
     """
     x_trans, params = mlp_forward(mlp, tape, x)
-    F = x_trans
-    dcol = delta.values[:, None]
-    for _ in range(hp.num_layers):
-        S, agg = _aggregate(F, x_trans, g, hp.gamma)
-        u_eff = tape.leaf(hp.lambda_fair * np.sign(delta.values @ S).reshape(1, -1))
-        F = _primal_step(F, u_eff, x_trans, g, dcol, hp.gamma, S, agg)
-    return F, params
+    return stack(x_trans, None, x_trans, g, delta, hp), params

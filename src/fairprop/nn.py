@@ -8,10 +8,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
+
+if TYPE_CHECKING:
+    from .train import RunConfig
 
 Array = np.ndarray
 
@@ -130,8 +134,12 @@ def adam_step(params, grads, state: AdamState):
     return out
 
 
-def save_checkpoint(path, mlp: Mlp):
-    """Write the model as a single JSON document."""
+def save_checkpoint(path, mlp: Mlp, run: RunConfig):
+    """Write the model as a single JSON document, bound to the config that trained it.
+
+    The binding is the config's fingerprint; its scheme is stored beside it
+    so that a refusal can name it.
+    """
     doc = {
         "config": {
             "in_dim": mlp.config.in_dim,
@@ -143,14 +151,27 @@ def save_checkpoint(path, mlp: Mlp):
             for w, b in zip(mlp.weights, mlp.biases)
         ],
         "seed": mlp.seed,
+        "scheme": run.scheme,
+        "fingerprint": run.fingerprint(),
     }
     with open(path, "w") as f:
         json.dump(doc, f)
 
 
-def load_checkpoint(path) -> Mlp:
+def load_checkpoint(path, run: RunConfig) -> Mlp:
+    """Read a checkpoint trained under ``run``'s config.
+
+    A checkpoint saved under another fingerprint raises one ValueError line.
+    The fingerprint hashes the scheme too, so it is the only field compared.
+    """
     with open(path) as f:
         doc = json.load(f)
+    if doc.get("fingerprint") != run.fingerprint():
+        raise ValueError(
+            f"checkpoint {path} was trained under scheme {doc.get('scheme')!r}, "
+            f"fingerprint {doc.get('fingerprint')!r}, not the config's scheme "
+            f"{run.scheme!r}, fingerprint {run.fingerprint()!r}"
+        )
     config = MlpConfig(
         in_dim=doc["config"]["in_dim"],
         hidden=list(doc["config"]["hidden"]),

@@ -242,14 +242,8 @@ def train_one(cfg: RunConfig, dataset: Dataset, masks: SplitMasks, seed: int):
             raise RuntimeError(
                 f"training diverged: non-finite loss at epoch {epoch} (seed {seed})"
             )
-        grad_map = tape.backward(loss)
-        params = mlp.parameters()
-        grads = [
-            grad_map.get(t.node_id, np.zeros(t.shape)).reshape(p.shape)
-            for p, t in zip(params, param_tensors)
-        ]
-        mlp.set_parameters(adam_step(params, grads, state))
-
+        # the logits score the weights before this epoch's update, so a
+        # selected model is snapshot before it
         y_hat = predict_labels(logits.data)
         val_acc = accuracy(y_hat, dataset.labels, masks.val)
         val_dp = demographic_parity(y_hat, dataset.sensitive, masks.val)
@@ -260,6 +254,14 @@ def train_one(cfg: RunConfig, dataset: Dataset, masks: SplitMasks, seed: int):
             best_val = val_acc
             best = mlp.copy()
             trace.best_epoch = epoch
+
+        grad_map = tape.backward(loss)
+        params = mlp.parameters()
+        grads = [
+            grad_map.get(t.node_id, np.zeros(t.shape)).reshape(p.shape)
+            for p, t in zip(params, param_tensors)
+        ]
+        mlp.set_parameters(adam_step(params, grads, state))
 
     report = evaluate(cfg, best, dataset, masks, seed=seed, mask_name="test")
     report.wall_time_ms = (time.perf_counter() - start) * 1000.0
@@ -315,7 +317,7 @@ def run(cfg: RunConfig, dataset: Dataset | None = None, save: bool = True):
 
         for seed, model in zip(cfg.seeds, models):
             save_checkpoint(
-                os.path.join(cfg.out_dir, f"{cfg.fingerprint()}-seed{seed}.json"), model
+                os.path.join(cfg.out_dir, f"{cfg.fingerprint()}-seed{seed}.json"), model, cfg
             )
         write_results(os.path.join(cfg.out_dir, "results.csv"), reports, append=True)
     return reports, models, traces

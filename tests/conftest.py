@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fairprop.debias import fairness_grad, fairness_objective
+from fairprop.debias import fairness_grad, fairness_objective, prox_dual
 from fairprop.graph import build_graph
 
 
@@ -117,6 +117,68 @@ def ml1_step(F, X_trans, g, delta, hp):
     _, p = fairness_objective(F, delta, hp.lambda_fair)
     u_eff = hp.lambda_fair * np.sign(p).reshape(1, -1)
     return agg - gamma * fairness_grad(F, u_eff, delta)
+
+
+def _ref_softmax(F):
+    e = np.exp(F - F.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _ref_fair_grad(S, dcol, u):
+    t = (dcol * u) * S
+    return t - t.sum(axis=1, keepdims=True) * S
+
+
+def _ref_fair_grad_vjp(S, dcol, u, h):
+    hs = h * S
+    q = hs - hs.sum(axis=1, keepdims=True) * S
+    qu = q * u
+    dF = dcol * (qu - q * (S * u).sum(axis=1, keepdims=True) - S * qu.sum(axis=1, keepdims=True))
+    return dF, dcol.T @ q
+
+
+def _ref_primal_step(F, u, X_trans, g, dcol, gamma, S, agg):
+    def backward(gout):
+        dF, du = _ref_fair_grad_vjp(S, dcol, u.data, -gamma * gout)
+        return [(F, g.adjacency @ ((1.0 - gamma) * gout) + dF), (u, du), (X_trans, gamma * gout)]
+
+    return F.tape._result(agg - gamma * _ref_fair_grad(S, dcol, u.data), (F, u, X_trans), backward)
+
+
+def reference_layer(F, u, X_trans, g, delta, hp, ml1=False):
+    """Reference: one layer as two n x C tape records; returns (F_next, u_next).
+
+    This is the layer ``debias.stack`` replaced: ``u_next`` from (F, u,
+    X_trans), the dual ascent and prox, then ``F_next`` from (F, u_next,
+    X_trans), the primal step, each record pulling back through the
+    aggregation on its own. With ``ml1`` the dual is the constant leaf
+    lambda_fair * sign(p) and u is passed through.
+    """
+    gamma, beta, lam = hp.gamma, hp.beta, hp.lambda_fair
+    dcol = delta.values[:, None]
+    S = _ref_softmax(F.data)
+    agg = gamma * X_trans.data + (1.0 - gamma) * (g.adjacency @ F.data)
+    if ml1:
+        u_eff = F.tape.leaf(lam * np.sign(delta.values @ S).reshape(1, -1))
+        return _ref_primal_step(F, u_eff, X_trans, g, dcol, gamma, S, agg), u
+    S_bar = _ref_softmax(agg - gamma * _ref_fair_grad(S, dcol, u.data))
+    u_bar = u.data + beta * (delta.values @ S_bar)
+    inside = np.abs(u_bar) <= lam
+
+    def dual_backward(gu):
+        gu_bar = gu * inside
+        if not gu_bar.any():
+            return []
+        gf_bar = _ref_fair_grad(S_bar, dcol, beta * gu_bar)
+        dF, du = _ref_fair_grad_vjp(S, dcol, u.data, -gamma * gf_bar)
+        return [
+            (F, g.adjacency @ ((1.0 - gamma) * gf_bar) + dF),
+            (u, gu_bar + du),
+            (X_trans, gamma * gf_bar),
+        ]
+
+    u_next = F.tape._result(prox_dual(u_bar, lam), (F, u, X_trans), dual_backward)
+    return _ref_primal_step(F, u_next, X_trans, g, dcol, gamma, S, agg), u_next
 
 
 @pytest.fixture

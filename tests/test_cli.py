@@ -138,6 +138,53 @@ class TestTrainEvalPipeline:
         assert "dp=0.0000" in result.output  # constant predictions have no gap
 
 
+class TestEvalCheckpointBinding:
+    @staticmethod
+    def _train(runner, tmp_path):
+        cfg = write_json(tmp_path / "run.json", run_config_doc(tmp_path))
+        assert runner.invoke(main, ["train", "--config", cfg]).exit_code == 0
+        fp = RunConfig.from_dict(run_config_doc(tmp_path)).fingerprint()
+        return str(tmp_path / "out" / f"{fp}-seed0.json")
+
+    def _eval_error(self, tmp_path, monkeypatch, capsys, ckpt, **overrides):
+        import fairprop.cli as cli
+
+        cfg = write_json(tmp_path / "other.json", run_config_doc(tmp_path, **overrides))
+        monkeypatch.setattr("sys.argv", ["fairprop", "eval", "--checkpoint", ckpt, "--config", cfg])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code != 0
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "\n" not in err
+        return err
+
+    def test_other_scheme_is_refused(self, runner, tmp_path, monkeypatch, capsys):
+        ckpt = self._train(runner, tmp_path)
+        err = self._eval_error(tmp_path, monkeypatch, capsys, ckpt, scheme="mlp")
+        assert "scheme 'fair'" in err and "'mlp'" in err
+
+    def test_other_fingerprint_is_refused(self, runner, tmp_path, monkeypatch, capsys):
+        ckpt = self._train(runner, tmp_path)
+        err = self._eval_error(tmp_path, monkeypatch, capsys, ckpt, lambda_f=7.0)
+        other = RunConfig.from_dict(run_config_doc(tmp_path, lambda_f=7.0)).fingerprint()
+        assert "fingerprint" in err and other in err
+
+    def test_unbound_checkpoint_is_refused(self, runner, tmp_path, monkeypatch, capsys):
+        ckpt = self._train(runner, tmp_path)
+        with open(ckpt) as f:
+            doc = json.load(f)
+        del doc["scheme"], doc["fingerprint"]
+        write_json(tmp_path / "old.json", doc)
+        err = self._eval_error(tmp_path, monkeypatch, capsys, str(tmp_path / "old.json"))
+        assert "scheme None" in err
+
+    def test_matching_config_evaluates(self, runner, tmp_path):
+        ckpt = self._train(runner, tmp_path)
+        cfg = write_json(tmp_path / "same.json", run_config_doc(tmp_path, seeds=[3]))
+        result = runner.invoke(main, ["eval", "--checkpoint", ckpt, "--config", cfg])
+        assert result.exit_code == 0, result.output
+
+
 class TestMetrics:
     @staticmethod
     def _invoke(runner, tmp_path, truth_rows):
@@ -155,6 +202,18 @@ class TestMetrics:
         result = self._invoke(runner, tmp_path, rows)
         assert result.exit_code == 0, result.output
         assert result.output.strip() == "acc=0.3333 dp=0.5000 eo=1.0000"
+
+    def test_float_written_truth_label(self, runner, tmp_path):
+        # the node CSV loads a label written 1.0 as class 1; so does metrics
+        rows = ["a,1.0,1", "b,1,-1", "c,0.0,-1", "d,,1", "e,-1,1"]
+        result = self._invoke(runner, tmp_path, rows)
+        assert result.exit_code == 0, result.output
+        assert result.output.strip() == "acc=0.3333 dp=0.5000 eo=1.0000"
+
+    def test_non_integer_truth_label_is_one_error(self, runner, tmp_path):
+        result = self._invoke(runner, tmp_path, ["a,1,1", "b,2.7,-1"])
+        assert isinstance(result.exception, ValueError)
+        assert str(result.exception) == "non-integer label '2.7' in column 'label'"
 
     def test_no_labeled_truth_row_is_one_error(self, runner, tmp_path):
         result = self._invoke(runner, tmp_path, ["a,,1", "b,-1,-1"])

@@ -1,21 +1,30 @@
 import numpy as np
 import pytest
 
-from conftest import appnp_step, assert_close_rel, finite_diff, ml1_step, random_graph, weighted_sum
+from conftest import (
+    appnp_step,
+    assert_close_rel,
+    finite_diff,
+    ml1_step,
+    random_graph,
+    reference_layer,
+    weighted_sum,
+)
 from fairprop import autodiff as ad
-from fairprop import debias
+from fairprop import train
 from fairprop.debias import (
     DebiasParams,
     fairness_grad,
     fairness_objective,
     forward,
-    layer_step,
     ml1_forward,
     prox_dual,
     row_softmax,
+    stack,
 )
 from fairprop.graph import build_graph, incident_vector
 from fairprop.nn import MlpConfig, init_weights, mlp_forward
+from fairprop.train import RunConfig
 
 
 def random_incident(rng, n):
@@ -172,83 +181,78 @@ class TestProxDual:
             np.testing.assert_allclose(prox_dual(u, lam), best, atol=1e-3)
 
 
+def run_stack(F0, u0, Xt, g, delta, hp):
+    """The F_L array of ``stack`` on fresh leaves."""
+    tape = ad.Tape()
+    return stack(tape.leaf(F0), tape.leaf(u0), tape.leaf(Xt), g, delta, hp).data
+
+
 class TestLayerStep:
     def test_zero_fair_weight_is_appnp(self, rng):
         g = random_graph(rng, n_max=10)
         delta = random_incident(rng, g.n)
-        hp = DebiasParams(lambda_smooth=2.0, lambda_fair=0.0, num_layers=1)
         Xt = rng.standard_normal((g.n, 3))
         F0 = rng.standard_normal((g.n, 3))
-        tape = ad.Tape()
-        F, u = layer_step(
-            tape.leaf(F0),
-            tape.leaf(np.zeros((1, 3))),
-            tape.leaf(Xt),
-            g,
-            delta,
-            hp,
-        )
-        assert np.array_equal(F.data, appnp_step(g, F0, Xt, hp.gamma))
-        assert np.array_equal(u.data, np.zeros((1, 3)))
+        for layers in (1, 2, 3):
+            hp = DebiasParams(lambda_smooth=2.0, lambda_fair=0.0, num_layers=layers)
+            F = run_stack(F0, np.zeros((1, 3)), Xt, g, delta, hp)
+            ref = F0
+            for _ in range(layers):
+                ref = appnp_step(g, ref, Xt, hp.gamma)
+            # bitwise: every dual is exactly zero, so no fairness term is added
+            assert np.array_equal(F, ref)
 
     def test_two_layer_trace_matches_oracle(self, rng):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         delta = incident_vector([1, 1, -1, -1])
-        hp = DebiasParams(lambda_smooth=1.0, lambda_fair=0.4, num_layers=2)
         Xt = rng.standard_normal((4, 3))
-
-        tape = ad.Tape()
-        F = tape.leaf(Xt)
-        u = tape.leaf(np.zeros((1, 3)))
-        xt_t = tape.leaf(Xt)
-        for _ in range(2):
-            F, u = layer_step(F, u, xt_t, g, delta, hp)
-
         A = g.dense_adjacency()
         F_ref, u_ref = Xt.copy(), np.zeros(3)
-        for _ in range(2):
-            F_ref, u_ref = oracle_layer(
-                F_ref, u_ref, Xt, A, delta.values, 1.0, 0.4
-            )
-        np.testing.assert_allclose(F.data, F_ref, atol=1e-12)
-        np.testing.assert_allclose(u.data.ravel(), u_ref, atol=1e-12)
+        for layers in (1, 2, 3):
+            # layer k's output depends on its dual, so matching F at every
+            # depth matches the dual trace too
+            F_ref, u_ref = oracle_layer(F_ref, u_ref, Xt, A, delta.values, 1.0, 0.4)
+            hp = DebiasParams(lambda_smooth=1.0, lambda_fair=0.4, num_layers=layers)
+            F = run_stack(Xt, np.zeros((1, 3)), Xt, g, delta, hp)
+            np.testing.assert_allclose(F, F_ref, atol=1e-12)
 
     def test_dual_bounded_every_layer(self, rng):
         g = random_graph(rng, n_max=12)
         delta = random_incident(rng, g.n)
-        hp = DebiasParams(lambda_smooth=0.5, lambda_fair=0.3, num_layers=1)
-        tape = ad.Tape()
-        F = tape.leaf(rng.standard_normal((g.n, 3)))
-        u = tape.leaf(np.zeros((1, 3)))
-        xt = tape.leaf(rng.standard_normal((g.n, 3)))
-        for _ in range(5):
-            F, u = layer_step(F, u, xt, g, delta, hp)
-            assert np.abs(u.data).max() <= hp.lambda_fair
+        F0, Xt = rng.standard_normal((g.n, 3)), rng.standard_normal((g.n, 3))
+        A = g.dense_adjacency()
+        F_ref, u_ref = F0, np.zeros(3)
+        for layers in range(1, 6):
+            F_ref, u_ref = oracle_layer(F_ref, u_ref, Xt, A, delta.values, 0.5, 0.3)
+            assert np.abs(u_ref).max() <= 0.3
+            # the stack runs the same dual trace
+            hp = DebiasParams(lambda_smooth=0.5, lambda_fair=0.3, num_layers=layers)
+            F = run_stack(F0, np.zeros((1, 3)), Xt, g, delta, hp)
+            np.testing.assert_allclose(F, F_ref, atol=1e-12)
 
 
 class TestLayerGradients:
-    """The hand-written VJPs of one layer against central finite differences."""
+    """The hand-written reverse sweep of the stack against central finite differences."""
 
     @staticmethod
-    def _check(step, rng, F0, u0, Xt):
-        """Gradient of a fixed weighting of step's (F_next, u_next) in F, u and X_trans."""
+    def _check(hp, rng, F0, u0, Xt, ml1=False):
+        """Gradient of a fixed weighting of the stack's output in F0, u0 and X_trans."""
+        g, delta = TestLayerGradients._graph()
         w_F = rng.standard_normal(F0.shape)
-        w_u = rng.standard_normal(u0.shape)
 
-        def scalar(tape, F, u, X):
-            F_next, u_next = step(F, u, X)
-            return ad.add(weighted_sum(F_next, w_F), weighted_sum(u_next, w_u))
+        def scalar(F, u, X):
+            return weighted_sum(stack(F, None if ml1 else u, X, g, delta, hp), w_F)
 
         tape = ad.Tape()
         leaves = [tape.leaf(a, requires_grad=True) for a in (F0, u0, Xt)]
-        grads = tape.backward(scalar(tape, *leaves))
+        grads = tape.backward(scalar(*leaves))
         for k, leaf in enumerate(leaves):
 
             def f(v):
                 t2 = ad.Tape()
                 args = [t2.leaf(a) for a in (F0, u0, Xt)]
                 args[k] = t2.leaf(v)
-                return float(scalar(t2, *args).data[0, 0])
+                return float(scalar(*args).data[0, 0])
 
             grad = grads.get(leaf.node_id, np.zeros(leaf.shape))
             assert_close_rel(grad, finite_diff(f, leaf.data.copy()), rtol=1e-6, afloor=1e-9)
@@ -260,41 +264,67 @@ class TestLayerGradients:
 
     def test_dual_partly_clamped(self, rng):
         g, delta = self._graph()
-        hp = DebiasParams(lambda_smooth=1.5, lambda_fair=0.5, num_layers=1)
         F0, Xt = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
         u0 = np.array([[0.1, 0.8, -0.9]])
-        tape = ad.Tape()
-        _, u = layer_step(tape.leaf(F0), tape.leaf(u0), tape.leaf(Xt), g, delta, hp)
-        on_ball = np.abs(u.data) == hp.lambda_fair
+        _, u1 = oracle_layer(F0, u0[0], Xt, g.dense_adjacency(), delta.values, 1.5, 0.5)
+        on_ball = np.abs(u1) == 0.5
         assert on_ball.any() and not on_ball.all()
-        self._check(lambda F, u, X: layer_step(F, u, X, g, delta, hp), rng, F0, u0, Xt)
+        for layers in (1, 2, 3):
+            hp = DebiasParams(lambda_smooth=1.5, lambda_fair=0.5, num_layers=layers)
+            self._check(hp, rng, F0, u0, Xt)
 
     def test_zero_fair_weight(self, rng):
-        g, delta = self._graph()
-        hp = DebiasParams(lambda_smooth=0.5, lambda_fair=0.0, num_layers=1)
         F0, Xt = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
         u0 = np.array([[0.3, -0.2]])
-        self._check(lambda F, u, X: layer_step(F, u, X, g, delta, hp), rng, F0, u0, Xt)
+        for layers in (1, 2, 3):
+            hp = DebiasParams(lambda_smooth=0.5, lambda_fair=0.0, num_layers=layers)
+            self._check(hp, rng, F0, u0, Xt)
 
     def test_ml1_step(self, rng):
         g, delta = self._graph()
-        hp = DebiasParams(lambda_smooth=2.0, lambda_fair=0.7, num_layers=1)
         F0, Xt = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
-        p = delta.values @ row_softmax(F0)
-        assert np.abs(p).min() > 1e-3  # sign(p) stays put under the probe steps
+        for layers in (1, 2, 3):
+            hp = DebiasParams(lambda_smooth=2.0, lambda_fair=0.7, num_layers=layers)
+            F = F0
+            for _ in range(layers):  # sign(p) stays put under the probe steps
+                assert np.abs(delta.values @ row_softmax(F)).min() > 1e-3
+                F = ml1_step(F, Xt, g, delta, hp)
+            self._check(hp, rng, F0, np.zeros((1, 3)), Xt, ml1=True)
 
-        def step(F, u, X):
-            # ml1_forward's layer: the primal step with dual lambda_fair * sign(p)
-            S, agg = debias._aggregate(F, X, g, hp.gamma)
-            u_eff = F.tape.leaf(hp.lambda_fair * np.sign(delta.values @ S).reshape(1, -1))
-            dcol = delta.values[:, None]
-            return debias._primal_step(F, u_eff, X, g, dcol, hp.gamma, S, agg), u
 
-        self._check(step, rng, F0, np.zeros((1, 3)), Xt)
+class TestStackMatchesTwoRecordLayer:
+    """The stack's gradients against the layer it replaced, two records per layer."""
+
+    @pytest.mark.parametrize("ml1", [False, True])
+    def test_gradients_match(self, rng, ml1):
+        for layers in (1, 2, 3):
+            g = random_graph(rng, n_max=12)
+            delta = random_incident(rng, g.n)
+            hp = DebiasParams(lambda_smooth=1.5, lambda_fair=0.3, num_layers=layers)
+            F0, Xt = rng.standard_normal((g.n, 3)), rng.standard_normal((g.n, 3))
+            u0 = np.array([[0.05, 0.4, -0.2]])
+            w = rng.standard_normal(F0.shape)
+
+            t1 = ad.Tape()
+            leaves1 = [t1.leaf(a, requires_grad=True) for a in (F0, u0, Xt)]
+            F1 = stack(leaves1[0], None if ml1 else leaves1[1], leaves1[2], g, delta, hp)
+            grads1 = t1.backward(weighted_sum(F1, w))
+
+            t2 = ad.Tape()
+            leaves2 = [t2.leaf(a, requires_grad=True) for a in (F0, u0, Xt)]
+            F2, u2 = leaves2[0], leaves2[1]
+            for _ in range(layers):
+                F2, u2 = reference_layer(F2, u2, leaves2[2], g, delta, hp, ml1=ml1)
+            grads2 = t2.backward(weighted_sum(F2, w))
+
+            assert_close_rel(F1.data, F2.data, rtol=1e-12, afloor=1e-15)
+            for a, b in zip(leaves1, leaves2):
+                ref = grads2.get(b.node_id, np.zeros(b.shape))
+                assert_close_rel(grads1.get(a.node_id, np.zeros(a.shape)), ref, rtol=1e-12, afloor=1e-15)
 
 
 class TestTapeSize:
-    """One fused primitive per layer: a silent un-fusing fails here."""
+    """One record for the whole stack: a silent un-fusing fails here."""
 
     @staticmethod
     def _extra_records(fwd, layers, rng):
@@ -310,11 +340,11 @@ class TestTapeSize:
 
     @pytest.mark.parametrize("layers", [1, 4])
     def test_fair_records_two_per_layer(self, rng, layers):
-        assert self._extra_records(forward, layers, rng) <= 2 * layers
+        assert self._extra_records(forward, layers, rng) == 1
 
     @pytest.mark.parametrize("layers", [1, 4])
     def test_ml1_records_one_per_layer(self, rng, layers):
-        assert self._extra_records(ml1_forward, layers, rng) <= layers
+        assert self._extra_records(ml1_forward, layers, rng) == 1
 
 
 class TestNanGuard:
@@ -363,6 +393,29 @@ class TestForward:
             for _ in range(3):
                 F = appnp_step(g, F, xt.data, hp.gamma)
             assert np.array_equal(out.data, F)
+
+    def test_zero_fair_weight_gradients_equal_appnp(self, rng):
+        # the reverse sweep adds the cotangents of X_trans in the order the
+        # teleport-propagation tape does, so the weight gradients are bitwise equal
+        for layers in (1, 2, 3):
+            for _ in range(10):
+                g, delta, mlp, X = self._setup(rng, n=20, d_out=3)
+                labels = rng.integers(0, 3, size=g.n)
+                mask = rng.random(g.n) < 0.5
+                mask[0] = True
+                hp = DebiasParams(lambda_smooth=1.5, lambda_fair=0.0, num_layers=layers)
+                cfg = RunConfig(scheme="appnp", alpha=hp.gamma, prop_k=layers)
+                grads = []
+                for fwd in (
+                    lambda tape, x: forward(mlp, tape, x, g, delta, hp),
+                    lambda tape, x: train._appnp(cfg, mlp, tape, x, g, delta, None),
+                ):
+                    tape = ad.Tape()
+                    logits, params = fwd(tape, tape.leaf(X))
+                    grad_map = tape.backward(ad.cross_entropy_with_logits(logits, labels, mask))
+                    grads.append([grad_map[p.node_id] for p in params])
+                for a, b in zip(*grads):
+                    assert np.array_equal(a, b)
 
     def test_end_to_end_gradient_matches_finite_differences(self, rng):
         g = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 4)])
@@ -480,30 +533,26 @@ class TestMl1Step:
 
 class TestSingleStepDebiasEffect:
     def test_report_objective_reduction(self, rng, capsys):
-        # empirical observation, not a guarantee: one debias pass starting
-        # from u = 0 tends not to increase the group probability gap
-        improved = total = 0
-        for trial in range(20):
-            g = random_graph(rng, n_max=12)
-            delta = random_incident(rng, g.n)
-            hp = DebiasParams(lambda_smooth=4.0, lambda_fair=0.05, num_layers=1)
-            Xt = rng.standard_normal((g.n, 3))
-            tape = ad.Tape()
-            F, u = layer_step(
-                tape.leaf(Xt),
-                tape.leaf(np.zeros((1, 3))),
-                tape.leaf(Xt),
-                g,
-                delta,
-                hp,
-            )
-            agg = appnp_step(g, Xt, Xt, hp.gamma)
-            before, p = fairness_objective(agg, delta, 1.0)
-            after, _ = fairness_objective(F.data, delta, 1.0)
-            if np.abs(p).max() == 0.0:
-                continue
-            total += 1
-            if after <= before + 1e-9:
-                improved += 1
-        print(f"\nsingle-step debias reduced the gap in {improved}/{total} instances")
-        assert total > 0
+        # empirical observation, not a guarantee: a debias pass starting from
+        # u = 0 tends not to increase the group probability gap of the same
+        # number of plain aggregation steps
+        for layers in (1, 2, 3):
+            improved = total = 0
+            for trial in range(20):
+                g = random_graph(rng, n_max=12)
+                delta = random_incident(rng, g.n)
+                hp = DebiasParams(lambda_smooth=4.0, lambda_fair=0.05, num_layers=layers)
+                Xt = rng.standard_normal((g.n, 3))
+                F = run_stack(Xt, np.zeros((1, 3)), Xt, g, delta, hp)
+                agg = Xt
+                for _ in range(layers):
+                    agg = appnp_step(g, agg, Xt, hp.gamma)
+                before, p = fairness_objective(agg, delta, 1.0)
+                after, _ = fairness_objective(F, delta, 1.0)
+                if np.abs(p).max() == 0.0:
+                    continue
+                total += 1
+                if after <= before + 1e-9:
+                    improved += 1
+            print(f"\n{layers}-layer debias reduced the gap in {improved}/{total} instances")
+            assert total > 0

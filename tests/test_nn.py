@@ -13,6 +13,7 @@ from fairprop.nn import (
     mlp_forward,
     save_checkpoint,
 )
+from fairprop.train import RunConfig
 
 
 def loop_mlp_oracle(mlp, X):
@@ -230,11 +231,21 @@ class TestCheckpoint:
         cfg = MlpConfig(in_dim=4, hidden=[6], out_dim=2)
         mlp = init_weights(cfg, 5)
         path = tmp_path / "model.json"
-        save_checkpoint(path, mlp)
-        loaded = load_checkpoint(path)
+        run = RunConfig(hidden=[6])
+        save_checkpoint(path, mlp, run)
+        loaded = load_checkpoint(path, run)
         X = rng.standard_normal((7, 4))
         t1, t2 = ad.Tape(), ad.Tape()
         a, _ = mlp_forward(mlp, t1, t1.leaf(X))
         b, _ = mlp_forward(loaded, t2, t2.leaf(X))
         np.testing.assert_allclose(a.data, b.data, atol=1e-15)
         assert loaded.seed == 5
+
+    def test_other_config_is_refused(self, tmp_path):
+        mlp = init_weights(MlpConfig(in_dim=4, hidden=[6], out_dim=2), 5)
+        path = tmp_path / "model.json"
+        save_checkpoint(path, mlp, RunConfig(hidden=[6]))
+        other = RunConfig(hidden=[6], lambda_f=7.0)
+        expected = f"not the config's scheme 'fair', fingerprint '{other.fingerprint()}'"
+        with pytest.raises(ValueError, match=expected):
+            load_checkpoint(path, other)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -123,17 +124,56 @@ class TestTrainOne:
         masks = make_splits(small_dataset, cfg.split_fractions, 0)
         model, report, _ = train_one(cfg, small_dataset, masks, 0)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, model)
-        loaded = load_checkpoint(path)
+        save_checkpoint(path, model, cfg)
+        loaded = load_checkpoint(path, cfg)
         again = evaluate(cfg, loaded, small_dataset, masks, seed=0)
         assert abs(again.accuracy - report.accuracy) <= 1e-12
         assert abs(again.fairness_obj - report.fairness_obj) <= 1e-12
+
+    @pytest.mark.parametrize("scheme", ["fair", "mlp"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_selected_model_scores_its_trace_entry(self, scheme, seed):
+        # the model returned is the one whose validation accuracy the trace
+        # records at best_epoch, not the one after that epoch's update
+        dataset = synth_generate(SynthConfig(n=200, mean_degree=4.0, feat_dim=6, seed=seed))
+        cfg = small_cfg(scheme=scheme, epochs=8, lr=0.05)
+        masks = make_splits(dataset, cfg.split_fractions, seed)
+        best, _, trace = train_one(cfg, dataset, masks, seed)
+        again = evaluate(cfg, best, dataset, masks, seed=seed, mask_name="val")
+        assert again.accuracy == trace.val_accuracy[trace.best_epoch]
 
     def test_selection_last_differs_from_best(self, small_dataset):
         cfg = small_cfg(epochs=5, selection="last")
         masks = make_splits(small_dataset, cfg.split_fractions, 0)
         _, _, trace = train_one(cfg, small_dataset, masks, 0)
         assert trace.best_epoch == cfg.epochs - 1
+
+
+class CountingAdjacency:
+    """The normalized adjacency, counting its sparse products."""
+
+    def __init__(self, adjacency):
+        self.adjacency, self.products = adjacency, 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return self.adjacency @ other
+
+
+class TestSparseProducts:
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_fair_epoch_makes_two_per_layer(self, small_dataset, layers):
+        # one forward and one backward product per layer: the reverse sweep
+        # pulls the primal and dual cotangents through the aggregation at once
+        masks = make_splits(small_dataset, (0.5, 0.25, 0.25), 0)
+        counts = []
+        for epochs in (1, 2):
+            counter = CountingAdjacency(small_dataset.graph.adjacency)
+            graph = dataclasses.replace(small_dataset.graph, adjacency=counter)
+            dataset = dataclasses.replace(small_dataset, graph=graph)
+            train_one(small_cfg(num_layers=layers, epochs=epochs), dataset, masks, 0)
+            counts.append(counter.products)
+        assert counts[1] - counts[0] == 2 * layers
 
 
 class TestTrainMemory:
