@@ -13,7 +13,10 @@ node states are C x n, so per-node sums over the C classes run along axis 0
 and the duals are C x 1 columns; ``fairness_grad`` and ``row_softmax`` call
 the same class-major core on a transpose. Its reverse sweep adds the primal
 and dual cotangents on each aggregation before one sparse product, so a layer
-costs two sparse products per epoch, one forward and one backward. The
+costs two sparse products per epoch, one forward and one backward; each is C
+matrix-vector products, one per contiguous class row. At lambda_fair = 0 the
+dual is 0 and a layer is the aggregation alone (teleport propagation), so the
+sweeps skip the softmaxes, the dual update and the fairness gradients. The
 direct-subgradient baseline (``ml1_forward``) runs the same sweep with the
 constant dual lambda_fair * sign(p) in place of the dual update.
 """
@@ -146,6 +149,23 @@ def fairness_objective(F: Array, delta: IncidentVector, lambda_fair: float):
 # ---------------------------------------------------------------------------
 
 
+def _spmv(A, G: Array, out: Array | None = None) -> Array:
+    """A @ G[c] for every class row c of the C-contiguous C x n state G.
+
+    One matrix-vector product per class: ``A @ G.T`` would make scipy copy the
+    transpose and run its slower multivector kernel. With ``out`` given, the
+    products are added into it in place.
+    """
+    if out is None:
+        out = np.empty_like(G)
+        for c, row in enumerate(G):
+            out[c] = A @ row
+    else:
+        for c, row in enumerate(G):
+            out[c] += A @ row
+    return out
+
+
 def stack(
     F0: ad.Tensor,
     u0: ad.Tensor | None,
@@ -166,7 +186,10 @@ def stack(
     no n x 1 column is broadcast. It keeps softmax(F) and, with a dual,
     softmax(f_bar) and the clamp mask of every layer; its hand-written reverse
     sweep adds the primal and dual cotangents on the aggregation before one
-    sparse product per layer.
+    sparse product per layer. Each sparse product is C matrix-vector products,
+    one per class row. At lambda_fair = 0 both duals are 0, so each layer is
+    the aggregation alone: the sweeps skip the softmaxes, the dual update and
+    the fairness gradients and their pullbacks.
     """
     n_layers, gamma, beta, lam = hp.num_layers, hp.gamma, hp.beta, hp.lambda_fair
     if n_layers == 0:
@@ -179,45 +202,52 @@ def stack(
     u = None if ml1 else u0.data.reshape(-1, 1)
     duals, Ss, S_bars, insides = [u], [], [], []
     for _ in range(n_layers):
-        S = _softmax(F)
-        Sd = S * d
-        agg = teleport + (1.0 - gamma) * (A @ F.T).T
-        if ml1:
-            u = lam * np.sign(S @ d)[:, None]
-        else:
-            S_bar = _softmax(agg - _fair_grad(S, Sd, gamma * u))
-            u_bar = u + beta * (S_bar @ d)[:, None]
-            insides.append(np.abs(u_bar) <= lam)  # where the prox passes the gradient through
-            S_bars.append(S_bar)
-            u = prox_dual(u_bar, lam)
-        F = agg - _fair_grad(S, Sd, gamma * u)
-        if np.isnan(F).any():
-            raise FloatingPointError("NaN produced in debiasing layer")
-        Ss.append(S)
-        duals.append(u)
+        agg = teleport + (1.0 - gamma) * _spmv(A, F)
+        if lam > 0:  # else the dual, and with it the fairness gradient, is 0
+            S = _softmax(F)
+            Sd = S * d
+            if ml1:
+                u = lam * np.sign(S @ d)[:, None]
+            else:
+                S_bar = _softmax(agg - _fair_grad(S, Sd, gamma * u))
+                u_bar = u + beta * (S_bar @ d)[:, None]
+                insides.append(np.abs(u_bar) <= lam)  # where the prox passes the gradient through
+                S_bars.append(S_bar)
+                u = prox_dual(u_bar, lam)
+            agg -= _fair_grad(S, Sd, gamma * u)
+            Ss.append(S)
+            duals.append(u)
+        F = agg
+    # one check suffices: every node has a positively weighted self-loop in A,
+    # and the softmax, S @ d and prox_dual all carry a NaN on to later layers
+    if np.isnan(F).any():
+        raise FloatingPointError("NaN produced in debiasing layer")
 
     def backward(gout):
         gF = np.ascontiguousarray(gout.T)  # cotangent of a layer's output F
-        gu = np.zeros_like(u)  # and of its output dual
+        gu = np.zeros((gF.shape[0], 1))  # and of its output dual
         gX = None
         for k in reversed(range(n_layers)):
-            # the primal step subtracts gamma * _fair_grad: -gamma goes on the duals
-            S = Ss[k]
-            q = _softmax_vjp(S, gF)
-            terms, g_agg = [(-gamma * duals[k + 1], q)], gF
-            if not ml1:
-                gu = (gu - gamma * (q @ d)[:, None]) * insides[k]  # through the prox
-                if gu.any():  # else every entry is clamped: nothing flows back
-                    # p_bar = S_bar delta^T, so its pullback to f_bar is the
-                    # fairness gradient at f_bar with dual beta * gu
-                    S_bar = S_bars[k]
-                    gf_bar = _fair_grad(S_bar, S_bar * d, beta * gu)
-                    q_bar = _softmax_vjp(S, gf_bar)
-                    terms.append((-gamma * duals[k], q_bar))
-                    gu = gu - gamma * (q_bar @ d)[:, None]
-                    g_agg = gF + gf_bar
+            g_agg, gF_fair = gF, None
+            if lam > 0:
+                # the primal step subtracts gamma * _fair_grad: -gamma goes on the duals
+                S = Ss[k]
+                q = _softmax_vjp(S, gF)
+                terms = [(-gamma * duals[k + 1], q)]
+                if not ml1:
+                    gu = (gu - gamma * (q @ d)[:, None]) * insides[k]  # through the prox
+                    if gu.any():  # else every entry is clamped: nothing flows back
+                        # p_bar = S_bar delta^T, so its pullback to f_bar is the
+                        # fairness gradient at f_bar with dual beta * gu
+                        S_bar = S_bars[k]
+                        gf_bar = _fair_grad(S_bar, S_bar * d, beta * gu)
+                        q_bar = _softmax_vjp(S, gf_bar)
+                        terms.append((-gamma * duals[k], q_bar))
+                        gu = gu - gamma * (q_bar @ d)[:, None]
+                        g_agg = gF + gf_bar
+                gF_fair = _fair_grad_vjp(S, d, terms)
             # the normalized adjacency is symmetric, so A^T = A
-            gF = (A @ ((1.0 - gamma) * g_agg).T).T + _fair_grad_vjp(S, d, terms)
+            gF = _spmv(A, (1.0 - gamma) * g_agg, gF_fair)
             if k == 0 and F0 is X_trans:  # joins X's cotangent before layer 1's own term
                 gX = gF if gX is None else gX + gF
             gX = gamma * g_agg if gX is None else gX + gamma * g_agg

@@ -360,6 +360,20 @@ class TestNanGuard:
         with pytest.raises(FloatingPointError, match="NaN produced in debiasing layer"):
             fwd(mlp, tape, tape.leaf(X), g, delta, hp)
 
+    @pytest.mark.parametrize("lambda_f", [0.0, 2.0])
+    @pytest.mark.parametrize("fwd", [forward, ml1_forward])
+    def test_nan_at_middle_node_reaches_last_layer(self, rng, fwd, lambda_f):
+        # the stack checks F_L only, so a NaN must survive all three layers
+        g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        delta = incident_vector([1, -1, 1, -1, 1])
+        mlp = init_weights(MlpConfig(in_dim=3, hidden=[4], out_dim=2), 0)
+        X = rng.standard_normal((5, 3))
+        X[2, 0] = np.nan
+        hp = DebiasParams(lambda_smooth=1.0, lambda_fair=lambda_f, num_layers=3)
+        tape = ad.Tape()
+        with pytest.raises(FloatingPointError, match="NaN produced in debiasing layer"):
+            fwd(mlp, tape, tape.leaf(X), g, delta, hp)
+
 
 class TestForward:
     def _setup(self, rng, n=8, d=4, hidden=5, d_out=2):
@@ -396,7 +410,8 @@ class TestForward:
 
     def test_zero_fair_weight_gradients_equal_appnp(self, rng):
         # the reverse sweep adds the cotangents of X_trans in the order the
-        # teleport-propagation tape does, so the weight gradients are bitwise equal
+        # teleport-propagation tape does, so the logits and weight gradients
+        # of both debiasing schemes are bitwise equal to it
         for layers in (1, 2, 3):
             for _ in range(10):
                 g, delta, mlp, X = self._setup(rng, n=20, d_out=3)
@@ -405,17 +420,19 @@ class TestForward:
                 mask[0] = True
                 hp = DebiasParams(lambda_smooth=1.5, lambda_fair=0.0, num_layers=layers)
                 cfg = RunConfig(scheme="appnp", alpha=hp.gamma, prop_k=layers)
-                grads = []
+                outs = []
                 for fwd in (
-                    lambda tape, x: forward(mlp, tape, x, g, delta, hp),
                     lambda tape, x: train._appnp(cfg, mlp, tape, x, g, delta, None),
+                    lambda tape, x: forward(mlp, tape, x, g, delta, hp),
+                    lambda tape, x: ml1_forward(mlp, tape, x, g, delta, hp),
                 ):
                     tape = ad.Tape()
                     logits, params = fwd(tape, tape.leaf(X))
                     grad_map = tape.backward(ad.cross_entropy_with_logits(logits, labels, mask))
-                    grads.append([grad_map[p.node_id] for p in params])
-                for a, b in zip(*grads):
-                    assert np.array_equal(a, b)
+                    outs.append([logits.data] + [grad_map[p.node_id] for p in params])
+                for out in outs[1:]:
+                    for a, b in zip(out, outs[0]):
+                        assert np.array_equal(a, b)
 
     def test_end_to_end_gradient_matches_finite_differences(self, rng):
         g = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 4)])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fairprop import autodiff as ad
-from fairprop import train
+from fairprop import debias, train
 from fairprop.data import (
     Dataset,
     SynthConfig,
@@ -150,30 +150,58 @@ class TestTrainOne:
 
 
 class CountingAdjacency:
-    """The normalized adjacency, counting its sparse products."""
+    """The normalized adjacency, counting its matrix-vector passes."""
 
     def __init__(self, adjacency):
         self.adjacency, self.products = adjacency, 0
 
     def __matmul__(self, other):
-        self.products += 1
+        self.products += 1 if other.ndim == 1 else other.shape[1]
         return self.adjacency @ other
+
+
+def _epoch_increase(dataset, count, **overrides):
+    """How much ``count()`` grows from a 1-epoch to a 2-epoch ``train_one``."""
+    masks = make_splits(dataset, (0.5, 0.25, 0.25), 0)
+    counts = []
+    for epochs in (1, 2):
+        before = count()
+        train_one(small_cfg(epochs=epochs, **overrides), dataset, masks, 0)
+        counts.append(count() - before)
+    return counts[1] - counts[0]
 
 
 class TestSparseProducts:
     @pytest.mark.parametrize("layers", [1, 3])
-    def test_fair_epoch_makes_two_per_layer(self, small_dataset, layers):
-        # one forward and one backward product per layer: the reverse sweep
-        # pulls the primal and dual cotangents through the aggregation at once
-        masks = make_splits(small_dataset, (0.5, 0.25, 0.25), 0)
-        counts = []
-        for epochs in (1, 2):
-            counter = CountingAdjacency(small_dataset.graph.adjacency)
-            graph = dataclasses.replace(small_dataset.graph, adjacency=counter)
-            dataset = dataclasses.replace(small_dataset, graph=graph)
-            train_one(small_cfg(num_layers=layers, epochs=epochs), dataset, masks, 0)
-            counts.append(counter.products)
-        assert counts[1] - counts[0] == 2 * layers
+    @pytest.mark.parametrize("lambda_f", [0.0, 5.0])
+    @pytest.mark.parametrize("scheme", ["fair", "ml1"])
+    def test_epoch_makes_two_per_layer_and_class(self, small_dataset, scheme, lambda_f, layers):
+        # one forward and one backward product per layer, each a matrix-vector
+        # pass per class: the reverse sweep pulls the primal and dual
+        # cotangents through the aggregation at once
+        counter = CountingAdjacency(small_dataset.graph.adjacency)
+        graph = dataclasses.replace(small_dataset.graph, adjacency=counter)
+        dataset = dataclasses.replace(small_dataset, graph=graph)
+        increase = _epoch_increase(
+            dataset, lambda: counter.products, scheme=scheme, lambda_f=lambda_f, num_layers=layers
+        )
+        assert increase == 2 * layers * train._num_classes(small_dataset)
+
+
+class TestZeroFairWeightGuard:
+    @pytest.mark.parametrize("lambda_f", [0.0, 5.0])
+    @pytest.mark.parametrize("scheme", ["fair", "ml1"])
+    def test_softmax_runs_only_with_a_fairness_weight(self, small_dataset, scheme, lambda_f, monkeypatch):
+        # at lambda_f = 0 both duals are 0 and the stack is the aggregation alone
+        calls, softmax = [], debias._softmax
+
+        def counting(F):
+            calls.append(1)
+            return softmax(F)
+
+        monkeypatch.setattr(debias, "_softmax", counting)
+        increase = _epoch_increase(small_dataset, lambda: len(calls), scheme=scheme, lambda_f=lambda_f)
+        assert increase > 0 if lambda_f > 0 else increase == 0
 
 
 class TestTrainMemory:
