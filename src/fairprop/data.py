@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import os
 import re
 from array import array
@@ -136,6 +137,19 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
     return Dataset(graph=graph, features=features, sensitive=sensitive, labels=labels, name=name)
 
 
+def file_sha256(path) -> str:
+    """Hex sha256 of a file's bytes; a missing file raises one ValueError line."""
+    try:
+        f = open(path, "rb")
+    except FileNotFoundError:
+        raise ValueError(f"dataset file not found: {path!r}") from None
+    digest = hashlib.sha256()
+    with f:
+        for block in iter(lambda: f.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def parse_labels(cells, column: str) -> Array:
     """Integer classes from label cells, the node CSV's rule.
 
@@ -200,6 +214,12 @@ def make_splits(dataset: Dataset, fractions=(0.5, 0.25, 0.25), seed: int = 0) ->
     return SplitMasks(train=masks[0], val=masks[1], test=masks[2], seed=seed)
 
 
+# Version of synth_generate's draw, part of a synthetic run's fingerprint: a
+# change that alters any generated graph must bump it, so that a resumed
+# sweep does not keep rows trained on the old graph.
+SYNTH_GENERATOR = 2
+
+
 @dataclass
 class SynthConfig:
     n: int = 1000
@@ -223,48 +243,63 @@ class SynthConfig:
 def synth_generate(cfg: SynthConfig, max_attempts: int = 20) -> Dataset:
     """Two-group synthetic graph with tunable sensitive and label homophily.
 
-    Edges pick endpoint pairs constrained to the same/different sensitive
-    group per ``eps_sens`` (exactly: eps_sens of 1 or 0 forbids the other
-    kind), steered toward ``eps_label`` via the same-label decision. The
-    whole draw is retried until the measured label homophily lands within
-    0.05 of the target.
+    Each of the ``m = round(mean_degree * n / 2)`` edges draws two decisions
+    once: whether its endpoints share a sensitive group (probability
+    ``eps_sens``) and whether they share a label (``eps_label``). The edges
+    are then drawn in batches: each round draws a first endpoint ``i`` for
+    every pending edge and a second endpoint ``j`` from the (group, label)
+    cell its decisions pick relative to ``i``; an empty cell is replaced by
+    its whole group, so the group constraint stays exact (eps_sens of 1 or
+    0 forbids the other kind). An edge is accepted when ``i != j`` and its
+    pair is new, the first of a round's repeats winning; a rejected edge
+    keeps its decisions and is drawn again, for at most 100 rounds, after
+    which it is dropped. The whole draw, labels included, is retried until
+    the measured label homophily lands within 0.05 of the target.
+    ``SYNTH_GENERATOR`` names this draw order.
     """
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n
     n_pos = max(1, min(n - 1, int(round(cfg.group_frac * n))))
     sensitive = np.full(n, -1, dtype=np.int64)
     sensitive[:n_pos] = 1
+    indicator = (sensitive == 1).astype(np.int64)
+    m = int(round(cfg.mean_degree * n / 2.0))
 
     for _ in range(max_attempts):
-        indicator = (sensitive == 1).astype(np.int64)
         flip = rng.random(n) >= cfg.label_group_corr
         labels = np.where(flip, 1 - indicator, indicator)
+        same_group = rng.random(m) < cfg.eps_sens
+        same_label = rng.random(m) < cfg.eps_label
 
-        cells = {
-            (grp, lab): np.flatnonzero((sensitive == grp) & (labels == lab))
-            for grp in (1, -1)
-            for lab in (0, 1)
-        }
-        by_group = {grp: np.flatnonzero(sensitive == grp) for grp in (1, -1)}
+        # one pool per cell c = 2 * (group == -1) + label, concatenated
+        pools = []
+        for grp in (1, -1):
+            for lab in (0, 1):
+                cell = np.flatnonzero((sensitive == grp) & (labels == lab))
+                pools.append(cell if cell.size else np.flatnonzero(sensitive == grp))
+        size = np.array([pool.size for pool in pools])
+        start = np.cumsum(size) - size
+        pool = np.concatenate(pools)
 
-        m_target = int(round(cfg.mean_degree * n / 2.0))
-        edges = set()
-        for _ in range(m_target):
-            same_group = rng.random() < cfg.eps_sens
-            same_label = rng.random() < cfg.eps_label
-            for _attempt in range(100):
-                i = int(rng.integers(n))
-                gj = sensitive[i] if same_group else -sensitive[i]
-                lj = labels[i] if same_label else 1 - labels[i]
-                pool = cells[(gj, lj)]
-                if pool.size == 0:
-                    pool = by_group[gj]  # keep the group constraint exact
-                j = int(pool[rng.integers(pool.size)])
-                if i != j and (min(i, j), max(i, j)) not in edges:
-                    edges.add((min(i, j), max(i, j)))
-                    break
+        keys = np.array([n * n])  # accepted pairs as min * n + max, sorted, and a sentinel
+        pending = np.arange(m)
+        for _round in range(100):
+            if pending.size == 0:
+                break
+            i = rng.integers(n, size=pending.size)
+            j_negative = (sensitive[i] == 1) != same_group[pending]
+            j_label = np.where(same_label[pending], labels[i], 1 - labels[i])
+            c = 2 * j_negative + j_label
+            j = pool[start[c] + rng.integers(0, size[c])]
+            key = np.minimum(i, j) * n + np.maximum(i, j)
+            accept = np.zeros(pending.size, dtype=bool)
+            accept[np.unique(key, return_index=True)[1]] = True  # first of each key
+            accept &= (i != j) & (keys[np.searchsorted(keys, key)] != key)
+            new = np.sort(key[accept])
+            keys = np.insert(keys, np.searchsorted(keys, new), new)
+            pending = pending[~accept]
 
-        graph = build_graph(n, list(edges))
+        graph = build_graph(n, np.column_stack(np.divmod(keys[:-1], n)))
         if abs(edge_homophily(graph, labels) - cfg.eps_label) <= 0.05:
             break
     else:

@@ -14,9 +14,11 @@ import numpy as np
 from . import autodiff as ad
 from . import debias
 from .data import (
+    SYNTH_GENERATOR,
     Dataset,
     SplitMasks,
     SynthConfig,
+    file_sha256,
     load_dataset,
     make_splits,
     read_results,
@@ -78,9 +80,19 @@ class RunConfig:
         return cfg
 
     def semantic_dict(self) -> dict:
-        """Fields that affect results: all but the output location and seeds."""
+        """Fields that affect results: all but the output location and seeds.
+
+        A synthetic dataset adds the generator's version, and a file dataset
+        the sha256 of its node CSV and edge list, so a changed graph changes
+        the fingerprint.
+        """
         doc = asdict(self)
         del doc["seeds"], doc["out_dir"]
+        source = doc["dataset"]
+        if "synth" in source:
+            source["synth_generator"] = SYNTH_GENERATOR
+        elif source:
+            source["sha256"] = [file_sha256(source[key]) for key in ("node_csv", "edges")]
         return doc
 
     def fingerprint(self) -> str:

@@ -83,8 +83,8 @@ class TestSynth:
             for name in ("nodes.csv", "edges.txt")
         }
         assert digests == {
-            "nodes.csv": "d009de5b26061ddbd26be12b3c948c7f02e89b34e8b61c87973ec89d07cc96a5",
-            "edges.txt": "36812ef65363cf009bf51334587f266c08f8402769e351d91af2bfae1b5aac36",
+            "nodes.csv": "ef78b08f1df18c3a40405bdd2a9bbc0e443f9e297a312c512618c0d4c981a53e",
+            "edges.txt": "bc9a9b1afb9a16ae4169590a6fe5e8a746e1ce290d08830add5c96563b6afbef",
         }
 
 class TestTrainEvalPipeline:

@@ -330,6 +330,36 @@ class TestSynthGenerate:
         with pytest.raises(RuntimeError, match="label homophily"):
             synth_generate(cfg, max_attempts=3)
 
+    def test_draws_every_edge_when_pairs_suffice(self):
+        for n, degree in ((300, 10.0), (400, 40.0)):
+            ds = synth_generate(SynthConfig(n=n, mean_degree=degree, seed=3))
+            edges = ds.graph.edges
+            assert edges.shape == (round(degree * n / 2), 2)
+            assert np.all(edges[:, 0] != edges[:, 1])
+            assert len(set(map(tuple, edges.tolist()))) == edges.shape[0]
+
+    def test_retried_edges_keep_their_decisions(self):
+        # redrawing an edge's group decision on each retry biases the
+        # homophily toward the pairs that collide less (about 0.786 here)
+        homophily = [
+            edge_homophily(ds.graph, (ds.sensitive == 1).astype(int))
+            for ds in (
+                synth_generate(SynthConfig(n=400, mean_degree=40.0, eps_sens=0.8, seed=seed))
+                for seed in range(8)
+            )
+        ]
+        assert abs(np.mean(homophily) - 0.8) <= 0.005
+
+    def test_too_dense_a_graph_ends(self):
+        # 5 nodes have 10 pairs, fewer than the 25 edges asked for
+        for seed in range(4):
+            try:
+                ds = synth_generate(SynthConfig(n=5, mean_degree=10.0, seed=seed))
+            except RuntimeError as exc:
+                assert "label homophily" in str(exc)
+            else:
+                assert ds.graph.num_edges <= 10
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SynthConfig(n=2)

@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -40,6 +41,28 @@ def small_dataset():
     return synth_generate(SynthConfig(n=50, mean_degree=4.0, feat_dim=6, seed=0))
 
 
+def file_dataset(dataset, directory):
+    """Write ``dataset`` as a node CSV and an edge list; return the config's dataset entry."""
+    nodes, edges = directory / "nodes.csv", directory / "edges.txt"
+    d = dataset.features.shape[1]
+    rows = zip(dataset.sensitive.tolist(), dataset.labels.tolist(), dataset.features.tolist())
+    lines = [",".join(["id", "sensitive", "label"] + [f"f{k}" for k in range(d)])]
+    lines += [",".join(map(repr, (i, s, y, *x))) for i, (s, y, x) in enumerate(rows)]
+    nodes.write_text("\n".join(lines) + "\n")
+    edges.write_text("".join(f"{i} {j}\n" for i, j in dataset.graph.edges.tolist()))
+    schema = {"id": "id", "sensitive": "sensitive", "sensitive_pos_value": "1", "label": "label"}
+    return {"node_csv": str(nodes), "edges": str(edges), "schema": schema}
+
+
+def edit_first_feature(node_csv, value):
+    """Set the first feature cell of the first node row to ``value``."""
+    path = pathlib.Path(node_csv)
+    header, first, *rest = path.read_text().splitlines()
+    cells = first.split(",")
+    cells[3] = value
+    path.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+
+
 class TestRunConfig:
     def test_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown config fields"):
@@ -67,6 +90,21 @@ class TestRunConfig:
     def test_default_fingerprint_is_pinned(self):
         # resume keys of existing result files depend on this exact value
         assert RunConfig().fingerprint() == "eaf878215c30936f"
+
+    def test_fingerprint_hashes_dataset_file_contents(self, small_dataset, tmp_path):
+        cfg = small_cfg(dataset=file_dataset(small_dataset, tmp_path))
+        before = cfg.fingerprint()
+        edit_first_feature(cfg.dataset["node_csv"], "7.5")
+        after_nodes = cfg.fingerprint()
+        with open(cfg.dataset["edges"], "a") as f:
+            f.write("0 1\n")
+        assert len({before, after_nodes, cfg.fingerprint()}) == 3
+
+    def test_fingerprint_of_a_missing_dataset_file_is_one_error(self, small_dataset, tmp_path):
+        dataset = file_dataset(small_dataset, tmp_path)
+        dataset["edges"] = str(tmp_path / "missing.txt")
+        with pytest.raises(ValueError, match="dataset file not found: .*missing.txt"):
+            small_cfg(dataset=dataset).fingerprint()
 
 
 class TestTrainOne:
@@ -312,6 +350,24 @@ class TestRunAndSweep:
         again, _ = sweep(cfg, [0.5, 1.0], [0.0, 5.0])
         assert again == []
         assert len(read_results(path)) == 4
+
+    def test_resume_retrains_after_a_data_file_is_edited(self, small_dataset, tmp_path):
+        dataset = file_dataset(small_dataset, tmp_path)
+        cfg = small_cfg(dataset=dataset, epochs=1, seeds=[0], out_dir=str(tmp_path / "out"))
+        _, path = sweep(cfg, [1.0], [5.0])
+        edit_first_feature(dataset["node_csv"], "7.5")
+        again, _ = sweep(cfg, [1.0], [5.0])
+        assert [(r.lambda_f, r.seed) for r in again] == [(5.0, 0)]
+        assert len(read_results(path)) == 2
+
+    def test_resume_retrains_rows_of_another_synth_generator(self, tmp_path, monkeypatch):
+        # rows written under an older generator came from another graph
+        cfg = small_cfg(epochs=1, seeds=[0], out_dir=str(tmp_path / "out"))
+        monkeypatch.setattr(train, "SYNTH_GENERATOR", train.SYNTH_GENERATOR - 1)
+        sweep(cfg, [1.0], [5.0])
+        monkeypatch.undo()
+        again, _ = sweep(cfg, [1.0], [5.0])
+        assert [(r.lambda_f, r.seed) for r in again] == [(5.0, 0)]
 
     def test_resume_after_torn_row(self, tmp_path):
         # an interrupted append leaves the last row without its line ending
