@@ -5,14 +5,17 @@ Define-by-run: every primitive appends one record to the active Tape, and
 64-bit. It frees each record and its output's gradient once they are used,
 so it returns the gradients of the leaves only, keyed by node id: a tape is
 replayed once. The primitives are the ones training records: ``dense`` (one
-record for ``relu(x @ W + b)``), ``matmul``, ``spmm_const``, ``add``
-(same-shape), ``scale``, ``relu`` and ``cross_entropy_with_logits``.
+record for ``relu(x @ W + b)``, the bias optionally scaled per row),
+``matmul``, ``spmm_const``, ``add`` (same-shape), ``scale``, ``relu`` and
+``cross_entropy_with_logits`` (over the masked rows only).
 ``matmul`` and ``dense`` compute no gradient for an operand that requires
 none. Other modules add fused records of their own through ``Tape._result``
 (the whole debiasing stack, ``fairprop.debias.stack``).
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,19 +120,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return a.tape._result(a.data @ b.data, (a, b), backward)
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
+def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool, row_scale: Array | None = None) -> Tensor:
     """One record for ``x @ w + b``, with a ReLU after it when ``relu`` is set.
 
     ``b`` is a 1 x d row bias. The bias add and the ReLU mask are applied in
     place, so the record keeps one n x d output; the values, signed zeros
-    included, equal those of ``matmul`` then ``add`` then ``relu``.
+    included, equal those of ``matmul`` then ``add`` then ``relu``. A
+    constant ``row_scale`` of shape (n,) scales the bias of row i by
+    ``row_scale[i]``: ``x @ w + row_scale b``, so that ``A (x w + 1 b)`` is
+    ``(A x) w + (A 1) b`` with ``A x`` computed once.
     """
     _check(x, w)
     _check(x, b)
     if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
         raise ValueError(f"dense shape mismatch {x.shape} @ {w.shape} + {b.shape}")
+    if row_scale is not None and row_scale.shape != (x.shape[0],):
+        raise ValueError(f"dense row scale of shape {row_scale.shape} for {x.shape[0]} rows")
     h = x.data @ w.data
-    h += b.data
+    h += b.data if row_scale is None else row_scale[:, None] * b.data
     mask = None
     if relu:
         mask = h > 0.0
@@ -138,7 +146,8 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
     def backward(g):
         if mask is not None:
             g = g * mask
-        grads = [(w, x.data.T @ g), (b, g.sum(axis=0, keepdims=True))]
+        db = g.sum(axis=0, keepdims=True) if row_scale is None else (row_scale @ g)[None, :]
+        grads = [(w, x.data.T @ g), (b, db)]
         if x.requires_grad:
             grads.append((x, g @ w.data.T))
         return grads
@@ -189,29 +198,51 @@ def relu(a: Tensor) -> Tensor:
     return a.tape._result(a.data * mask, (a,), backward)
 
 
-def cross_entropy_with_logits(logits: Tensor, labels, mask) -> Tensor:
-    """Mean negative log softmax over masked nodes, row-max stabilized."""
-    labels = np.asarray(labels)
-    mask = np.asarray(mask, dtype=bool)
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        raise ValueError("cross entropy over an empty mask")
-    d = logits.shape[1]
-    lab = labels[idx]
-    if lab.min() < 0 or lab.max() >= d:
-        raise ValueError("labels out of range on masked nodes")
+class RowLabels(NamedTuple):
+    """The rows a masked cross entropy averages over, ascending, and their labels.
 
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    log_probs = z - logsumexp
-    loss = -log_probs[idx, lab].mean()
-    probs = np.exp(log_probs)
+    ``RowLabels.of`` computes and checks them once, for a loop that scores the
+    same rows at every step.
+    """
+
+    rows: Array
+    labels: Array
+
+    @classmethod
+    def of(cls, labels, mask, num_classes: int) -> "RowLabels":
+        """The masked rows of ``labels``; an empty mask or a label outside
+        ``range(num_classes)`` on a masked row raises one ValueError line."""
+        rows = np.flatnonzero(np.asarray(mask, dtype=bool))
+        if rows.size == 0:
+            raise ValueError("cross entropy over an empty mask")
+        lab = np.asarray(labels)[rows]
+        if lab.min() < 0 or lab.max() >= num_classes:
+            raise ValueError("labels out of range on masked nodes")
+        return cls(rows, lab)
+
+
+def cross_entropy_with_logits(logits: Tensor, labels, mask=None) -> Tensor:
+    """Mean negative log softmax over masked rows, row-max stabilized.
+
+    ``labels`` has one label per row and ``mask`` is a boolean row mask; or
+    ``labels`` is a ``RowLabels`` and ``mask`` is left out. Only the masked
+    rows enter the softmax, and the gradient is zero on every other row.
+    """
+    if not isinstance(labels, RowLabels):
+        labels = RowLabels.of(labels, mask, logits.shape[1])
+    idx, lab = labels
+
+    z = logits.data[idx]
+    z -= z.max(axis=1, keepdims=True)
+    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))  # log softmax
+    loss = -z[np.arange(idx.size), lab].mean()
 
     def backward(g):
+        dz = np.exp(z)
+        dz[np.arange(idx.size), lab] -= 1.0
+        dz *= g[0, 0] / idx.size
         grad = np.zeros_like(logits.data)
-        grad[idx] = probs[idx]
-        grad[idx, lab] -= 1.0
-        grad[idx] *= g[0, 0] / idx.size
+        grad[idx] = dz
         return [(logits, grad)]
 
     return logits.tape._result(np.array([[loss]]), (logits,), backward)

@@ -14,7 +14,19 @@ from .data import MISSING_LABEL, SynthConfig, make_splits, parse_labels, synth_g
 from .metrics import accuracy as accuracy_metric
 from .metrics import demographic_parity, equal_opportunity
 from .nn import load_checkpoint
-from .train import RunConfig, evaluate, load_run_dataset, run, summarize, sweep
+from .train import (
+    RunConfig,
+    evaluate,
+    hashing_files_once,
+    load_run_dataset,
+    run,
+    summarize,
+    sweep,
+)
+
+# Rows of text built before each write: the text of a whole file would peak
+# above the generator itself.
+WRITE_BLOCK_ROWS = 4096
 
 
 def _load_config(path) -> RunConfig:
@@ -77,10 +89,11 @@ def eval_cmd(checkpoint, config_path, seed, mask):
     fingerprint differs, the scheme included, is refused.
     """
     cfg = _load_config(config_path)
-    mlp = load_checkpoint(checkpoint, cfg)
-    dataset = load_run_dataset(cfg)
-    masks = make_splits(dataset, cfg.split_fractions, seed)
-    report = evaluate(cfg, mlp, dataset, masks, seed=seed, mask_name=mask)
+    with hashing_files_once():
+        mlp = load_checkpoint(checkpoint, cfg)
+        dataset = load_run_dataset(cfg)
+        masks = make_splits(dataset, cfg.split_fractions, seed)
+        report = evaluate(cfg, mlp, dataset, masks, seed=seed, mask_name=mask)
     click.echo(
         f"acc={report.accuracy:.4f} dp={report.dp:.4f} eo={report.eo:.4f} "
         f"fairness_obj={report.fairness_obj:.6f} n_eval={report.n_eval}"
@@ -100,12 +113,21 @@ def synth_cmd(config_path, out_dir):
     node_path = os.path.join(out_dir, "nodes.csv")
     edge_path = os.path.join(out_dir, "edges.txt")
     d = dataset.features.shape[1]
-    rows = zip(dataset.sensitive.tolist(), dataset.labels.tolist(), dataset.features.tolist())
+    n, edges = dataset.graph.n, dataset.graph.edges
     with open(node_path, "w", newline="") as f:  # the bytes csv.writer writes: no cell needs quotes
         f.write(",".join(["id", "sensitive", "label"] + [f"f{k}" for k in range(d)]) + "\r\n")
-        f.write("".join(",".join(map(repr, (i, s, y, *x))) + "\r\n" for i, (s, y, x) in enumerate(rows)))
+        for lo in range(0, n, WRITE_BLOCK_ROWS):
+            block = slice(lo, lo + WRITE_BLOCK_ROWS)
+            rows = zip(
+                dataset.sensitive[block].tolist(),
+                dataset.labels[block].tolist(),
+                dataset.features[block].tolist(),
+            )
+            lines = (",".join(map(repr, (i, s, y, *x))) + "\r\n" for i, (s, y, x) in enumerate(rows, lo))
+            f.write("".join(lines))
     with open(edge_path, "w", newline="") as f:
-        f.write("".join(f"{i} {j}\n" for i, j in dataset.graph.edges.tolist()))
+        for lo in range(0, len(edges), WRITE_BLOCK_ROWS):
+            f.write("".join(f"{i} {j}\n" for i, j in edges[lo : lo + WRITE_BLOCK_ROWS].tolist()))
     click.echo(
         f"n={dataset.graph.n} m={dataset.graph.num_edges} "
         f"nodes={node_path} edges={edge_path}"

@@ -58,19 +58,26 @@ def predict_labels(logits: Array) -> Array:
     return np.argmax(logits, axis=1)
 
 
-def accuracy(y_hat, y, mask) -> float:
-    """Correct fraction over masked nodes."""
-    y_hat, y, mask = np.asarray(y_hat), np.asarray(y), np.asarray(mask, dtype=bool)
-    if not mask.any():
+def accuracy(y_hat, y, mask=None) -> float:
+    """Correct fraction over masked nodes, or over all nodes without a mask."""
+    y_hat, y = np.asarray(y_hat), np.asarray(y)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        y_hat, y = y_hat[mask], y[mask]
+    if y.size == 0:
         raise ValueError("accuracy over an empty mask")
-    return float(np.mean(y_hat[mask] == y[mask]))
+    return float(np.mean(y_hat == y))
 
 
-def demographic_parity(y_hat, s, mask) -> float:
-    """Absolute positive-prediction rate gap between sensitive groups."""
-    y_hat, s, mask = np.asarray(y_hat), np.asarray(s), np.asarray(mask, dtype=bool)
-    pos = mask & (s == 1)
-    neg = mask & (s == -1)
+def demographic_parity(y_hat, s, mask=None) -> float:
+    """Absolute positive-prediction rate gap between sensitive groups,
+    over masked nodes, or over all nodes without a mask."""
+    y_hat, s = np.asarray(y_hat), np.asarray(s)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        y_hat, s = y_hat[mask], s[mask]
+    pos = s == 1
+    neg = s == -1
     if not pos.any() or not neg.any():
         raise ValueError("demographic parity undefined: a group is empty")
     return float(abs(np.mean(y_hat[neg] == 1) - np.mean(y_hat[pos] == 1)))

@@ -104,33 +104,46 @@ class AdamState:
     eps: float = 1e-8
     weight_decay: float = 0.0
     t: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: Array | None = None  # first moments of all parameters, one flat vector
+    v: Array | None = None  # second moments, likewise
 
 
 def adam_step(params, grads, state: AdamState):
     """One bias-corrected Adam update; weight decay coupled into the gradient.
 
-    Mutates ``state`` and returns the updated parameter list.
+    The parameters are updated as one flat vector, in the elementwise order
+    of a per-array update, so the results equal it bit for bit. Mutates
+    ``state`` and returns the updated parameters, views of one new vector.
     """
     if len(params) != len(grads):
         raise ValueError("params and grads length mismatch")
-    if not state.m:
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
-    for p, g, m in zip(params, grads, state.m):
-        if p.shape != g.shape or p.shape != m.shape:
-            raise ValueError("parameter/gradient shape mismatch")
+    if any(p.shape != g.shape for p, g in zip(params, grads)):
+        raise ValueError("parameter/gradient shape mismatch")
+    p = np.concatenate([q.ravel() for q in params])
+    g = np.concatenate([q.ravel() for q in grads])
+    if state.m is None:
+        state.m = np.zeros_like(p)
+        state.v = np.zeros_like(p)
+    elif state.m.shape != p.shape:
+        raise ValueError("parameter/gradient shape mismatch")
     state.t += 1
     t = state.t
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        g = g + state.weight_decay * p
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[i] / (1.0 - state.beta1**t)
-        v_hat = state.v[i] / (1.0 - state.beta2**t)
-        out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+    g += state.weight_decay * p
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * g
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * g * g
+    step = state.m / (1.0 - state.beta1**t)
+    step *= state.lr
+    denom = state.v / (1.0 - state.beta2**t)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step /= denom
+    p -= step
+    out, start = [], 0
+    for q in params:
+        out.append(p[start : start + q.size].reshape(q.shape))
+        start += q.size
     return out
 
 

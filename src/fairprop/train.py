@@ -7,6 +7,8 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -92,7 +94,7 @@ class RunConfig:
         if "synth" in source:
             source["synth_generator"] = SYNTH_GENERATOR
         elif source:
-            source["sha256"] = [file_sha256(source[key]) for key in ("node_csv", "edges")]
+            source["sha256"] = [_file_digest(source[key]) for key in ("node_csv", "edges")]
         return doc
 
     def fingerprint(self) -> str:
@@ -105,6 +107,37 @@ class RunConfig:
             lambda_fair=self.lambda_f,
             num_layers=self.num_layers,
         )
+
+
+# path -> sha256 of each dataset file hashed inside an open ``hashing_files_once``
+_file_digests: ContextVar[dict | None] = ContextVar("file_digests", default=None)
+
+
+@contextmanager
+def hashing_files_once():
+    """Within the block, each dataset file is hashed at most once.
+
+    A command fingerprints its configs many times (each run's report and
+    checkpoint, each grid point), and its data files do not change under
+    it. Nothing is kept after the block, so the next command hashes the
+    files again and sees an edit. A nested block shares the outer one's
+    digests.
+    """
+    token = _file_digests.set({}) if _file_digests.get() is None else None
+    try:
+        yield
+    finally:
+        if token is not None:
+            _file_digests.reset(token)
+
+
+def _file_digest(path) -> str:
+    digests = _file_digests.get()
+    if digests is None:
+        return file_sha256(path)
+    if path not in digests:
+        digests[path] = file_sha256(path)
+    return digests[path]
 
 
 @dataclass
@@ -124,23 +157,29 @@ def load_run_dataset(cfg: RunConfig) -> Dataset:
     )
 
 
-def ppnp_kernel(cfg: RunConfig, dataset: Dataset):
-    """The dense teleport kernel of a ``ppnp_exact`` run, else None.
+def scheme_constant(cfg: RunConfig, dataset: Dataset) -> Array | None:
+    """What a scheme's forward pass reads besides the features, else None.
 
-    The kernel is constant for a run; ``train_one`` and ``evaluate`` solve for
-    it once and pass it to every ``forward_logits`` call.
+    It is constant for a run: the dense teleport kernel of ``ppnp_exact``
+    (one solve), or the row sums ``A 1`` that scale the first-layer bias of
+    ``gcn``. ``train_one`` and ``evaluate`` compute it once and pass it to
+    every ``forward_logits`` call.
     """
-    if cfg.scheme != "ppnp_exact":
-        return None
-    return ppnp_exact(dataset.graph, np.eye(dataset.graph.n), cfg.alpha)
+    if cfg.scheme == "ppnp_exact":
+        return ppnp_exact(dataset.graph, np.eye(dataset.graph.n), cfg.alpha)
+    if cfg.scheme == "gcn":
+        return dataset.graph.adjacency @ np.ones(dataset.graph.n)
+    return None
 
 
-def _mlp(cfg, mlp, tape, x, g, delta, kernel):
+def _mlp(cfg, mlp, tape, x, g, delta, constant):
     return mlp_forward(mlp, tape, x)
 
 
-def _gcn(cfg, mlp, tape, x, g, delta, kernel):
+def _gcn(cfg, mlp, tape, x, g, delta, constant):
     # transform + aggregate in every layer, ReLU between layers
+    if constant is None:
+        raise ValueError("gcn needs the row sums from scheme_constant(cfg, dataset)")
     params = []
     h = x
     last = len(mlp.weights) - 1
@@ -148,13 +187,16 @@ def _gcn(cfg, mlp, tape, x, g, delta, kernel):
         wt = tape.leaf(w, requires_grad=True)
         bt = tape.leaf(b.reshape(1, -1), requires_grad=True)
         params += [wt, bt]
-        h = ad.spmm_const(g, ad.dense(h, wt, bt, relu=False))
-        if i != last:
-            h = ad.relu(h)
+        if i == 0:  # A (X W + 1 b) = (A X) W + (A 1) b: x holds A X, constant is A 1
+            h = ad.dense(h, wt, bt, relu=last != 0, row_scale=constant)
+        else:
+            h = ad.spmm_const(g, ad.dense(h, wt, bt, relu=False))
+            if i != last:
+                h = ad.relu(h)
     return h, params
 
 
-def _appnp(cfg, mlp, tape, x, g, delta, kernel):
+def _appnp(cfg, mlp, tape, x, g, delta, constant):
     x_trans, params = mlp_forward(mlp, tape, x)
     f = x_trans
     for _ in range(cfg.prop_k):
@@ -162,23 +204,24 @@ def _appnp(cfg, mlp, tape, x, g, delta, kernel):
     return f, params
 
 
-def _ppnp_exact(cfg, mlp, tape, x, g, delta, kernel):
-    if kernel is None:
-        raise ValueError("ppnp_exact needs the kernel from ppnp_kernel(cfg, dataset)")
+def _ppnp_exact(cfg, mlp, tape, x, g, delta, constant):
+    if constant is None:
+        raise ValueError("ppnp_exact needs the kernel from scheme_constant(cfg, dataset)")
     x_trans, params = mlp_forward(mlp, tape, x)
-    return ad.matmul(tape.leaf(kernel), x_trans), params
+    return ad.matmul(tape.leaf(constant), x_trans), params
 
 
-def _fair(cfg, mlp, tape, x, g, delta, kernel):
+def _fair(cfg, mlp, tape, x, g, delta, constant):
     return debias.forward(mlp, tape, x, g, delta, cfg.debias_params())
 
 
-def _ml1(cfg, mlp, tape, x, g, delta, kernel):
+def _ml1(cfg, mlp, tape, x, g, delta, constant):
     return debias.ml1_forward(mlp, tape, x, g, delta, cfg.debias_params())
 
 
 # Scheme -> forward pass on the tape. ``sgc`` is the MLP on features that
-# ``_prepare_features`` has already propagated ``prop_k`` times. The entries
+# ``_prepare_features`` has already propagated ``prop_k`` times (once for
+# ``gcn``, whose first layer reads them). The entries
 # look their callees up by name when called, so a rebound module attribute
 # (a profiler's wrapper, say) is the one that runs.
 _FORWARDS = {
@@ -200,18 +243,19 @@ def forward_logits(
     x: ad.Tensor,
     dataset: Dataset,
     delta: IncidentVector,
-    kernel: Array | None = None,
+    constant: Array | None = None,
 ):
     """Dispatch the scheme-specific forward pass on the tape.
 
-    ``x`` holds ``_prepare_features(cfg, dataset, masks)``. ``kernel`` is
-    ``ppnp_kernel(cfg, dataset)``, required by ``ppnp_exact``.
+    ``x`` holds ``_prepare_features(cfg, dataset, masks)``. ``constant`` is
+    ``scheme_constant(cfg, dataset)``, required by ``ppnp_exact`` and ``gcn``.
     """
-    return _FORWARDS[cfg.scheme](cfg, mlp, tape, x, dataset.graph, delta, kernel)
+    return _FORWARDS[cfg.scheme](cfg, mlp, tape, x, dataset.graph, delta, constant)
 
 
 def _prepare_features(cfg: RunConfig, dataset: Dataset, masks: SplitMasks) -> Array:
-    """Model input: standardized features, propagated ``prop_k`` times for ``sgc``.
+    """Model input: standardized features, propagated ``prop_k`` times for
+    ``sgc`` and once for ``gcn``.
 
     The propagation is constant for a run, so it runs once per ``train_one``
     and ``evaluate``, off the tape.
@@ -219,9 +263,9 @@ def _prepare_features(cfg: RunConfig, dataset: Dataset, masks: SplitMasks) -> Ar
     features = dataset.features
     if cfg.standardize:
         features = standardize_features(features, masks.train)
-    if cfg.scheme == "sgc":
-        for _ in range(cfg.prop_k):
-            features = dataset.graph.adjacency @ features
+    steps = {"sgc": cfg.prop_k, "gcn": 1}.get(cfg.scheme, 0)
+    for _ in range(steps):
+        features = dataset.graph.adjacency @ features
     return features
 
 
@@ -230,16 +274,24 @@ def _num_classes(dataset: Dataset) -> int:
 
 
 def train_one(cfg: RunConfig, dataset: Dataset, masks: SplitMasks, seed: int):
-    """Train a single seed; returns (best model, MetricsReport, TrainTrace)."""
+    """Train a single seed; returns (best model, MetricsReport, TrainTrace).
+
+    Everything constant for the run is computed once: the model input, the
+    scheme constant, the train rows the loss averages over and the
+    validation rows selection scores. The test report comes from the logits
+    of the selected epoch, which scored the selected weights.
+    """
     start = time.perf_counter()
     delta = incident_vector(dataset.sensitive)
     features = _prepare_features(cfg, dataset, masks)
-    mlp_cfg = MlpConfig(
-        in_dim=features.shape[1], hidden=list(cfg.hidden), out_dim=_num_classes(dataset)
-    )
+    num_classes = _num_classes(dataset)
+    mlp_cfg = MlpConfig(in_dim=features.shape[1], hidden=list(cfg.hidden), out_dim=num_classes)
     mlp = init_weights(mlp_cfg, seed)
     state = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
-    kernel = ppnp_kernel(cfg, dataset)
+    constant = scheme_constant(cfg, dataset)
+    train_rows = ad.RowLabels.of(dataset.labels, masks.train, num_classes)
+    val = np.flatnonzero(masks.val)
+    val_labels, val_groups = dataset.labels[val], dataset.sensitive[val]
 
     trace = TrainTrace()
     best_val = -1.0
@@ -247,24 +299,26 @@ def train_one(cfg: RunConfig, dataset: Dataset, masks: SplitMasks, seed: int):
     for epoch in range(cfg.epochs):
         tape = ad.Tape()
         x = tape.leaf(features)
-        logits, param_tensors = forward_logits(cfg, mlp, tape, x, dataset, delta, kernel)
-        loss = ad.cross_entropy_with_logits(logits, dataset.labels, masks.train)
+        logits, param_tensors = forward_logits(cfg, mlp, tape, x, dataset, delta, constant)
+        loss = ad.cross_entropy_with_logits(logits, train_rows)
         loss_val = float(loss.data[0, 0])
         if not np.isfinite(loss_val):
             raise RuntimeError(
                 f"training diverged: non-finite loss at epoch {epoch} (seed {seed})"
             )
         # the logits score the weights before this epoch's update, so a
-        # selected model is snapshot before it
-        y_hat = predict_labels(logits.data)
-        val_acc = accuracy(y_hat, dataset.labels, masks.val)
-        val_dp = demographic_parity(y_hat, dataset.sensitive, masks.val)
+        # selected model is snapshot before it; only the array is kept, as a
+        # tensor would keep its tape alive
+        y_hat = predict_labels(logits.data[val])
+        val_acc = accuracy(y_hat, val_labels)
+        val_dp = demographic_parity(y_hat, val_groups)
         trace.train_loss.append(loss_val)
         trace.val_accuracy.append(val_acc)
         trace.val_dp.append(val_dp)
         if cfg.selection == "last" or val_acc > best_val:
             best_val = val_acc
             best = mlp.copy()
+            best_logits = logits.data
             trace.best_epoch = epoch
 
         grad_map = tape.backward(loss)
@@ -275,7 +329,7 @@ def train_one(cfg: RunConfig, dataset: Dataset, masks: SplitMasks, seed: int):
         ]
         mlp.set_parameters(adam_step(params, grads, state))
 
-    report = evaluate(cfg, best, dataset, masks, seed=seed, mask_name="test")
+    report = _report(cfg, best_logits, dataset, masks.test, delta, seed)
     report.wall_time_ms = (time.perf_counter() - start) * 1000.0
     return best, report, trace
 
@@ -293,11 +347,15 @@ def evaluate(
     features = _prepare_features(cfg, dataset, masks)
     tape = ad.Tape()
     x = tape.leaf(features)
-    logits, _ = forward_logits(cfg, mlp, tape, x, dataset, delta, ppnp_kernel(cfg, dataset))
+    logits, _ = forward_logits(cfg, mlp, tape, x, dataset, delta, scheme_constant(cfg, dataset))
     tape.release()  # forward only: nothing replays it
-    mask = getattr(masks, mask_name)
-    y_hat = predict_labels(logits.data)
-    fair_obj, _ = debias.fairness_objective(logits.data, delta, 1.0)
+    return _report(cfg, logits.data, dataset, getattr(masks, mask_name), delta, seed)
+
+
+def _report(cfg, logits: Array, dataset: Dataset, mask, delta, seed) -> MetricsReport:
+    """Metrics of one model's logits on ``mask``; the soft parity gap is over every node."""
+    y_hat = predict_labels(logits)
+    fair_obj, _ = debias.fairness_objective(logits, delta, 1.0)
     return MetricsReport(
         accuracy=accuracy(y_hat, dataset.labels, mask),
         dp=demographic_parity(y_hat, dataset.sensitive, mask),
@@ -314,24 +372,25 @@ def evaluate(
 
 def run(cfg: RunConfig, dataset: Dataset | None = None, save: bool = True):
     """Train every configured seed; returns (reports, checkpoints, traces)."""
-    if dataset is None:
-        dataset = load_run_dataset(cfg)
-    reports, models, traces = [], [], []
-    for seed in cfg.seeds:
-        masks = make_splits(dataset, cfg.split_fractions, seed)
-        model, report, trace = train_one(cfg, dataset, masks, seed)
-        reports.append(report)
-        models.append(model)
-        traces.append(trace)
-    if save:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        from .nn import save_checkpoint
+    with hashing_files_once():
+        if dataset is None:
+            dataset = load_run_dataset(cfg)
+        reports, models, traces = [], [], []
+        for seed in cfg.seeds:
+            masks = make_splits(dataset, cfg.split_fractions, seed)
+            model, report, trace = train_one(cfg, dataset, masks, seed)
+            reports.append(report)
+            models.append(model)
+            traces.append(trace)
+        if save:
+            os.makedirs(cfg.out_dir, exist_ok=True)
+            from .nn import save_checkpoint
 
-        for seed, model in zip(cfg.seeds, models):
-            save_checkpoint(
-                os.path.join(cfg.out_dir, f"{cfg.fingerprint()}-seed{seed}.json"), model, cfg
-            )
-        write_results(os.path.join(cfg.out_dir, "results.csv"), reports, append=True)
+            for seed, model in zip(cfg.seeds, models):
+                save_checkpoint(
+                    os.path.join(cfg.out_dir, f"{cfg.fingerprint()}-seed{seed}.json"), model, cfg
+                )
+            write_results(os.path.join(cfg.out_dir, "results.csv"), reports, append=True)
     return reports, models, traces
 
 
@@ -339,9 +398,10 @@ def sweep(cfg: RunConfig, lambda_s_grid, lambda_f_grid, results_path=None):
     """One training run per (grid point x seed), appended incrementally.
 
     Rows already present in the results file (same fingerprint and seed) are
-    skipped, so an interrupted sweep can resume without duplicates. Per-run
-    failures are recorded as NaN rows and do not abort the sweep; a resumed
-    sweep removes those rows and runs them again.
+    skipped, so an interrupted sweep can resume without duplicates; the
+    dataset is loaded only when a run is left to train. Per-run failures are
+    recorded as NaN rows and do not abort the sweep; a resumed sweep removes
+    those rows and runs them again.
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     if results_path is None:
@@ -357,39 +417,41 @@ def sweep(cfg: RunConfig, lambda_s_grid, lambda_f_grid, results_path=None):
             write_results(results_path, kept)
         done = {(r.config_fingerprint, r.seed) for r in kept}
 
-    dataset = load_run_dataset(cfg)
     reports = []
-    for lam_s in lambda_s_grid:
-        for lam_f in lambda_f_grid:
-            point = replace(cfg, lambda_s=float(lam_s), lambda_f=float(lam_f))
-            fp = point.fingerprint()
-            for seed in cfg.seeds:
-                if (fp, seed) in done:
-                    continue
-                masks = make_splits(dataset, point.split_fractions, seed)
-                try:
-                    _, report, _ = train_one(point, dataset, masks, seed)
-                except Exception as exc:  # record the failure, keep sweeping
-                    print(
-                        f"run failed (lambda_s={lam_s}, lambda_f={lam_f}, "
-                        f"seed={seed}): {exc}",
-                        file=sys.stderr,
-                    )
-                    report = MetricsReport(
-                        accuracy=float("nan"),
-                        dp=float("nan"),
-                        eo=float("nan"),
-                        fairness_obj=float("nan"),
-                        n_eval=0,
-                        seed=seed,
-                        config_fingerprint=fp,
-                        scheme=point.scheme,
-                        lambda_s=point.lambda_s,
-                        lambda_f=point.lambda_f,
-                    )
-                write_results(results_path, [report], append=True)
-                reports.append(report)
-                done.add((fp, seed))
+    with hashing_files_once():
+        pending = []  # (lambda_s, lambda_f, point, fingerprint, seed) of each run to train
+        for lam_s in lambda_s_grid:
+            for lam_f in lambda_f_grid:
+                point = replace(cfg, lambda_s=float(lam_s), lambda_f=float(lam_f))
+                fp = point.fingerprint()
+                for seed in cfg.seeds:
+                    if (fp, seed) not in done:
+                        done.add((fp, seed))
+                        pending.append((lam_s, lam_f, point, fp, seed))
+        dataset = load_run_dataset(cfg) if pending else None
+        for lam_s, lam_f, point, fp, seed in pending:
+            masks = make_splits(dataset, point.split_fractions, seed)
+            try:
+                _, report, _ = train_one(point, dataset, masks, seed)
+            except Exception as exc:  # record the failure, keep sweeping
+                print(
+                    f"run failed (lambda_s={lam_s}, lambda_f={lam_f}, seed={seed}): {exc}",
+                    file=sys.stderr,
+                )
+                report = MetricsReport(
+                    accuracy=float("nan"),
+                    dp=float("nan"),
+                    eo=float("nan"),
+                    fairness_obj=float("nan"),
+                    n_eval=0,
+                    seed=seed,
+                    config_fingerprint=fp,
+                    scheme=point.scheme,
+                    lambda_s=point.lambda_s,
+                    lambda_f=point.lambda_f,
+                )
+            write_results(results_path, [report], append=True)
+            reports.append(report)
     return reports, results_path
 
 

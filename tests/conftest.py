@@ -184,3 +184,54 @@ def reference_layer(F, u, X_trans, g, delta, hp, ml1=False):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def full_mask_cross_entropy(logits, labels, mask):
+    """Reference: masked cross entropy from a softmax over every row.
+
+    Returns (loss, gradient with respect to the logits), computed as
+    ``autodiff.cross_entropy_with_logits`` did before it took the softmax
+    over the masked rows only.
+    """
+    labels = np.asarray(labels)
+    idx = np.flatnonzero(np.asarray(mask, dtype=bool))
+    lab = labels[idx]
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    loss = -log_probs[idx, lab].mean()
+    probs = np.exp(log_probs)
+    grad = np.zeros_like(logits)
+    grad[idx] = probs[idx]
+    grad[idx, lab] -= 1.0
+    grad[idx] *= 1.0 / idx.size
+    return loss, grad
+
+
+def adam_per_array(params, grads, state):
+    """Reference: one Adam step array by array, with ``state`` a dict holding
+    lr, beta1, beta2, eps, weight_decay, t and the per-array moments m and v."""
+    if "m" not in state:
+        state["m"] = [np.zeros_like(p) for p in params]
+        state["v"] = [np.zeros_like(p) for p in params]
+    state["t"] += 1
+    t, b1, b2 = state["t"], state["beta1"], state["beta2"]
+    out = []
+    for i, (p, g) in enumerate(zip(params, grads)):
+        g = g + state["weight_decay"] * p
+        state["m"][i] = b1 * state["m"][i] + (1.0 - b1) * g
+        state["v"][i] = b2 * state["v"][i] + (1.0 - b2) * g * g
+        m_hat = state["m"][i] / (1.0 - b1**t)
+        v_hat = state["v"][i] / (1.0 - b2**t)
+        out.append(p - state["lr"] * m_hat / (np.sqrt(v_hat) + state["eps"]))
+    return out
+
+
+def gcn_oracle(g, mlp, X):
+    """Oracle: the ``gcn`` logits as A (H W + b) in every layer, ReLU between layers."""
+    h = np.asarray(X, dtype=np.float64)
+    last = len(mlp.weights) - 1
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        h = g.adjacency @ (h @ w + b)
+        if i != last:
+            h = np.maximum(h, 0.0)
+    return h

@@ -4,13 +4,20 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import add_row_bias, assert_close_rel, finite_diff, random_graph, weighted_sum
+from conftest import (
+    add_row_bias,
+    assert_close_rel,
+    finite_diff,
+    full_mask_cross_entropy,
+    random_graph,
+    weighted_sum,
+)
 from fairprop import autodiff as ad
 from fairprop import train
 from fairprop.data import SynthConfig, make_splits, synth_generate
 from fairprop.debias import DebiasParams, forward, row_softmax
 from fairprop.graph import incident_vector
-from fairprop.nn import MlpConfig, init_weights
+from fairprop.nn import MlpConfig, adam_step, init_weights
 
 
 def check_backward(op, rng, n_shapes=50, **kwargs):
@@ -108,6 +115,35 @@ class TestPrimitiveBackward:
             assert_close_rel(grads[logits.node_id], finite_diff(f, logits_data), rtol=1e-5)
 
 
+class TestCrossEntropyRows:
+    @pytest.mark.parametrize("checked_once", [False, True])
+    def test_bitwise_equal_to_a_softmax_over_every_row(self, rng, checked_once):
+        # only the masked rows enter the softmax; the loss and the gradient
+        # are those of the softmax over all rows, bit for bit
+        for _ in range(30):
+            n, d = int(rng.integers(1, 40)), int(rng.integers(2, 5))
+            logits_data = 3.0 * rng.standard_normal((n, d))
+            labels = rng.integers(0, d, size=n)
+            mask = rng.random(n) < 0.5
+            mask[rng.integers(n)] = True
+            tape = ad.Tape()
+            logits = tape.leaf(logits_data, requires_grad=True)
+            if checked_once:
+                loss = ad.cross_entropy_with_logits(logits, ad.RowLabels.of(labels, mask, d))
+            else:
+                loss = ad.cross_entropy_with_logits(logits, labels, mask)
+            grads = tape.backward(loss)
+            ref_loss, ref_grad = full_mask_cross_entropy(logits_data, labels, mask)
+            assert loss.data[0, 0].tobytes() == ref_loss.tobytes()
+            assert grads[logits.node_id].tobytes() == ref_grad.tobytes()
+
+    def test_row_labels_keep_the_errors(self):
+        with pytest.raises(ValueError, match="cross entropy over an empty mask"):
+            ad.RowLabels.of([0, 1], [False, False], 2)
+        with pytest.raises(ValueError, match="labels out of range on masked nodes"):
+            ad.RowLabels.of([0, 2], [True, True], 2)
+
+
 class TestDense:
     @pytest.mark.parametrize("relu", [False, True])
     @pytest.mark.parametrize("x_grad", [False, True])
@@ -169,6 +205,42 @@ class TestDense:
             ref = np.frombuffer(ref_out).reshape(40, 6)
             signs = np.signbit(ref[ref == 0.0])
             assert signs.any() and not signs.all(), "both signed zeros are covered"
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_row_scaled_bias_matches_finite_differences(self, rng, relu):
+        # gcn's first layer: x @ w + r b with a constant per-row scale r
+        for _ in range(30):
+            n, k, d = (int(rng.integers(1, 5)) for _ in range(3))
+            data = [rng.standard_normal(shape) for shape in ((n, k), (k, d), (1, d))]
+            r = rng.uniform(0.2, 1.5, size=n)
+            g_data = rng.standard_normal((n, d))
+            tape = ad.Tape()
+            leaves = [tape.leaf(v, requires_grad=True) for v in data]
+            out = ad.dense(*leaves, relu, row_scale=r)
+            np.testing.assert_allclose(
+                out.data, np.maximum(data[0] @ data[1] + r[:, None] * data[2], 0.0 if relu else -np.inf)
+            )
+            grads = tape.backward(weighted_sum(out, g_data))
+
+            def loss_at(i):
+                def f(v):
+                    t2 = ad.Tape()
+                    args = [t2.leaf(v if j == i else data[j]) for j in range(3)]
+                    return float(np.sum(ad.dense(*args, relu, row_scale=r).data * g_data))
+
+                return f
+
+            for i, t in enumerate(leaves):
+                fd = finite_diff(loss_at(i), data[i])
+                assert_close_rel(grads[t.node_id], fd, rtol=1e-6, afloor=1e-9)
+
+    def test_row_scale_of_another_length_is_refused(self, rng):
+        tape = ad.Tape()
+        x = tape.leaf(rng.standard_normal((4, 3)))
+        w = tape.leaf(rng.standard_normal((3, 2)), requires_grad=True)
+        b = tape.leaf(rng.standard_normal((1, 2)), requires_grad=True)
+        with pytest.raises(ValueError, match="row scale of shape"):
+            ad.dense(x, w, b, relu=False, row_scale=np.ones(3))
 
     def test_constant_input_gets_no_gradient(self, rng):
         tape = ad.Tape()
@@ -309,6 +381,34 @@ class TestTapeLifetime:
             train.evaluate(cfg, mlp, dataset, masks)
             assert len(refs) == 1
             assert refs[0]() is None, "an evaluation tape is kept alive by a reference cycle"
+        finally:
+            gc.enable()
+
+    def test_training_frees_each_tape_within_its_epoch(self, monkeypatch):
+        # the selected epoch's logits are kept as an array: a kept tensor
+        # would keep its tape alive through the later epochs
+        refs, alive = [], []
+
+        class WatchedTape(ad.Tape):
+            def __init__(self):
+                super().__init__()
+                refs.append(weakref.ref(self))
+
+        def watched_adam_step(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            return adam_step(*args)
+
+        cfg = train.RunConfig(dataset={}, hidden=[4], epochs=4, seeds=[0])
+        dataset = synth_generate(SynthConfig(n=50, mean_degree=4.0, feat_dim=6, seed=0))
+        masks = make_splits(dataset, cfg.split_fractions, 0)
+        monkeypatch.setattr(ad, "Tape", WatchedTape)
+        monkeypatch.setattr(train, "adam_step", watched_adam_step)
+        gc.disable()
+        try:
+            _, _, trace = train.train_one(cfg, dataset, masks, 0)
+            assert trace.best_epoch < cfg.epochs - 1
+            assert alive == [1] * cfg.epochs, "an earlier epoch's tape is alive"
+            assert all(ref() is None for ref in refs), "a training tape outlives train_one"
         finally:
             gc.enable()
 

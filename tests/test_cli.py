@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,39 @@ class TestSynth:
             "edges.txt": "bc9a9b1afb9a16ae4169590a6fe5e8a746e1ce290d08830add5c96563b6afbef",
         }
 
+    def test_blocks_of_rows_write_the_same_bytes(self, runner, tmp_path, monkeypatch):
+        import fairprop.cli as cli
+
+        cfg = write_json(tmp_path / "synth.json", SYNTH_DOC)
+        written = {}
+        for rows in (7, SYNTH_DOC["n"]):  # several blocks, one of them short; one block
+            monkeypatch.setattr(cli, "WRITE_BLOCK_ROWS", rows)
+            out = tmp_path / f"rows{rows}"
+            assert runner.invoke(main, ["synth", "--config", cfg, "--out", str(out)]).exit_code == 0
+            written[rows] = [(out / name).read_bytes() for name in ("nodes.csv", "edges.txt")]
+        assert written[7] == written[SYNTH_DOC["n"]]
+
+    def test_traced_peak_is_the_generator_peak(self, runner, tmp_path):
+        # the text of one block of rows, not of a whole file, is held at a
+        # time: writing the files adds under 2 MiB to the generator's peak
+        doc = {"n": 10_000, "seed": 0}
+        cfg = write_json(tmp_path / "synth.json", doc)
+        tracemalloc.start()
+        try:
+            synth_generate(SynthConfig(**doc))
+            generator_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            result = runner.invoke(main, ["synth", "--config", cfg, "--out", str(tmp_path / "data")])
+            command_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        assert command_peak <= generator_peak + 2 * 2**20, (
+            f"synth peaked at {command_peak / 2**20:.1f} MiB, "
+            f"the generator at {generator_peak / 2**20:.1f} MiB"
+        )
+
+
 class TestTrainEvalPipeline:
     def test_synth_train_eval_metrics(self, runner, tmp_path):
         # full pipeline: generate data, train on it from CSV, evaluate the
@@ -136,6 +170,34 @@ class TestTrainEvalPipeline:
         )
         assert result.exit_code == 0, result.output
         assert "dp=0.0000" in result.output  # constant predictions have no gap
+
+
+class TestEvalHashing:
+    def test_eval_hashes_each_dataset_file_once(self, runner, tmp_path, monkeypatch):
+        import collections
+
+        from fairprop import train
+
+        data_dir = tmp_path / "data"
+        synth_cfg = write_json(tmp_path / "synth.json", SYNTH_DOC)
+        assert runner.invoke(main, ["synth", "--config", synth_cfg, "--out", str(data_dir)]).exit_code == 0
+        files = {"node_csv": str(data_dir / "nodes.csv"), "edges": str(data_dir / "edges.txt")}
+        doc = run_config_doc(tmp_path, dataset=dict(files, schema=NODE_SCHEMA))
+        cfg = write_json(tmp_path / "run.json", doc)
+        assert runner.invoke(main, ["train", "--config", cfg]).exit_code == 0
+        ckpt = tmp_path / "out" / f"{RunConfig.from_dict(doc).fingerprint()}-seed0.json"
+
+        hashed = collections.Counter()
+        file_sha256 = train.file_sha256
+
+        def counting(path):
+            hashed[path] += 1
+            return file_sha256(path)
+
+        monkeypatch.setattr(train, "file_sha256", counting)
+        result = runner.invoke(main, ["eval", "--checkpoint", str(ckpt), "--config", cfg])
+        assert result.exit_code == 0, result.output
+        assert hashed == {files["node_csv"]: 1, files["edges"]: 1}
 
 
 class TestEvalCheckpointBinding:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import assert_close_rel, finite_diff
+from conftest import adam_per_array, assert_close_rel, finite_diff
 from fairprop import autodiff as ad
 from fairprop.nn import (
     AdamState,
@@ -212,6 +212,27 @@ class TestAdam:
         state = AdamState()
         with pytest.raises(ValueError):
             adam_step([np.zeros((2, 2))], [np.zeros((3, 2))], state)
+
+    def test_fused_step_equals_a_per_array_step(self, rng):
+        # one update over all parameters as a flat vector, bit for bit the
+        # per-array update
+        shapes = [(5, 7), (7,), (7, 1), (1,), (3, 4), (4,)]
+        params = [rng.standard_normal(shape) for shape in shapes]
+        ref = [p.copy() for p in params]
+        state = AdamState(lr=0.03, weight_decay=1e-3)
+        ref_state = dict(lr=0.03, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=1e-3, t=0)
+        for step in range(50):
+            grads = [rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 3) for shape in shapes]
+            params = adam_step(params, grads, state)
+            ref = adam_per_array(ref, grads, ref_state)
+            for p, r in zip(params, ref):
+                assert p.shape == r.shape and p.tobytes() == r.tobytes(), f"step {step}"
+
+    def test_moment_size_mismatch(self, rng):
+        state = AdamState()
+        adam_step([np.zeros((2, 2))], [np.ones((2, 2))], state)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            adam_step([np.zeros((2, 3))], [np.ones((2, 3))], state)
 
     def test_identical_trajectories(self, rng):
         g_seq = [rng.standard_normal((2, 2)) for _ in range(5)]

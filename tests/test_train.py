@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import pathlib
 import tracemalloc
@@ -5,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import gcn_oracle
 from fairprop import autodiff as ad
 from fairprop import debias, train
 from fairprop.data import (
@@ -149,13 +151,17 @@ class TestTrainOne:
         assert (r1.accuracy, r1.dp, r1.eo) == (r2.accuracy, r2.dp, r2.eo)
 
     def test_evaluate_matches_training_report(self, small_dataset):
-        cfg = small_cfg(epochs=2)
-        masks = make_splits(small_dataset, cfg.split_fractions, 0)
-        model, report, _ = train_one(cfg, small_dataset, masks, 0)
-        again = evaluate(cfg, model, small_dataset, masks, seed=0, mask_name="test")
-        assert again.accuracy == report.accuracy
-        assert again.dp == report.dp
-        assert again.eo == report.eo
+        # the report comes from the selected epoch's logits, which scored the
+        # returned weights: a fresh evaluation of them gives the same bits
+        masks = make_splits(small_dataset, (0.5, 0.25, 0.25), 0)
+        for scheme in train.SCHEMES:
+            for selection in ("val_acc", "last"):
+                cfg = small_cfg(scheme=scheme, selection=selection, epochs=4, lr=0.05)
+                model, report, _ = train_one(cfg, small_dataset, masks, 0)
+                again = evaluate(cfg, model, small_dataset, masks, seed=0, mask_name="test")
+                fields = ("accuracy", "dp", "eo", "fairness_obj", "n_eval", "config_fingerprint")
+                for name in fields:
+                    assert getattr(again, name) == getattr(report, name), (scheme, selection, name)
 
     def test_checkpoint_round_trip_metrics(self, small_dataset, tmp_path):
         cfg = small_cfg(epochs=2)
@@ -281,13 +287,15 @@ class TestPpnpKernel:
         monkeypatch.setattr(train, "ppnp_exact", counting)
         cfg = small_cfg(scheme="ppnp_exact", epochs=5)
         masks = make_splits(small_dataset, cfg.split_fractions, 0)
-        train_one(cfg, small_dataset, masks, 0)
-        assert len(solves) <= 2
+        model, _, _ = train_one(cfg, small_dataset, masks, 0)
+        assert len(solves) == 1
+        evaluate(cfg, model, small_dataset, masks)
+        assert len(solves) == 2
 
     def test_logits_match_a_fresh_solve(self, small_dataset):
         cfg = small_cfg(scheme="ppnp_exact")
         mlp = init_weights(MlpConfig(in_dim=6, hidden=[8], out_dim=2), 0)
-        kernel = train.ppnp_kernel(cfg, small_dataset)
+        kernel = train.scheme_constant(cfg, small_dataset)
         delta = incident_vector(small_dataset.sensitive)
         tape = ad.Tape()
         logits, _ = train.forward_logits(
@@ -297,6 +305,62 @@ class TestPpnpKernel:
         x_trans, _ = mlp_forward(mlp, t2, t2.leaf(small_dataset.features))
         expected = ppnp_exact(small_dataset.graph, x_trans.data, cfg.alpha)
         np.testing.assert_allclose(logits.data, expected, rtol=0, atol=1e-12)
+
+
+class WidthRecordingAdjacency:
+    """The normalized adjacency, recording the width of each product's operand."""
+
+    def __init__(self, adjacency):
+        self.adjacency, self.shape, self.widths = adjacency, adjacency.shape, []
+
+    def __matmul__(self, other):
+        self.widths.append(1 if other.ndim == 1 else other.shape[1])
+        return self.adjacency @ other
+
+
+class TestGcn:
+    @pytest.mark.parametrize("hidden", [[], [8], [8, 5]])
+    def test_logits_match_the_per_layer_oracle(self, small_dataset, hidden):
+        # (A X) W + (A 1) b in the first layer is A (X W + b) up to the last ulp
+        cfg = small_cfg(scheme="gcn", hidden=hidden)
+        masks = make_splits(small_dataset, cfg.split_fractions, 0)
+        mlp = init_weights(MlpConfig(in_dim=6, hidden=hidden, out_dim=2), 0)
+        rng = np.random.default_rng(0)
+        mlp.set_parameters([p + rng.standard_normal(p.shape) for p in mlp.parameters()])
+        delta = incident_vector(small_dataset.sensitive)
+        tape = ad.Tape()
+        x = tape.leaf(train._prepare_features(cfg, small_dataset, masks))
+        constant = train.scheme_constant(cfg, small_dataset)
+        logits, _ = train.forward_logits(cfg, mlp, tape, x, small_dataset, delta, constant)
+        h = standardize_features(small_dataset.features, masks.train)
+        expected = gcn_oracle(small_dataset.graph, mlp, h)
+        np.testing.assert_allclose(logits.data, expected, rtol=0, atol=1e-12)
+
+    def test_epoch_makes_only_out_dim_wide_products(self, small_dataset):
+        # A X and A 1 are computed once per run; an epoch multiplies by A only
+        # in the layers after the first, whose output is out_dim wide
+        counter = WidthRecordingAdjacency(small_dataset.graph.adjacency)
+        graph = dataclasses.replace(small_dataset.graph, adjacency=counter)
+        dataset = dataclasses.replace(small_dataset, graph=graph)
+        widths = []
+        for epochs in (1, 2):
+            counter.widths = []
+            masks = make_splits(dataset, (0.5, 0.25, 0.25), 0)
+            train_one(small_cfg(scheme="gcn", epochs=epochs), dataset, masks, 0)
+            widths.append(collections.Counter(counter.widths))
+        out_dim = train._num_classes(small_dataset)
+        assert widths[1] - widths[0] == {out_dim: 2}
+        assert widths[0] == {6: 1, 1: 1, out_dim: 2}
+
+    def test_forward_needs_the_row_sums(self, small_dataset):
+        cfg = small_cfg(scheme="gcn")
+        mlp = init_weights(MlpConfig(in_dim=6, hidden=[8], out_dim=2), 0)
+        tape = ad.Tape()
+        with pytest.raises(ValueError, match="gcn needs the row sums"):
+            train.forward_logits(
+                cfg, mlp, tape, tape.leaf(small_dataset.features), small_dataset,
+                incident_vector(small_dataset.sensitive),
+            )
 
 
 class TestSgc:
@@ -350,6 +414,18 @@ class TestRunAndSweep:
         again, _ = sweep(cfg, [0.5, 1.0], [0.0, 5.0])
         assert again == []
         assert len(read_results(path)) == 4
+
+    def test_resume_with_nothing_left_loads_no_dataset(self, tmp_path, monkeypatch):
+        cfg = small_cfg(epochs=1, seeds=[0, 1], out_dir=str(tmp_path / "out"))
+        sweep(cfg, [0.5, 1.0], [0.0, 5.0])
+
+        def refuse(cfg):
+            raise AssertionError("a resume with nothing to train loaded the dataset")
+
+        monkeypatch.setattr(train, "load_run_dataset", refuse)
+        again, path = sweep(cfg, [0.5, 1.0], [0.0, 5.0])
+        assert again == []
+        assert len(read_results(path)) == 8
 
     def test_resume_retrains_after_a_data_file_is_edited(self, small_dataset, tmp_path):
         dataset = file_dataset(small_dataset, tmp_path)
@@ -412,6 +488,27 @@ class TestRunAndSweep:
         assert all(np.isfinite(r.accuracy) for r in rows)
         # a further resume trains nothing
         assert sweep(cfg, [0.5], [0.0, 5.0])[0] == []
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_each_dataset_file_is_hashed_once(self, small_dataset, tmp_path, monkeypatch, command):
+        hashed = collections.Counter()
+        file_sha256 = train.file_sha256
+
+        def counting(path):
+            hashed[path] += 1
+            return file_sha256(path)
+
+        monkeypatch.setattr(train, "file_sha256", counting)
+        dataset = file_dataset(small_dataset, tmp_path)
+        cfg = small_cfg(dataset=dataset, epochs=1, seeds=[0, 1], out_dir=str(tmp_path / "out"))
+        if command == "run":
+            run(cfg)
+        else:
+            sweep(cfg, [0.5, 1.0], [0.0, 5.0])
+        assert hashed == {dataset["node_csv"]: 1, dataset["edges"]: 1}
+        # no digest outlives the command: the next one hashes the files again
+        cfg.fingerprint()
+        assert hashed == {dataset["node_csv"]: 2, dataset["edges"]: 2}
 
     def test_summarize(self):
         cfg = small_cfg(epochs=1, seeds=[0, 1])
