@@ -4,10 +4,10 @@ Define-by-run: every primitive appends one record to the active Tape, and
 ``Tape.backward`` replays the records in reverse, accumulating gradients in
 64-bit. It frees each record and its output's gradient once they are used,
 so it returns the gradients of the leaves only, keyed by node id: a tape is
-replayed once. The primitives are the ones training records: ``dense`` (one
-record for ``relu(x @ W + b)``, the bias optionally scaled per row),
-``matmul``, ``spmm_const``, ``add`` (same-shape), ``scale``, ``relu`` and
-``cross_entropy_with_logits`` (over the masked rows only).
+replayed once. The five primitives are the ones training records: ``dense``
+(one record for ``relu(x @ W + b)``, the bias optionally scaled per row),
+``matmul``, ``spmm_const``, ``relu`` and ``cross_entropy_with_logits`` (over
+the masked rows only).
 ``matmul`` and ``dense`` compute no gradient for an operand that requires
 none. Other modules add fused records of their own through ``Tape._result``
 (the whole debiasing stack, ``fairprop.debias.stack``).
@@ -125,7 +125,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool, row_scale: Array | None =
 
     ``b`` is a 1 x d row bias. The bias add and the ReLU mask are applied in
     place, so the record keeps one n x d output; the values, signed zeros
-    included, equal those of ``matmul`` then ``add`` then ``relu``. A
+    included, equal those of ``x @ w``, then ``+ b``, then ``relu``. A
     constant ``row_scale`` of shape (n,) scales the bias of row i by
     ``row_scale[i]``: ``x @ w + row_scale b``, so that ``A (x w + 1 b)`` is
     ``(A x) w + (A 1) b`` with ``A x`` computed once.
@@ -166,27 +166,6 @@ def spmm_const(graph, x: Tensor) -> Tensor:
         return [(x, adj @ g)]
 
     return x.tape._result(adj @ x.data, (x,), backward)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise add of two same-shape tensors."""
-    _check(a, b)
-    if a.shape != b.shape:
-        raise ValueError(f"add shape mismatch {a.shape} + {b.shape}")
-
-    def backward(g):
-        return [(a, g), (b, g)]
-
-    return a.tape._result(a.data + b.data, (a, b), backward)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def backward(g):
-        return [(a, c * g)]
-
-    return a.tape._result(c * a.data, (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:

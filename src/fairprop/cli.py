@@ -134,6 +134,15 @@ def synth_cmd(config_path, out_dir):
     )
 
 
+def _check_unique_ids(rows, path):
+    """One ValueError line naming the first id that repeats in the CSV at ``path``."""
+    seen = set()
+    for row in rows:
+        if row["id"] in seen:
+            raise ValueError(f"duplicate id {row['id']!r} in {path}")
+        seen.add(row["id"])
+
+
 @main.command("metrics")
 @click.option("--pred", "pred_path", required=True, type=click.Path(exists=True))
 @click.option("--truth", "truth_path", required=True, type=click.Path(exists=True))
@@ -144,12 +153,13 @@ def metrics_cmd(pred_path, truth_path):
     labels follow the node CSV's rule (``parse_labels``): a row with an empty
     or negative label is unlabeled and is left out, and ``1.0`` is class 1.
     """
-    preds = {}
     with open(pred_path, newline="") as f:
-        for row in csv.DictReader(f):
-            preds[row["id"]] = int(row["pred"])
+        pred_rows = list(csv.DictReader(f))
+    _check_unique_ids(pred_rows, pred_path)
+    preds = {row["id"]: int(row["pred"]) for row in pred_rows}
     with open(truth_path, newline="") as f:
         rows = list(csv.DictReader(f))
+    _check_unique_ids(rows, truth_path)
     labels = parse_labels([row["label"] for row in rows], "label")
     y_hat, y, s = [], [], []
     for row, label in zip(rows, labels.tolist()):

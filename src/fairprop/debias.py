@@ -18,7 +18,8 @@ matrix-vector products, one per contiguous class row. At lambda_fair = 0 the
 dual is 0 and a layer is the aggregation alone (teleport propagation), so the
 sweeps skip the softmaxes, the dual update and the fairness gradients. The
 direct-subgradient baseline (``ml1_forward``) runs the same sweep with the
-constant dual lambda_fair * sign(p) in place of the dual update.
+constant dual lambda_fair * sign(p) in place of the dual update, and the
+``appnp`` baseline runs it at lambda_fair = 0 with teleport alpha.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class DebiasParams:
-    """Smoothness/fairness weights, layer count, and derived step sizes."""
+    """Smoothness/fairness weights, layer count, and the step sizes ``stack`` takes."""
 
     lambda_smooth: float = 1.0
     lambda_fair: float = 10.0
@@ -172,26 +173,30 @@ def stack(
     X_trans: ad.Tensor,
     g: SparseGraph,
     delta: IncidentVector,
-    hp: DebiasParams,
+    n_layers: int,
+    gamma: float,
+    beta: float,
+    lam: float,
 ) -> ad.Tensor:
-    """All ``num_layers`` layers from (F0, u0, X_trans) as one tape record.
+    """``n_layers`` layers from (F0, u0, X_trans) as one tape record.
 
     Each layer aggregates, ``agg = gamma X + (1 - gamma) A F``, and then takes
-    the dual ascent and l-infinity prox from u to u_next and the primal step
+    the dual ascent (step beta) and the prox onto the l-infinity ball of
+    radius lam from u to u_next, and the primal step
     ``agg - gamma * fairness_grad(F, u_next)``. With u0 None the stack is the
     direct-subgradient baseline: the primal step uses the constant dual
-    lambda_fair * sign(p) instead. Returns F_L.
+    lam * sign(p) instead. Returns F_L. The step sizes are plain numbers:
+    ``forward`` and ``ml1_forward`` take them from a ``DebiasParams``.
 
     The sweep runs class-major (C x n), so per-node sums run along axis 0 and
     no n x 1 column is broadcast. It keeps softmax(F) and, with a dual,
     softmax(f_bar) and the clamp mask of every layer; its hand-written reverse
     sweep adds the primal and dual cotangents on the aggregation before one
     sparse product per layer. Each sparse product is C matrix-vector products,
-    one per class row. At lambda_fair = 0 both duals are 0, so each layer is
-    the aggregation alone: the sweeps skip the softmaxes, the dual update and
-    the fairness gradients and their pullbacks.
+    one per class row. At lam = 0 both duals are 0, so each layer is the
+    aggregation alone, teleport propagation (``appnp``): the sweeps skip the
+    softmaxes, the dual update and the fairness gradients and their pullbacks.
     """
-    n_layers, gamma, beta, lam = hp.num_layers, hp.gamma, hp.beta, hp.lambda_fair
     if n_layers == 0:
         return F0
     ml1 = u0 is None
@@ -277,7 +282,8 @@ def forward(
     """
     x_trans, params = mlp_forward(mlp, tape, x)
     u0 = tape.leaf(np.zeros((1, mlp.config.out_dim)))
-    return stack(x_trans, u0, x_trans, g, delta, hp), params
+    F = stack(x_trans, u0, x_trans, g, delta, hp.num_layers, hp.gamma, hp.beta, hp.lambda_fair)
+    return F, params
 
 
 def ml1_forward(
@@ -293,4 +299,5 @@ def ml1_forward(
     Each step is the primal step with the constant dual lambda_fair * sign(p).
     """
     x_trans, params = mlp_forward(mlp, tape, x)
-    return stack(x_trans, None, x_trans, g, delta, hp), params
+    F = stack(x_trans, None, x_trans, g, delta, hp.num_layers, hp.gamma, hp.beta, hp.lambda_fair)
+    return F, params

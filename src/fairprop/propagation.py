@@ -1,8 +1,8 @@
 """Exact teleport propagation (PPNP) by a dense solve.
 
 This is the fixed point that the ``appnp`` iteration approaches. The
-iterative baselines (``gcn``, ``sgc``, ``appnp``) are tape passes in
-``fairprop.train``.
+iterative baselines ``gcn`` and ``sgc`` are tape passes in ``fairprop.train``;
+``appnp`` is ``fairprop.debias.stack`` at radius 0.
 """
 
 from __future__ import annotations

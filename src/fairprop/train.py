@@ -70,6 +70,10 @@ class RunConfig:
             raise ValueError("need at least one seed")
         if self.selection not in ("val_acc", "last"):
             raise ValueError(f"unknown selection rule {self.selection!r}")
+        if self.prop_k < 0:
+            raise ValueError(f"prop_k must be >= 0, got {self.prop_k}")
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -197,11 +201,9 @@ def _gcn(cfg, mlp, tape, x, g, delta, constant):
 
 
 def _appnp(cfg, mlp, tape, x, g, delta, constant):
+    # teleport propagation is the debiasing stack at radius 0 with teleport alpha
     x_trans, params = mlp_forward(mlp, tape, x)
-    f = x_trans
-    for _ in range(cfg.prop_k):
-        f = ad.add(ad.scale(x_trans, cfg.alpha), ad.scale(ad.spmm_const(g, f), 1.0 - cfg.alpha))
-    return f, params
+    return debias.stack(x_trans, None, x_trans, g, delta, cfg.prop_k, cfg.alpha, 0.0, 0.0), params
 
 
 def _ppnp_exact(cfg, mlp, tape, x, g, delta, constant):

@@ -249,12 +249,25 @@ class TestEvalCheckpointBinding:
 
 class TestMetrics:
     @staticmethod
-    def _invoke(runner, tmp_path, truth_rows):
+    def _invoke(runner, tmp_path, truth_rows, pred_rows=("a,1", "b,0", "c,1", "d,0", "e,1")):
         pred = tmp_path / "pred.csv"
         truth = tmp_path / "truth.csv"
-        pred.write_text("id,pred\na,1\nb,0\nc,1\nd,0\ne,1\n")
+        pred.write_text("id,pred\n" + "".join(f"{r}\n" for r in pred_rows))
         truth.write_text("id,label,sensitive\n" + "".join(f"{r}\n" for r in truth_rows))
         return runner.invoke(main, ["metrics", "--pred", str(pred), "--truth", str(truth)])
+
+    def test_duplicate_prediction_id_is_one_error(self, runner, tmp_path):
+        # the second prediction for b would silently replace the first
+        preds = ["a,1", "b,0", "c,1", "b,1"]
+        result = self._invoke(runner, tmp_path, ["a,1,1", "b,1,-1", "c,0,-1"], preds)
+        assert isinstance(result.exception, ValueError)
+        assert str(result.exception) == f"duplicate id 'b' in {tmp_path / 'pred.csv'}"
+
+    def test_duplicate_truth_id_is_one_error(self, runner, tmp_path):
+        # a would be counted twice in every metric
+        result = self._invoke(runner, tmp_path, ["a,1,1", "b,1,-1", "c,0,-1", "a,1,1"])
+        assert isinstance(result.exception, ValueError)
+        assert str(result.exception) == f"duplicate id 'a' in {tmp_path / 'truth.csv'}"
 
     def test_unlabeled_truth_rows_left_out(self, runner, tmp_path):
         # d (empty label) and e (negative label) are unlabeled, as in the node

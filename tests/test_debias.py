@@ -181,10 +181,15 @@ class TestProxDual:
             np.testing.assert_allclose(prox_dual(u, lam), best, atol=1e-3)
 
 
+def steps(hp):
+    """The layer count and step sizes ``stack`` takes, as ``forward`` passes them."""
+    return hp.num_layers, hp.gamma, hp.beta, hp.lambda_fair
+
+
 def run_stack(F0, u0, Xt, g, delta, hp):
     """The F_L array of ``stack`` on fresh leaves."""
     tape = ad.Tape()
-    return stack(tape.leaf(F0), tape.leaf(u0), tape.leaf(Xt), g, delta, hp).data
+    return stack(tape.leaf(F0), tape.leaf(u0), tape.leaf(Xt), g, delta, *steps(hp)).data
 
 
 class TestLayerStep:
@@ -241,7 +246,7 @@ class TestLayerGradients:
         w_F = rng.standard_normal(F0.shape)
 
         def scalar(F, u, X):
-            return weighted_sum(stack(F, None if ml1 else u, X, g, delta, hp), w_F)
+            return weighted_sum(stack(F, None if ml1 else u, X, g, delta, *steps(hp)), w_F)
 
         tape = ad.Tape()
         leaves = [tape.leaf(a, requires_grad=True) for a in (F0, u0, Xt)]
@@ -307,7 +312,7 @@ class TestStackMatchesTwoRecordLayer:
 
             t1 = ad.Tape()
             leaves1 = [t1.leaf(a, requires_grad=True) for a in (F0, u0, Xt)]
-            F1 = stack(leaves1[0], None if ml1 else leaves1[1], leaves1[2], g, delta, hp)
+            F1 = stack(leaves1[0], None if ml1 else leaves1[1], leaves1[2], g, delta, *steps(hp))
             grads1 = t1.backward(weighted_sum(F1, w))
 
             t2 = ad.Tape()

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import gcn_oracle
+from conftest import appnp_step, gcn_oracle
 from fairprop import autodiff as ad
 from fairprop import debias, train
 from fairprop.data import (
@@ -79,6 +79,22 @@ class TestRunConfig:
             small_cfg(seeds=[])
         with pytest.raises(ValueError):
             small_cfg(selection="train_acc")
+
+    @pytest.mark.parametrize("prop_k", [-1, -3])
+    def test_negative_prop_k_rejected(self, prop_k):
+        # range(prop_k) would be empty: sgc and appnp would train a plain MLP
+        with pytest.raises(ValueError, match=rf"^prop_k must be >= 0, got {prop_k}$"):
+            small_cfg(prop_k=prop_k)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.2, 1.5, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        # at alpha = 0, ppnp_exact would solve the singular system I - A
+        with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\], got "):
+            small_cfg(alpha=alpha)
+
+    def test_teleport_bounds_accepted(self):
+        cfg = small_cfg(prop_k=0, alpha=1.0)
+        assert (cfg.prop_k, cfg.alpha) == (0, 1.0)
 
     def test_fingerprint_ignores_seeds_and_out_dir(self):
         a = small_cfg(seeds=[0], out_dir="x")
@@ -393,6 +409,29 @@ class TestSgc:
         masks = make_splits(small_dataset, cfg.split_fractions, 0)
         train_one(cfg, small_dataset, masks, 0)
         assert calls == []
+
+
+class TestAppnp:
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("prop_k", [0, 1, 2, 3])
+    def test_logits_match_the_numpy_oracle(self, small_dataset, prop_k, alpha):
+        # prop_k teleport steps on the MLP output, checked against numpy steps
+        # that share no code with the library
+        cfg = small_cfg(scheme="appnp", prop_k=prop_k, alpha=alpha)
+        masks = make_splits(small_dataset, cfg.split_fractions, 0)
+        mlp = init_weights(MlpConfig(in_dim=6, hidden=[8], out_dim=2), 0)
+        delta = incident_vector(small_dataset.sensitive)
+        features = train._prepare_features(cfg, small_dataset, masks)
+        tape = ad.Tape()
+        logits, _ = train.forward_logits(cfg, mlp, tape, tape.leaf(features), small_dataset, delta)
+
+        t2 = ad.Tape()
+        x_trans = mlp_forward(mlp, t2, t2.leaf(features))[0].data
+        expected = x_trans
+        for _ in range(prop_k):
+            expected = appnp_step(small_dataset.graph, expected, x_trans, alpha)
+        # bitwise: both sum each row of A F in the same order
+        assert np.array_equal(logits.data, expected)
 
 
 class TestRunAndSweep:
