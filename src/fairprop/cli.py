@@ -149,9 +149,10 @@ def _check_unique_ids(rows, path):
 def metrics_cmd(pred_path, truth_path):
     """Compute accuracy/dp/eo from prediction and truth CSVs.
 
-    Prediction CSV: columns id,pred. Truth CSV: columns id,label,sensitive;
-    labels follow the node CSV's rule (``parse_labels``): a row with an empty
-    or negative label is unlabeled and is left out, and ``1.0`` is class 1.
+    Prediction CSV: columns id,pred. Truth CSV: columns id,label,sensitive,
+    with sensitive -1 or 1; labels follow the node CSV's rule
+    (``parse_labels``): a row with an empty or negative label is unlabeled
+    and is left out, and ``1.0`` is class 1.
     """
     with open(pred_path, newline="") as f:
         pred_rows = list(csv.DictReader(f))
@@ -170,6 +171,10 @@ def metrics_cmd(pred_path, truth_path):
         y_hat.append(preds[row["id"]])
         y.append(label)
         s.append(int(row["sensitive"]))
+        if s[-1] not in (-1, 1):
+            raise ValueError(
+                f"sensitive value {row['sensitive']!r} in {truth_path}: expected -1 or 1"
+            )
     if not y:
         raise ValueError(f"no labeled row in {truth_path}")
     y_hat, y, s = np.array(y_hat), np.array(y), np.array(s)

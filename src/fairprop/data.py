@@ -62,10 +62,10 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
     cell reads as 0, and an empty or negative label marks the node
     unlabeled. Each of these raises one ValueError line: a missing column, a
     row whose cell count differs from the header's (named by file and line),
-    a repeated node id, a non-numeric feature cell or a non-numeric,
-    non-integer or non-finite label (named by column), a sensitive column
-    with a single value, and an edge line that is malformed or names an
-    unknown id (quoted without its comment).
+    a repeated node id, a non-numeric or non-finite feature cell (``nan``,
+    ``inf``) or a non-numeric, non-integer or non-finite label (named by
+    column), a sensitive column with a single value, and an edge line that
+    is malformed or names an unknown id (quoted without its comment).
     """
     with open(node_csv_path, newline="") as f:
         reader = csv.reader(f)
@@ -117,6 +117,12 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
     sensitive = np.where(np.array(positive, dtype=bool), 1, -1)
     labels = parse_labels(label_cells, header[label_col])
     features = np.frombuffer(features, dtype=np.float64).reshape(n, len(feat_cols))
+    if not np.isfinite(features).all():
+        r, c = np.argwhere(~np.isfinite(features))[0]
+        raise ValueError(
+            f"non-finite feature cell {str(features[r, c])!r} in column "
+            f"{header[feat_cols[c]]!r} (node {ids[r]!r})"
+        )
     if len(set(sensitive.tolist())) < 2:
         raise ValueError("sensitive column takes a single value")
     del ids, positive, label_cells  # free the cell strings before the edge parse

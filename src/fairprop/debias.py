@@ -8,7 +8,9 @@ back into the l-infinity ball of radius lambda_fair.
 The numpy functions (``fairness_grad``, ``prox_dual``, ``fairness_objective``)
 state the pieces of the update on plain arrays. Training records the whole
 stack of layers as one hand-differentiated tape record (``stack``), the
-unrolled primal-dual solver differentiated as one unit. It runs class-major:
+unrolled primal-dual solver differentiated as one unit. It starts from the
+transformed features X_trans with the dual at u = 0, and every scheme that
+propagates this way calls it directly on X_trans. It runs class-major:
 node states are C x n, so per-node sums over the C classes run along axis 0
 and the duals are C x 1 columns; ``fairness_grad`` and ``row_softmax`` call
 the same class-major core on a transpose. Its reverse sweep adds the primal
@@ -17,7 +19,7 @@ costs two sparse products per epoch, one forward and one backward; each is C
 matrix-vector products, one per contiguous class row. At lambda_fair = 0 the
 dual is 0 and a layer is the aggregation alone (teleport propagation), so the
 sweeps skip the softmaxes, the dual update and the fairness gradients. The
-direct-subgradient baseline (``ml1_forward``) runs the same sweep with the
+direct-subgradient baseline (``ml1=True``) runs the same sweep with the
 constant dual lambda_fair * sign(p) in place of the dual update, and the
 ``appnp`` baseline runs it at lambda_fair = 0 with teleport alpha.
 """
@@ -30,7 +32,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .graph import IncidentVector, SparseGraph
-from .nn import Mlp, mlp_forward
 
 Array = np.ndarray
 
@@ -44,10 +45,10 @@ class DebiasParams:
     num_layers: int = 2
 
     def __post_init__(self):
-        if self.lambda_smooth < 0 or self.lambda_fair < 0:
-            raise ValueError("weights must be nonnegative")
-        if self.num_layers < 0:
-            raise ValueError("layer count must be nonnegative")
+        for name in ("lambda_smooth", "lambda_fair", "num_layers"):
+            value = getattr(self, name)
+            if not value >= 0:  # NaN too
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
     @property
     def gamma(self) -> float:
@@ -168,8 +169,6 @@ def _spmv(A, G: Array, out: Array | None = None) -> Array:
 
 
 def stack(
-    F0: ad.Tensor,
-    u0: ad.Tensor | None,
     X_trans: ad.Tensor,
     g: SparseGraph,
     delta: IncidentVector,
@@ -177,34 +176,30 @@ def stack(
     gamma: float,
     beta: float,
     lam: float,
+    ml1: bool = False,
 ) -> ad.Tensor:
-    """``n_layers`` layers from (F0, u0, X_trans) as one tape record.
+    """``n_layers`` layers from X_trans as one tape record.
 
-    Each layer aggregates, ``agg = gamma X + (1 - gamma) A F``, and then takes
-    the dual ascent (step beta) and the prox onto the l-infinity ball of
-    radius lam from u to u_next, and the primal step
-    ``agg - gamma * fairness_grad(F, u_next)``. With u0 None the stack is the
+    The first layer's state is X_trans and the dual starts at u = 0. Each
+    layer aggregates, ``agg = gamma X + (1 - gamma) A F``, and then takes the
+    dual ascent (step beta) and the prox onto the l-infinity ball of radius
+    lam from u to u_next, and the primal step
+    ``agg - gamma * fairness_grad(F, u_next)``. With ``ml1`` the stack is the
     direct-subgradient baseline: the primal step uses the constant dual
-    lam * sign(p) instead. Returns F_L. The step sizes are plain numbers:
-    ``forward`` and ``ml1_forward`` take them from a ``DebiasParams``.
+    lam * sign(p) instead. Returns F_L. The step sizes are plain numbers: the
+    ``fair`` and ``ml1`` schemes take them from a ``DebiasParams``, and
+    ``appnp`` passes its teleport alpha as gamma at lam = 0.
 
-    The sweep runs class-major (C x n), so per-node sums run along axis 0 and
-    no n x 1 column is broadcast. It keeps softmax(F) and, with a dual,
-    softmax(f_bar) and the clamp mask of every layer; its hand-written reverse
-    sweep adds the primal and dual cotangents on the aggregation before one
-    sparse product per layer. Each sparse product is C matrix-vector products,
-    one per class row. At lam = 0 both duals are 0, so each layer is the
-    aggregation alone, teleport propagation (``appnp``): the sweeps skip the
-    softmaxes, the dual update and the fairness gradients and their pullbacks.
+    For the hand-written reverse sweep it keeps softmax(F) and, with a dual,
+    softmax(f_bar) and the clamp mask of every layer. The module docstring
+    gives the class-major layout, the sparse products and the lam = 0 path.
     """
     if n_layers == 0:
-        return F0
-    ml1 = u0 is None
+        return X_trans
     A, d = g.adjacency, delta.values
-    X = np.ascontiguousarray(X_trans.data.T)
+    F = X = np.ascontiguousarray(X_trans.data.T)
     teleport = gamma * X
-    F = X if F0 is X_trans else np.ascontiguousarray(F0.data.T)
-    u = None if ml1 else u0.data.reshape(-1, 1)
+    u = None if ml1 else np.zeros((X.shape[0], 1))
     duals, Ss, S_bars, insides = [u], [], [], []
     for _ in range(n_layers):
         agg = teleport + (1.0 - gamma) * _spmv(A, F)
@@ -226,7 +221,7 @@ def stack(
     # one check suffices: every node has a positively weighted self-loop in A,
     # and the softmax, S @ d and prox_dual all carry a NaN on to later layers
     if np.isnan(F).any():
-        raise FloatingPointError("NaN produced in debiasing layer")
+        raise FloatingPointError("NaN produced in propagation layer")
 
     def backward(gout):
         gF = np.ascontiguousarray(gout.T)  # cotangent of a layer's output F
@@ -253,51 +248,9 @@ def stack(
                 gF_fair = _fair_grad_vjp(S, d, terms)
             # the normalized adjacency is symmetric, so A^T = A
             gF = _spmv(A, (1.0 - gamma) * g_agg, gF_fair)
-            if k == 0 and F0 is X_trans:  # joins X's cotangent before layer 1's own term
+            if k == 0:  # layer 1's state is X: its cotangent joins before layer 1's own term
                 gX = gF if gX is None else gX + gF
             gX = gamma * g_agg if gX is None else gX + gamma * g_agg
-        grads = [(X_trans, np.ascontiguousarray(gX.T))]
-        if F0 is not X_trans:
-            grads.append((F0, np.ascontiguousarray(gF.T)))
-        if not ml1:
-            grads.append((u0, gu.T))
-        return grads
+        return [(X_trans, np.ascontiguousarray(gX.T))]
 
-    inputs = (F0, X_trans) if ml1 else (F0, u0, X_trans)
-    return F0.tape._result(np.ascontiguousarray(F.T), inputs, backward)
-
-
-def forward(
-    mlp: Mlp,
-    tape: ad.Tape,
-    x: ad.Tensor,
-    g: SparseGraph,
-    delta: IncidentVector,
-    hp: DebiasParams,
-):
-    """Transform features, then apply the ``num_layers`` debiasing layers.
-
-    Returns (logits tensor, MLP parameter tensors). The dual variable starts
-    at zero and is threaded through the layers within this forward pass only.
-    """
-    x_trans, params = mlp_forward(mlp, tape, x)
-    u0 = tape.leaf(np.zeros((1, mlp.config.out_dim)))
-    F = stack(x_trans, u0, x_trans, g, delta, hp.num_layers, hp.gamma, hp.beta, hp.lambda_fair)
-    return F, params
-
-
-def ml1_forward(
-    mlp: Mlp,
-    tape: ad.Tape,
-    x: ad.Tensor,
-    g: SparseGraph,
-    delta: IncidentVector,
-    hp: DebiasParams,
-):
-    """MLP transform followed by ``num_layers`` direct-subgradient steps.
-
-    Each step is the primal step with the constant dual lambda_fair * sign(p).
-    """
-    x_trans, params = mlp_forward(mlp, tape, x)
-    F = stack(x_trans, None, x_trans, g, delta, hp.num_layers, hp.gamma, hp.beta, hp.lambda_fair)
-    return F, params
+    return X_trans.tape._result(np.ascontiguousarray(F.T), (X_trans,), backward)

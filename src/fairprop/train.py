@@ -74,6 +74,7 @@ class RunConfig:
             raise ValueError(f"prop_k must be >= 0, got {self.prop_k}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
+        self.debias_params()  # validates lambda_s, lambda_f and num_layers
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -203,7 +204,7 @@ def _gcn(cfg, mlp, tape, x, g, delta, constant):
 def _appnp(cfg, mlp, tape, x, g, delta, constant):
     # teleport propagation is the debiasing stack at radius 0 with teleport alpha
     x_trans, params = mlp_forward(mlp, tape, x)
-    return debias.stack(x_trans, None, x_trans, g, delta, cfg.prop_k, cfg.alpha, 0.0, 0.0), params
+    return debias.stack(x_trans, g, delta, cfg.prop_k, cfg.alpha, 0.0, 0.0), params
 
 
 def _ppnp_exact(cfg, mlp, tape, x, g, delta, constant):
@@ -214,18 +215,18 @@ def _ppnp_exact(cfg, mlp, tape, x, g, delta, constant):
 
 
 def _fair(cfg, mlp, tape, x, g, delta, constant):
-    return debias.forward(mlp, tape, x, g, delta, cfg.debias_params())
-
-
-def _ml1(cfg, mlp, tape, x, g, delta, constant):
-    return debias.ml1_forward(mlp, tape, x, g, delta, cfg.debias_params())
+    x_trans, params = mlp_forward(mlp, tape, x)
+    hp, ml1 = cfg.debias_params(), cfg.scheme == "ml1"
+    F = debias.stack(x_trans, g, delta, hp.num_layers, hp.gamma, hp.beta, hp.lambda_fair, ml1)
+    return F, params
 
 
 # Scheme -> forward pass on the tape. ``sgc`` is the MLP on features that
 # ``_prepare_features`` has already propagated ``prop_k`` times (once for
-# ``gcn``, whose first layer reads them). The entries
-# look their callees up by name when called, so a rebound module attribute
-# (a profiler's wrapper, say) is the one that runs.
+# ``gcn``, whose first layer reads them), and ``ml1`` the debiasing stack with
+# the constant dual lambda_f * sign(p). The entries look their callees up by
+# name when called, so a rebound module attribute (a profiler's wrapper, say)
+# is the one that runs.
 _FORWARDS = {
     "mlp": _mlp,
     "gcn": _gcn,
@@ -233,7 +234,7 @@ _FORWARDS = {
     "appnp": _appnp,
     "ppnp_exact": _ppnp_exact,
     "fair": _fair,
-    "ml1": _ml1,
+    "ml1": _fair,
 }
 SCHEMES = tuple(_FORWARDS)
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from fairprop import train
 from fairprop.debias import fairness_grad, fairness_objective, prox_dual
 from fairprop.graph import build_graph
+from fairprop.train import RunConfig
 
 
 def random_graph(rng, n_max=30, p=0.3):
@@ -91,6 +93,33 @@ def weighted_sum(out, w):
         return [(out, g[0, 0] * w)]
 
     return out.tape._result(np.array([[np.sum(out.data * w)]]), (out,), backward)
+
+
+def forward(mlp, tape, x, g, delta, hp, scheme="fair"):
+    """``scheme``'s forward pass on the tape under ``hp``, through its entry in ``train``.
+
+    ``appnp`` takes ``hp.gamma`` as its teleport alpha and ``hp.num_layers``
+    as its step count. Returns (logits tensor, MLP parameter tensors).
+    """
+    cfg = RunConfig(
+        scheme=scheme,
+        lambda_s=hp.lambda_smooth,
+        lambda_f=hp.lambda_fair,
+        num_layers=hp.num_layers,
+        alpha=hp.gamma,
+        prop_k=hp.num_layers,
+    )
+    return train._FORWARDS[scheme](cfg, mlp, tape, x, g, delta, None)
+
+
+def ml1_forward(mlp, tape, x, g, delta, hp):
+    """The ``ml1`` scheme's forward pass; see ``forward``."""
+    return forward(mlp, tape, x, g, delta, hp, scheme="ml1")
+
+
+def appnp_forward(mlp, tape, x, g, delta, hp):
+    """The ``appnp`` scheme's forward pass; see ``forward``."""
+    return forward(mlp, tape, x, g, delta, hp, scheme="appnp")
 
 
 def appnp_step(g, F, X_trans, alpha):

@@ -10,7 +10,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import assert_close_rel, dense_normalized_adjacency, edge_energy, finite_diff, random_graph
+from conftest import (
+    assert_close_rel,
+    dense_normalized_adjacency,
+    edge_energy,
+    finite_diff,
+    forward,
+    random_graph,
+)
 from fairprop import autodiff as ad
 from fairprop import debias
 from fairprop.data import Dataset, SynthConfig, synth_generate
@@ -200,9 +207,7 @@ class TestCriterion6:
         mlp = init_weights(MlpConfig(in_dim=d_in, hidden=[hidden], out_dim=d_out), 0)
 
         tape = ad.Tape()
-        logits, param_tensors = debias.forward(
-            mlp, tape, tape.leaf(X), g, delta, hp
-        )
+        logits, param_tensors = forward(mlp, tape, tape.leaf(X), g, delta, hp)
         grads = tape.backward(ad.cross_entropy_with_logits(logits, labels, mask))
 
         params = mlp.parameters()
@@ -214,7 +219,7 @@ class TestCriterion6:
                 new[pi] = pv.reshape(params[pi].shape)
                 probe.set_parameters(new)
                 t2 = ad.Tape()
-                lg, _ = debias.forward(probe, t2, t2.leaf(X), g, delta, hp)
+                lg, _ = forward(probe, t2, t2.leaf(X), g, delta, hp)
                 return float(ad.cross_entropy_with_logits(lg, labels, mask).data[0, 0])
 
             fd = finite_diff(f, params[pi].reshape(pt.shape) * 1.0)

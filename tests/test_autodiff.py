@@ -8,6 +8,7 @@ from conftest import (
     add_row_bias,
     assert_close_rel,
     finite_diff,
+    forward,
     full_mask_cross_entropy,
     random_graph,
     weighted_sum,
@@ -15,7 +16,7 @@ from conftest import (
 from fairprop import autodiff as ad
 from fairprop import train
 from fairprop.data import SynthConfig, make_splits, synth_generate
-from fairprop.debias import DebiasParams, forward, row_softmax
+from fairprop.debias import DebiasParams, row_softmax
 from fairprop.graph import incident_vector
 from fairprop.nn import MlpConfig, adam_step, init_weights
 

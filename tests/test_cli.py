@@ -269,6 +269,14 @@ class TestMetrics:
         assert isinstance(result.exception, ValueError)
         assert str(result.exception) == f"duplicate id 'a' in {tmp_path / 'truth.csv'}"
 
+    def test_sensitive_outside_plus_minus_one_is_one_error(self, runner, tmp_path):
+        # with 0/1 coding both groups are present, but group -1 would read as empty
+        result = self._invoke(runner, tmp_path, ["a,1,1", "b,1,0", "c,0,0"])
+        assert isinstance(result.exception, ValueError)
+        assert str(result.exception) == (
+            f"sensitive value '0' in {tmp_path / 'truth.csv'}: expected -1 or 1"
+        )
+
     def test_unlabeled_truth_rows_left_out(self, runner, tmp_path):
         # d (empty label) and e (negative label) are unlabeled, as in the node
         # CSV. Over a, b, c: acc = 1/3; dp = |1 - 1/2| (counting d and e it

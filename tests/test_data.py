@@ -73,6 +73,17 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="non-numeric"):
             load_dataset(nodes, edges, SCHEMA)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_feature_rejected(self, tmp_path, cell):
+        # float() parses these; the run would fail later with a misleading cause
+        nodes, edges = write_fixture(
+            tmp_path, f"id,sens,y,f0,f1\na,1,0,1.0,2.0\nb,0,1,3.0,{cell}\n", "a b\n"
+        )
+        value = str(float(cell))
+        message = f"non-finite feature cell {value!r} in column 'f1' (node 'b')"
+        with pytest.raises(ValueError, match=exact(message)):
+            load_dataset(nodes, edges, SCHEMA)
+
     def test_unknown_edge_id(self, tmp_path):
         nodes, edges = write_fixture(tmp_path, BASIC_NODES, "a z\n")
         with pytest.raises(ValueError, match="unknown node id"):

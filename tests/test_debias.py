@@ -2,29 +2,28 @@ import numpy as np
 import pytest
 
 from conftest import (
+    appnp_forward,
     appnp_step,
     assert_close_rel,
     finite_diff,
+    forward,
+    ml1_forward,
     ml1_step,
     random_graph,
     reference_layer,
     weighted_sum,
 )
 from fairprop import autodiff as ad
-from fairprop import train
 from fairprop.debias import (
     DebiasParams,
     fairness_grad,
     fairness_objective,
-    forward,
-    ml1_forward,
     prox_dual,
     row_softmax,
     stack,
 )
 from fairprop.graph import build_graph, incident_vector
 from fairprop.nn import MlpConfig, init_weights, mlp_forward
-from fairprop.train import RunConfig
 
 
 def random_incident(rng, n):
@@ -182,14 +181,14 @@ class TestProxDual:
 
 
 def steps(hp):
-    """The layer count and step sizes ``stack`` takes, as ``forward`` passes them."""
+    """The layer count and step sizes ``stack`` takes, as the ``fair`` scheme passes them."""
     return hp.num_layers, hp.gamma, hp.beta, hp.lambda_fair
 
 
-def run_stack(F0, u0, Xt, g, delta, hp):
-    """The F_L array of ``stack`` on fresh leaves."""
+def run_stack(Xt, g, delta, hp):
+    """The F_L array of ``stack`` on a fresh leaf."""
     tape = ad.Tape()
-    return stack(tape.leaf(F0), tape.leaf(u0), tape.leaf(Xt), g, delta, *steps(hp)).data
+    return stack(tape.leaf(Xt), g, delta, *steps(hp)).data
 
 
 class TestLayerStep:
@@ -197,11 +196,10 @@ class TestLayerStep:
         g = random_graph(rng, n_max=10)
         delta = random_incident(rng, g.n)
         Xt = rng.standard_normal((g.n, 3))
-        F0 = rng.standard_normal((g.n, 3))
         for layers in (1, 2, 3):
             hp = DebiasParams(lambda_smooth=2.0, lambda_fair=0.0, num_layers=layers)
-            F = run_stack(F0, np.zeros((1, 3)), Xt, g, delta, hp)
-            ref = F0
+            F = run_stack(Xt, g, delta, hp)
+            ref = Xt
             for _ in range(layers):
                 ref = appnp_step(g, ref, Xt, hp.gamma)
             # bitwise: every dual is exactly zero, so no fairness term is added
@@ -218,21 +216,21 @@ class TestLayerStep:
             # depth matches the dual trace too
             F_ref, u_ref = oracle_layer(F_ref, u_ref, Xt, A, delta.values, 1.0, 0.4)
             hp = DebiasParams(lambda_smooth=1.0, lambda_fair=0.4, num_layers=layers)
-            F = run_stack(Xt, np.zeros((1, 3)), Xt, g, delta, hp)
+            F = run_stack(Xt, g, delta, hp)
             np.testing.assert_allclose(F, F_ref, atol=1e-12)
 
     def test_dual_bounded_every_layer(self, rng):
         g = random_graph(rng, n_max=12)
         delta = random_incident(rng, g.n)
-        F0, Xt = rng.standard_normal((g.n, 3)), rng.standard_normal((g.n, 3))
+        Xt = rng.standard_normal((g.n, 3))
         A = g.dense_adjacency()
-        F_ref, u_ref = F0, np.zeros(3)
+        F_ref, u_ref = Xt, np.zeros(3)
         for layers in range(1, 6):
             F_ref, u_ref = oracle_layer(F_ref, u_ref, Xt, A, delta.values, 0.5, 0.3)
             assert np.abs(u_ref).max() <= 0.3
             # the stack runs the same dual trace
             hp = DebiasParams(lambda_smooth=0.5, lambda_fair=0.3, num_layers=layers)
-            F = run_stack(F0, np.zeros((1, 3)), Xt, g, delta, hp)
+            F = run_stack(Xt, g, delta, hp)
             np.testing.assert_allclose(F, F_ref, atol=1e-12)
 
 
@@ -240,27 +238,22 @@ class TestLayerGradients:
     """The hand-written reverse sweep of the stack against central finite differences."""
 
     @staticmethod
-    def _check(hp, rng, F0, u0, Xt, ml1=False):
-        """Gradient of a fixed weighting of the stack's output in F0, u0 and X_trans."""
+    def _check(hp, rng, Xt, ml1=False):
+        """Gradient of a fixed weighting of the stack's output in X_trans."""
         g, delta = TestLayerGradients._graph()
-        w_F = rng.standard_normal(F0.shape)
+        w_F = rng.standard_normal(Xt.shape)
 
-        def scalar(F, u, X):
-            return weighted_sum(stack(F, None if ml1 else u, X, g, delta, *steps(hp)), w_F)
+        def scalar(X):
+            return weighted_sum(stack(X, g, delta, *steps(hp), ml1), w_F)
 
         tape = ad.Tape()
-        leaves = [tape.leaf(a, requires_grad=True) for a in (F0, u0, Xt)]
-        grads = tape.backward(scalar(*leaves))
-        for k, leaf in enumerate(leaves):
+        leaf = tape.leaf(Xt, requires_grad=True)
+        grad = tape.backward(scalar(leaf))[leaf.node_id]
 
-            def f(v):
-                t2 = ad.Tape()
-                args = [t2.leaf(a) for a in (F0, u0, Xt)]
-                args[k] = t2.leaf(v)
-                return float(scalar(*args).data[0, 0])
+        def f(v):
+            return float(scalar(ad.Tape().leaf(v)).data[0, 0])
 
-            grad = grads.get(leaf.node_id, np.zeros(leaf.shape))
-            assert_close_rel(grad, finite_diff(f, leaf.data.copy()), rtol=1e-6, afloor=1e-9)
+        assert_close_rel(grad, finite_diff(f, Xt.copy()), rtol=1e-6, afloor=1e-9)
 
     @staticmethod
     def _graph():
@@ -269,32 +262,33 @@ class TestLayerGradients:
 
     def test_dual_partly_clamped(self, rng):
         g, delta = self._graph()
-        F0, Xt = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
-        u0 = np.array([[0.1, 0.8, -0.9]])
-        _, u1 = oracle_layer(F0, u0[0], Xt, g.dense_adjacency(), delta.values, 1.5, 0.5)
-        on_ball = np.abs(u1) == 0.5
+        Xt = rng.standard_normal((6, 3))
+        A = g.dense_adjacency()
+        F, u = Xt, np.zeros(3)
+        for _ in range(2):  # from u = 0, layer 2's dual is the first on the ball
+            F, u = oracle_layer(F, u, Xt, A, delta.values, 1.5, 0.1)
+        on_ball = np.abs(u) == 0.1
         assert on_ball.any() and not on_ball.all()
         for layers in (1, 2, 3):
-            hp = DebiasParams(lambda_smooth=1.5, lambda_fair=0.5, num_layers=layers)
-            self._check(hp, rng, F0, u0, Xt)
+            hp = DebiasParams(lambda_smooth=1.5, lambda_fair=0.1, num_layers=layers)
+            self._check(hp, rng, Xt)
 
     def test_zero_fair_weight(self, rng):
-        F0, Xt = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
-        u0 = np.array([[0.3, -0.2]])
+        Xt = rng.standard_normal((6, 2))
         for layers in (1, 2, 3):
             hp = DebiasParams(lambda_smooth=0.5, lambda_fair=0.0, num_layers=layers)
-            self._check(hp, rng, F0, u0, Xt)
+            self._check(hp, rng, Xt)
 
     def test_ml1_step(self, rng):
         g, delta = self._graph()
-        F0, Xt = rng.standard_normal((6, 3)), rng.standard_normal((6, 3))
+        Xt = rng.standard_normal((6, 3))
         for layers in (1, 2, 3):
             hp = DebiasParams(lambda_smooth=2.0, lambda_fair=0.7, num_layers=layers)
-            F = F0
+            F = Xt
             for _ in range(layers):  # sign(p) stays put under the probe steps
                 assert np.abs(delta.values @ row_softmax(F)).min() > 1e-3
                 F = ml1_step(F, Xt, g, delta, hp)
-            self._check(hp, rng, F0, np.zeros((1, 3)), Xt, ml1=True)
+            self._check(hp, rng, Xt, ml1=True)
 
 
 class TestStackMatchesTwoRecordLayer:
@@ -306,26 +300,23 @@ class TestStackMatchesTwoRecordLayer:
             g = random_graph(rng, n_max=12)
             delta = random_incident(rng, g.n)
             hp = DebiasParams(lambda_smooth=1.5, lambda_fair=0.3, num_layers=layers)
-            F0, Xt = rng.standard_normal((g.n, 3)), rng.standard_normal((g.n, 3))
-            u0 = np.array([[0.05, 0.4, -0.2]])
-            w = rng.standard_normal(F0.shape)
+            Xt = rng.standard_normal((g.n, 3))
+            w = rng.standard_normal(Xt.shape)
 
             t1 = ad.Tape()
-            leaves1 = [t1.leaf(a, requires_grad=True) for a in (F0, u0, Xt)]
-            F1 = stack(leaves1[0], None if ml1 else leaves1[1], leaves1[2], g, delta, *steps(hp))
+            x1 = t1.leaf(Xt, requires_grad=True)
+            F1 = stack(x1, g, delta, *steps(hp), ml1)
             grads1 = t1.backward(weighted_sum(F1, w))
 
             t2 = ad.Tape()
-            leaves2 = [t2.leaf(a, requires_grad=True) for a in (F0, u0, Xt)]
-            F2, u2 = leaves2[0], leaves2[1]
+            x2 = t2.leaf(Xt, requires_grad=True)
+            F2, u2 = x2, t2.leaf(np.zeros((1, 3)))
             for _ in range(layers):
-                F2, u2 = reference_layer(F2, u2, leaves2[2], g, delta, hp, ml1=ml1)
+                F2, u2 = reference_layer(F2, u2, x2, g, delta, hp, ml1=ml1)
             grads2 = t2.backward(weighted_sum(F2, w))
 
             assert_close_rel(F1.data, F2.data, rtol=1e-12, afloor=1e-15)
-            for a, b in zip(leaves1, leaves2):
-                ref = grads2.get(b.node_id, np.zeros(b.shape))
-                assert_close_rel(grads1.get(a.node_id, np.zeros(a.shape)), ref, rtol=1e-12, afloor=1e-15)
+            assert_close_rel(grads1[x1.node_id], grads2[x2.node_id], rtol=1e-12, afloor=1e-15)
 
 
 class TestTapeSize:
@@ -353,7 +344,7 @@ class TestTapeSize:
 
 
 class TestNanGuard:
-    @pytest.mark.parametrize("fwd", [forward, ml1_forward])
+    @pytest.mark.parametrize("fwd", [forward, ml1_forward, appnp_forward])
     def test_nan_input_raises(self, rng, fwd):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         delta = incident_vector([1, -1, 1, -1])
@@ -362,11 +353,11 @@ class TestNanGuard:
         X[2, 1] = np.nan
         hp = DebiasParams(lambda_smooth=1.0, lambda_fair=2.0, num_layers=2)
         tape = ad.Tape()
-        with pytest.raises(FloatingPointError, match="NaN produced in debiasing layer"):
+        with pytest.raises(FloatingPointError, match="NaN produced in propagation layer"):
             fwd(mlp, tape, tape.leaf(X), g, delta, hp)
 
     @pytest.mark.parametrize("lambda_f", [0.0, 2.0])
-    @pytest.mark.parametrize("fwd", [forward, ml1_forward])
+    @pytest.mark.parametrize("fwd", [forward, ml1_forward, appnp_forward])
     def test_nan_at_middle_node_reaches_last_layer(self, rng, fwd, lambda_f):
         # the stack checks F_L only, so a NaN must survive all three layers
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -376,7 +367,7 @@ class TestNanGuard:
         X[2, 0] = np.nan
         hp = DebiasParams(lambda_smooth=1.0, lambda_fair=lambda_f, num_layers=3)
         tape = ad.Tape()
-        with pytest.raises(FloatingPointError, match="NaN produced in debiasing layer"):
+        with pytest.raises(FloatingPointError, match="NaN produced in propagation layer"):
             fwd(mlp, tape, tape.leaf(X), g, delta, hp)
 
 
@@ -424,15 +415,10 @@ class TestForward:
                 mask = rng.random(g.n) < 0.5
                 mask[0] = True
                 hp = DebiasParams(lambda_smooth=1.5, lambda_fair=0.0, num_layers=layers)
-                cfg = RunConfig(scheme="appnp", alpha=hp.gamma, prop_k=layers)
                 outs = []
-                for fwd in (
-                    lambda tape, x: train._appnp(cfg, mlp, tape, x, g, delta, None),
-                    lambda tape, x: forward(mlp, tape, x, g, delta, hp),
-                    lambda tape, x: ml1_forward(mlp, tape, x, g, delta, hp),
-                ):
+                for fwd in (appnp_forward, forward, ml1_forward):
                     tape = ad.Tape()
-                    logits, params = fwd(tape, tape.leaf(X))
+                    logits, params = fwd(mlp, tape, tape.leaf(X), g, delta, hp)
                     grad_map = tape.backward(ad.cross_entropy_with_logits(logits, labels, mask))
                     outs.append([logits.data] + [grad_map[p.node_id] for p in params])
                 for out in outs[1:]:
@@ -565,7 +551,7 @@ class TestSingleStepDebiasEffect:
                 delta = random_incident(rng, g.n)
                 hp = DebiasParams(lambda_smooth=4.0, lambda_fair=0.05, num_layers=layers)
                 Xt = rng.standard_normal((g.n, 3))
-                F = run_stack(Xt, np.zeros((1, 3)), Xt, g, delta, hp)
+                F = run_stack(Xt, g, delta, hp)
                 agg = Xt
                 for _ in range(layers):
                     agg = appnp_step(g, agg, Xt, hp.gamma)

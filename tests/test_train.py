@@ -92,6 +92,22 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\], got "):
             small_cfg(alpha=alpha)
 
+    @pytest.mark.parametrize(
+        "field, value, name",
+        [
+            ("lambda_s", -1.0, "lambda_smooth"),
+            ("lambda_s", float("nan"), "lambda_smooth"),
+            ("lambda_f", -0.5, "lambda_fair"),
+            ("lambda_f", float("nan"), "lambda_fair"),
+            ("num_layers", -1, "num_layers"),
+        ],
+    )
+    def test_invalid_debias_settings_rejected(self, field, value, name):
+        # lam > 0 is false for NaN, so a NaN lambda_f trained as lambda_f = 0;
+        # a negative value failed only inside each run, as a NaN sweep row
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 0, got {value}$"):
+            small_cfg(**{field: value})
+
     def test_teleport_bounds_accepted(self):
         cfg = small_cfg(prop_k=0, alpha=1.0)
         assert (cfg.prop_k, cfg.alpha) == (0, 1.0)
