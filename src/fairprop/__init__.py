@@ -1,7 +1,6 @@
 """Graph message passing with an explicit primal-dual debiasing step."""
 
 from .debias import (
-    DebiasParams,
     fairness_grad,
     fairness_objective,
     prox_dual,
@@ -18,7 +17,6 @@ from .metrics import MetricsReport, accuracy, demographic_parity, equal_opportun
 from .propagation import ppnp_exact
 
 __all__ = [
-    "DebiasParams",
     "IncidentVector",
     "MetricsReport",
     "SparseGraph",

@@ -6,27 +6,27 @@ probability gap, update the dual perturbation direction, and project it
 back into the l-infinity ball of radius lambda_fair.
 
 The numpy functions (``fairness_grad``, ``prox_dual``, ``fairness_objective``)
-state the pieces of the update on plain arrays. Training records the whole
-stack of layers as one hand-differentiated tape record (``stack``), the
-unrolled primal-dual solver differentiated as one unit. It starts from the
-transformed features X_trans with the dual at u = 0, and every scheme that
-propagates this way calls it directly on X_trans. It runs class-major:
-node states are C x n, so per-node sums over the C classes run along axis 0
-and the duals are C x 1 columns; ``fairness_grad`` and ``row_softmax`` call
-the same class-major core on a transpose. Its reverse sweep adds the primal
-and dual cotangents on each aggregation before one sparse product, so a layer
-costs two sparse products per epoch, one forward and one backward; each is C
-matrix-vector products, one per contiguous class row. At lambda_fair = 0 the
-dual is 0 and a layer is the aggregation alone (teleport propagation), so the
-sweeps skip the softmaxes, the dual update and the fairness gradients. The
-direct-subgradient baseline (``ml1=True``) runs the same sweep with the
-constant dual lambda_fair * sign(p) in place of the dual update, and the
-``appnp`` baseline runs it at lambda_fair = 0 with teleport alpha.
+state the pieces of the update on plain arrays, and ``steps`` is the one rule
+for a layer's step sizes. Training records the whole stack of layers as one
+hand-differentiated tape record (``stack``), the unrolled primal-dual solver
+differentiated as one unit. It starts from the transformed features X_trans
+with the dual at u = 0, so layer 1's dual update takes no fairness gradient,
+and every scheme that propagates this way calls it directly on X_trans. It
+runs class-major: node states are C x n, so per-node sums over the C classes
+run along axis 0 and the duals are C x 1 columns; ``fairness_grad`` and
+``row_softmax`` call the same class-major core on a transpose. Its reverse
+sweep adds the primal and dual cotangents on each aggregation before one
+sparse product, so a layer costs two sparse products per epoch, one forward
+and one backward; each is C matrix-vector products, one per contiguous class
+row. At lambda_fair = 0 the dual is 0 and a layer is the aggregation alone
+(teleport propagation), so the sweeps skip the softmaxes, the dual update and
+the fairness gradients. The direct-subgradient baseline (``ml1=True``) runs
+the same sweep with the constant dual lambda_fair * sign(p) in place of the
+dual update, and the ``appnp`` baseline runs it at lambda_fair = 0 with
+teleport alpha.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,29 +36,12 @@ from .graph import IncidentVector, SparseGraph
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
-class DebiasParams:
-    """Smoothness/fairness weights, layer count, and the step sizes ``stack`` takes."""
+def steps(lambda_s: float) -> tuple[float, float]:
+    """The primal and dual step sizes (gamma, beta) of a layer at smoothness weight lambda_s.
 
-    lambda_smooth: float = 1.0
-    lambda_fair: float = 10.0
-    num_layers: int = 2
-
-    def __post_init__(self):
-        for name in ("lambda_smooth", "lambda_fair", "num_layers"):
-            value = getattr(self, name)
-            if not value >= 0:  # NaN too
-                raise ValueError(f"{name} must be >= 0, got {value}")
-
-    @property
-    def gamma(self) -> float:
-        """Primal step size 1 / (1 + lambda_smooth)."""
-        return 1.0 / (1.0 + self.lambda_smooth)
-
-    @property
-    def beta(self) -> float:
-        """Dual step size 1 / (2 * gamma) = (1 + lambda_smooth) / 2."""
-        return (1.0 + self.lambda_smooth) / 2.0
+    gamma = 1 / (1 + lambda_s), and beta = 1 / (2 * gamma) = (1 + lambda_s) / 2.
+    """
+    return 1.0 / (1.0 + lambda_s), (1.0 + lambda_s) / 2.0
 
 
 def _softmax(F: Array) -> Array:
@@ -187,8 +170,8 @@ def stack(
     ``agg - gamma * fairness_grad(F, u_next)``. With ``ml1`` the stack is the
     direct-subgradient baseline: the primal step uses the constant dual
     lam * sign(p) instead. Returns F_L. The step sizes are plain numbers: the
-    ``fair`` and ``ml1`` schemes take them from a ``DebiasParams``, and
-    ``appnp`` passes its teleport alpha as gamma at lam = 0.
+    ``fair`` and ``ml1`` schemes take them from ``steps``, and ``appnp``
+    passes its teleport alpha as gamma at lam = 0.
 
     For the hand-written reverse sweep it keeps softmax(F) and, with a dual,
     softmax(f_bar) and the clamp mask of every layer. The module docstring
@@ -201,7 +184,7 @@ def stack(
     teleport = gamma * X
     u = None if ml1 else np.zeros((X.shape[0], 1))
     duals, Ss, S_bars, insides = [u], [], [], []
-    for _ in range(n_layers):
+    for k in range(n_layers):
         agg = teleport + (1.0 - gamma) * _spmv(A, F)
         if lam > 0:  # else the dual, and with it the fairness gradient, is 0
             S = _softmax(F)
@@ -209,7 +192,8 @@ def stack(
             if ml1:
                 u = lam * np.sign(S @ d)[:, None]
             else:
-                S_bar = _softmax(agg - _fair_grad(S, Sd, gamma * u))
+                # layer 1's dual is 0, and so is its fairness gradient
+                S_bar = _softmax(agg if k == 0 else agg - _fair_grad(S, Sd, gamma * u))
                 u_bar = u + beta * (S_bar @ d)[:, None]
                 insides.append(np.abs(u_bar) <= lam)  # where the prox passes the gradient through
                 S_bars.append(S_bar)
@@ -241,9 +225,10 @@ def stack(
                         # fairness gradient at f_bar with dual beta * gu
                         S_bar = S_bars[k]
                         gf_bar = _fair_grad(S_bar, S_bar * d, beta * gu)
-                        q_bar = _softmax_vjp(S, gf_bar)
-                        terms.append((-gamma * duals[k], q_bar))
-                        gu = gu - gamma * (q_bar @ d)[:, None]
+                        if k > 0:  # layer 1's f_bar is agg: no dual term, no earlier dual
+                            q_bar = _softmax_vjp(S, gf_bar)
+                            terms.append((-gamma * duals[k], q_bar))
+                            gu = gu - gamma * (q_bar @ d)[:, None]
                         g_agg = gF + gf_bar
                 gF_fair = _fair_grad_vjp(S, d, terms)
             # the normalized adjacency is symmetric, so A^T = A

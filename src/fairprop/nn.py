@@ -96,12 +96,13 @@ def mlp_forward(mlp: Mlp, tape: ad.Tape, x: ad.Tensor):
     return h, param_tensors
 
 
+# Adam's moment decay rates and the guard added to its denominator
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     t: int = 0
     m: Array | None = None  # first moments of all parameters, one flat vector
@@ -129,15 +130,15 @@ def adam_step(params, grads, state: AdamState):
     state.t += 1
     t = state.t
     g += state.weight_decay * p
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * g
-    state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * g * g
-    step = state.m / (1.0 - state.beta1**t)
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * g
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * g * g
+    step = state.m / (1.0 - ADAM_BETA1**t)
     step *= state.lr
-    denom = state.v / (1.0 - state.beta2**t)
+    denom = state.v / (1.0 - ADAM_BETA2**t)
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += ADAM_EPS
     step /= denom
     p -= step
     out, start = [], 0

@@ -74,7 +74,13 @@ class RunConfig:
             raise ValueError(f"prop_k must be >= 0, got {self.prop_k}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        self.debias_params()  # validates lambda_s, lambda_f and num_layers
+        for name, value in (
+            ("lambda_smooth", self.lambda_s),
+            ("lambda_fair", self.lambda_f),
+            ("num_layers", self.num_layers),
+        ):
+            if not value >= 0:  # NaN too
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -105,13 +111,6 @@ class RunConfig:
     def fingerprint(self) -> str:
         blob = json.dumps(self.semantic_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
-
-    def debias_params(self) -> debias.DebiasParams:
-        return debias.DebiasParams(
-            lambda_smooth=self.lambda_s,
-            lambda_fair=self.lambda_f,
-            num_layers=self.num_layers,
-        )
 
 
 # path -> sha256 of each dataset file hashed inside an open ``hashing_files_once``
@@ -216,9 +215,9 @@ def _ppnp_exact(cfg, mlp, tape, x, g, delta, constant):
 
 def _fair(cfg, mlp, tape, x, g, delta, constant):
     x_trans, params = mlp_forward(mlp, tape, x)
-    hp, ml1 = cfg.debias_params(), cfg.scheme == "ml1"
-    F = debias.stack(x_trans, g, delta, hp.num_layers, hp.gamma, hp.beta, hp.lambda_fair, ml1)
-    return F, params
+    gamma, beta = debias.steps(cfg.lambda_s)
+    ml1 = cfg.scheme == "ml1"
+    return debias.stack(x_trans, g, delta, cfg.num_layers, gamma, beta, cfg.lambda_f, ml1), params
 
 
 # Scheme -> forward pass on the tape. ``sgc`` is the MLP on features that

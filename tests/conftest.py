@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fairprop import train
-from fairprop.debias import fairness_grad, fairness_objective, prox_dual
+from fairprop.debias import fairness_grad, fairness_objective, prox_dual, steps
 from fairprop.graph import build_graph
 from fairprop.train import RunConfig
 
@@ -95,31 +97,26 @@ def weighted_sum(out, w):
     return out.tape._result(np.array([[np.sum(out.data * w)]]), (out,), backward)
 
 
-def forward(mlp, tape, x, g, delta, hp, scheme="fair"):
-    """``scheme``'s forward pass on the tape under ``hp``, through its entry in ``train``.
+def forward(mlp, tape, x, g, delta, cfg, scheme="fair"):
+    """``scheme``'s forward pass on the tape under ``cfg``'s ``lambda_s``,
+    ``lambda_f`` and ``num_layers``, through its entry in ``train``.
 
-    ``appnp`` takes ``hp.gamma`` as its teleport alpha and ``hp.num_layers``
-    as its step count. Returns (logits tensor, MLP parameter tensors).
+    ``appnp`` takes the primal step of ``lambda_s`` as its teleport alpha and
+    ``num_layers`` as its step count. Returns (logits tensor, MLP parameter tensors).
     """
-    cfg = RunConfig(
-        scheme=scheme,
-        lambda_s=hp.lambda_smooth,
-        lambda_f=hp.lambda_fair,
-        num_layers=hp.num_layers,
-        alpha=hp.gamma,
-        prop_k=hp.num_layers,
-    )
+    gamma, _ = steps(cfg.lambda_s)
+    cfg = replace(cfg, scheme=scheme, alpha=gamma, prop_k=cfg.num_layers)
     return train._FORWARDS[scheme](cfg, mlp, tape, x, g, delta, None)
 
 
-def ml1_forward(mlp, tape, x, g, delta, hp):
+def ml1_forward(mlp, tape, x, g, delta, cfg):
     """The ``ml1`` scheme's forward pass; see ``forward``."""
-    return forward(mlp, tape, x, g, delta, hp, scheme="ml1")
+    return forward(mlp, tape, x, g, delta, cfg, scheme="ml1")
 
 
-def appnp_forward(mlp, tape, x, g, delta, hp):
+def appnp_forward(mlp, tape, x, g, delta, cfg):
     """The ``appnp`` scheme's forward pass; see ``forward``."""
-    return forward(mlp, tape, x, g, delta, hp, scheme="appnp")
+    return forward(mlp, tape, x, g, delta, cfg, scheme="appnp")
 
 
 def appnp_step(g, F, X_trans, alpha):
@@ -131,20 +128,20 @@ def appnp_step(g, F, X_trans, alpha):
     return alpha * X_trans + (1.0 - alpha) * (g.adjacency @ F)
 
 
-def ml1_step(F, X_trans, g, delta, hp):
+def ml1_step(F, X_trans, g, delta, cfg):
     """Oracle: one direct subgradient step on the combined objective (no dual variable).
 
-    Uses lambda_fair * sign(p) in place of the dual variable; sign is treated
-    as constant.
+    Uses ``cfg.lambda_f`` * sign(p) in place of the dual variable; sign is
+    treated as constant.
     """
     F = np.asarray(F, dtype=np.float64)
     X_trans = np.asarray(X_trans, dtype=np.float64)
     if F.shape != X_trans.shape:
         raise ValueError("shape mismatch")
-    gamma = hp.gamma
+    gamma, _ = steps(cfg.lambda_s)
     agg = gamma * X_trans + (1.0 - gamma) * (g.adjacency @ F)
-    _, p = fairness_objective(F, delta, hp.lambda_fair)
-    u_eff = hp.lambda_fair * np.sign(p).reshape(1, -1)
+    _, p = fairness_objective(F, delta, cfg.lambda_f)
+    u_eff = cfg.lambda_f * np.sign(p).reshape(1, -1)
     return agg - gamma * fairness_grad(F, u_eff, delta)
 
 
@@ -174,16 +171,17 @@ def _ref_primal_step(F, u, X_trans, g, dcol, gamma, S, agg):
     return F.tape._result(agg - gamma * _ref_fair_grad(S, dcol, u.data), (F, u, X_trans), backward)
 
 
-def reference_layer(F, u, X_trans, g, delta, hp, ml1=False):
+def reference_layer(F, u, X_trans, g, delta, cfg, ml1=False):
     """Reference: one layer as two n x C tape records; returns (F_next, u_next).
 
     This is the layer ``debias.stack`` replaced: ``u_next`` from (F, u,
     X_trans), the dual ascent and prox, then ``F_next`` from (F, u_next,
     X_trans), the primal step, each record pulling back through the
-    aggregation on its own. With ``ml1`` the dual is the constant leaf
-    lambda_fair * sign(p) and u is passed through.
+    aggregation on its own, at the steps of ``cfg.lambda_s`` and the radius
+    ``cfg.lambda_f``. With ``ml1`` the dual is the constant leaf
+    lambda_f * sign(p) and u is passed through.
     """
-    gamma, beta, lam = hp.gamma, hp.beta, hp.lambda_fair
+    (gamma, beta), lam = steps(cfg.lambda_s), cfg.lambda_f
     dcol = delta.values[:, None]
     S = _ref_softmax(F.data)
     agg = gamma * X_trans.data + (1.0 - gamma) * (g.adjacency @ F.data)

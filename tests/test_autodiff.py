@@ -16,7 +16,7 @@ from conftest import (
 from fairprop import autodiff as ad
 from fairprop import train
 from fairprop.data import SynthConfig, make_splits, synth_generate
-from fairprop.debias import DebiasParams, row_softmax
+from fairprop.debias import row_softmax
 from fairprop.graph import incident_vector
 from fairprop.nn import MlpConfig, adam_step, init_weights
 
@@ -348,10 +348,10 @@ class TestTapeLifetime:
         g = random_graph(rng, n_max=8)
         s = np.where(np.arange(g.n) % 2 == 0, 1, -1)
         mlp = init_weights(MlpConfig(in_dim=3, hidden=[4], out_dim=2), 0)
-        hp = DebiasParams(lambda_smooth=1.0, lambda_fair=2.0, num_layers=3)
+        cfg = train.RunConfig(lambda_s=1.0, lambda_f=2.0, num_layers=3)
         tape = ad.Tape()
         x = tape.leaf(rng.standard_normal((g.n, 3)))
-        logits, _ = forward(mlp, tape, x, g, incident_vector(s), hp)
+        logits, _ = forward(mlp, tape, x, g, incident_vector(s), cfg)
         loss = ad.cross_entropy_with_logits(logits, rng.integers(0, 2, size=g.n), np.ones(g.n, dtype=bool))
         tape.backward(loss)
         return weakref.ref(tape)

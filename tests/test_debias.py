@@ -15,15 +15,16 @@ from conftest import (
 )
 from fairprop import autodiff as ad
 from fairprop.debias import (
-    DebiasParams,
     fairness_grad,
     fairness_objective,
     prox_dual,
     row_softmax,
     stack,
+    steps,
 )
 from fairprop.graph import build_graph, incident_vector
 from fairprop.nn import MlpConfig, init_weights, mlp_forward
+from fairprop.train import RunConfig
 
 
 def random_incident(rng, n):
@@ -87,19 +88,19 @@ def oracle_layer(F, u, Xt, A_dense, delta_vals, lam_s, lam_f):
 
 class TestParams:
     def test_step_sizes_exact(self):
-        hp = DebiasParams(lambda_smooth=1.0, lambda_fair=1.0, num_layers=2)
-        assert hp.gamma == 0.5
-        assert hp.beta == 1.0
-        hp = DebiasParams(lambda_smooth=3.0)
-        assert hp.gamma == 1.0 / 4.0
-        assert hp.beta == 2.0
-        assert 0.0 < hp.gamma <= 1.0
+        gamma, beta = steps(1.0)
+        assert gamma == 0.5
+        assert beta == 1.0
+        gamma, beta = steps(3.0)
+        assert gamma == 1.0 / 4.0
+        assert beta == 2.0
+        assert 0.0 < gamma <= 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            DebiasParams(lambda_smooth=-1.0)
+            RunConfig(lambda_s=-1.0)
         with pytest.raises(ValueError):
-            DebiasParams(lambda_fair=-0.1)
+            RunConfig(lambda_f=-0.1)
 
 
 class TestFairnessGrad:
@@ -180,15 +181,15 @@ class TestProxDual:
             np.testing.assert_allclose(prox_dual(u, lam), best, atol=1e-3)
 
 
-def steps(hp):
-    """The layer count and step sizes ``stack`` takes, as the ``fair`` scheme passes them."""
-    return hp.num_layers, hp.gamma, hp.beta, hp.lambda_fair
+def stack_args(cfg):
+    """The layer count, step sizes and radius ``stack`` takes, as the ``fair`` scheme passes them."""
+    return (cfg.num_layers, *steps(cfg.lambda_s), cfg.lambda_f)
 
 
-def run_stack(Xt, g, delta, hp):
+def run_stack(Xt, g, delta, cfg):
     """The F_L array of ``stack`` on a fresh leaf."""
     tape = ad.Tape()
-    return stack(tape.leaf(Xt), g, delta, *steps(hp)).data
+    return stack(tape.leaf(Xt), g, delta, *stack_args(cfg)).data
 
 
 class TestLayerStep:
@@ -197,11 +198,11 @@ class TestLayerStep:
         delta = random_incident(rng, g.n)
         Xt = rng.standard_normal((g.n, 3))
         for layers in (1, 2, 3):
-            hp = DebiasParams(lambda_smooth=2.0, lambda_fair=0.0, num_layers=layers)
-            F = run_stack(Xt, g, delta, hp)
+            cfg = RunConfig(lambda_s=2.0, lambda_f=0.0, num_layers=layers)
+            F = run_stack(Xt, g, delta, cfg)
             ref = Xt
             for _ in range(layers):
-                ref = appnp_step(g, ref, Xt, hp.gamma)
+                ref = appnp_step(g, ref, Xt, steps(cfg.lambda_s)[0])
             # bitwise: every dual is exactly zero, so no fairness term is added
             assert np.array_equal(F, ref)
 
@@ -215,8 +216,8 @@ class TestLayerStep:
             # layer k's output depends on its dual, so matching F at every
             # depth matches the dual trace too
             F_ref, u_ref = oracle_layer(F_ref, u_ref, Xt, A, delta.values, 1.0, 0.4)
-            hp = DebiasParams(lambda_smooth=1.0, lambda_fair=0.4, num_layers=layers)
-            F = run_stack(Xt, g, delta, hp)
+            cfg = RunConfig(lambda_s=1.0, lambda_f=0.4, num_layers=layers)
+            F = run_stack(Xt, g, delta, cfg)
             np.testing.assert_allclose(F, F_ref, atol=1e-12)
 
     def test_dual_bounded_every_layer(self, rng):
@@ -229,8 +230,8 @@ class TestLayerStep:
             F_ref, u_ref = oracle_layer(F_ref, u_ref, Xt, A, delta.values, 0.5, 0.3)
             assert np.abs(u_ref).max() <= 0.3
             # the stack runs the same dual trace
-            hp = DebiasParams(lambda_smooth=0.5, lambda_fair=0.3, num_layers=layers)
-            F = run_stack(Xt, g, delta, hp)
+            cfg = RunConfig(lambda_s=0.5, lambda_f=0.3, num_layers=layers)
+            F = run_stack(Xt, g, delta, cfg)
             np.testing.assert_allclose(F, F_ref, atol=1e-12)
 
 
@@ -238,13 +239,13 @@ class TestLayerGradients:
     """The hand-written reverse sweep of the stack against central finite differences."""
 
     @staticmethod
-    def _check(hp, rng, Xt, ml1=False):
+    def _check(cfg, rng, Xt, ml1=False):
         """Gradient of a fixed weighting of the stack's output in X_trans."""
         g, delta = TestLayerGradients._graph()
         w_F = rng.standard_normal(Xt.shape)
 
         def scalar(X):
-            return weighted_sum(stack(X, g, delta, *steps(hp), ml1), w_F)
+            return weighted_sum(stack(X, g, delta, *stack_args(cfg), ml1), w_F)
 
         tape = ad.Tape()
         leaf = tape.leaf(Xt, requires_grad=True)
@@ -270,25 +271,25 @@ class TestLayerGradients:
         on_ball = np.abs(u) == 0.1
         assert on_ball.any() and not on_ball.all()
         for layers in (1, 2, 3):
-            hp = DebiasParams(lambda_smooth=1.5, lambda_fair=0.1, num_layers=layers)
-            self._check(hp, rng, Xt)
+            cfg = RunConfig(lambda_s=1.5, lambda_f=0.1, num_layers=layers)
+            self._check(cfg, rng, Xt)
 
     def test_zero_fair_weight(self, rng):
         Xt = rng.standard_normal((6, 2))
         for layers in (1, 2, 3):
-            hp = DebiasParams(lambda_smooth=0.5, lambda_fair=0.0, num_layers=layers)
-            self._check(hp, rng, Xt)
+            cfg = RunConfig(lambda_s=0.5, lambda_f=0.0, num_layers=layers)
+            self._check(cfg, rng, Xt)
 
     def test_ml1_step(self, rng):
         g, delta = self._graph()
         Xt = rng.standard_normal((6, 3))
         for layers in (1, 2, 3):
-            hp = DebiasParams(lambda_smooth=2.0, lambda_fair=0.7, num_layers=layers)
+            cfg = RunConfig(lambda_s=2.0, lambda_f=0.7, num_layers=layers)
             F = Xt
             for _ in range(layers):  # sign(p) stays put under the probe steps
                 assert np.abs(delta.values @ row_softmax(F)).min() > 1e-3
-                F = ml1_step(F, Xt, g, delta, hp)
-            self._check(hp, rng, Xt, ml1=True)
+                F = ml1_step(F, Xt, g, delta, cfg)
+            self._check(cfg, rng, Xt, ml1=True)
 
 
 class TestStackMatchesTwoRecordLayer:
@@ -299,20 +300,20 @@ class TestStackMatchesTwoRecordLayer:
         for layers in (1, 2, 3):
             g = random_graph(rng, n_max=12)
             delta = random_incident(rng, g.n)
-            hp = DebiasParams(lambda_smooth=1.5, lambda_fair=0.3, num_layers=layers)
+            cfg = RunConfig(lambda_s=1.5, lambda_f=0.3, num_layers=layers)
             Xt = rng.standard_normal((g.n, 3))
             w = rng.standard_normal(Xt.shape)
 
             t1 = ad.Tape()
             x1 = t1.leaf(Xt, requires_grad=True)
-            F1 = stack(x1, g, delta, *steps(hp), ml1)
+            F1 = stack(x1, g, delta, *stack_args(cfg), ml1)
             grads1 = t1.backward(weighted_sum(F1, w))
 
             t2 = ad.Tape()
             x2 = t2.leaf(Xt, requires_grad=True)
             F2, u2 = x2, t2.leaf(np.zeros((1, 3)))
             for _ in range(layers):
-                F2, u2 = reference_layer(F2, u2, x2, g, delta, hp, ml1=ml1)
+                F2, u2 = reference_layer(F2, u2, x2, g, delta, cfg, ml1=ml1)
             grads2 = t2.backward(weighted_sum(F2, w))
 
             assert_close_rel(F1.data, F2.data, rtol=1e-12, afloor=1e-15)
@@ -328,9 +329,9 @@ class TestTapeSize:
         delta = incident_vector([1, -1, 1, -1, 1])
         mlp = init_weights(MlpConfig(in_dim=3, hidden=[4], out_dim=2), 0)
         X = rng.standard_normal((5, 3))
-        hp = DebiasParams(lambda_smooth=1.0, lambda_fair=2.0, num_layers=layers)
+        cfg = RunConfig(lambda_s=1.0, lambda_f=2.0, num_layers=layers)
         tape, mlp_tape = ad.Tape(), ad.Tape()
-        fwd(mlp, tape, tape.leaf(X), g, delta, hp)
+        fwd(mlp, tape, tape.leaf(X), g, delta, cfg)
         mlp_forward(mlp, mlp_tape, mlp_tape.leaf(X))
         return len(tape._records) - len(mlp_tape._records)
 
@@ -351,10 +352,10 @@ class TestNanGuard:
         mlp = init_weights(MlpConfig(in_dim=3, hidden=[4], out_dim=2), 0)
         X = rng.standard_normal((4, 3))
         X[2, 1] = np.nan
-        hp = DebiasParams(lambda_smooth=1.0, lambda_fair=2.0, num_layers=2)
+        cfg = RunConfig(lambda_s=1.0, lambda_f=2.0, num_layers=2)
         tape = ad.Tape()
         with pytest.raises(FloatingPointError, match="NaN produced in propagation layer"):
-            fwd(mlp, tape, tape.leaf(X), g, delta, hp)
+            fwd(mlp, tape, tape.leaf(X), g, delta, cfg)
 
     @pytest.mark.parametrize("lambda_f", [0.0, 2.0])
     @pytest.mark.parametrize("fwd", [forward, ml1_forward, appnp_forward])
@@ -365,10 +366,10 @@ class TestNanGuard:
         mlp = init_weights(MlpConfig(in_dim=3, hidden=[4], out_dim=2), 0)
         X = rng.standard_normal((5, 3))
         X[2, 0] = np.nan
-        hp = DebiasParams(lambda_smooth=1.0, lambda_fair=lambda_f, num_layers=3)
+        cfg = RunConfig(lambda_s=1.0, lambda_f=lambda_f, num_layers=3)
         tape = ad.Tape()
         with pytest.raises(FloatingPointError, match="NaN produced in propagation layer"):
-            fwd(mlp, tape, tape.leaf(X), g, delta, hp)
+            fwd(mlp, tape, tape.leaf(X), g, delta, cfg)
 
 
 class TestForward:
@@ -383,10 +384,10 @@ class TestForward:
 
     def test_zero_layers_returns_transform(self, rng):
         g, delta, mlp, X = self._setup(rng)
-        hp = DebiasParams(lambda_smooth=1.0, lambda_fair=2.0, num_layers=0)
+        cfg = RunConfig(lambda_s=1.0, lambda_f=2.0, num_layers=0)
         tape = ad.Tape()
         x = tape.leaf(X)
-        out, _ = forward(mlp, tape, x, g, delta, hp)
+        out, _ = forward(mlp, tape, x, g, delta, cfg)
         t2 = ad.Tape()
         ref, _ = mlp_forward(mlp, t2, t2.leaf(X))
         np.testing.assert_array_equal(out.data, ref.data)
@@ -394,14 +395,14 @@ class TestForward:
     def test_zero_fair_weight_equals_appnp_trajectory(self, rng):
         for _ in range(20):
             g, delta, mlp, X = self._setup(rng)
-            hp = DebiasParams(lambda_smooth=1.5, lambda_fair=0.0, num_layers=3)
+            cfg = RunConfig(lambda_s=1.5, lambda_f=0.0, num_layers=3)
             tape = ad.Tape()
-            out, _ = forward(mlp, tape, tape.leaf(X), g, delta, hp)
+            out, _ = forward(mlp, tape, tape.leaf(X), g, delta, cfg)
             t2 = ad.Tape()
             xt, _ = mlp_forward(mlp, t2, t2.leaf(X))
             F = xt.data
             for _ in range(3):
-                F = appnp_step(g, F, xt.data, hp.gamma)
+                F = appnp_step(g, F, xt.data, steps(cfg.lambda_s)[0])
             assert np.array_equal(out.data, F)
 
     def test_zero_fair_weight_gradients_equal_appnp(self, rng):
@@ -414,11 +415,11 @@ class TestForward:
                 labels = rng.integers(0, 3, size=g.n)
                 mask = rng.random(g.n) < 0.5
                 mask[0] = True
-                hp = DebiasParams(lambda_smooth=1.5, lambda_fair=0.0, num_layers=layers)
+                cfg = RunConfig(lambda_s=1.5, lambda_f=0.0, num_layers=layers)
                 outs = []
                 for fwd in (appnp_forward, forward, ml1_forward):
                     tape = ad.Tape()
-                    logits, params = fwd(mlp, tape, tape.leaf(X), g, delta, hp)
+                    logits, params = fwd(mlp, tape, tape.leaf(X), g, delta, cfg)
                     grad_map = tape.backward(ad.cross_entropy_with_logits(logits, labels, mask))
                     outs.append([logits.data] + [grad_map[p.node_id] for p in params])
                 for out in outs[1:]:
@@ -432,10 +433,10 @@ class TestForward:
         X = rng.standard_normal((8, 4))
         labels = rng.integers(0, 2, size=8)
         mask = np.ones(8, dtype=bool)
-        hp = DebiasParams(lambda_smooth=1.0, lambda_fair=0.5, num_layers=2)
+        cfg = RunConfig(lambda_s=1.0, lambda_f=0.5, num_layers=2)
 
         tape = ad.Tape()
-        logits, param_tensors = forward(mlp, tape, tape.leaf(X), g, delta, hp)
+        logits, param_tensors = forward(mlp, tape, tape.leaf(X), g, delta, cfg)
         grads = tape.backward(ad.cross_entropy_with_logits(logits, labels, mask))
 
         params = mlp.parameters()
@@ -447,7 +448,7 @@ class TestForward:
                 new[pi] = pv.reshape(params[pi].shape)
                 probe.set_parameters(new)
                 t2 = ad.Tape()
-                lg, _ = forward(probe, t2, t2.leaf(X), g, delta, hp)
+                lg, _ = forward(probe, t2, t2.leaf(X), g, delta, cfg)
                 return float(ad.cross_entropy_with_logits(lg, labels, mask).data[0, 0])
 
             fd = finite_diff(f, params[pi] * 1.0)
@@ -482,28 +483,28 @@ class TestMl1Step:
     def test_zero_fair_weight_is_appnp(self, rng):
         g = random_graph(rng, n_max=10)
         delta = random_incident(rng, g.n)
-        hp = DebiasParams(lambda_smooth=1.0, lambda_fair=0.0, num_layers=1)
+        cfg = RunConfig(lambda_s=1.0, lambda_f=0.0, num_layers=1)
         F = rng.standard_normal((g.n, 2))
         Xt = rng.standard_normal((g.n, 2))
         np.testing.assert_allclose(
-            ml1_step(F, Xt, g, delta, hp), appnp_step(g, F, Xt, hp.gamma), atol=1e-15
+            ml1_step(F, Xt, g, delta, cfg), appnp_step(g, F, Xt, steps(cfg.lambda_s)[0]), atol=1e-15
         )
 
     def test_symmetric_probabilities_pure_aggregation(self):
         # p = 0 exactly, so sign(0) = 0 and only aggregation remains
         g = build_graph(2, [(0, 1)])
         delta = incident_vector([1, -1])
-        hp = DebiasParams(lambda_smooth=1.0, lambda_fair=5.0, num_layers=1)
+        cfg = RunConfig(lambda_s=1.0, lambda_f=5.0, num_layers=1)
         F = np.array([[0.3, -0.3], [0.3, -0.3]])
         Xt = np.array([[1.0, 0.0], [0.0, 1.0]])
         np.testing.assert_allclose(
-            ml1_step(F, Xt, g, delta, hp), appnp_step(g, F, Xt, hp.gamma), atol=1e-15
+            ml1_step(F, Xt, g, delta, cfg), appnp_step(g, F, Xt, steps(cfg.lambda_s)[0]), atol=1e-15
         )
 
     def test_matches_straight_line_oracle(self, rng):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         delta = incident_vector([1, -1, 1, -1])
-        hp = DebiasParams(lambda_smooth=2.0, lambda_fair=0.7, num_layers=1)
+        cfg = RunConfig(lambda_s=2.0, lambda_f=0.7, num_layers=1)
         F = rng.standard_normal((4, 3))
         Xt = rng.standard_normal((4, 3))
 
@@ -520,22 +521,22 @@ class TestMl1Step:
         )
         u_eff = 0.7 * np.sign(p)
         expected = agg - gamma * oracle_fair_grad(F, u_eff, delta.values)
-        np.testing.assert_allclose(ml1_step(F, Xt, g, delta, hp), expected, atol=1e-12)
+        np.testing.assert_allclose(ml1_step(F, Xt, g, delta, cfg), expected, atol=1e-12)
 
 
     def test_tape_forward_matches_numpy_step(self, rng):
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
         delta = incident_vector([1, -1, 1, -1, -1])
-        hp = DebiasParams(lambda_smooth=1.0, lambda_fair=0.6, num_layers=3)
+        cfg = RunConfig(lambda_s=1.0, lambda_f=0.6, num_layers=3)
         mlp = init_weights(MlpConfig(in_dim=4, hidden=[6], out_dim=3), 2)
         X = rng.standard_normal((5, 4))
         tape = ad.Tape()
-        out, _ = ml1_forward(mlp, tape, tape.leaf(X), g, delta, hp)
+        out, _ = ml1_forward(mlp, tape, tape.leaf(X), g, delta, cfg)
         t2 = ad.Tape()
         xt = mlp_forward(mlp, t2, t2.leaf(X))[0].data
         F = xt
         for _ in range(3):
-            F = ml1_step(F, xt, g, delta, hp)
+            F = ml1_step(F, xt, g, delta, cfg)
         np.testing.assert_allclose(out.data, F, atol=1e-12)
 
 
@@ -549,12 +550,12 @@ class TestSingleStepDebiasEffect:
             for trial in range(20):
                 g = random_graph(rng, n_max=12)
                 delta = random_incident(rng, g.n)
-                hp = DebiasParams(lambda_smooth=4.0, lambda_fair=0.05, num_layers=layers)
+                cfg = RunConfig(lambda_s=4.0, lambda_f=0.05, num_layers=layers)
                 Xt = rng.standard_normal((g.n, 3))
-                F = run_stack(Xt, g, delta, hp)
+                F = run_stack(Xt, g, delta, cfg)
                 agg = Xt
                 for _ in range(layers):
-                    agg = appnp_step(g, agg, Xt, hp.gamma)
+                    agg = appnp_step(g, agg, Xt, steps(cfg.lambda_s)[0])
                 before, p = fairness_objective(agg, delta, 1.0)
                 after, _ = fairness_objective(F, delta, 1.0)
                 if np.abs(p).max() == 0.0:
