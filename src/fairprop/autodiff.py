@@ -11,6 +11,12 @@ the masked rows only).
 ``matmul`` and ``dense`` compute no gradient for an operand that requires
 none. Other modules add fused records of their own through ``Tape._result``
 (the whole debiasing stack, ``fairprop.debias.stack``).
+
+A backward function owns the cotangent it is handed: nothing else holds it,
+so the function may write into it (``dense`` and ``relu`` apply their masks
+in place) and may return it as a contribution. Each contribution it returns
+is handed on the same way, so it returns only arrays nothing else holds: no
+forward value and no array returned twice.
 """
 
 from __future__ import annotations
@@ -76,7 +82,9 @@ class Tape:
 
         A tape is single-use: replaying releases it. Each record is dropped,
         and its output's gradient popped, as soon as the record is replayed,
-        so intermediate gradients do not outlive their use.
+        so intermediate gradients do not outlive their use. A record's output
+        is dropped before its backward function runs, so the output's values
+        are freed then unless a caller or a later record still holds them.
         """
         if loss.shape != (1, 1):
             raise ValueError(f"loss must be 1x1, got {loss.shape}")
@@ -87,16 +95,20 @@ class Tape:
         grads: dict[int, Array] = {loss.node_id: np.ones((1, 1))}
         records = self.release()
         while records:
-            out, _, backward_fn = records.pop()
-            g = grads.pop(out.node_id, None)
-            if g is None:
-                continue
-            for tensor, contrib in backward_fn(g):
-                if not tensor.requires_grad:
-                    continue
-                acc = grads.get(tensor.node_id)
-                grads[tensor.node_id] = contrib if acc is None else acc + contrib
+            record = records.pop()
+            node_id, backward_fn = record[0].node_id, record[2]
+            del record
+            if node_id in grads:  # else no gradient reaches this record
+                _accumulate(grads, backward_fn(grads.pop(node_id)))
         return grads
+
+
+def _accumulate(grads: dict, contribs):
+    """Add each (tensor, cotangent) contribution into ``grads``; the first is kept as is."""
+    for tensor, contrib in contribs:
+        if tensor.requires_grad:
+            acc = grads.get(tensor.node_id)
+            grads[tensor.node_id] = contrib if acc is None else acc + contrib
 
 
 def _check(a: Tensor, b: Tensor):
@@ -145,7 +157,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool, row_scale: Array | None =
 
     def backward(g):
         if mask is not None:
-            g = g * mask
+            g *= mask
         db = g.sum(axis=0, keepdims=True) if row_scale is None else (row_scale @ g)[None, :]
         grads = [(w, x.data.T @ g), (b, db)]
         if x.requires_grad:
@@ -172,7 +184,8 @@ def relu(a: Tensor) -> Tensor:
     mask = a.data > 0.0
 
     def backward(g):
-        return [(a, g * mask)]
+        g *= mask
+        return [(a, g)]
 
     return a.tape._result(a.data * mask, (a,), backward)
 

@@ -26,7 +26,7 @@ from .train import (
 
 # Rows of text built before each write: the text of a whole file would peak
 # above the generator itself.
-WRITE_BLOCK_ROWS = 4096
+WRITE_BLOCK_ROWS = 1024
 
 
 def _load_config(path) -> RunConfig:

@@ -18,6 +18,10 @@ Array = np.ndarray
 
 MISSING_LABEL = -1
 
+# Characters of edge-list lines parsed at a time (``readlines`` hint): the
+# text and tokens of one block, not of the whole file, are held at once.
+EDGE_BLOCK_CHARS = 1 << 20
+
 
 @dataclass
 class Dataset:
@@ -57,15 +61,16 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
     ``schema`` declares {"id": col, "sensitive": col, "sensitive_pos_value":
     raw, "label": col, "drop": [cols]}. Nodes are indexed densely in file
     order. The node CSV is read in one pass and no row outlives its parse;
-    the edge list is parsed as one text, one pair of ids per line, split on
-    whitespace or commas, with ``#`` starting a comment. An empty feature
-    cell reads as 0, and an empty or negative label marks the node
-    unlabeled. Each of these raises one ValueError line: a missing column, a
-    row whose cell count differs from the header's (named by file and line),
-    a repeated node id, a non-numeric or non-finite feature cell (``nan``,
-    ``inf``) or a non-numeric, non-integer or non-finite label (named by
-    column), a sensitive column with a single value, and an edge line that
-    is malformed or names an unknown id (quoted without its comment).
+    the edge list is parsed in blocks of lines (``EDGE_BLOCK_CHARS``), one
+    pair of ids per line, split on whitespace or commas, with ``#`` starting
+    a comment. An empty feature cell reads as 0, and an empty or negative
+    label marks the node unlabeled. Each of these raises one ValueError
+    line: a missing column, a row whose cell count differs from the
+    header's (named by file and line), a repeated node id, a non-numeric or
+    non-finite feature cell (``nan``, ``inf``) or a non-numeric,
+    non-integer or non-finite label (named by column), a sensitive column
+    with a single value, and an edge line that is malformed or names an
+    unknown id (quoted without its comment).
     """
     with open(node_csv_path, newline="") as f:
         reader = csv.reader(f)
@@ -127,19 +132,26 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
         raise ValueError("sensitive column takes a single value")
     del ids, positive, label_cells  # free the cell strings before the edge parse
 
+    blocks = [np.empty((0, 2), dtype=np.int64)]  # the edges of each block of lines
     with open(edge_path) as f:
-        text = re.sub(r"#[^\n]*", "", f.read())
-    commas_only_line = "," in text and _COMMAS_ONLY_LINE.search(text)
-    text = text.replace(",", " ")
-    if commas_only_line or not set(map(len, map(str.split, text.split("\n")))) <= {0, 2}:
-        raise ValueError(_first_bad_edge_line(edge_path, id_map))
-    try:
-        ends = np.fromiter(map(id_map.__getitem__, text.split()), np.int64)
-    except KeyError:
-        raise ValueError(_first_bad_edge_line(edge_path, id_map)) from None
-    del text
-    edges = ends.reshape(-1, 2)
-    graph = build_graph(n, edges[edges[:, 0] != edges[:, 1]])  # self-loops are dropped
+        while lines := f.readlines(EDGE_BLOCK_CHARS):
+            text = re.sub(r"#[^\n]*", "", "".join(lines))
+            del lines
+            commas_only_line = "," in text and _COMMAS_ONLY_LINE.search(text)
+            text = text.replace(",", " ")
+            if commas_only_line or not set(map(len, map(str.split, text.split("\n")))) <= {0, 2}:
+                raise ValueError(_first_bad_edge_line(edge_path, id_map))
+            try:
+                ends = np.fromiter(map(id_map.__getitem__, text.split()), np.int64)
+            except KeyError:
+                raise ValueError(_first_bad_edge_line(edge_path, id_map)) from None
+            del text
+            pairs = ends.reshape(-1, 2)
+            blocks.append(pairs[pairs[:, 0] != pairs[:, 1]])  # self-loops are dropped
+    del id_map
+    edges = np.concatenate(blocks)
+    del blocks
+    graph = build_graph(n, edges)
     return Dataset(graph=graph, features=features, sensitive=sensitive, labels=labels, name=name)
 
 
@@ -331,23 +343,43 @@ def synth_generate(cfg: SynthConfig, max_attempts: int = 20) -> Dataset:
 
 def standardize_features(features: Array, train_mask) -> Array:
     """Per-column zero mean, unit variance computed over training nodes."""
-    train_mask = np.asarray(train_mask, dtype=bool)
-    mean = features[train_mask].mean(axis=0)
-    std = features[train_mask].std(axis=0)
+    train = features[np.asarray(train_mask, dtype=bool)]
+    mean = train.mean(axis=0)
+    std = train.std(axis=0)
+    del train
     std[std == 0.0] = 1.0
-    return (features - mean) / std
+    out = features - mean
+    out /= std
+    return out
 
 
 def write_results(path, reports, append: bool = False):
-    """Write one CSV row per report; appending suppresses the header."""
-    write_header = not (append and os.path.exists(path) and os.path.getsize(path) > 0)
-    mode = "a" if append else "w"
-    with open(path, mode, newline="") as f:
-        writer = csv.writer(f)
-        if write_header:
-            writer.writerow(RESULT_COLUMNS)
-        for report in reports:
-            writer.writerow(report.row())
+    """Write one CSV row per report; appending suppresses the header.
+
+    Without ``append`` the rows go to a sibling temporary file that then
+    replaces ``path``, so a failure part-way leaves the old file whole.
+    """
+    if append:
+        header = not (os.path.exists(path) and os.path.getsize(path) > 0)
+        with open(path, "a", newline="") as f:
+            _write_rows(f, reports, header=header)
+        return
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline="") as f:
+            _write_rows(f, reports, header=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _write_rows(f, reports, header: bool):
+    writer = csv.writer(f)
+    if header:
+        writer.writerow(RESULT_COLUMNS)
+    for report in reports:
+        writer.writerow(report.row())
 
 
 def read_results(path):

@@ -46,7 +46,8 @@ def steps(lambda_s: float) -> tuple[float, float]:
 
 def _softmax(F: Array) -> Array:
     """Softmax of each column of a class-major C x n matrix."""
-    e = np.exp(F - F.max(axis=0))
+    e = F - F.max(axis=0)
+    np.exp(e, out=e)
     e /= e.sum(axis=0)
     return e
 
@@ -67,27 +68,36 @@ def _fair_grad(S: Array, Sd: Array, u: Array, log=lambda buf: buf) -> Array:
     This is the gradient of <delta . softmax(F), u> in F, for the length-n
     incident vector delta and a C x 1 dual u.
     """
-    return log(Sd * log(_centered(S, u)))
+    grad = log(_centered(S, u))
+    grad *= Sd
+    return grad
 
 
 def _softmax_vjp(S: Array, h: Array) -> Array:
     """S * (h - <h, S>): the pullback of h through S = softmax(F), class-major."""
-    return S * (h - (h * S).sum(axis=0))
+    out = h * S
+    np.subtract(h, out.sum(axis=0), out=out)
+    out *= S
+    return out
 
 
 def _fair_grad_vjp(S: Array, delta: Array, terms) -> Array:
     """F-cotangent of sum_k <h_k, _fair_grad(S, S * delta, u_k)> over terms sharing S.
 
     Each term is (u_k, q_k) with q_k = _softmax_vjp(S, h_k); the u_k-cotangent,
-    q_k delta^T, is left to the caller. With P = sum_k q_k * (u_k - <S, u_k>),
-    the F-cotangent is delta * (P - S * colsum(P)): the columns of q_k sum to
-    zero, so <q_k, u_k> is the column sum of q_k * (u_k - <S, u_k>).
+    q_k delta^T, is left to the caller, and the q_k are overwritten. With
+    P = sum_k q_k * (u_k - <S, u_k>), the F-cotangent is
+    delta * (P - S * colsum(P)): the columns of q_k sum to zero, so <q_k, u_k>
+    is the column sum of q_k * (u_k - <S, u_k>).
     """
-    (u, q), *rest = terms
-    P = q * _centered(S, u)
+    (u, P), *rest = terms
+    P *= _centered(S, u)
     for u, q in rest:
-        P += q * _centered(S, u)
-    return delta * (P - S * P.sum(axis=0))
+        q *= _centered(S, u)
+        P += q
+    P -= S * P.sum(axis=0)
+    P *= delta
+    return P
 
 
 def fairness_grad(F: Array, u: Array, delta: IncidentVector, alloc_log=None) -> Array:
@@ -180,14 +190,17 @@ def stack(
     if n_layers == 0:
         return X_trans
     A, d = g.adjacency, delta.values
-    F = X = np.ascontiguousarray(X_trans.data.T)
-    teleport = gamma * X
-    u = None if ml1 else np.zeros((X.shape[0], 1))
+    F = np.ascontiguousarray(X_trans.data.T)
+    teleport = gamma * F
+    u = None if ml1 else np.zeros((F.shape[0], 1))
     duals, Ss, S_bars, insides = [u], [], [], []
     for k in range(n_layers):
-        agg = teleport + (1.0 - gamma) * _spmv(A, F)
+        agg = _spmv(A, F)
+        agg *= 1.0 - gamma
+        agg += teleport
         if lam > 0:  # else the dual, and with it the fairness gradient, is 0
             S = _softmax(F)
+            del F  # the layer's state is not read again
             Sd = S * d
             if ml1:
                 u = lam * np.sign(S @ d)[:, None]
@@ -209,6 +222,7 @@ def stack(
 
     def backward(gout):
         gF = np.ascontiguousarray(gout.T)  # cotangent of a layer's output F
+        del gout
         gu = np.zeros((gF.shape[0], 1))  # and of its output dual
         gX = None
         for k in reversed(range(n_layers)):
@@ -229,13 +243,14 @@ def stack(
                             q_bar = _softmax_vjp(S, gf_bar)
                             terms.append((-gamma * duals[k], q_bar))
                             gu = gu - gamma * (q_bar @ d)[:, None]
-                        g_agg = gF + gf_bar
+                        gf_bar += gF
+                        g_agg = gf_bar
                 gF_fair = _fair_grad_vjp(S, d, terms)
             # the normalized adjacency is symmetric, so A^T = A
             gF = _spmv(A, (1.0 - gamma) * g_agg, gF_fair)
             if k == 0:  # layer 1's state is X: its cotangent joins before layer 1's own term
-                gX = gF if gX is None else gX + gF
-            gX = gamma * g_agg if gX is None else gX + gamma * g_agg
+                gX = gF if gX is None else np.add(gX, gF, out=gX)
+            gX = gamma * g_agg if gX is None else np.add(gX, gamma * g_agg, out=gX)
         return [(X_trans, np.ascontiguousarray(gX.T))]
 
     return X_trans.tape._result(np.ascontiguousarray(F.T), (X_trans,), backward)

@@ -52,6 +52,8 @@ def build_graph(n: int, edges) -> SparseGraph:
 
     Duplicate edges and reversed orientations are deduplicated. Self-loops
     are rejected in the input; the normalization adds exactly one per node.
+    Each temporary is freed once used, and the COO indices are int32 when
+    the node count fits, the index type scipy gives the CSR matrix anyway.
     """
     if n <= 0:
         raise ValueError("node count must be positive")
@@ -66,18 +68,36 @@ def build_graph(n: int, edges) -> SparseGraph:
         if i != j or not 0 <= i < n:
             raise ValueError(f"edge ({i}, {j}) references a node outside [0, {n})")
         raise ValueError(f"self-loop ({i}, {j}) not allowed in input edges")
-    keys = np.sort(lo * n + hi)
-    lo, hi = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)  # sorted, each key once
-    edges = np.column_stack([lo, hi])
+    del bad, edges
+    keys = lo
+    keys *= n
+    keys += hi
+    del lo, hi
+    keys.sort()
+    first = np.empty(keys.size, dtype=bool)  # each key once
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    del first
+    m = keys.size
+    edges = np.empty((m, 2), dtype=np.int64)
+    lo, hi = edges[:, 0], edges[:, 1]
+    np.divmod(keys, n, out=(lo, hi))
+    del keys
     edges.setflags(write=False)
 
     # Entries of D^{-1/2} (A + I) D^{-1/2} with D the self-loop degree.
     inv_sqrt = 1.0 / np.sqrt(np.bincount(edges.ravel(), minlength=n) + 1.0)
     w = inv_sqrt[lo] * inv_sqrt[hi]
-    diag = np.arange(n)
-    rows, cols = np.concatenate([lo, hi, diag]), np.concatenate([hi, lo, diag])
     vals = np.concatenate([w, w, inv_sqrt * inv_sqrt])
+    del w, inv_sqrt
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    diag = np.arange(n, dtype=index)
+    rows = np.concatenate([lo, hi, diag], dtype=index)
+    cols = np.concatenate([hi, lo, diag], dtype=index)
+    del diag
     adjacency = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    del vals, rows, cols
     adjacency.sum_duplicates()
     return SparseGraph(n=n, edges=edges, adjacency=adjacency)
 

@@ -325,10 +325,10 @@ def train_one(cfg: RunConfig, dataset: Dataset, masks: SplitMasks, seed: int):
 
         grad_map = tape.backward(loss)
         params = mlp.parameters()
-        grads = [
-            grad_map.get(t.node_id, np.zeros(t.shape)).reshape(p.shape)
-            for p, t in zip(params, param_tensors)
-        ]
+        grads = []
+        for p, t in zip(params, param_tensors):
+            grad = grad_map.get(t.node_id)
+            grads.append((np.zeros(t.shape) if grad is None else grad).reshape(p.shape))
         mlp.set_parameters(adam_step(params, grads, state))
 
     report = _report(cfg, best_logits, dataset, masks.test, delta, seed)

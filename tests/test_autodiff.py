@@ -413,6 +413,53 @@ class TestTapeLifetime:
         finally:
             gc.enable()
 
+    def test_output_freed_before_its_backward_runs(self, rng):
+        # the tape drops a record's output before the record's backward
+        # allocates its input's cotangent, so the two are not held at once
+        tape = ad.Tape()
+        x = tape.leaf(rng.standard_normal((6, 3)))
+        w = tape.leaf(rng.standard_normal((3, 4)), requires_grad=True)
+        b = tape.leaf(rng.standard_normal((1, 4)), requires_grad=True)
+        h = ad.dense(x, w, b, relu=True)
+        logits = ad.matmul(h, tape.leaf(rng.standard_normal((4, 2)), requires_grad=True))
+        loss = ad.cross_entropy_with_logits(logits, rng.integers(0, 2, size=6), np.ones(6, dtype=bool))
+        index = next(i for i, record in enumerate(tape._records) if record[0] is h)
+        out, inputs, backward_fn = tape._records[index]
+        values, alive = weakref.ref(h.data), []
+
+        def watched(g):
+            alive.append(values() is not None)
+            return backward_fn(g)
+
+        tape._records[index] = (out, inputs, watched)
+        del h, out, inputs
+        tape.backward(loss)
+        assert alive == [False], "a record's output is alive while its backward runs"
+
+    def test_in_place_masks_change_no_held_array(self, rng):
+        # each backward owns the cotangent it is handed and masks it in
+        # place: no input, output or constant the caller holds changes
+        tape = ad.Tape()
+        x = tape.leaf(rng.standard_normal((8, 3)), requires_grad=True)
+        params = [
+            tape.leaf(rng.standard_normal(shape), requires_grad=True)
+            for shape in ((3, 5), (1, 5), (5, 4), (1, 4))
+        ]
+        h = ad.dense(x, params[0], params[1], relu=True)
+        y = ad.relu(ad.dense(h, params[2], params[3], relu=True))
+        weights = rng.standard_normal((8, 4))
+        held = [x.data, *(p.data for p in params), h.data, y.data, weights]
+        copies = [array.copy() for array in held]
+        grads = tape.backward(weighted_sum(y, weights))
+        for array, copy in zip(held, copies):
+            assert np.array_equal(array, copy)
+        # the out-of-place chain rule, operation for operation
+        gy = weights * (y.data > 0.0) * (y.data > 0.0)
+        gh = (gy @ params[2].data.T) * (h.data > 0.0)
+        assert np.array_equal(grads[params[2].node_id], h.data.T @ gy)
+        assert np.array_equal(grads[params[0].node_id], x.data.T @ gh)
+        assert np.array_equal(grads[x.node_id], gh @ params[0].data.T)
+
     def test_single_use(self, rng):
         tape = ad.Tape()
         x = tape.leaf(rng.standard_normal((2, 2)), requires_grad=True)

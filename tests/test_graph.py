@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import dense_normalized_adjacency, edge_energy, random_graph
 from fairprop import autodiff as ad
@@ -70,6 +73,52 @@ class TestBuildGraph:
             A_hat += np.eye(g.n)
             degrees = np.bincount(g.edges.ravel(), minlength=g.n)
             np.testing.assert_allclose(A_hat.sum(axis=1), degrees + 1.0)
+
+
+def reference_build(n, edges):
+    """The normalized adjacency built without regard to memory: int64 COO
+    through scipy, every temporary kept. Returns (edges, CSR matrix)."""
+    edges = np.asarray(edges, dtype=np.int64)
+    keys = np.unique(edges.min(axis=1) * n + edges.max(axis=1))
+    lo, hi = np.divmod(keys, n)
+    inv_sqrt = 1.0 / np.sqrt(np.bincount(np.concatenate([lo, hi]), minlength=n) + 1.0)
+    w = inv_sqrt[lo] * inv_sqrt[hi]
+    diag = np.arange(n)
+    adjacency = sp.csr_matrix(
+        (
+            np.concatenate([w, w, inv_sqrt * inv_sqrt]),
+            (np.concatenate([lo, hi, diag]), np.concatenate([hi, lo, diag])),
+        ),
+        shape=(n, n),
+    )
+    adjacency.sum_duplicates()
+    return np.column_stack([lo, hi]), adjacency
+
+
+class TestBuildGraphMemory:
+    def test_traced_peak_and_csr_bytes_of_a_100k_edge_build(self):
+        # Each temporary is freed once used and the COO indices are int32:
+        # the build peaks near 1.8 times the bytes of the arrays it returns,
+        # where one that keeps its int64 temporaries peaks near 3.5 times.
+        rng = np.random.default_rng(0)
+        n, m = 20_000, 100_000
+        a = rng.integers(n, size=m)
+        edges = np.stack([a, (a + rng.integers(1, n, size=m)) % n], axis=1)
+        tracemalloc.start()
+        try:
+            g = build_graph(n, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        built = (g.edges, g.adjacency.indptr, g.adjacency.indices, g.adjacency.data)
+        returned = sum(array.nbytes for array in built)
+        assert peak < 2.25 * returned, (
+            f"build_graph peaked at {peak / returned:.2f} times the {returned / 2**20:.1f} MiB it returns"
+        )
+        ref_edges, ref = reference_build(n, edges)
+        for array, expected in zip(built, (ref_edges, ref.indptr, ref.indices, ref.data)):
+            assert array.dtype == expected.dtype
+            assert array.tobytes() == expected.tobytes()
 
 
 class TestIncidentVector:

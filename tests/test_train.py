@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import os
 import pathlib
 import tracemalloc
 
@@ -18,6 +19,7 @@ from fairprop.data import (
     synth_generate,
 )
 from fairprop.graph import build_graph, incident_vector
+from fairprop.metrics import MetricsReport
 from fairprop.nn import MlpConfig, init_weights, load_checkpoint, mlp_forward, save_checkpoint
 from fairprop.propagation import ppnp_exact
 from fairprop.train import RunConfig, evaluate, run, summarize, sweep, train_one
@@ -543,6 +545,36 @@ class TestRunAndSweep:
         assert all(np.isfinite(r.accuracy) for r in rows)
         # a further resume trains nothing
         assert sweep(cfg, [0.5], [0.0, 5.0])[0] == []
+
+    def test_a_failed_rewrite_keeps_every_finished_row(self, tmp_path, monkeypatch):
+        # a resume drops a failed run's row by rewriting the results file; a
+        # crash part-way through the rewrite leaves the old file whole
+        out = tmp_path / "out"
+        cfg = small_cfg(epochs=1, seeds=[0, 1], out_dir=str(out))
+        real_train_one = train.train_one
+
+        def flaky(point, dataset, masks, seed):
+            if point.lambda_f == 5.0 and seed == 0:
+                raise FloatingPointError("diverged")
+            return real_train_one(point, dataset, masks, seed)
+
+        monkeypatch.setattr(train, "train_one", flaky)
+        _, path = sweep(cfg, [0.5], [0.0, 5.0])
+        before, files = pathlib.Path(path).read_bytes(), sorted(os.listdir(out))
+        row, rows_written = MetricsReport.row, []
+
+        def crashing(report):
+            if rows_written:
+                raise OSError("disk full")
+            rows_written.append(report)
+            return row(report)
+
+        monkeypatch.setattr(MetricsReport, "row", crashing)
+        with pytest.raises(OSError, match="disk full"):
+            sweep(cfg, [0.5], [0.0, 5.0])
+        assert rows_written, "the rewrite was not reached"
+        assert pathlib.Path(path).read_bytes() == before
+        assert sorted(os.listdir(out)) == files
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_each_dataset_file_is_hashed_once(self, small_dataset, tmp_path, monkeypatch, command):
