@@ -143,21 +143,30 @@ def _check_unique_ids(rows, path):
         seen.add(row["id"])
 
 
+def _integer_cell(row, column, path, expected):
+    """The integer in ``row[column]``; anything else is one ValueError line naming ``path``."""
+    try:
+        return int(row[column])
+    except (TypeError, ValueError):
+        raise ValueError(f"{column} value {row[column]!r} in {path}: expected {expected}") from None
+
+
 @main.command("metrics")
 @click.option("--pred", "pred_path", required=True, type=click.Path(exists=True))
 @click.option("--truth", "truth_path", required=True, type=click.Path(exists=True))
 def metrics_cmd(pred_path, truth_path):
     """Compute accuracy/dp/eo from prediction and truth CSVs.
 
-    Prediction CSV: columns id,pred. Truth CSV: columns id,label,sensitive,
-    with sensitive -1 or 1; labels follow the node CSV's rule
-    (``parse_labels``): a row with an empty or negative label is unlabeled
-    and is left out, and ``1.0`` is class 1.
+    Prediction CSV: columns id,pred, with pred an integer class. Truth CSV:
+    columns id,label,sensitive, with sensitive -1 or 1; labels follow the
+    node CSV's rule (``parse_labels``): a row with an empty or negative
+    label is unlabeled and is left out, and ``1.0`` is class 1. A pred or
+    sensitive cell outside its range is one ValueError line naming the file.
     """
     with open(pred_path, newline="") as f:
         pred_rows = list(csv.DictReader(f))
     _check_unique_ids(pred_rows, pred_path)
-    preds = {row["id"]: int(row["pred"]) for row in pred_rows}
+    preds = {row["id"]: _integer_cell(row, "pred", pred_path, "an integer") for row in pred_rows}
     with open(truth_path, newline="") as f:
         rows = list(csv.DictReader(f))
     _check_unique_ids(rows, truth_path)
@@ -170,7 +179,7 @@ def metrics_cmd(pred_path, truth_path):
             raise ValueError(f"no prediction for id {row['id']}")
         y_hat.append(preds[row["id"]])
         y.append(label)
-        s.append(int(row["sensitive"]))
+        s.append(_integer_cell(row, "sensitive", truth_path, "-1 or 1"))
         if s[-1] not in (-1, 1):
             raise ValueError(
                 f"sensitive value {row['sensitive']!r} in {truth_path}: expected -1 or 1"

@@ -8,6 +8,7 @@ import os
 import re
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -18,9 +19,9 @@ Array = np.ndarray
 
 MISSING_LABEL = -1
 
-# Characters of edge-list lines parsed at a time (``readlines`` hint): the
-# text and tokens of one block, not of the whole file, are held at once.
-EDGE_BLOCK_CHARS = 1 << 20
+# Characters of lines parsed at a time (``readlines`` hint): the text, cells
+# and tokens of one block, not of the whole file, are held at once.
+BLOCK_CHARS = 1 << 20
 
 
 @dataclass
@@ -60,34 +61,98 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
 
     ``schema`` declares {"id": col, "sensitive": col, "sensitive_pos_value":
     raw, "label": col, "drop": [cols]}. Nodes are indexed densely in file
-    order. The node CSV is read in one pass and no row outlives its parse;
-    the edge list is parsed in blocks of lines (``EDGE_BLOCK_CHARS``), one
-    pair of ids per line, split on whitespace or commas, with ``#`` starting
-    a comment. An empty feature cell reads as 0, and an empty or negative
-    label marks the node unlabeled. Each of these raises one ValueError
-    line: a missing column, a row whose cell count differs from the
-    header's (named by file and line), a repeated node id, a non-numeric or
-    non-finite feature cell (``nan``, ``inf``) or a non-numeric,
-    non-integer or non-finite label (named by column), a sensitive column
-    with a single value, and an edge line that is malformed or names an
-    unknown id (quoted without its comment).
+    order. Both files are parsed in blocks of lines (``BLOCK_CHARS``) or row
+    by row, so of the text only the id and label cells outlive their row.
+    The edge list holds one pair of ids per line, split on whitespace or
+    commas, with ``#`` starting a comment. An empty feature cell reads as 0,
+    and an empty or negative label marks the node unlabeled. Each of these
+    raises one ValueError line: a missing column, a row whose cell count
+    differs from the header's (named by file and line), a repeated node id,
+    a non-numeric or non-finite feature cell (``nan``, ``inf``) or a
+    non-numeric, non-integer or non-finite label (named by column), a
+    sensitive column with a single value, and an edge line that is malformed
+    or names an unknown id (quoted without its comment).
+
+    Two readers give the same arrays. numpy's text reader takes a node CSV
+    that holds no quote or NUL and whose non-blank rows all have the
+    header's cell count, and each block of edge lines whose ids are all
+    canonical nonnegative decimal integers (``str(int(i)) == i``) when the
+    node ids are too; ``fairprop synth`` writes such files. Any other node
+    CSV goes through ``csv`` row by row, and any other block through a dict
+    of the ids; these raise the errors above that concern a row or a line.
     """
     with open(node_csv_path, newline="") as f:
+        header = next(csv.reader(f))
+    for key in ("id", "sensitive", "label"):
+        if schema[key] not in header:
+            raise ValueError(f"missing column {schema[key]!r} in node CSV")
+    drop = set(schema.get("drop", []))
+    id_col = header.index(schema["id"])
+    sens_col = header.index(schema["sensitive"])
+    label_col = header.index(schema["label"])
+    feat_cols = [
+        i
+        for i, col in enumerate(header)
+        if i not in (id_col, sens_col, label_col) and col not in drop
+    ]
+    pos_value = str(schema["sensitive_pos_value"])
+    columns = (node_csv_path, header, (id_col, sens_col, label_col), feat_cols, pos_value)
+    ids, positive, label_cells, features = _plain_node_table(*columns) or _csv_node_table(*columns)
+
+    n = len(ids)
+    id_index = _integer_index(ids)
+    id_map = None
+    if id_index is None or np.any(id_index[0][1:] == id_index[0][:-1]):
+        id_map = dict(zip(ids, range(n)))
+        if len(id_map) < n:
+            repeated = next(node_id for k, node_id in enumerate(ids) if id_map[node_id] != k)
+            raise ValueError(f"duplicate node id {repeated!r} in node CSV")
+    sensitive = np.where(np.array(positive, dtype=bool), 1, -1)
+    labels = parse_labels(label_cells, header[label_col])
+    features = np.frombuffer(features, dtype=np.float64).reshape(n, len(feat_cols))
+    if not np.isfinite(features).all():
+        r, c = np.argwhere(~np.isfinite(features))[0]
+        raise ValueError(
+            f"non-finite feature cell {str(features[r, c])!r} in column "
+            f"{header[feat_cols[c]]!r} (node {ids[r]!r})"
+        )
+    if len(set(sensitive.tolist())) < 2:
+        raise ValueError("sensitive column takes a single value")
+    del ids, positive, label_cells  # free the cell strings before the edge parse
+
+    blocks = [np.empty((0, 2), dtype=np.int64)]  # the edges of each block of lines
+    with open(edge_path) as f:
+        while lines := f.readlines(BLOCK_CHARS):
+            text = re.sub(r"#[^\n]*", "", "".join(lines))
+            del lines
+            commas_only_line = "," in text and _COMMAS_ONLY_LINE.search(text)
+            text = text.replace(",", " ")
+            ends = None if commas_only_line else _integer_ends(text, id_index)
+            if ends is None:
+                if id_map is None:  # the ids are the strings of the indexed values
+                    id_map = dict(zip(map(str, id_index[0].tolist()), id_index[1].tolist()))
+                if commas_only_line or not set(map(len, map(str.split, text.split("\n")))) <= {0, 2}:
+                    raise ValueError(_first_bad_edge_line(edge_path, id_map))
+                try:
+                    ends = np.fromiter(map(id_map.__getitem__, text.split()), np.int64)
+                except KeyError:
+                    raise ValueError(_first_bad_edge_line(edge_path, id_map)) from None
+            del text
+            pairs = ends.reshape(-1, 2)
+            blocks.append(pairs[pairs[:, 0] != pairs[:, 1]])  # self-loops are dropped
+    del id_map, id_index
+    edges = np.concatenate(blocks)
+    del blocks
+    graph = build_graph(n, edges)
+    return Dataset(graph=graph, features=features, sensitive=sensitive, labels=labels, name=name)
+
+
+def _csv_node_table(path, header, key_cols, feat_cols, pos_value):
+    """Ids, positive-group flags, label cells and row-major features, read by ``csv``."""
+    id_col, sens_col, label_col = key_cols
+    with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
-        for key in ("id", "sensitive", "label"):
-            if schema[key] not in header:
-                raise ValueError(f"missing column {schema[key]!r} in node CSV")
-        drop = set(schema.get("drop", []))
-        id_col = header.index(schema["id"])
-        sens_col = header.index(schema["sensitive"])
-        label_col = header.index(schema["label"])
-        feat_cols = [
-            i
-            for i, col in enumerate(header)
-            if i not in (id_col, sens_col, label_col) and col not in drop
-        ]
-        pos_value = str(schema["sensitive_pos_value"])
+        next(reader)
         ids, positive, label_cells = [], [], []
         features = array("d")  # row-major feature values, 8 bytes each
         for row in reader:
@@ -95,7 +160,7 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
                 if not row:
                     continue
                 raise ValueError(
-                    f"{node_csv_path}, line {reader.line_num}: "
+                    f"{path}, line {reader.line_num}: "
                     f"expected {len(header)} cells, got {len(row)}"
                 )
             ids.append(row[id_col])
@@ -113,46 +178,113 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
                         raise ValueError(
                             f"non-numeric feature cell {row[col]!r} in column {header[col]!r}"
                         ) from None
+    return ids, positive, label_cells, features
 
-    n = len(ids)
-    id_map = dict(zip(ids, range(n)))
-    if len(id_map) < n:
-        repeated = next(node_id for k, node_id in enumerate(ids) if id_map[node_id] != k)
-        raise ValueError(f"duplicate node id {repeated!r} in node CSV")
-    sensitive = np.where(np.array(positive, dtype=bool), 1, -1)
-    labels = parse_labels(label_cells, header[label_col])
-    features = np.frombuffer(features, dtype=np.float64).reshape(n, len(feat_cols))
-    if not np.isfinite(features).all():
-        r, c = np.argwhere(~np.isfinite(features))[0]
-        raise ValueError(
-            f"non-finite feature cell {str(features[r, c])!r} in column "
-            f"{header[feat_cols[c]]!r} (node {ids[r]!r})"
-        )
-    if len(set(sensitive.tolist())) < 2:
-        raise ValueError("sensitive column takes a single value")
-    del ids, positive, label_cells  # free the cell strings before the edge parse
 
-    blocks = [np.empty((0, 2), dtype=np.int64)]  # the edges of each block of lines
-    with open(edge_path) as f:
-        while lines := f.readlines(EDGE_BLOCK_CHARS):
-            text = re.sub(r"#[^\n]*", "", "".join(lines))
+def _plain_node_table(path, header, key_cols, feat_cols, pos_value):
+    """``_csv_node_table`` by numpy's text reader, or None where the two could differ.
+
+    Without a quote, ``csv`` splits a row at every comma and ends it at
+    ``\\r``, ``\\n`` or ``\\r\\n``, as universal newlines and ``np.loadtxt(
+    delimiter=",", quotechar=None)`` do. ``loadtxt`` keeps a ``str`` cell
+    as it is, whitespace and all, and parses a float cell as ``float()``
+    does or not at all (an empty cell, ``1_0``). A NUL, a row that could
+    hold a cell past ``csv``'s size limit, and a short or long row are left
+    to ``csv``, which raises their errors.
+    """
+    row_type = np.dtype([("keys", object, (3,)), ("features", np.float64, (len(feat_cols),))])
+    ids, positive, label_cells = [], [], []
+    features = array("d")
+    with open(path) as f:
+        f.readline()  # the header, which csv has read: a quote in it would show below
+        while lines := f.readlines(BLOCK_CHARS):
+            rows = [line for line in lines if line != "\n"]  # csv skips empty lines
             del lines
-            commas_only_line = "," in text and _COMMAS_ONLY_LINE.search(text)
-            text = text.replace(",", " ")
-            if commas_only_line or not set(map(len, map(str.split, text.split("\n")))) <= {0, 2}:
-                raise ValueError(_first_bad_edge_line(edge_path, id_map))
-            try:
-                ends = np.fromiter(map(id_map.__getitem__, text.split()), np.int64)
-            except KeyError:
-                raise ValueError(_first_bad_edge_line(edge_path, id_map)) from None
+            if not rows:
+                continue
+            text = "".join(rows)
+            if (
+                '"' in text
+                or "\0" in text  # an error for csv before Python 3.11
+                or set(map(str.count, rows, repeat(","))) != {len(header) - 1}
+                or max(map(len, rows)) > csv.field_size_limit()
+            ):
+                return None
             del text
-            pairs = ends.reshape(-1, 2)
-            blocks.append(pairs[pairs[:, 0] != pairs[:, 1]])  # self-loops are dropped
-    del id_map
-    edges = np.concatenate(blocks)
-    del blocks
-    graph = build_graph(n, edges)
-    return Dataset(graph=graph, features=features, sensitive=sensitive, labels=labels, name=name)
+            try:
+                table = np.loadtxt(
+                    rows,
+                    dtype=row_type,
+                    delimiter=",",
+                    comments=None,
+                    quotechar=None,
+                    usecols=[*key_cols, *feat_cols],
+                    ndmin=1,
+                )
+            except ValueError:
+                return None
+            del rows
+            ids += table["keys"][:, 0].tolist()
+            positive.append(table["keys"][:, 1] == pos_value)
+            label_cells += table["keys"][:, 2].tolist()
+            features.frombytes(table["features"].tobytes())
+    return ids, np.concatenate([np.zeros(0, dtype=bool), *positive]), label_cells, features
+
+
+def _integer_index(ids):
+    """The ids as sorted int64 values and the node of each, or None unless
+    every id is a canonical nonnegative decimal integer below 2**63."""
+    text = "".join(ids)
+    if not text.isascii():  # int() reads other digits too
+        return None
+    try:
+        values = np.fromiter(map(int, ids), np.int64, len(ids))
+    except (ValueError, OverflowError):  # not an integer, or past int64
+        return None
+    if _digit_count(values) != len(text):  # a sign, a space, an underscore or a leading zero
+        return None
+    order = np.argsort(values, kind="stable")
+    return values[order], order
+
+
+# the least value with 2, 3, ..., 19 decimal digits
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _digit_count(values) -> int:
+    """Decimal digits of int64 values, summed; a negative value counts one,
+    fewer than the characters of its sign and digits."""
+    return values.size + int(np.searchsorted(_POWERS_OF_TEN, values, side="right").sum())
+
+
+def _integer_ends(text, id_index):
+    """The node of every id in a block of edge lines, by numpy, or None.
+
+    ``text`` has its comments cut and its commas made spaces. numpy takes
+    the block when its ids are canonical ASCII decimal integers, two to a
+    line, separated by spaces and tabs and all in ``id_index``. A sign, a
+    leading zero or any other character shows as more characters than the
+    parsed values have digits. Else the block is left to the dict of ids.
+    """
+    if id_index is None or not text.isascii():  # no other digit may read as an ASCII one
+        return None
+    if text.isspace() or not text:  # loadtxt warns on a block without data
+        return np.empty(0, dtype=np.int64)
+    try:
+        values = np.loadtxt(text.split("\n"), dtype=np.int64, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape[1] != 2:
+        return None
+    values = values.ravel()
+    if _digit_count(values) != len(text) - text.count(" ") - text.count("\t") - text.count("\n"):
+        return None
+    tokens, inverse = np.unique(values, return_inverse=True)
+    sorted_ids, order = id_index
+    at = np.minimum(np.searchsorted(sorted_ids, tokens), len(sorted_ids) - 1)
+    if not np.array_equal(sorted_ids[at], tokens):
+        return None
+    return order[at][inverse]
 
 
 def file_sha256(path) -> str:

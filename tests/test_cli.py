@@ -276,6 +276,21 @@ class TestMetrics:
         assert str(result.exception) == (
             f"sensitive value '0' in {tmp_path / 'truth.csv'}: expected -1 or 1"
         )
+        # a cell that is not an integer at all gets the same one line
+        for value in ("x", "1.0"):
+            result = self._invoke(runner, tmp_path, ["a,1,1", f"b,1,{value}", "c,0,-1"])
+            assert isinstance(result.exception, ValueError)
+            assert str(result.exception) == (
+                f"sensitive value {value!r} in {tmp_path / 'truth.csv'}: expected -1 or 1"
+            )
+
+    def test_non_integer_prediction_is_one_error(self, runner, tmp_path):
+        preds = ["a,1", "b,yes", "c,1"]
+        result = self._invoke(runner, tmp_path, ["a,1,1", "b,1,-1", "c,0,-1"], preds)
+        assert isinstance(result.exception, ValueError)
+        assert str(result.exception) == (
+            f"pred value 'yes' in {tmp_path / 'pred.csv'}: expected an integer"
+        )
 
     def test_unlabeled_truth_rows_left_out(self, runner, tmp_path):
         # d (empty label) and e (negative label) are unlabeled, as in the node

@@ -1,9 +1,13 @@
+import csv
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from fairprop import data
+from fairprop.cli import main as cli_main
 from fairprop.data import (
     MISSING_LABEL,
     Dataset,
@@ -293,6 +297,226 @@ class TestLoadMemory:
         assert peak < 2.7 * returned, (
             f"load_dataset peaked at {peak / returned:.2f} times the {returned / 2**20:.1f} MiB it returns"
         )
+
+
+def plain_files(seed, n=30, d=3, m=60):
+    """Header, node rows and edge pairs of a plain integer-id dataset, as cell lists."""
+    rng = np.random.default_rng(seed)
+    ids = [str(i) for i in (rng.permutation(n) + 100).tolist()]
+    sens = rng.integers(2, size=n).tolist()
+    labels = rng.integers(-1, 2, size=n).tolist()
+    features = rng.standard_normal((n, d)).tolist()
+    rows = [[i, str(s), str(y), *map(repr, x)] for i, s, y, x in zip(ids, sens, labels, features)]
+    rows[0][1], rows[1][1] = "1", "0"  # both groups
+    a, b = rng.integers(n, size=(2, m)).tolist()  # some pairs are self-loops
+    pairs = [[ids[i], ids[j]] for i, j in zip(a, b)]
+    return ["id", "sens", "y"] + [f"f{k}" for k in range(d)], rows, pairs
+
+
+# Edits of plain_files' output, each a case for both readers:
+#   end          line ending of both files
+#   header       {col: text}; cells {(row, col): text}
+#   rename       {row: id}, in the node row and in every edge that names it (before cells)
+#   node_text    {row: format of the row's cells}; edge_text {line: format of its two ids}
+#   node_lines   {index: raw line inserted}; edge_lines likewise
+READER_CASES = {
+    "plain": {},
+    "crlf": {"end": "\r\n"},
+    "lone_cr": {"end": "\r"},
+    "blank_lines": {"node_lines": {3: "", 99: ""}, "edge_lines": {0: "", 5: "", 99: ""}},
+    "whitespace_only_node_line": {"node_lines": {2: "  \t"}},
+    "whitespace_only_edge_line": {"edge_lines": {2: "  \t"}},
+    "quoted_feature": {"cells": {(2, 3): '"1.5"'}},
+    "quoted_id": {"rename": {4: "77"}, "cells": {(4, 0): '"77"'}},
+    "quoted_id_with_comma": {"rename": {4: '"7,8"'}},
+    "quoted_sensitive": {"cells": {(3, 1): '"1"'}},
+    "quoted_label": {"cells": {(3, 2): '"1"'}},
+    "quoted_header": {"header": {4: '"f1"'}},
+    "empty_feature": {"cells": {(1, 4): ""}},
+    "whitespace_around_feature": {"cells": {(1, 4): " 1.5\t"}},
+    "whitespace_in_sensitive": {"cells": {(3, 1): " 1"}},
+    "underscore_feature": {"cells": {(5, 3): "1_0"}},
+    "arabic_digit_feature": {"cells": {(5, 3): "١.٥"}},
+    "nan_feature": {"cells": {(6, 5): "nan"}},
+    "inf_feature": {"cells": {(6, 5): "-inf"}},
+    "non_numeric_feature": {"cells": {(6, 5): "x"}},
+    "non_integer_label": {"cells": {(7, 2): "2.5"}},
+    "float_label": {"cells": {(7, 2): "1.0"}},
+    "short_row": {"node_text": {8: "{0},{1},{2},{3},{4}"}},
+    "long_row": {"node_text": {8: "{0},{1},{2},{3},{4},{5},0"}},
+    "cell_past_csv_limit": {"cells": {(3, 4): "0." + "1" * 131_072}},
+    "nul_in_id": {"rename": {0: "102\0"}},
+    "nul_in_feature": {"cells": {(0, 4): "1.5\0"}},
+    "nul_in_edge": {"edge_text": {3: "{0} {1}\0"}},
+    "nel_in_id": {"rename": {2: "a\x85b"}},
+    "duplicate_integer_id": {"cells": {(9, 0): "200"}, "rename": {4: "200"}},
+    "string_ids": {"rename": {k: f"n{k}" for k in range(30)}},
+    "zero_padded_ids": {"rename": {0: "007", 1: "00"}},
+    "zero_padded_edge_token": {"edge_text": {0: "0{0} {1}"}},
+    "plus_signed_edge_token": {"edge_text": {0: "+{0} {1}"}},
+    "minus_zero": {"rename": {0: "0"}, "edge_text": {0: "-0 {1}"}},
+    "negative_ids": {"rename": {0: "-5", 1: "-12"}},
+    "ids_past_int64": {"rename": {0: str(2**63), 1: str(2**64 + 100)}},
+    "edge_token_past_int64": {"edge_text": {0: f"{2**64 + 100} {{1}}"}},
+    "float_edge_token": {"edge_text": {0: "{0}.0 {1}"}},
+    "arabic_digit_id": {"rename": {0: "٧"}},
+    "arabic_digit_edge_token": {"rename": {0: "7"}, "edge_text": {0: "٧ {1}"}},
+    "nel_separator": {"edge_text": {1: "{0}\x85{1}"}},
+    "nbsp_separator": {"edge_text": {1: "{0}\xa0{1}"}},
+    "file_separator": {"edge_text": {1: "{0}\x1c{1}"}},
+    "vertical_tab_separator": {"edge_text": {1: "{0}\x0b{1}"}},
+    "tab_separators": {"edge_text": {1: "\t{0}\t{1}\t"}},
+    "comma_separators": {"edge_text": {1: "{0},{1}", 2: " {0} , {1} "}},
+    "comments": {"edge_lines": {0: "# a b", 4: "  # c"}, "edge_text": {2: "{0} {1}# d e f"}},
+    "long_comment_line": {"edge_lines": {0: "# " + "x" * 100, 3: "\t" * 80}},
+    "commas_only_line": {"edge_lines": {4: " , ,"}},
+    "three_ids_on_a_line": {"edge_text": {6: "{0} {1} {0}"}},
+    "one_id_on_a_line": {"edge_text": {6: "{0}"}},
+    "one_id_on_every_line": {"edge_text": {k: "{0}" for k in range(60)}},
+    "four_ids_on_every_line": {"edge_text": {k: "{0} {1} {1} {0}" for k in range(60)}},
+    "self_loops": {"edge_text": {k: "{0} {0}" for k in range(0, 60, 7)}},
+    "unknown_id": {"edge_text": {10: "{0} 99999"}},
+}
+
+# the cases that numpy's text reader takes whole
+PLAIN_CASES = [
+    "plain",
+    "crlf",
+    "lone_cr",
+    "blank_lines",
+    "whitespace_only_edge_line",
+    "whitespace_around_feature",
+    "whitespace_in_sensitive",
+    "float_label",
+    "tab_separators",
+    "comma_separators",
+    "comments",
+    "long_comment_line",
+    "self_loops",
+]
+
+
+def write_case(tmp_path, seed, case):
+    spec = READER_CASES[case]
+    header, rows, pairs = plain_files(seed)
+    for col, text in spec.get("header", {}).items():
+        header[col] = text
+    for row, new in spec.get("rename", {}).items():
+        old, rows[row][0] = rows[row][0], new
+        pairs = [[new if token == old else token for token in pair] for pair in pairs]
+    for (row, col), text in spec.get("cells", {}).items():
+        rows[row][col] = text
+    node_text, edge_text = spec.get("node_text", {}), spec.get("edge_text", {})
+    node_lines = [
+        node_text[k].format(*row) if k in node_text else ",".join(row) for k, row in enumerate(rows)
+    ]
+    edge_lines = [
+        edge_text[k].format(*pair) if k in edge_text else " ".join(pair) for k, pair in enumerate(pairs)
+    ]
+    for lines, inserted in ((node_lines, "node_lines"), (edge_lines, "edge_lines")):
+        for k, line in sorted(spec.get(inserted, {}).items(), reverse=True):
+            lines.insert(k, line)
+    end = spec.get("end", "\n")
+    nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.txt"
+    nodes.write_bytes("".join(line + end for line in [",".join(header), *node_lines]).encode())
+    edges.write_bytes("".join(line + end for line in edge_lines).encode())
+    return nodes, edges
+
+
+def load_outcome(nodes, edges, schema=SCHEMA):
+    """Every returned array as (dtype, shape, bytes), or the error's type and message."""
+    try:
+        ds = load_dataset(nodes, edges, schema)
+    except (ValueError, csv.Error) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    adjacency = ds.graph.adjacency
+    arrays = (ds.features, ds.sensitive, ds.labels, ds.graph.edges)
+    arrays += (adjacency.indptr, adjacency.indices, adjacency.data)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def csv_outcome(monkeypatch, nodes, edges, schema=SCHEMA):
+    """``load_outcome`` with numpy's text reader turned off: csv and the dict of ids only."""
+    with monkeypatch.context() as m:
+        m.setattr(data, "_plain_node_table", lambda *args: None)
+        m.setattr(data, "_integer_ends", lambda *args: None)
+        m.setattr(data, "_integer_index", lambda *args: None)
+        return load_outcome(nodes, edges, schema)
+
+
+def numpy_outcome(monkeypatch, nodes, edges, schema=SCHEMA):
+    """``load_outcome`` that fails unless numpy's text reader takes every block."""
+
+    def refuse(*args):
+        raise AssertionError("a file went to the csv reader")
+
+    def integer_ends(*args):
+        ends = real_integer_ends(*args)
+        assert ends is not None, "a block of edge lines went to the dict of ids"
+        return ends
+
+    real_integer_ends = data._integer_ends
+    with monkeypatch.context() as m:
+        m.setattr(data, "_csv_node_table", refuse)
+        m.setattr(data, "_integer_ends", integer_ends)
+        return load_outcome(nodes, edges, schema)
+
+
+class TestReaderAgreement:
+    """numpy's text reader and the csv/dict reader give the same arrays or the same error."""
+
+    @pytest.mark.parametrize("block_chars", [data.BLOCK_CHARS, 64])
+    @pytest.mark.parametrize("case", sorted(READER_CASES))
+    def test_same_outcome(self, tmp_path, monkeypatch, case, block_chars):
+        monkeypatch.setattr(data, "BLOCK_CHARS", block_chars)
+        for seed in range(3):
+            nodes, edges = write_case(tmp_path, seed, case)
+            assert load_outcome(nodes, edges) == csv_outcome(monkeypatch, nodes, edges), (case, seed)
+
+    @pytest.mark.parametrize("case", PLAIN_CASES)
+    def test_plain_files_take_numpy_reader(self, tmp_path, monkeypatch, case):
+        nodes, edges = write_case(tmp_path, 0, case)
+        outcome = numpy_outcome(monkeypatch, nodes, edges)
+        assert not isinstance(outcome, str)
+        assert outcome == csv_outcome(monkeypatch, nodes, edges)
+
+    @pytest.mark.parametrize("drop", [["f1"], ["f0", "f1", "f2"]])
+    def test_dropped_columns_take_numpy_reader(self, tmp_path, monkeypatch, drop):
+        nodes, edges = write_case(tmp_path, 0, "plain")
+        schema = dict(SCHEMA, drop=drop)
+        outcome = numpy_outcome(monkeypatch, nodes, edges, schema)
+        assert not isinstance(outcome, str)
+        assert outcome == csv_outcome(monkeypatch, nodes, edges, schema)
+
+    def test_ingest_style_files_take_numpy_reader(self, tmp_path, monkeypatch):
+        # np.savetxt's layout: integer ids out of file order, six-decimal
+        # features, one space-separated pair per line, several blocks
+        rng = np.random.default_rng(1)
+        n, d, m = 3000, 4, 20_000
+        ids = rng.permutation(n) + 100_000
+        keys = [ids, rng.integers(2, size=n), rng.integers(2, size=n)]
+        table = np.column_stack(keys + [rng.standard_normal((n, d))])
+        nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.txt"
+        header = ",".join(["id", "sens", "y"] + [f"f{k}" for k in range(d)])
+        np.savetxt(nodes, table, fmt=["%d"] * 3 + ["%.6f"] * d, delimiter=",", header=header, comments="")
+        np.savetxt(edges, ids[rng.integers(n, size=(m, 2))], fmt="%d")
+        monkeypatch.setattr(data, "BLOCK_CHARS", 1 << 14)
+        outcome = numpy_outcome(monkeypatch, nodes, edges)
+        assert not isinstance(outcome, str)
+        assert outcome == csv_outcome(monkeypatch, nodes, edges)
+
+    def test_synth_files_take_numpy_reader(self, tmp_path, monkeypatch):
+        # fairprop synth writes CRLF node rows and repr-formatted floats
+        config = tmp_path / "synth.json"
+        config.write_text('{"n": 300, "mean_degree": 6.0, "feat_dim": 5, "seed": 3}')
+        result = CliRunner().invoke(cli_main, ["synth", "--config", str(config), "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.txt"
+        assert b"\r\n" in nodes.read_bytes()
+        schema = {"id": "id", "sensitive": "sensitive", "sensitive_pos_value": "1", "label": "label"}
+        outcome = numpy_outcome(monkeypatch, nodes, edges, schema)
+        assert not isinstance(outcome, str)
+        assert outcome == csv_outcome(monkeypatch, nodes, edges, schema)
 
 
 def toy_dataset(n, n_labeled=None):
