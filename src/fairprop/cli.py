@@ -66,6 +66,9 @@ def sweep_cmd(config_path, grid_path):
     cfg = _load_config(config_path)
     with open(grid_path) as f:
         grid = json.load(f)
+    for key in ("lambda_s", "lambda_f"):
+        if not isinstance(grid, dict) or not isinstance(grid.get(key), list) or not grid[key]:
+            raise ValueError(f"grid file {grid_path} needs a list of values under {key!r}")
     reports, path = sweep(cfg, grid["lambda_s"], grid["lambda_f"])
     for (lam_s, lam_f), stats in summarize(reports).items():
         click.echo(

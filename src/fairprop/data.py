@@ -66,12 +66,13 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
     The edge list holds one pair of ids per line, split on whitespace or
     commas, with ``#`` starting a comment. An empty feature cell reads as 0,
     and an empty or negative label marks the node unlabeled. Each of these
-    raises one ValueError line: a missing column, a row whose cell count
-    differs from the header's (named by file and line), a repeated node id,
-    a non-numeric or non-finite feature cell (``nan``, ``inf``) or a
-    non-numeric, non-integer or non-finite label (named by column), a
-    sensitive column with a single value, and an edge line that is malformed
-    or names an unknown id (quoted without its comment).
+    raises one ValueError line: an empty node CSV (named by file), a missing
+    column, a row whose cell count differs from the header's (named by file
+    and line), a repeated node id, a non-numeric or non-finite feature cell
+    (``nan``, ``inf``) or a non-numeric, non-integer or non-finite label
+    (named by column), a sensitive column with a single value, and an edge
+    line that is malformed or names an unknown id (quoted without its
+    comment).
 
     Two readers give the same arrays. numpy's text reader takes a node CSV
     that holds no quote or NUL and whose non-blank rows all have the
@@ -82,7 +83,9 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
     of the ids; these raise the errors above that concern a row or a line.
     """
     with open(node_csv_path, newline="") as f:
-        header = next(csv.reader(f))
+        header = next(csv.reader(f), None)
+    if header is None:
+        raise ValueError(f"empty node CSV {str(node_csv_path)!r}: expected a header row")
     for key in ("id", "sensitive", "label"):
         if schema[key] not in header:
             raise ValueError(f"missing column {schema[key]!r} in node CSV")
@@ -348,6 +351,8 @@ def make_splits(dataset: Dataset, fractions=(0.5, 0.25, 0.25), seed: int = 0) ->
 
     Train and val take floor(fraction * n_labeled); test takes the remainder.
     """
+    if not all(f >= 0 for f in fractions):  # NaN too
+        raise ValueError(f"split fractions must be >= 0, got {tuple(fractions)}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("split fractions must sum to 1")
     labeled = np.flatnonzero(dataset.labeled_mask)
@@ -517,12 +522,17 @@ def _write_rows(f, reports, header: bool):
 def read_results(path):
     """Parse a results CSV back into MetricsReport objects.
 
-    A row with the wrong number of fields or an unparseable value raises one
-    ValueError line naming the file and the line.
+    A header that lacks a column of ``RESULT_COLUMNS``, a row with the wrong
+    number of fields or an unparseable value raises one ValueError line
+    naming the file and the line. An empty file holds no rows.
     """
     reports = []
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
+        header = reader.fieldnames or RESULT_COLUMNS
+        missing = [column for column in RESULT_COLUMNS if column not in header]
+        if missing:
+            raise ValueError(f"{path}, line 1: no column {missing[0]!r}")
         for row in reader:
             try:
                 if None in row or None in row.values():

@@ -10,6 +10,7 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -74,13 +75,17 @@ class RunConfig:
             raise ValueError(f"prop_k must be >= 0, got {self.prop_k}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        for name, value in (
-            ("lambda_smooth", self.lambda_s),
-            ("lambda_fair", self.lambda_f),
-            ("num_layers", self.num_layers),
+        if not self.lr > 0:  # NaN too
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        for name, value, low in (
+            ("lambda_smooth", self.lambda_s, 0),
+            ("lambda_fair", self.lambda_f, 0),
+            ("num_layers", self.num_layers, 0),
+            ("weight_decay", self.weight_decay, 0),
+            ("hidden width", min(self.hidden, default=1), 1),
         ):
-            if not value >= 0:  # NaN too
-                raise ValueError(f"{name} must be >= 0, got {value}")
+            if not value >= low:  # NaN too
+                raise ValueError(f"{name} must be >= {low}, got {value}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -161,114 +166,102 @@ def load_run_dataset(cfg: RunConfig) -> Dataset:
     )
 
 
-def scheme_constant(cfg: RunConfig, dataset: Dataset) -> Array | None:
-    """What a scheme's forward pass reads besides the features, else None.
-
-    It is constant for a run: the dense teleport kernel of ``ppnp_exact``
-    (one solve), or the row sums ``A 1`` that scale the first-layer bias of
-    ``gcn``. ``train_one`` and ``evaluate`` compute it once and pass it to
-    every ``forward_logits`` call.
-    """
-    if cfg.scheme == "ppnp_exact":
-        return ppnp_exact(dataset.graph, np.eye(dataset.graph.n), cfg.alpha)
-    if cfg.scheme == "gcn":
-        return dataset.graph.adjacency @ np.ones(dataset.graph.n)
-    return None
+def _mlp(cfg, g, delta, x):
+    return x, lambda mlp, tape, x: mlp_forward(mlp, tape, x)
 
 
-def _mlp(cfg, mlp, tape, x, g, delta, constant):
-    return mlp_forward(mlp, tape, x)
+def _sgc(cfg, g, delta, x):
+    # the MLP on features propagated prop_k times, once per run
+    for _ in range(cfg.prop_k):
+        x = g.adjacency @ x
+    return _mlp(cfg, g, delta, x)
 
 
-def _gcn(cfg, mlp, tape, x, g, delta, constant):
-    # transform + aggregate in every layer, ReLU between layers
-    if constant is None:
-        raise ValueError("gcn needs the row sums from scheme_constant(cfg, dataset)")
-    params = []
-    h = x
-    last = len(mlp.weights) - 1
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        wt = tape.leaf(w, requires_grad=True)
-        bt = tape.leaf(b.reshape(1, -1), requires_grad=True)
-        params += [wt, bt]
-        if i == 0:  # A (X W + 1 b) = (A X) W + (A 1) b: x holds A X, constant is A 1
-            h = ad.dense(h, wt, bt, relu=last != 0, row_scale=constant)
-        else:
-            h = ad.spmm_const(g, ad.dense(h, wt, bt, relu=False))
-            if i != last:
-                h = ad.relu(h)
-    return h, params
+def _gcn(cfg, g, delta, x):
+    # transform + aggregate in every layer, ReLU between layers; the first
+    # layer's A (X W + 1 b) = (A X) W + (A 1) b reads A X and A 1, once per run
+    x = g.adjacency @ x
+    row_sums = g.adjacency @ np.ones(g.n)
+
+    def forward(mlp, tape, x):
+        params = []
+        h = x
+        last = len(mlp.weights) - 1
+        for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+            wt = tape.leaf(w, requires_grad=True)
+            bt = tape.leaf(b.reshape(1, -1), requires_grad=True)
+            params += [wt, bt]
+            if i == 0:
+                h = ad.dense(h, wt, bt, relu=last != 0, row_scale=row_sums)
+            else:
+                h = ad.spmm_const(g, ad.dense(h, wt, bt, relu=False))
+                if i != last:
+                    h = ad.relu(h)
+        return h, params
+
+    return x, forward
 
 
-def _appnp(cfg, mlp, tape, x, g, delta, constant):
+def _appnp(cfg, g, delta, x):
     # teleport propagation is the debiasing stack at radius 0 with teleport alpha
-    x_trans, params = mlp_forward(mlp, tape, x)
-    return debias.stack(x_trans, g, delta, cfg.prop_k, cfg.alpha, 0.0, 0.0), params
+    def forward(mlp, tape, x):
+        x_trans, params = mlp_forward(mlp, tape, x)
+        return debias.stack(x_trans, g, delta, cfg.prop_k, cfg.alpha, 0.0, 0.0), params
+
+    return x, forward
 
 
-def _ppnp_exact(cfg, mlp, tape, x, g, delta, constant):
-    if constant is None:
-        raise ValueError("ppnp_exact needs the kernel from scheme_constant(cfg, dataset)")
-    x_trans, params = mlp_forward(mlp, tape, x)
-    return ad.matmul(tape.leaf(constant), x_trans), params
+def _ppnp_exact(cfg, g, delta, x):
+    kernel = ppnp_exact(g, np.eye(g.n), cfg.alpha)  # one dense solve per run
+
+    def forward(mlp, tape, x):
+        x_trans, params = mlp_forward(mlp, tape, x)
+        return ad.matmul(tape.leaf(kernel), x_trans), params
+
+    return x, forward
 
 
-def _fair(cfg, mlp, tape, x, g, delta, constant):
-    x_trans, params = mlp_forward(mlp, tape, x)
+def _fair(cfg, g, delta, x, ml1=False):
+    # ml1 is the stack with the constant dual lambda_f * sign(p)
     gamma, beta = debias.steps(cfg.lambda_s)
-    ml1 = cfg.scheme == "ml1"
-    return debias.stack(x_trans, g, delta, cfg.num_layers, gamma, beta, cfg.lambda_f, ml1), params
+
+    def forward(mlp, tape, x):
+        x_trans, params = mlp_forward(mlp, tape, x)
+        logits = debias.stack(x_trans, g, delta, cfg.num_layers, gamma, beta, cfg.lambda_f, ml1)
+        return logits, params
+
+    return x, forward
 
 
-# Scheme -> forward pass on the tape. ``sgc`` is the MLP on features that
-# ``_prepare_features`` has already propagated ``prop_k`` times (once for
-# ``gcn``, whose first layer reads them), and ``ml1`` the debiasing stack with
-# the constant dual lambda_f * sign(p). The entries look their callees up by
-# name when called, so a rebound module attribute (a profiler's wrapper, say)
-# is the one that runs.
-_FORWARDS = {
+# Scheme -> (cfg, graph, delta, standardized features) -> (model input,
+# forward), where forward(mlp, tape, x) -> (logits, MLP parameter tensors) has
+# the run's constants bound. The forwards look their callees up by name when
+# called, so a rebound module attribute (a profiler's wrapper, say) is the one
+# that runs.
+_SCHEME_TABLE = {
     "mlp": _mlp,
     "gcn": _gcn,
-    "sgc": _mlp,
+    "sgc": _sgc,
     "appnp": _appnp,
     "ppnp_exact": _ppnp_exact,
     "fair": _fair,
-    "ml1": _fair,
+    "ml1": partial(_fair, ml1=True),
 }
-SCHEMES = tuple(_FORWARDS)
+SCHEMES = tuple(_SCHEME_TABLE)
 
 
-def forward_logits(
-    cfg: RunConfig,
-    mlp: Mlp,
-    tape: ad.Tape,
-    x: ad.Tensor,
-    dataset: Dataset,
-    delta: IncidentVector,
-    constant: Array | None = None,
-):
-    """Dispatch the scheme-specific forward pass on the tape.
+def prepare(cfg: RunConfig, dataset: Dataset, masks: SplitMasks | None, delta: IncidentVector):
+    """A run's model input and forward pass: (input array, forward).
 
-    ``x`` holds ``_prepare_features(cfg, dataset, masks)``. ``constant`` is
-    ``scheme_constant(cfg, dataset)``, required by ``ppnp_exact`` and ``gcn``.
-    """
-    return _FORWARDS[cfg.scheme](cfg, mlp, tape, x, dataset.graph, delta, constant)
-
-
-def _prepare_features(cfg: RunConfig, dataset: Dataset, masks: SplitMasks) -> Array:
-    """Model input: standardized features, propagated ``prop_k`` times for
-    ``sgc`` and once for ``gcn``.
-
-    The propagation is constant for a run, so it runs once per ``train_one``
-    and ``evaluate``, off the tape.
+    The features are standardized on the train rows (``masks`` may be None
+    when ``cfg.standardize`` is off), and the scheme's entry computes what is
+    constant for the run once. ``forward(mlp, tape, x)`` takes the input as a
+    tape tensor and returns (logits, MLP parameter tensors).
     """
     features = dataset.features
     if cfg.standardize:
         features = standardize_features(features, masks.train)
-    steps = {"sgc": cfg.prop_k, "gcn": 1}.get(cfg.scheme, 0)
-    for _ in range(steps):
-        features = dataset.graph.adjacency @ features
-    return features
+    return _SCHEME_TABLE[cfg.scheme](cfg, dataset.graph, delta, features)
 
 
 def _num_classes(dataset: Dataset) -> int:
@@ -278,19 +271,19 @@ def _num_classes(dataset: Dataset) -> int:
 def train_one(cfg: RunConfig, dataset: Dataset, masks: SplitMasks, seed: int):
     """Train a single seed; returns (best model, MetricsReport, TrainTrace).
 
-    Everything constant for the run is computed once: the model input, the
-    scheme constant, the train rows the loss averages over and the
-    validation rows selection scores. The test report comes from the logits
-    of the selected epoch, which scored the selected weights.
+    Everything constant for the run is computed once: the model input and
+    the constants its forward pass binds (one ``prepare`` call), the train
+    rows the loss averages over and the validation rows selection scores.
+    The test report comes from the logits of the selected epoch, which
+    scored the selected weights.
     """
     start = time.perf_counter()
     delta = incident_vector(dataset.sensitive)
-    features = _prepare_features(cfg, dataset, masks)
+    features, forward = prepare(cfg, dataset, masks, delta)
     num_classes = _num_classes(dataset)
     mlp_cfg = MlpConfig(in_dim=features.shape[1], hidden=list(cfg.hidden), out_dim=num_classes)
     mlp = init_weights(mlp_cfg, seed)
     state = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
-    constant = scheme_constant(cfg, dataset)
     train_rows = ad.RowLabels.of(dataset.labels, masks.train, num_classes)
     val = np.flatnonzero(masks.val)
     val_labels, val_groups = dataset.labels[val], dataset.sensitive[val]
@@ -300,8 +293,7 @@ def train_one(cfg: RunConfig, dataset: Dataset, masks: SplitMasks, seed: int):
     best = mlp.copy()
     for epoch in range(cfg.epochs):
         tape = ad.Tape()
-        x = tape.leaf(features)
-        logits, param_tensors = forward_logits(cfg, mlp, tape, x, dataset, delta, constant)
+        logits, param_tensors = forward(mlp, tape, tape.leaf(features))
         loss = ad.cross_entropy_with_logits(logits, train_rows)
         loss_val = float(loss.data[0, 0])
         if not np.isfinite(loss_val):
@@ -344,12 +336,14 @@ def evaluate(
     seed: int = 0,
     mask_name: str = "test",
 ) -> MetricsReport:
-    """Forward pass and metrics on the requested mask; no weight mutation."""
+    """Forward pass and metrics on the requested mask; no weight mutation.
+
+    The run's constants come from one ``prepare`` call, as in ``train_one``.
+    """
     delta = incident_vector(dataset.sensitive)
-    features = _prepare_features(cfg, dataset, masks)
+    features, forward = prepare(cfg, dataset, masks, delta)
     tape = ad.Tape()
-    x = tape.leaf(features)
-    logits, _ = forward_logits(cfg, mlp, tape, x, dataset, delta, scheme_constant(cfg, dataset))
+    logits, _ = forward(mlp, tape, tape.leaf(features))
     tape.release()  # forward only: nothing replays it
     return _report(cfg, logits.data, dataset, getattr(masks, mask_name), delta, seed)
 

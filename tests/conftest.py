@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fairprop import train
+from fairprop.data import Dataset
 from fairprop.debias import fairness_grad, fairness_objective, prox_dual, steps
 from fairprop.graph import build_graph
 from fairprop.train import RunConfig
@@ -99,14 +100,17 @@ def weighted_sum(out, w):
 
 def forward(mlp, tape, x, g, delta, cfg, scheme="fair"):
     """``scheme``'s forward pass on the tape under ``cfg``'s ``lambda_s``,
-    ``lambda_f`` and ``num_layers``, through its entry in ``train``.
+    ``lambda_f`` and ``num_layers``, through ``train.prepare``.
 
     ``appnp`` takes the primal step of ``lambda_s`` as its teleport alpha and
     ``num_layers`` as its step count. Returns (logits tensor, MLP parameter tensors).
     """
     gamma, _ = steps(cfg.lambda_s)
-    cfg = replace(cfg, scheme=scheme, alpha=gamma, prop_k=cfg.num_layers)
-    return train._FORWARDS[scheme](cfg, mlp, tape, x, g, delta, None)
+    cfg = replace(cfg, scheme=scheme, alpha=gamma, prop_k=cfg.num_layers, standardize=False)
+    labels = np.zeros(g.n, dtype=np.int64)
+    dataset = Dataset(graph=g, features=x.data, sensitive=np.sign(delta.values), labels=labels)
+    _, scheme_forward = train.prepare(cfg, dataset, None, delta)
+    return scheme_forward(mlp, tape, x)
 
 
 def ml1_forward(mlp, tape, x, g, delta, cfg):

@@ -120,13 +120,14 @@ class TestCriterion4:
                 prop_k=layers,
                 hidden=list(mlp.config.hidden),
                 seeds=[0],
+                standardize=False,
             )
         )
-        from fairprop.train import forward_logits
+        from fairprop.train import prepare
 
+        features, forward = prepare(cfg, dataset, None, delta)
         tape = ad.Tape()
-        x = tape.leaf(dataset.features)
-        logits, _ = forward_logits(cfg, mlp, tape, x, dataset, delta)
+        logits, _ = forward(mlp, tape, tape.leaf(features))
         return logits.data
 
     def test_zero_radius_reduces_to_teleport_propagation(self, rng):

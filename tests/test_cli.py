@@ -331,6 +331,30 @@ class TestSweep:
         assert (tmp_path / "out" / "sweep.csv").exists()
 
 
+    @pytest.mark.parametrize(
+        "grid_doc, key",
+        [
+            ({"lambda_s": [1.0]}, "lambda_f"),
+            ({"lambda_f": [0.0]}, "lambda_s"),
+            ({"lambda_s": 1.0, "lambda_f": [0.0]}, "lambda_s"),
+            ({"lambda_s": [1.0], "lambda_f": []}, "lambda_f"),
+            ([1.0, 0.0], "lambda_s"),
+        ],
+    )
+    def test_grid_without_a_list_is_one_error(self, tmp_path, capsys, monkeypatch, grid_doc, key):
+        import fairprop.cli as cli
+
+        cfg = write_json(tmp_path / "run.json", run_config_doc(tmp_path, epochs=1))
+        grid = write_json(tmp_path / "grid.json", grid_doc)
+        monkeypatch.setattr("sys.argv", ["fairprop", "sweep", "--config", cfg, "--grid", grid])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 1
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: grid file {grid} needs a list of values under {key!r}"
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
 class TestErrors:
     def test_unknown_config_field(self, runner, tmp_path):
         cfg = write_json(tmp_path / "bad.json", {"nope": 1})
@@ -351,3 +375,18 @@ class TestErrors:
         assert exc.value.code != 0
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:") and "\n" not in err
+
+    def test_empty_node_csv_names_the_file(self, tmp_path, capsys, monkeypatch):
+        import fairprop.cli as cli
+
+        nodes, edges = tmp_path / "nodes.csv", tmp_path / "edges.txt"
+        nodes.write_text("")
+        edges.write_text("0 1\n")
+        dataset = {"node_csv": str(nodes), "edges": str(edges), "schema": NODE_SCHEMA}
+        cfg = write_json(tmp_path / "run.json", run_config_doc(tmp_path, dataset=dataset))
+        monkeypatch.setattr("sys.argv", ["fairprop", "train", "--config", cfg])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and str(nodes) in err and "\n" not in err

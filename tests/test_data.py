@@ -65,6 +65,13 @@ class TestLoadDataset:
         ds = load_dataset(nodes, edges, schema)
         assert ds.features.shape == (3, 1)
 
+    def test_empty_node_csv_is_one_error(self, tmp_path):
+        # a bare StopIteration from the header read left the CLI's "error: " empty
+        nodes, edges = write_fixture(tmp_path, "", "a b\n")
+        with pytest.raises(ValueError, match=r"nodes\.csv") as exc:
+            load_dataset(nodes, edges, SCHEMA)
+        assert "\n" not in str(exc.value)
+
     def test_missing_column(self, tmp_path):
         nodes, edges = write_fixture(tmp_path, BASIC_NODES, "a b\n")
         with pytest.raises(ValueError, match="missing column"):
@@ -566,6 +573,12 @@ class TestMakeSplits:
         with pytest.raises(ValueError):
             make_splits(toy_dataset(10, n_labeled=3), seed=0)
 
+    @pytest.mark.parametrize("fractions", [(0.75, 0.5, -0.25), (-0.5, 0.75, 0.75)])
+    def test_negative_fraction_rejected(self, fractions):
+        # these sum to 1, so training ran every epoch and then failed on an empty mask
+        with pytest.raises(ValueError, match=r"^split fractions must be >= 0, got "):
+            make_splits(toy_dataset(20), fractions, seed=0)
+
 
 class TestSynthGenerate:
     def test_exact_homophily_extremes(self):
@@ -699,6 +712,26 @@ class TestResultsIo:
         with pytest.raises(ValueError, match=r"results\.csv, line 3: ") as exc:
             read_results(path)
         assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("column", ["acc", "fingerprint"])
+    def test_missing_column_names_file_and_column(self, tmp_path, column):
+        path = tmp_path / "results.csv"
+        write_results(path, [make_report(0)])
+        with open(path, newline="") as f:
+            rows = list(csv.DictReader(f))
+        with open(path, "w", newline="") as f:
+            writer = csv.DictWriter(f, [c for c in rows[0] if c != column])
+            writer.writeheader()
+            writer.writerows({k: v for k, v in row.items() if k != column} for row in rows)
+        with pytest.raises(ValueError) as exc:
+            read_results(path)
+        assert str(exc.value) == f"{path}, line 1: no column '{column}'"
+
+    def test_empty_file_holds_no_rows(self, tmp_path):
+        # a resumed sweep truncates a torn header line to an empty file
+        path = tmp_path / "results.csv"
+        path.write_text("")
+        assert read_results(path) == []
 
     def test_unparseable_row_names_file_and_line(self, tmp_path):
         path = tmp_path / "results.csv"

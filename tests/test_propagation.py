@@ -5,7 +5,7 @@ from conftest import appnp_step, random_graph
 from fairprop import autodiff as ad
 from fairprop import train
 from fairprop.data import Dataset
-from fairprop.graph import build_graph
+from fairprop.graph import build_graph, incident_vector
 from fairprop.propagation import ppnp_exact
 
 
@@ -26,9 +26,8 @@ class TestGcnStep:
         s = np.where(np.arange(g.n) % 2 == 0, 1, -1)
         dataset = Dataset(graph=g, features=X, sensitive=s, labels=np.zeros(g.n, dtype=np.int64))
         cfg = train.RunConfig(scheme="sgc", prop_k=2, standardize=False)
-        np.testing.assert_allclose(
-            train._prepare_features(cfg, dataset, None), gcn_step(g, gcn_step(g, X))
-        )
+        features, _ = train.prepare(cfg, dataset, None, incident_vector(s))
+        np.testing.assert_allclose(features, gcn_step(g, gcn_step(g, X)))
 
     def test_one_step_denoising_identity(self, rng):
         # A_norm X = X - (I - A_norm) X

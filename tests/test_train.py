@@ -110,6 +110,27 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=rf"^{name} must be >= 0, got {value}$"):
             small_cfg(**{field: value})
 
+    @pytest.mark.parametrize("lr", [0.0, -0.01, float("nan")])
+    def test_non_positive_lr_rejected(self, lr):
+        # a negative rate is gradient ascent, and trained without a word
+        with pytest.raises(ValueError, match=rf"^lr must be > 0, got {lr}$"):
+            small_cfg(lr=lr)
+
+    @pytest.mark.parametrize("weight_decay", [-1.0, float("nan")])
+    def test_negative_weight_decay_rejected(self, weight_decay):
+        with pytest.raises(ValueError, match=rf"^weight_decay must be >= 0, got {weight_decay}$"):
+            small_cfg(weight_decay=weight_decay)
+
+    @pytest.mark.parametrize("hidden", [[0], [8, 0], [-4]])
+    def test_hidden_width_below_one_rejected(self, hidden):
+        # a zero-width layer is a bias-only model
+        with pytest.raises(ValueError, match=r"^hidden width must be >= 1, got "):
+            small_cfg(hidden=hidden)
+
+    def test_training_bounds_accepted(self):
+        cfg = small_cfg(lr=1e-6, weight_decay=0.0, hidden=[])
+        assert (cfg.lr, cfg.weight_decay, cfg.hidden) == (1e-6, 0.0, [])
+
     def test_teleport_bounds_accepted(self):
         cfg = small_cfg(prop_k=0, alpha=1.0)
         assert (cfg.prop_k, cfg.alpha) == (0, 1.0)
@@ -327,18 +348,33 @@ class TestPpnpKernel:
         assert len(solves) == 2
 
     def test_logits_match_a_fresh_solve(self, small_dataset):
-        cfg = small_cfg(scheme="ppnp_exact")
+        cfg = small_cfg(scheme="ppnp_exact", standardize=False)
         mlp = init_weights(MlpConfig(in_dim=6, hidden=[8], out_dim=2), 0)
-        kernel = train.scheme_constant(cfg, small_dataset)
         delta = incident_vector(small_dataset.sensitive)
+        features, forward = train.prepare(cfg, small_dataset, None, delta)
         tape = ad.Tape()
-        logits, _ = train.forward_logits(
-            cfg, mlp, tape, tape.leaf(small_dataset.features), small_dataset, delta, kernel
-        )
+        logits, _ = forward(mlp, tape, tape.leaf(features))
         t2 = ad.Tape()
         x_trans, _ = mlp_forward(mlp, t2, t2.leaf(small_dataset.features))
         expected = ppnp_exact(small_dataset.graph, x_trans.data, cfg.alpha)
         np.testing.assert_allclose(logits.data, expected, rtol=0, atol=1e-12)
+
+
+class TestFairSteps:
+    @pytest.mark.parametrize("scheme", ["fair", "ml1"])
+    def test_taken_once_per_run(self, small_dataset, monkeypatch, scheme):
+        calls = []
+        steps = debias.steps
+
+        def counting(lambda_s):
+            calls.append(lambda_s)
+            return steps(lambda_s)
+
+        monkeypatch.setattr(debias, "steps", counting)
+        cfg = small_cfg(scheme=scheme, epochs=3)
+        masks = make_splits(small_dataset, cfg.split_fractions, 0)
+        train_one(cfg, small_dataset, masks, 0)
+        assert calls == [cfg.lambda_s]
 
 
 class WidthRecordingAdjacency:
@@ -362,10 +398,9 @@ class TestGcn:
         rng = np.random.default_rng(0)
         mlp.set_parameters([p + rng.standard_normal(p.shape) for p in mlp.parameters()])
         delta = incident_vector(small_dataset.sensitive)
+        features, forward = train.prepare(cfg, small_dataset, masks, delta)
         tape = ad.Tape()
-        x = tape.leaf(train._prepare_features(cfg, small_dataset, masks))
-        constant = train.scheme_constant(cfg, small_dataset)
-        logits, _ = train.forward_logits(cfg, mlp, tape, x, small_dataset, delta, constant)
+        logits, _ = forward(mlp, tape, tape.leaf(features))
         h = standardize_features(small_dataset.features, masks.train)
         expected = gcn_oracle(small_dataset.graph, mlp, h)
         np.testing.assert_allclose(logits.data, expected, rtol=0, atol=1e-12)
@@ -386,16 +421,6 @@ class TestGcn:
         assert widths[1] - widths[0] == {out_dim: 2}
         assert widths[0] == {6: 1, 1: 1, out_dim: 2}
 
-    def test_forward_needs_the_row_sums(self, small_dataset):
-        cfg = small_cfg(scheme="gcn")
-        mlp = init_weights(MlpConfig(in_dim=6, hidden=[8], out_dim=2), 0)
-        tape = ad.Tape()
-        with pytest.raises(ValueError, match="gcn needs the row sums"):
-            train.forward_logits(
-                cfg, mlp, tape, tape.leaf(small_dataset.features), small_dataset,
-                incident_vector(small_dataset.sensitive),
-            )
-
 
 class TestSgc:
     def test_logits_are_mlp_on_propagated_features(self, small_dataset):
@@ -403,9 +428,9 @@ class TestSgc:
         masks = make_splits(small_dataset, cfg.split_fractions, 0)
         mlp = init_weights(MlpConfig(in_dim=6, hidden=[8], out_dim=2), 0)
         delta = incident_vector(small_dataset.sensitive)
+        features, forward = train.prepare(cfg, small_dataset, masks, delta)
         tape = ad.Tape()
-        x = tape.leaf(train._prepare_features(cfg, small_dataset, masks))
-        logits, _ = train.forward_logits(cfg, mlp, tape, x, small_dataset, delta)
+        logits, _ = forward(mlp, tape, tape.leaf(features))
 
         h = standardize_features(small_dataset.features, masks.train)
         for _ in range(cfg.prop_k):
@@ -439,9 +464,9 @@ class TestAppnp:
         masks = make_splits(small_dataset, cfg.split_fractions, 0)
         mlp = init_weights(MlpConfig(in_dim=6, hidden=[8], out_dim=2), 0)
         delta = incident_vector(small_dataset.sensitive)
-        features = train._prepare_features(cfg, small_dataset, masks)
+        features, forward = train.prepare(cfg, small_dataset, masks, delta)
         tape = ad.Tape()
-        logits, _ = train.forward_logits(cfg, mlp, tape, tape.leaf(features), small_dataset, delta)
+        logits, _ = forward(mlp, tape, tape.leaf(features))
 
         t2 = ad.Tape()
         x_trans = mlp_forward(mlp, t2, t2.leaf(features))[0].data
