@@ -17,6 +17,7 @@ from .nn import load_checkpoint
 from .train import (
     RunConfig,
     evaluate,
+    grid_rows,
     hashing_files_once,
     load_run_dataset,
     run,
@@ -62,19 +63,25 @@ def train_cmd(config_path):
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--grid", "grid_path", required=True, type=click.Path(exists=True))
 def sweep_cmd(config_path, grid_path):
-    """Run a lambda_s x lambda_f grid; rows append incrementally."""
+    """Run a lambda_s x lambda_f grid; rows append incrementally.
+
+    Prints one line per grid point: the mean and std over every finished
+    seed in the results file, the rows a resume kept included.
+    """
     cfg = _load_config(config_path)
     with open(grid_path) as f:
         grid = json.load(f)
     for key in ("lambda_s", "lambda_f"):
         if not isinstance(grid, dict) or not isinstance(grid.get(key), list) or not grid[key]:
             raise ValueError(f"grid file {grid_path} needs a list of values under {key!r}")
-    reports, path = sweep(cfg, grid["lambda_s"], grid["lambda_f"])
-    for (lam_s, lam_f), stats in summarize(reports).items():
+    with hashing_files_once():
+        _, path = sweep(cfg, grid["lambda_s"], grid["lambda_f"])
+        rows = grid_rows(cfg, grid["lambda_s"], grid["lambda_f"], path)
+    for (lam_s, lam_f), stats in summarize(rows).items():
         click.echo(
             f"lambda_s={lam_s} lambda_f={lam_f} "
             f"acc={stats['acc_mean']:.4f}±{stats['acc_std']:.4f} "
-            f"dp={stats['dp_mean']:.4f}±{stats['dp_std']:.4f}"
+            f"dp={stats['dp_mean']:.4f}±{stats['dp_std']:.4f} seeds={stats['n']}"
         )
     click.echo(f"results={path}")
 

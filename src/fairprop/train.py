@@ -390,6 +390,14 @@ def run(cfg: RunConfig, dataset: Dataset | None = None, save: bool = True):
     return reports, models, traces
 
 
+def _grid(cfg: RunConfig, lambda_s_grid, lambda_f_grid):
+    """(lambda_s, lambda_f, config, fingerprint) of each grid point, in grid order."""
+    for lam_s in lambda_s_grid:
+        for lam_f in lambda_f_grid:
+            point = replace(cfg, lambda_s=float(lam_s), lambda_f=float(lam_f))
+            yield lam_s, lam_f, point, point.fingerprint()
+
+
 def sweep(cfg: RunConfig, lambda_s_grid, lambda_f_grid, results_path=None):
     """One training run per (grid point x seed), appended incrementally.
 
@@ -416,14 +424,11 @@ def sweep(cfg: RunConfig, lambda_s_grid, lambda_f_grid, results_path=None):
     reports = []
     with hashing_files_once():
         pending = []  # (lambda_s, lambda_f, point, fingerprint, seed) of each run to train
-        for lam_s in lambda_s_grid:
-            for lam_f in lambda_f_grid:
-                point = replace(cfg, lambda_s=float(lam_s), lambda_f=float(lam_f))
-                fp = point.fingerprint()
-                for seed in cfg.seeds:
-                    if (fp, seed) not in done:
-                        done.add((fp, seed))
-                        pending.append((lam_s, lam_f, point, fp, seed))
+        for lam_s, lam_f, point, fp in _grid(cfg, lambda_s_grid, lambda_f_grid):
+            for seed in cfg.seeds:
+                if (fp, seed) not in done:
+                    done.add((fp, seed))
+                    pending.append((lam_s, lam_f, point, fp, seed))
         dataset = load_run_dataset(cfg) if pending else None
         for lam_s, lam_f, point, fp, seed in pending:
             masks = make_splits(dataset, point.split_fractions, seed)
@@ -449,6 +454,21 @@ def sweep(cfg: RunConfig, lambda_s_grid, lambda_f_grid, results_path=None):
             write_results(results_path, [report], append=True)
             reports.append(report)
     return reports, results_path
+
+
+def grid_rows(cfg: RunConfig, lambda_s_grid, lambda_f_grid, results_path):
+    """Every finished row of ``results_path`` for a grid point and a seed of ``cfg``.
+
+    After a resumed ``sweep`` these are the rows it kept plus the runs it
+    trained: the whole grid, where ``sweep``'s reports hold only the latter.
+    """
+    with hashing_files_once():
+        fingerprints = {fp for *_, fp in _grid(cfg, lambda_s_grid, lambda_f_grid)}
+    return [
+        r
+        for r in read_results(results_path)
+        if r.config_fingerprint in fingerprints and r.seed in cfg.seeds and np.isfinite(r.accuracy)
+    ]
 
 
 def summarize(reports):

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from fairprop.cli import main
-from fairprop.data import SynthConfig, load_dataset, synth_generate
+from fairprop.data import SynthConfig, load_dataset, read_results, synth_generate
 from fairprop.train import RunConfig
 
 
@@ -329,6 +329,32 @@ class TestSweep:
         assert result.exit_code == 0, result.output
         assert result.output.count("lambda_f=") == 2
         assert (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_resumed_summary_covers_every_seed(self, runner, tmp_path):
+        cfg = write_json(tmp_path / "run.json", run_config_doc(tmp_path, epochs=1, seeds=[0, 1, 2]))
+        grid = write_json(tmp_path / "grid.json", {"lambda_s": [1.0], "lambda_f": [0.0, 5.0]})
+        args = ["sweep", "--config", cfg, "--grid", grid]
+        assert runner.invoke(main, args).exit_code == 0
+        path = tmp_path / "out" / "sweep.csv"
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:-2]))  # lambda_f=5 loses seeds 1 and 2
+
+        resumed = runner.invoke(main, args)  # trains the two lost runs
+        again = runner.invoke(main, args)  # trains nothing
+        assert resumed.exit_code == again.exit_code == 0, resumed.output + again.output
+        rows = read_results(path)
+        expected = []
+        for lam_f in (0.0, 5.0):
+            rs = [r for r in rows if r.lambda_f == lam_f]
+            accs, dps = np.array([r.accuracy for r in rs]), np.array([r.dp for r in rs])
+            expected.append(
+                f"lambda_s=1.0 lambda_f={lam_f} "
+                f"acc={accs.mean():.4f}±{accs.std(ddof=1):.4f} "
+                f"dp={dps.mean():.4f}±{dps.std(ddof=1):.4f} seeds=3"
+            )
+        for result in (resumed, again):
+            assert result.output.splitlines()[:-1] == expected
+            assert result.output.splitlines()[-1] == f"results={path}"
 
 
     @pytest.mark.parametrize(

@@ -97,6 +97,15 @@ class TestPpnpExact:
         with pytest.raises(ValueError):
             ppnp_exact(g, np.zeros((g.n, 1)), 0.1, cap=g.n - 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_one_error(self, rng, bad):
+        g = random_graph(rng)
+        X = rng.standard_normal((g.n, 2))
+        X[g.n // 2, 1] = bad
+        with pytest.raises(ValueError, match="^ppnp_exact: ") as exc:
+            ppnp_exact(g, X, 0.1)
+        assert "\n" not in str(exc.value)
+
     def test_row_stochastic_on_cycle(self):
         g = cycle(7)
         X = np.full((7, 2), 0.5)  # rows sum to 1

@@ -22,7 +22,7 @@ from fairprop.graph import build_graph, incident_vector
 from fairprop.metrics import MetricsReport
 from fairprop.nn import MlpConfig, init_weights, load_checkpoint, mlp_forward, save_checkpoint
 from fairprop.propagation import ppnp_exact
-from fairprop.train import RunConfig, evaluate, run, summarize, sweep, train_one
+from fairprop.train import RunConfig, evaluate, grid_rows, run, summarize, sweep, train_one
 
 
 def small_cfg(**overrides):
@@ -621,6 +621,14 @@ class TestRunAndSweep:
         # no digest outlives the command: the next one hashes the files again
         cfg.fingerprint()
         assert hashed == {dataset["node_csv"]: 2, dataset["edges"]: 2}
+
+    def test_grid_rows_are_the_grid_and_the_configured_seeds(self, tmp_path):
+        cfg = small_cfg(epochs=1, seeds=[0, 1], out_dir=str(tmp_path / "out"))
+        _, path = sweep(cfg, [0.5], [0.0, 5.0])
+        sweep(cfg, [1.0], [5.0])  # another grid point in the same file
+        one_seed = dataclasses.replace(cfg, seeds=[1])
+        rows = grid_rows(one_seed, [0.5], [0.0, 5.0], path)
+        assert [(r.lambda_s, r.lambda_f, r.seed) for r in rows] == [(0.5, 0.0, 1), (0.5, 5.0, 1)]
 
     def test_summarize(self):
         cfg = small_cfg(epochs=1, seeds=[0, 1])
