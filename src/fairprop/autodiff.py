@@ -5,7 +5,8 @@ Define-by-run: every primitive appends one record to the active Tape, and
 64-bit. It frees each record and its output's gradient once they are used,
 so it returns the gradients of the leaves only, keyed by node id: a tape is
 replayed once. The five primitives are the ones training records: ``dense``
-(one record for ``relu(x @ W + b)``, the bias optionally scaled per row),
+(one record for ``relu(x @ W + b)``, the bias optionally scaled per row and
+the input optionally standardized per column),
 ``matmul``, ``spmm_const``, ``relu`` and ``cross_entropy_with_logits`` (over
 the masked rows only).
 ``matmul`` and ``dense`` compute no gradient for an operand that requires
@@ -132,7 +133,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return a.tape._result(a.data @ b.data, (a, b), backward)
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool, row_scale: Array | None = None) -> Tensor:
+def dense(
+    x: Tensor,
+    w: Tensor,
+    b: Tensor,
+    relu: bool,
+    row_scale: Array | None = None,
+    standardize: tuple[Array, Array] | None = None,
+) -> Tensor:
     """One record for ``x @ w + b``, with a ReLU after it when ``relu`` is set.
 
     ``b`` is a 1 x d row bias. The bias add and the ReLU mask are applied in
@@ -141,6 +149,14 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool, row_scale: Array | None =
     constant ``row_scale`` of shape (n,) scales the bias of row i by
     ``row_scale[i]``: ``x @ w + row_scale b``, so that ``A (x w + 1 b)`` is
     ``(A x) w + (A 1) b`` with ``A x`` computed once.
+
+    A constant ``standardize = (shift, scale)``, each of shape (d_in,), makes
+    the record ``((x - shift) / scale) @ w + b`` without an n x d_in
+    temporary: it computes ``x @ (w / scale) + (b - (shift / scale) @ w)``
+    and takes ``dw = (x^T g - shift (1^T g)) / scale``, reading ``x`` as is.
+    Both cancel ``shift`` against ``x``, so their relative error against
+    standardizing first grows like ``|shift| / scale`` times the float64 eps.
+    It does not combine with ``row_scale``.
     """
     _check(x, w)
     _check(x, b)
@@ -148,8 +164,19 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool, row_scale: Array | None =
         raise ValueError(f"dense shape mismatch {x.shape} @ {w.shape} + {b.shape}")
     if row_scale is not None and row_scale.shape != (x.shape[0],):
         raise ValueError(f"dense row scale of shape {row_scale.shape} for {x.shape[0]} rows")
-    h = x.data @ w.data
-    h += b.data if row_scale is None else row_scale[:, None] * b.data
+    w_in, b_in = w.data, b.data
+    if standardize is not None:
+        shift, scale = standardize
+        if shift.shape != (x.shape[1],) or scale.shape != (x.shape[1],):
+            raise ValueError(
+                f"dense standardization of shapes {shift.shape}, {scale.shape} for {x.shape[1]} columns"
+            )
+        if row_scale is not None:
+            raise ValueError("dense takes a row scale or a standardization, not both")
+        w_in = w.data / scale[:, None]
+        b_in = b.data - (shift / scale) @ w.data
+    h = x.data @ w_in
+    h += b_in if row_scale is None else row_scale[:, None] * b_in
     mask = None
     if relu:
         mask = h > 0.0
@@ -159,9 +186,13 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool, row_scale: Array | None =
         if mask is not None:
             g *= mask
         db = g.sum(axis=0, keepdims=True) if row_scale is None else (row_scale @ g)[None, :]
-        grads = [(w, x.data.T @ g), (b, db)]
+        dw = x.data.T @ g
+        if standardize is not None:
+            dw -= np.outer(shift, db)
+            dw /= scale[:, None]
+        grads = [(w, dw), (b, db)]
         if x.requires_grad:
-            grads.append((x, g @ w.data.T))
+            grads.append((x, g @ w_in.T))
         return grads
 
     return x.tape._result(h, (x, w, b), backward)

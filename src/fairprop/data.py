@@ -9,6 +9,7 @@ import re
 from array import array
 from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -350,6 +351,8 @@ def make_splits(dataset: Dataset, fractions=(0.5, 0.25, 0.25), seed: int = 0) ->
     """Deterministic shuffle of labeled nodes, sliced into train/val/test.
 
     Train and val take floor(fraction * n_labeled); test takes the remainder.
+    A split left empty raises one ValueError line: training, selection and
+    the report each need rows.
     """
     if not all(f >= 0 for f in fractions):  # NaN too
         raise ValueError(f"split fractions must be >= 0, got {tuple(fractions)}")
@@ -358,9 +361,16 @@ def make_splits(dataset: Dataset, fractions=(0.5, 0.25, 0.25), seed: int = 0) ->
     labeled = np.flatnonzero(dataset.labeled_mask)
     if labeled.size < 4:
         raise ValueError("too few labeled nodes to split")
-    order = np.random.default_rng(seed).permutation(labeled)
     n_train = int(fractions[0] * labeled.size)
     n_val = int(fractions[1] * labeled.size)
+    sizes = {"train": n_train, "val": n_val, "test": labeled.size - n_train - n_val}
+    for name, size in sizes.items():
+        if size < 1:
+            raise ValueError(
+                f"split fractions {tuple(fractions)} leave the {name} split empty "
+                f"with {labeled.size} labeled nodes"
+            )
+    order = np.random.default_rng(seed).permutation(labeled)
     n = dataset.graph.n
     masks = [np.zeros(n, dtype=bool) for _ in range(3)]
     masks[0][order[:n_train]] = True
@@ -478,16 +488,36 @@ def synth_generate(cfg: SynthConfig, max_attempts: int = 20) -> Dataset:
     )
 
 
-def standardize_features(features: Array, train_mask) -> Array:
-    """Per-column zero mean, unit variance computed over training nodes."""
+class Standardization(NamedTuple):
+    """Per-column shift and scale of a feature matrix: ``(x - shift) / scale``."""
+
+    shift: Array
+    scale: Array
+
+    def apply(self, features: Array) -> Array:
+        """A standardized copy of ``features``."""
+        out = features - self.shift
+        out /= self.scale
+        return out
+
+
+def standardize_features(features: Array, train_mask) -> Standardization:
+    """The standardization of ``features`` to per-column zero mean and unit
+    variance over the training nodes; ``.apply`` makes the standardized copy.
+
+    A column whose training rows are all equal gets that value as its shift
+    and a scale of 1, so it standardizes to exact zeros: its computed mean
+    can be an ulp off and its std a few ulps above 0, which would read as
+    -1 or +1 on every row.
+    """
     train = features[np.asarray(train_mask, dtype=bool)]
-    mean = train.mean(axis=0)
-    std = train.std(axis=0)
+    shift = train.mean(axis=0)
+    scale = train.std(axis=0)
+    constant = np.ptp(train, axis=0) == 0.0
+    shift[constant] = train[0, constant]
     del train
-    std[std == 0.0] = 1.0
-    out = features - mean
-    out /= std
-    return out
+    scale[constant | (scale == 0.0)] = 1.0
+    return Standardization(shift, scale)
 
 
 def write_results(path, reports, append: bool = False):

@@ -2,6 +2,7 @@
 
 On the tape each MLP layer is one ``autodiff.dense`` record, which holds a
 single n x d output and computes no gradient for the constant input features.
+The first record standardizes the features as it reads them.
 """
 
 from __future__ import annotations
@@ -75,9 +76,12 @@ def init_weights(config: MlpConfig, seed: int) -> Mlp:
     return Mlp(config, weights, biases, seed=seed)
 
 
-def mlp_forward(mlp: Mlp, tape: ad.Tape, x: ad.Tensor):
+def mlp_forward(mlp: Mlp, tape: ad.Tape, x: ad.Tensor, standardize=None):
     """Run the MLP on the tape, one ``dense`` record per layer.
 
+    ``standardize``, a per-column ``(shift, scale)`` of the input, is applied
+    inside the first layer (``autodiff.dense``): the MLP reads
+    ``(x - shift) / scale`` and no standardized copy of ``x`` is made.
     Returns (output tensor, list of parameter leaf tensors in the order of
     ``mlp.parameters()``).
     """
@@ -92,7 +96,7 @@ def mlp_forward(mlp: Mlp, tape: ad.Tape, x: ad.Tensor):
         wt = tape.leaf(w, requires_grad=True)
         bt = tape.leaf(b.reshape(1, -1), requires_grad=True)
         param_tensors += [wt, bt]
-        h = ad.dense(h, wt, bt, relu=i != last)
+        h = ad.dense(h, wt, bt, relu=i != last, standardize=standardize if i == 0 else None)
     return h, param_tensors
 
 

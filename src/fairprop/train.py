@@ -166,21 +166,26 @@ def load_run_dataset(cfg: RunConfig) -> Dataset:
     )
 
 
-def _mlp(cfg, g, delta, x):
-    return x, lambda mlp, tape, x: mlp_forward(mlp, tape, x)
+def _standardized(x, stats):
+    return x if stats is None else stats.apply(x)
 
 
-def _sgc(cfg, g, delta, x):
-    # the MLP on features propagated prop_k times, once per run
+def _mlp(cfg, g, delta, x, stats):
+    return x, lambda mlp, tape, x: mlp_forward(mlp, tape, x, stats)
+
+
+def _sgc(cfg, g, delta, x, stats):
+    # the MLP on standardized features propagated prop_k times, once per run
+    x = _standardized(x, stats)
     for _ in range(cfg.prop_k):
         x = g.adjacency @ x
-    return _mlp(cfg, g, delta, x)
+    return _mlp(cfg, g, delta, x, None)
 
 
-def _gcn(cfg, g, delta, x):
+def _gcn(cfg, g, delta, x, stats):
     # transform + aggregate in every layer, ReLU between layers; the first
     # layer's A (X W + 1 b) = (A X) W + (A 1) b reads A X and A 1, once per run
-    x = g.adjacency @ x
+    x = g.adjacency @ _standardized(x, stats)
     row_sums = g.adjacency @ np.ones(g.n)
 
     def forward(mlp, tape, x):
@@ -202,40 +207,42 @@ def _gcn(cfg, g, delta, x):
     return x, forward
 
 
-def _appnp(cfg, g, delta, x):
+def _appnp(cfg, g, delta, x, stats):
     # teleport propagation is the debiasing stack at radius 0 with teleport alpha
     def forward(mlp, tape, x):
-        x_trans, params = mlp_forward(mlp, tape, x)
+        x_trans, params = mlp_forward(mlp, tape, x, stats)
         return debias.stack(x_trans, g, delta, cfg.prop_k, cfg.alpha, 0.0, 0.0), params
 
     return x, forward
 
 
-def _ppnp_exact(cfg, g, delta, x):
+def _ppnp_exact(cfg, g, delta, x, stats):
     kernel = ppnp_exact(g, np.eye(g.n), cfg.alpha)  # one dense solve per run
 
     def forward(mlp, tape, x):
-        x_trans, params = mlp_forward(mlp, tape, x)
+        x_trans, params = mlp_forward(mlp, tape, x, stats)
         return ad.matmul(tape.leaf(kernel), x_trans), params
 
     return x, forward
 
 
-def _fair(cfg, g, delta, x, ml1=False):
+def _fair(cfg, g, delta, x, stats, ml1=False):
     # ml1 is the stack with the constant dual lambda_f * sign(p)
     gamma, beta = debias.steps(cfg.lambda_s)
 
     def forward(mlp, tape, x):
-        x_trans, params = mlp_forward(mlp, tape, x)
+        x_trans, params = mlp_forward(mlp, tape, x, stats)
         logits = debias.stack(x_trans, g, delta, cfg.num_layers, gamma, beta, cfg.lambda_f, ml1)
         return logits, params
 
     return x, forward
 
 
-# Scheme -> (cfg, graph, delta, standardized features) -> (model input,
-# forward), where forward(mlp, tape, x) -> (logits, MLP parameter tensors) has
-# the run's constants bound. The forwards look their callees up by name when
+# Scheme -> (cfg, graph, delta, features, standardization or None) -> (model
+# input, forward), where forward(mlp, tape, x) -> (logits, MLP parameter
+# tensors) has the run's constants bound. An MLP that reads the features
+# standardizes them in its first layer; gcn and sgc standardize a copy, which
+# they propagate once per run. The forwards look their callees up by name when
 # called, so a rebound module attribute (a profiler's wrapper, say) is the one
 # that runs.
 _SCHEME_TABLE = {
@@ -253,15 +260,21 @@ SCHEMES = tuple(_SCHEME_TABLE)
 def prepare(cfg: RunConfig, dataset: Dataset, masks: SplitMasks | None, delta: IncidentVector):
     """A run's model input and forward pass: (input array, forward).
 
-    The features are standardized on the train rows (``masks`` may be None
-    when ``cfg.standardize`` is off), and the scheme's entry computes what is
-    constant for the run once. ``forward(mlp, tape, x)`` takes the input as a
-    tape tensor and returns (logits, MLP parameter tensors).
+    The standardization (``data.standardize_features``) is computed on the
+    train rows (``masks`` may be None when ``cfg.standardize`` is off), and
+    the scheme's entry computes what is constant for the run once.
+    ``forward(mlp, tape, x)`` takes the input as a tape tensor and returns
+    (logits, MLP parameter tensors).
+
+    For ``mlp``, ``appnp``, ``ppnp_exact``, ``fair`` and ``ml1`` the input is
+    ``dataset.features`` itself, and the first MLP layer standardizes it as
+    it reads it (``autodiff.dense``), so a run holds no standardized copy;
+    its values differ from standardizing first by about ``|shift| / scale``
+    times the float64 eps. For ``gcn`` and ``sgc`` the input is the
+    standardized features propagated once per run.
     """
-    features = dataset.features
-    if cfg.standardize:
-        features = standardize_features(features, masks.train)
-    return _SCHEME_TABLE[cfg.scheme](cfg, dataset.graph, delta, features)
+    stats = standardize_features(dataset.features, masks.train) if cfg.standardize else None
+    return _SCHEME_TABLE[cfg.scheme](cfg, dataset.graph, delta, dataset.features, stats)
 
 
 def _num_classes(dataset: Dataset) -> int:

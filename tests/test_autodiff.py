@@ -232,6 +232,45 @@ class TestDense:
                 fd = finite_diff(loss_at(i), data[i])
                 assert_close_rel(grads[t.node_id], fd, rtol=1e-6, afloor=1e-9)
 
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_standardized_input_matches_finite_differences(self, rng, relu):
+        # ((x - shift) / scale) @ w + b, standardized inside the record
+        for _ in range(30):
+            n, k, d = (int(rng.integers(1, 5)) for _ in range(3))
+            data = [rng.standard_normal(shape) for shape in ((n, k), (k, d), (1, d))]
+            stats = (rng.standard_normal(k), rng.uniform(0.5, 2.0, size=k))
+            g_data = rng.standard_normal((n, d))
+            tape = ad.Tape()
+            leaves = [tape.leaf(v, requires_grad=True) for v in data]
+            out = ad.dense(*leaves, relu, standardize=stats)
+            np.testing.assert_allclose(
+                out.data,
+                np.maximum((data[0] - stats[0]) / stats[1] @ data[1] + data[2], 0.0 if relu else -np.inf),
+            )
+            grads = tape.backward(weighted_sum(out, g_data))
+
+            def loss_at(i):
+                def f(v):
+                    t2 = ad.Tape()
+                    args = [t2.leaf(v if j == i else data[j]) for j in range(3)]
+                    return float(np.sum(ad.dense(*args, relu, standardize=stats).data * g_data))
+
+                return f
+
+            for i, t in enumerate(leaves):
+                fd = finite_diff(loss_at(i), data[i])
+                assert_close_rel(grads[t.node_id], fd, rtol=1e-6, afloor=1e-9)
+
+    def test_standardization_of_another_width_or_with_a_row_scale_is_refused(self, rng):
+        tape = ad.Tape()
+        x = tape.leaf(rng.standard_normal((4, 3)))
+        w = tape.leaf(rng.standard_normal((3, 2)), requires_grad=True)
+        b = tape.leaf(rng.standard_normal((1, 2)), requires_grad=True)
+        with pytest.raises(ValueError, match="standardization of shapes"):
+            ad.dense(x, w, b, relu=False, standardize=(np.zeros(2), np.ones(3)))
+        with pytest.raises(ValueError, match="not both"):
+            ad.dense(x, w, b, relu=False, row_scale=np.ones(4), standardize=(np.zeros(3), np.ones(3)))
+
     def test_row_scale_of_another_length_is_refused(self, rng):
         tape = ad.Tape()
         x = tape.leaf(rng.standard_normal((4, 3)))

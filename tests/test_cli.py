@@ -247,6 +247,64 @@ class TestEvalCheckpointBinding:
         assert result.exit_code == 0, result.output
 
 
+class TestEvalSeed:
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        # seed 0's test rows overlap seed 3's training rows, and its
+        # standardization differs: scored under seed 0, the seed-3 checkpoint
+        # read acc 0.8400 dp 0.5228 against its trained 0.8267 and 0.6105
+        tmp_path = tmp_path_factory.mktemp("eval-seed")
+        doc = run_config_doc(
+            tmp_path, dataset={"synth": {"n": 300, "seed": 0}}, epochs=30, seeds=[0, 3]
+        )
+        cfg = write_json(tmp_path / "run.json", doc)
+        assert CliRunner().invoke(main, ["train", "--config", cfg]).exit_code == 0
+        ckpt = tmp_path / "out" / f"{RunConfig.from_dict(doc).fingerprint()}-seed3.json"
+        (row,) = [r for r in read_results(tmp_path / "out" / "results.csv") if r.seed == 3]
+        return cfg, str(ckpt), row
+
+    @staticmethod
+    def _entry(monkeypatch, capsys, *args):
+        import fairprop.cli as cli
+
+        monkeypatch.setattr("sys.argv", ["fairprop", "eval", *args])
+        try:
+            cli.entry()
+        except SystemExit as exc:
+            return exc.code, capsys.readouterr()
+        return 0, capsys.readouterr()
+
+    def test_defaults_to_the_checkpoint_seed(self, trained, monkeypatch, capsys):
+        cfg, ckpt, row = trained
+        code, out = self._entry(monkeypatch, capsys, "--checkpoint", ckpt, "--config", cfg)
+        assert code == 0, out.err
+        assert out.out.startswith(f"acc={row.accuracy:.4f} dp={row.dp:.4f} eo={row.eo:.4f} ")
+
+    def test_the_checkpoint_seed_is_accepted(self, trained, monkeypatch, capsys):
+        cfg, ckpt, row = trained
+        code, out = self._entry(monkeypatch, capsys, "--checkpoint", ckpt, "--config", cfg, "--seed", "3")
+        assert code == 0, out.err
+        assert out.out.startswith(f"acc={row.accuracy:.4f} dp={row.dp:.4f} ")
+
+    def test_another_seed_is_refused(self, trained, monkeypatch, capsys):
+        cfg, ckpt, _ = trained
+        code, out = self._entry(monkeypatch, capsys, "--checkpoint", ckpt, "--config", cfg, "--seed", "0")
+        assert code == 1 and out.out == ""
+        assert out.err == f"error: checkpoint {ckpt} was trained with seed 3, not --seed 0\n"
+
+    def test_a_checkpoint_without_a_seed_needs_one(self, trained, monkeypatch, capsys, tmp_path):
+        cfg, ckpt, row = trained
+        with open(ckpt) as f:
+            doc = json.load(f)
+        del doc["seed"]
+        unseeded = write_json(tmp_path / "unseeded.json", doc)
+        code, out = self._entry(monkeypatch, capsys, "--checkpoint", unseeded, "--config", cfg)
+        assert code == 1
+        assert out.err == f"error: checkpoint {unseeded} records no seed: pass --seed\n"
+        code, out = self._entry(monkeypatch, capsys, "--checkpoint", unseeded, "--config", cfg, "--seed", "3")
+        assert code == 0 and out.out.startswith(f"acc={row.accuracy:.4f} dp={row.dp:.4f} ")
+
+
 class TestMetrics:
     @staticmethod
     def _invoke(runner, tmp_path, truth_rows, pred_rows=("a,1", "b,0", "c,1", "d,0", "e,1")):

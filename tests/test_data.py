@@ -579,6 +579,20 @@ class TestMakeSplits:
         with pytest.raises(ValueError, match=r"^split fractions must be >= 0, got "):
             make_splits(toy_dataset(20), fractions, seed=0)
 
+    @pytest.mark.parametrize(
+        "fractions, empty",
+        [
+            ((0.5, 0.5, 0.0), "test"),  # trained every epoch, then failed in the report
+            ((0.0, 0.5, 0.5), "train"),  # warned while standardizing, then failed in the loss
+            ((0.01, 0.49, 0.5), "train"),  # 0.01 * 20 floors to 0 rows
+            ((0.5, 0.0, 0.5), "val"),
+        ],
+    )
+    def test_empty_split_names_itself(self, fractions, empty):
+        message = f"split fractions {fractions} leave the {empty} split empty with 20 labeled nodes"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_splits(toy_dataset(20), fractions, seed=0)
+
 
 class TestSynthGenerate:
     def test_exact_homophily_extremes(self):
@@ -654,14 +668,22 @@ class TestStandardizeFeatures:
         X = rng.standard_normal((20, 3)) * 4 + 2
         mask = np.zeros(20, dtype=bool)
         mask[:12] = True
-        Z = standardize_features(X, mask)
+        Z = standardize_features(X, mask).apply(X)
         np.testing.assert_allclose(Z[mask].mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(Z[mask].std(axis=0), 1.0, atol=1e-12)
 
     def test_constant_column_unchanged_scale(self):
         X = np.ones((5, 1)) * 3.0
-        Z = standardize_features(X, np.ones(5, dtype=bool))
+        Z = standardize_features(X, np.ones(5, dtype=bool)).apply(X)
         np.testing.assert_array_equal(Z, np.zeros((5, 1)))
+
+    def test_constant_column_with_an_inexact_mean_reads_zero(self):
+        # Over 2,500 rows the mean of 3.3 is an ulp off and the std is about
+        # 1e-13, not 0: every row used to read -1.0 (and +1.0 for 0.1).
+        X = np.column_stack([np.full(2500, 3.3), np.full(2500, 0.1)])
+        stats = standardize_features(X, np.ones(2500, dtype=bool))
+        assert stats.shift.tolist() == [3.3, 0.1] and stats.scale.tolist() == [1.0, 1.0]
+        np.testing.assert_array_equal(stats.apply(X), 0.0)
 
 
 def make_report(seed=0, acc=0.5):

@@ -331,6 +331,113 @@ class TestTrainMemory:
         assert peak < 20 * 2**20, f"train_one peaked at {peak / 2**20:.1f} MiB"
 
 
+    def test_holds_no_standardized_copy_of_the_features(self):
+        # The first MLP layer standardizes the features as it reads them, so
+        # a run holds no n x d standardized copy (12.2 MiB here). Measured:
+        # 19.1 MiB with the fold, 31.3 MiB with a copy; the bound leaves less
+        # than one n x d float64 array of headroom above the former.
+        rng = np.random.default_rng(0)
+        n, d, m = 50_000, 32, 250_000
+        a = rng.integers(n, size=m)
+        b = (a + rng.integers(1, n, size=m)) % n
+        dataset = Dataset(
+            graph=build_graph(n, np.stack([a, b], axis=1)),
+            features=rng.standard_normal((n, d)),
+            sensitive=np.where(rng.random(n) < 0.5, 1, -1),
+            labels=rng.integers(2, size=n),
+        )
+        cfg = RunConfig(scheme="fair", hidden=[16], epochs=2, seeds=[0])
+        masks = make_splits(dataset, cfg.split_fractions, 0)
+        bound = 19.1 * 2**20 + n * d * 8 / 2
+
+        tracemalloc.start()
+        try:
+            train_one(cfg, dataset, masks, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"train_one peaked at {peak / 2**20:.1f} MiB"
+
+
+def _logits_and_gradients(cfg, dataset, masks):
+    """A fresh MLP's logits under ``cfg`` and the train loss's gradient of each MLP parameter."""
+    delta = incident_vector(dataset.sensitive)
+    features, forward = train.prepare(cfg, dataset, masks, delta)
+    mlp = init_weights(MlpConfig(in_dim=features.shape[1], hidden=cfg.hidden, out_dim=2), 0)
+    tape = ad.Tape()
+    logits, params = forward(mlp, tape, tape.leaf(features))
+    loss = ad.cross_entropy_with_logits(logits, ad.RowLabels.of(dataset.labels, masks.train, 2))
+    grads = tape.backward(loss)
+    return logits.data, [grads[p.node_id] for p in params]
+
+
+class TestStandardizeInFirstLayer:
+    @pytest.mark.parametrize("offset", [0.0, 1e2, 1e4])
+    @pytest.mark.parametrize("scheme", ["mlp", "appnp", "ppnp_exact", "fair", "ml1"])
+    def test_matches_standardizing_a_copy(self, scheme, offset):
+        # The fold cancels the shift against the features, in the forward
+        # pass and in the weight gradient, so its error grows like
+        # |shift| / scale * eps: measured up to 5.5e-12 (logits) and 7.1e-11
+        # (gradients) relative at offset 1e4, against a tolerance of 4.4e-10.
+        rng = np.random.default_rng(1)
+        n, m = 300, 1500
+        a = rng.integers(n, size=m)
+        b = (a + rng.integers(1, n, size=m)) % n
+        features = rng.standard_normal((n, 4)) * [1.0, 0.5, 2.0, 3.0] + offset
+        features = np.column_stack([features, np.full(n, offset + 0.7)])  # a constant column
+        dataset = Dataset(
+            graph=build_graph(n, np.stack([a, b], axis=1)),
+            features=features,
+            sensitive=np.where(rng.random(n) < 0.4, 1, -1),
+            labels=rng.integers(2, size=n),
+        )
+        cfg = RunConfig(scheme=scheme, hidden=[8], lambda_f=5.0, prop_k=3, num_layers=3, seeds=[0])
+        masks = make_splits(dataset, cfg.split_fractions, 0)
+        stats = standardize_features(features, masks.train)
+        tol = 100 * (1 + np.max(np.abs(stats.shift) / stats.scale)) * np.finfo(np.float64).eps
+
+        logits, grads = _logits_and_gradients(cfg, dataset, masks)
+        copied = dataclasses.replace(dataset, features=stats.apply(features))
+        expected, expected_grads = _logits_and_gradients(
+            dataclasses.replace(cfg, standardize=False), copied, masks
+        )
+
+        def assert_close(actual, oracle):
+            assert np.abs(actual - oracle).max() <= tol * np.abs(oracle).max()
+
+        assert_close(logits, expected)
+        assert len(grads) == len(expected_grads) == 4
+        for grad, oracle in zip(grads, expected_grads):
+            assert_close(grad, oracle)
+
+    def test_constant_column_has_no_effect(self):
+        # Over 2,500 train rows the mean of 3.3 is an ulp off and the std
+        # about 1e-13: the column used to read -1 on every row, and folded
+        # into the first layer it would be scaled by about 1e13
+        n = 5000
+        rng = np.random.default_rng(0)
+        dataset = Dataset(
+            graph=build_graph(n, np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)),
+            features=np.column_stack([rng.standard_normal(n), np.full(n, 3.3)]),
+            sensitive=np.where(np.arange(n) % 2 == 0, 1, -1),
+            labels=rng.integers(2, size=n),
+        )
+        without = dataclasses.replace(dataset, features=dataset.features[:, :1])
+        for scheme in ("mlp", "sgc"):
+            cfg = small_cfg(scheme=scheme, hidden=[])
+            masks = make_splits(dataset, cfg.split_fractions, 0)
+            delta = incident_vector(dataset.sensitive)
+            mlp = init_weights(MlpConfig(in_dim=2, hidden=[], out_dim=2), 0)
+            one = init_weights(MlpConfig(in_dim=1, hidden=[], out_dim=2), 0)
+            one.set_parameters([mlp.weights[0][:1], mlp.biases[0]])
+            logits = []
+            for data, model in ((dataset, mlp), (without, one)):
+                features, forward = train.prepare(cfg, data, masks, delta)
+                tape = ad.Tape()
+                logits.append(forward(model, tape, tape.leaf(features))[0].data)
+            np.testing.assert_allclose(logits[0], logits[1], rtol=0, atol=1e-12)
+
+
 class TestPpnpKernel:
     def test_solved_once_per_train_and_per_evaluate(self, small_dataset, monkeypatch):
         solves = []
@@ -401,7 +508,7 @@ class TestGcn:
         features, forward = train.prepare(cfg, small_dataset, masks, delta)
         tape = ad.Tape()
         logits, _ = forward(mlp, tape, tape.leaf(features))
-        h = standardize_features(small_dataset.features, masks.train)
+        h = standardize_features(small_dataset.features, masks.train).apply(small_dataset.features)
         expected = gcn_oracle(small_dataset.graph, mlp, h)
         np.testing.assert_allclose(logits.data, expected, rtol=0, atol=1e-12)
 
@@ -432,7 +539,7 @@ class TestSgc:
         tape = ad.Tape()
         logits, _ = forward(mlp, tape, tape.leaf(features))
 
-        h = standardize_features(small_dataset.features, masks.train)
+        h = standardize_features(small_dataset.features, masks.train).apply(small_dataset.features)
         for _ in range(cfg.prop_k):
             h = small_dataset.graph.dense_adjacency() @ h
         t2 = ad.Tape()
@@ -468,8 +575,10 @@ class TestAppnp:
         tape = ad.Tape()
         logits, _ = forward(mlp, tape, tape.leaf(features))
 
+        # prepare's input is the raw features, standardized in the MLP's first layer
+        stats = standardize_features(small_dataset.features, masks.train)
         t2 = ad.Tape()
-        x_trans = mlp_forward(mlp, t2, t2.leaf(features))[0].data
+        x_trans = mlp_forward(mlp, t2, t2.leaf(features), stats)[0].data
         expected = x_trans
         for _ in range(prop_k):
             expected = appnp_step(small_dataset.graph, expected, x_trans, alpha)
