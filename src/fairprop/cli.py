@@ -17,7 +17,6 @@ from .nn import load_checkpoint
 from .train import (
     RunConfig,
     evaluate,
-    grid_rows,
     hashing_files_once,
     load_run_dataset,
     run,
@@ -50,12 +49,18 @@ def train_cmd(config_path):
     """Train all configured seeds and write checkpoints plus a results CSV."""
     cfg = _load_config(config_path)
     reports, _, _ = run(cfg)
-    accs = np.array([r.accuracy for r in reports])
-    dps = np.array([r.dp for r in reports])
+    (stats,) = summarize(reports).values()
     click.echo(
-        f"scheme={cfg.scheme} acc={accs.mean():.4f}±{accs.std(ddof=1) if len(accs) > 1 else 0.0:.4f} "
-        f"dp={dps.mean():.4f}±{dps.std(ddof=1) if len(dps) > 1 else 0.0:.4f} "
+        f"scheme={cfg.scheme} {_acc_dp(stats)} "
         f"results={os.path.join(cfg.out_dir, 'results.csv')}"
+    )
+
+
+def _acc_dp(stats) -> str:
+    """The mean and std of accuracy and dp in one of ``summarize``'s entries."""
+    return (
+        f"acc={stats['acc_mean']:.4f}±{stats['acc_std']:.4f} "
+        f"dp={stats['dp_mean']:.4f}±{stats['dp_std']:.4f}"
     )
 
 
@@ -74,15 +79,9 @@ def sweep_cmd(config_path, grid_path):
     for key in ("lambda_s", "lambda_f"):
         if not isinstance(grid, dict) or not isinstance(grid.get(key), list) or not grid[key]:
             raise ValueError(f"grid file {grid_path} needs a list of values under {key!r}")
-    with hashing_files_once():
-        _, path = sweep(cfg, grid["lambda_s"], grid["lambda_f"])
-        rows = grid_rows(cfg, grid["lambda_s"], grid["lambda_f"], path)
+    rows, path = sweep(cfg, grid["lambda_s"], grid["lambda_f"])
     for (lam_s, lam_f), stats in summarize(rows).items():
-        click.echo(
-            f"lambda_s={lam_s} lambda_f={lam_f} "
-            f"acc={stats['acc_mean']:.4f}±{stats['acc_std']:.4f} "
-            f"dp={stats['dp_mean']:.4f}±{stats['dp_std']:.4f} seeds={stats['n']}"
-        )
+        click.echo(f"lambda_s={lam_s} lambda_f={lam_f} {_acc_dp(stats)} seeds={stats['n']}")
     click.echo(f"results={path}")
 
 

@@ -567,21 +567,7 @@ def read_results(path):
             try:
                 if None in row or None in row.values():
                     raise ValueError(f"expected {len(reader.fieldnames)} fields")
-                reports.append(
-                    MetricsReport(
-                        accuracy=float(row["acc"]),
-                        dp=float(row["dp"]),
-                        eo=float(row["eo"]),
-                        fairness_obj=float(row["fairness_obj"]),
-                        n_eval=int(row["n_eval"]),
-                        seed=int(row["seed"]),
-                        config_fingerprint=row["fingerprint"],
-                        scheme=row["scheme"],
-                        lambda_s=float(row["lambda_s"]),
-                        lambda_f=float(row["lambda_f"]),
-                        wall_time_ms=float(row["wall_time_ms"]),
-                    )
-                )
+                reports.append(MetricsReport.from_row(row))
             except ValueError as exc:
                 raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
     return reports

@@ -62,13 +62,13 @@ def _centered(S: Array, u: Array) -> Array:
     return u - u.T @ S
 
 
-def _fair_grad(S: Array, Sd: Array, u: Array, log=lambda buf: buf) -> Array:
+def _fair_grad(S: Array, Sd: Array, u: Array) -> Array:
     """delta_i * S_i * (u - <S_i, u>) for S = softmax(F) and Sd = S * delta, class-major.
 
     This is the gradient of <delta . softmax(F), u> in F, for the length-n
     incident vector delta and a C x 1 dual u.
     """
-    grad = log(_centered(S, u))
+    grad = _centered(S, u)
     grad *= Sd
     return grad
 
@@ -100,13 +100,12 @@ def _fair_grad_vjp(S: Array, delta: Array, terms) -> Array:
     return P
 
 
-def fairness_grad(F: Array, u: Array, delta: IncidentVector, alloc_log=None) -> Array:
+def fairness_grad(F: Array, u: Array, delta: IncidentVector) -> Array:
     """Gradient of <delta . softmax(F), u> with respect to F.
 
     Closed form: delta_i * S_i * (u - <S_i, u>) with S = softmax(F), computed
     class-major on the transpose of F. Every intermediate holds at most n x d
-    values; ``alloc_log`` (a list, if given) collects the shape of each
-    allocated buffer.
+    values.
     """
     F = np.asarray(F, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64).reshape(-1, 1)
@@ -115,13 +114,8 @@ def fairness_grad(F: Array, u: Array, delta: IncidentVector, alloc_log=None) -> 
     if F.shape[0] != delta.values.shape[0]:
         raise ValueError("row count mismatch with incident vector")
 
-    def log(buf):
-        if alloc_log is not None:
-            alloc_log.append(buf.shape)
-        return buf
-
-    S = log(_softmax(F.T))
-    return _fair_grad(S, log(S * delta.values), u, log).T
+    S = _softmax(F.T)
+    return _fair_grad(S, S * delta.values, u).T
 
 
 def prox_dual(u_bar: Array, lambda_fair: float) -> Array:

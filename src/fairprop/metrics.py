@@ -8,20 +8,6 @@ import numpy as np
 
 Array = np.ndarray
 
-RESULT_COLUMNS = (
-    "seed",
-    "scheme",
-    "lambda_s",
-    "lambda_f",
-    "acc",
-    "dp",
-    "eo",
-    "fairness_obj",
-    "n_eval",
-    "wall_time_ms",
-    "fingerprint",
-)
-
 
 @dataclass
 class MetricsReport:
@@ -38,19 +24,33 @@ class MetricsReport:
     wall_time_ms: float = 0.0
 
     def row(self):
-        return [
-            self.seed,
-            self.scheme,
-            repr(self.lambda_s),
-            repr(self.lambda_f),
-            repr(self.accuracy),
-            repr(self.dp),
-            repr(self.eo),
-            repr(self.fairness_obj),
-            self.n_eval,
-            repr(self.wall_time_ms),
-            self.config_fingerprint,
-        ]
+        """The field values of a results row, in ``RESULT_COLUMNS`` order.
+
+        ``csv`` writes a float as its ``repr``, so every float reads back exactly.
+        """
+        return [getattr(self, name) for _, name, _ in _RESULT_FIELDS]
+
+    @classmethod
+    def from_row(cls, row) -> "MetricsReport":
+        """The report of a results row: a mapping from each of ``RESULT_COLUMNS`` to its text."""
+        return cls(**{name: parse(row[column]) for column, name, parse in _RESULT_FIELDS})
+
+
+# (CSV column, MetricsReport field, parser) of each results column, in file order
+_RESULT_FIELDS = (
+    ("seed", "seed", int),
+    ("scheme", "scheme", str),
+    ("lambda_s", "lambda_s", float),
+    ("lambda_f", "lambda_f", float),
+    ("acc", "accuracy", float),
+    ("dp", "dp", float),
+    ("eo", "eo", float),
+    ("fairness_obj", "fairness_obj", float),
+    ("n_eval", "n_eval", int),
+    ("wall_time_ms", "wall_time_ms", float),
+    ("fingerprint", "config_fingerprint", str),
+)
+RESULT_COLUMNS = tuple(column for column, _, _ in _RESULT_FIELDS)
 
 
 def predict_labels(logits: Array) -> Array:

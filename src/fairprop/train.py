@@ -69,6 +69,9 @@ class RunConfig:
             raise ValueError("epochs must be >= 1")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        for i, seed in enumerate(self.seeds):
+            if seed in self.seeds[:i]:
+                raise ValueError(f"seed {seed} is listed twice")
         if self.selection not in ("val_acc", "last"):
             raise ValueError(f"unknown selection rule {self.selection!r}")
         if self.prop_k < 0:
@@ -346,19 +349,23 @@ def evaluate(
     mlp: Mlp,
     dataset: Dataset,
     masks: SplitMasks,
-    seed: int = 0,
+    seed: int | None = None,
     mask_name: str = "test",
 ) -> MetricsReport:
     """Forward pass and metrics on the requested mask; no weight mutation.
 
     The run's constants come from one ``prepare`` call, as in ``train_one``.
+    The report carries the split's seed, ``masks.seed``; a ``seed`` that
+    differs from it is refused.
     """
+    if seed is not None and seed != masks.seed:
+        raise ValueError(f"seed {seed} is not the seed of the split, {masks.seed}")
     delta = incident_vector(dataset.sensitive)
     features, forward = prepare(cfg, dataset, masks, delta)
     tape = ad.Tape()
     logits, _ = forward(mlp, tape, tape.leaf(features))
     tape.release()  # forward only: nothing replays it
-    return _report(cfg, logits.data, dataset, getattr(masks, mask_name), delta, seed)
+    return _report(cfg, logits.data, dataset, getattr(masks, mask_name), delta, masks.seed)
 
 
 def _report(cfg, logits: Array, dataset: Dataset, mask, delta, seed) -> MetricsReport:
@@ -412,18 +419,21 @@ def _grid(cfg: RunConfig, lambda_s_grid, lambda_f_grid):
 
 
 def sweep(cfg: RunConfig, lambda_s_grid, lambda_f_grid, results_path=None):
-    """One training run per (grid point x seed), appended incrementally.
+    """One training run per (grid point x seed), appended incrementally;
+    returns (every finished row of the grid, results path).
 
     Rows already present in the results file (same fingerprint and seed) are
     skipped, so an interrupted sweep can resume without duplicates; the
     dataset is loaded only when a run is left to train. Per-run failures are
     recorded as NaN rows and do not abort the sweep; a resumed sweep removes
-    those rows and runs them again.
+    those rows and runs them again. The returned rows are those of the file
+    for a grid point and a seed of ``cfg`` whose run finished, in file order:
+    the rows a resume kept, then the runs it trained.
     """
     os.makedirs(cfg.out_dir, exist_ok=True)
     if results_path is None:
         results_path = os.path.join(cfg.out_dir, "sweep.csv")
-    done = set()
+    kept = []
     if os.path.exists(results_path):
         # an interrupted append leaves a torn last row: drop it so it is re-run
         with open(results_path, "rb+") as f:
@@ -432,16 +442,18 @@ def sweep(cfg: RunConfig, lambda_s_grid, lambda_f_grid, results_path=None):
         kept = [r for r in prior if np.isfinite(r.accuracy)]
         if len(kept) < len(prior):  # a failed run's row is dropped so it is re-run too
             write_results(results_path, kept)
-        done = {(r.config_fingerprint, r.seed) for r in kept}
+    done = {(r.config_fingerprint, r.seed) for r in kept}
 
-    reports = []
     with hashing_files_once():
         pending = []  # (lambda_s, lambda_f, point, fingerprint, seed) of each run to train
+        keys = set()  # (fingerprint, seed) of each run of the grid
         for lam_s, lam_f, point, fp in _grid(cfg, lambda_s_grid, lambda_f_grid):
             for seed in cfg.seeds:
+                keys.add((fp, seed))
                 if (fp, seed) not in done:
                     done.add((fp, seed))
                     pending.append((lam_s, lam_f, point, fp, seed))
+        rows = [r for r in kept if (r.config_fingerprint, r.seed) in keys]
         dataset = load_run_dataset(cfg) if pending else None
         for lam_s, lam_f, point, fp, seed in pending:
             masks = make_splits(dataset, point.split_fractions, seed)
@@ -465,23 +477,9 @@ def sweep(cfg: RunConfig, lambda_s_grid, lambda_f_grid, results_path=None):
                     lambda_f=point.lambda_f,
                 )
             write_results(results_path, [report], append=True)
-            reports.append(report)
-    return reports, results_path
-
-
-def grid_rows(cfg: RunConfig, lambda_s_grid, lambda_f_grid, results_path):
-    """Every finished row of ``results_path`` for a grid point and a seed of ``cfg``.
-
-    After a resumed ``sweep`` these are the rows it kept plus the runs it
-    trained: the whole grid, where ``sweep``'s reports hold only the latter.
-    """
-    with hashing_files_once():
-        fingerprints = {fp for *_, fp in _grid(cfg, lambda_s_grid, lambda_f_grid)}
-    return [
-        r
-        for r in read_results(results_path)
-        if r.config_fingerprint in fingerprints and r.seed in cfg.seeds and np.isfinite(r.accuracy)
-    ]
+            if np.isfinite(report.accuracy):
+                rows.append(report)
+    return rows, results_path
 
 
 def summarize(reports):

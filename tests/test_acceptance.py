@@ -373,7 +373,7 @@ class TestCriterion8:
 
 
 class TestCriterion9:
-    def test_fairness_gradient_memory_and_speed(self, rng):
+    def test_fairness_gradient_memory_and_speed(self, rng, monkeypatch):
         n, d = 50_000, 2
         s = rng.choice([-1, 1], size=n)
         s[:2] = [1, -1]
@@ -382,10 +382,28 @@ class TestCriterion9:
         u = rng.standard_normal(d)
         debias.fairness_grad(F, u, delta)  # warm-up
 
-        alloc_log = []
         start = time.perf_counter()
-        debias.fairness_grad(F, u, delta, alloc_log=alloc_log)
+        debias.fairness_grad(F, u, delta)
         elapsed = time.perf_counter() - start
+
+        # the buffers a call allocates: S = softmax(F), S * delta and the gradient
+        alloc_log = []
+        softmax, fair_grad = debias._softmax, debias._fair_grad
+
+        def logged_softmax(F):
+            S = softmax(F)
+            alloc_log.append(S.shape)
+            return S
+
+        def logged_fair_grad(S, Sd, u):
+            grad = fair_grad(S, Sd, u)
+            alloc_log.extend([Sd.shape, grad.shape])
+            return grad
+
+        monkeypatch.setattr(debias, "_softmax", logged_softmax)
+        monkeypatch.setattr(debias, "_fair_grad", logged_fair_grad)
+        debias.fairness_grad(F, u, delta)
+        assert len(alloc_log) == 3
 
         cap = 2 * n * d  # fixed small constant c = 2
         biggest = max(int(np.prod(shape)) for shape in alloc_log)

@@ -172,6 +172,23 @@ class TestTrainEvalPipeline:
         assert "dp=0.0000" in result.output  # constant predictions have no gap
 
 
+class TestTrainSummary:
+    @pytest.mark.parametrize("seeds", [[0], [0, 1, 2]])
+    def test_line_is_the_mean_and_std_of_the_written_rows(self, runner, tmp_path, seeds):
+        # one seed has no sample std: it prints as 0
+        doc = run_config_doc(tmp_path, epochs=1, seeds=seeds)
+        result = runner.invoke(main, ["train", "--config", write_json(tmp_path / "run.json", doc)])
+        assert result.exit_code == 0, result.output
+        path = tmp_path / "out" / "results.csv"
+        rows = read_results(path)
+        accs, dps = np.array([r.accuracy for r in rows]), np.array([r.dp for r in rows])
+        acc_std, dp_std = (accs.std(ddof=1), dps.std(ddof=1)) if len(seeds) > 1 else (0.0, 0.0)
+        assert result.output == (
+            f"scheme=fair acc={accs.mean():.4f}±{acc_std:.4f} "
+            f"dp={dps.mean():.4f}±{dp_std:.4f} results={path}\n"
+        )
+
+
 class TestEvalHashing:
     def test_eval_hashes_each_dataset_file_once(self, runner, tmp_path, monkeypatch):
         import collections

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import re
 import tracemalloc
 
@@ -711,6 +712,33 @@ class TestResultsIo:
         assert len(loaded) == 3
         for a, b in zip(reports, loaded):
             assert a == b  # repr round trip keeps floats exact
+
+    def test_written_bytes_are_pinned(self, tmp_path):
+        # csv writes each float as its repr: an integer lambda_s stays "1",
+        # 1/3 keeps all 17 digits and a failed run's row reads "nan"
+        path = tmp_path / "results.csv"
+        nan = float("nan")
+        failed = MetricsReport(
+            accuracy=nan, dp=nan, eo=nan, fairness_obj=nan, n_eval=0, seed=2,
+            config_fingerprint="abc123", scheme="fair", lambda_s=1.0, lambda_f=30.0,
+        )
+        integral = dataclasses.replace(make_report(0), lambda_s=1)
+        third = dataclasses.replace(make_report(1), lambda_s=1.0 / 3.0)
+        write_results(path, [integral, third, failed])
+        assert path.read_bytes() == (
+            b"seed,scheme,lambda_s,lambda_f,acc,dp,eo,fairness_obj,n_eval,wall_time_ms,fingerprint\r\n"
+            b"0,fair,1,30.0,0.5,0.1,0.2,1.25,10,12.5,abc123\r\n"
+            b"1,fair,0.3333333333333333,30.0,0.5,0.1,0.2,1.25,10,12.5,abc123\r\n"
+            b"2,fair,1.0,30.0,nan,nan,nan,nan,0,0.0,abc123\r\n"
+        )
+
+    def test_unknown_column_is_ignored(self, tmp_path):
+        # a file written with a column this version does not know still reads
+        path = tmp_path / "results.csv"
+        write_results(path, [make_report(0)])
+        header, row = path.read_text().splitlines()
+        path.write_text(f"{header},note\n{row},kept elsewhere\n")
+        assert read_results(path) == [make_report(0)]
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "results.csv"

@@ -22,7 +22,7 @@ from fairprop.graph import build_graph, incident_vector
 from fairprop.metrics import MetricsReport
 from fairprop.nn import MlpConfig, init_weights, load_checkpoint, mlp_forward, save_checkpoint
 from fairprop.propagation import ppnp_exact
-from fairprop.train import RunConfig, evaluate, grid_rows, run, summarize, sweep, train_one
+from fairprop.train import RunConfig, evaluate, run, summarize, sweep, train_one
 
 
 def small_cfg(**overrides):
@@ -58,6 +58,19 @@ def file_dataset(dataset, directory):
     return {"node_csv": str(nodes), "edges": str(edges), "schema": schema}
 
 
+def count_runs(monkeypatch):
+    """(lambda_s, lambda_f, seed) of each run ``train.train_one`` starts from now on."""
+    started = []
+    real_train_one = train.train_one
+
+    def counting(point, dataset, masks, seed):
+        started.append((point.lambda_s, point.lambda_f, seed))
+        return real_train_one(point, dataset, masks, seed)
+
+    monkeypatch.setattr(train, "train_one", counting)
+    return started
+
+
 def edit_first_feature(node_csv, value):
     """Set the first feature cell of the first node row to ``value``."""
     path = pathlib.Path(node_csv)
@@ -81,6 +94,12 @@ class TestRunConfig:
             small_cfg(seeds=[])
         with pytest.raises(ValueError):
             small_cfg(selection="train_acc")
+
+    @pytest.mark.parametrize("seeds", [[0, 0], [3, 1, 3]])
+    def test_repeated_seed_rejected(self, seeds):
+        # run would train the seed twice and write two identical result rows
+        with pytest.raises(ValueError, match=rf"^seed {seeds[-1]} is listed twice$"):
+            small_cfg(seeds=seeds)
 
     @pytest.mark.parametrize("prop_k", [-1, -3])
     def test_negative_prop_k_rejected(self, prop_k):
@@ -240,6 +259,22 @@ class TestTrainOne:
         best, _, trace = train_one(cfg, dataset, masks, seed)
         again = evaluate(cfg, best, dataset, masks, seed=seed, mask_name="val")
         assert again.accuracy == trace.val_accuracy[trace.best_epoch]
+
+    def test_evaluate_reports_the_seed_of_its_split(self, small_dataset):
+        # a row written from the report belongs under the split's (fingerprint, seed)
+        cfg = small_cfg(epochs=1)
+        masks = make_splits(small_dataset, cfg.split_fractions, 3)
+        model, report, _ = train_one(cfg, small_dataset, masks, 3)
+        assert report.seed == 3
+        assert evaluate(cfg, model, small_dataset, masks).seed == 3
+        assert evaluate(cfg, model, small_dataset, masks, seed=3).seed == 3
+
+    def test_evaluate_refuses_a_seed_other_than_its_split(self, small_dataset):
+        cfg = small_cfg(epochs=1)
+        masks = make_splits(small_dataset, cfg.split_fractions, 3)
+        model, _, _ = train_one(cfg, small_dataset, masks, 3)
+        with pytest.raises(ValueError, match=r"^seed 0 is not the seed of the split, 3$"):
+            evaluate(cfg, model, small_dataset, masks, seed=0)
 
     def test_selection_last_differs_from_best(self, small_dataset):
         cfg = small_cfg(epochs=5, selection="last")
@@ -597,13 +632,18 @@ class TestRunAndSweep:
         for seed in (0, 1):
             assert (tmp_path / "out" / f"{fp}-seed{seed}.json").exists()
 
-    def test_sweep_and_resume(self, tmp_path):
+    def test_sweep_and_resume(self, tmp_path, monkeypatch):
         cfg = small_cfg(epochs=1, seeds=[0], out_dir=str(tmp_path / "out"))
-        reports, path = sweep(cfg, [0.5, 1.0], [0.0, 5.0])
-        assert len(reports) == 4
-        # resuming the same sweep trains nothing new
+        started = count_runs(monkeypatch)
+        rows, path = sweep(cfg, [0.5, 1.0], [0.0, 5.0])
+        assert len(rows) == len(started) == 4
+        # a fresh sweep returns the runs it trained, in file order
+        assert rows == read_results(path)
+        assert [(r.lambda_s, r.lambda_f, r.seed) for r in rows] == started
+        # resuming the same sweep trains nothing new and returns the same rows
         again, _ = sweep(cfg, [0.5, 1.0], [0.0, 5.0])
-        assert again == []
+        assert len(started) == 4
+        assert again == rows
         assert len(read_results(path)) == 4
 
     def test_resume_with_nothing_left_loads_no_dataset(self, tmp_path, monkeypatch):
@@ -614,8 +654,10 @@ class TestRunAndSweep:
             raise AssertionError("a resume with nothing to train loaded the dataset")
 
         monkeypatch.setattr(train, "load_run_dataset", refuse)
+        started = count_runs(monkeypatch)
         again, path = sweep(cfg, [0.5, 1.0], [0.0, 5.0])
-        assert again == []
+        assert started == []
+        assert again == read_results(path)
         assert len(read_results(path)) == 8
 
     def test_resume_retrains_after_a_data_file_is_edited(self, small_dataset, tmp_path):
@@ -636,7 +678,7 @@ class TestRunAndSweep:
         again, _ = sweep(cfg, [1.0], [5.0])
         assert [(r.lambda_f, r.seed) for r in again] == [(5.0, 0)]
 
-    def test_resume_after_torn_row(self, tmp_path):
+    def test_resume_after_torn_row(self, tmp_path, monkeypatch):
         # an interrupted append leaves the last row without its line ending
         cfg = small_cfg(epochs=1, seeds=[0], out_dir=str(tmp_path / "out"))
         _, path = sweep(cfg, [0.5], [0.0, 5.0])
@@ -645,10 +687,12 @@ class TestRunAndSweep:
         last_row = text.rstrip("\r\n").rfind("\n") + 1
         with open(path, "w", newline="") as f:
             f.write(text[: last_row + 12])
+        started = count_runs(monkeypatch)
         again, _ = sweep(cfg, [0.5], [0.0, 5.0])
-        assert [(r.lambda_f, r.seed) for r in again] == [(5.0, 0)]
+        assert started == [(0.5, 5.0, 0)]
         rows = read_results(path)
         assert [(r.lambda_f, r.seed) for r in rows] == [(0.0, 0), (5.0, 0)]
+        assert again == rows
 
     def test_resume_retries_failed_rows(self, tmp_path, monkeypatch):
         cfg = small_cfg(epochs=1, seeds=[0, 1], out_dir=str(tmp_path / "out"))
@@ -660,16 +704,21 @@ class TestRunAndSweep:
             return real_train_one(point, dataset, masks, seed)
 
         monkeypatch.setattr(train, "train_one", flaky)
-        _, path = sweep(cfg, [0.5], [0.0, 5.0])
+        finished, path = sweep(cfg, [0.5], [0.0, 5.0])
         first = read_results(path)
         assert [np.isfinite(r.accuracy) for r in first] == [True, True, False, True]
+        # the failed run's NaN row is in the file but not among the finished rows
+        assert finished == [first[0], first[1], first[3]]
         with open(path, "rb") as f:
             lines = f.read().splitlines(keepends=True)
 
         monkeypatch.setattr(train, "train_one", real_train_one)
+        started = count_runs(monkeypatch)
         again, _ = sweep(cfg, [0.5], [0.0, 5.0])
-        assert [(r.lambda_f, r.seed) for r in again] == [(5.0, 0)]
-        assert np.isfinite(again[0].accuracy)
+        assert started == [(0.5, 5.0, 0)]
+        assert again[:3] == finished
+        assert (again[-1].lambda_f, again[-1].seed) == (5.0, 0)
+        assert np.isfinite(again[-1].accuracy)
         with open(path, "rb") as f:
             retried = f.read().splitlines(keepends=True)
         # the failed row is gone, every other row is kept byte for byte
@@ -677,8 +726,10 @@ class TestRunAndSweep:
         rows = read_results(path)
         assert len({(r.config_fingerprint, r.seed) for r in rows}) == len(rows) == 4
         assert all(np.isfinite(r.accuracy) for r in rows)
+        assert again == rows
         # a further resume trains nothing
-        assert sweep(cfg, [0.5], [0.0, 5.0])[0] == []
+        assert sweep(cfg, [0.5], [0.0, 5.0])[0] == rows
+        assert len(started) == 1
 
     def test_a_failed_rewrite_keeps_every_finished_row(self, tmp_path, monkeypatch):
         # a resume drops a failed run's row by rewriting the results file; a
@@ -731,13 +782,28 @@ class TestRunAndSweep:
         cfg.fingerprint()
         assert hashed == {dataset["node_csv"]: 2, dataset["edges"]: 2}
 
-    def test_grid_rows_are_the_grid_and_the_configured_seeds(self, tmp_path):
+    def test_sweep_returns_the_grid_and_the_configured_seeds(self, tmp_path, monkeypatch):
         cfg = small_cfg(epochs=1, seeds=[0, 1], out_dir=str(tmp_path / "out"))
         _, path = sweep(cfg, [0.5], [0.0, 5.0])
         sweep(cfg, [1.0], [5.0])  # another grid point in the same file
         one_seed = dataclasses.replace(cfg, seeds=[1])
-        rows = grid_rows(one_seed, [0.5], [0.0, 5.0], path)
+        started = count_runs(monkeypatch)
+        rows, _ = sweep(one_seed, [0.5], [0.0, 5.0])
+        assert started == []
         assert [(r.lambda_s, r.lambda_f, r.seed) for r in rows] == [(0.5, 0.0, 1), (0.5, 5.0, 1)]
+        assert len(read_results(path)) == 6
+
+    def test_resume_returns_kept_rows_then_new_runs(self, tmp_path, monkeypatch):
+        # a seed added to a finished grid trains only that seed; the kept
+        # rows come first, as in the file
+        cfg = small_cfg(epochs=1, seeds=[0], out_dir=str(tmp_path / "out"))
+        kept, path = sweep(cfg, [0.5], [0.0, 5.0])
+        started = count_runs(monkeypatch)
+        rows, _ = sweep(dataclasses.replace(cfg, seeds=[0, 1]), [0.5], [0.0, 5.0])
+        assert started == [(0.5, 0.0, 1), (0.5, 5.0, 1)]
+        assert rows[:2] == kept
+        assert [(r.lambda_f, r.seed) for r in rows] == [(0.0, 0), (5.0, 0), (0.0, 1), (5.0, 1)]
+        assert rows == read_results(path)
 
     def test_summarize(self):
         cfg = small_cfg(epochs=1, seeds=[0, 1])
