@@ -660,12 +660,16 @@ class TestRunAndSweep:
         assert again == read_results(path)
         assert len(read_results(path)) == 8
 
-    def test_resume_retrains_after_a_data_file_is_edited(self, small_dataset, tmp_path):
+    def test_resume_retrains_after_a_data_file_is_edited(
+        self, small_dataset, tmp_path, monkeypatch
+    ):
         dataset = file_dataset(small_dataset, tmp_path)
         cfg = small_cfg(dataset=dataset, epochs=1, seeds=[0], out_dir=str(tmp_path / "out"))
         _, path = sweep(cfg, [1.0], [5.0])
         edit_first_feature(dataset["node_csv"], "7.5")
+        started = count_runs(monkeypatch)
         again, _ = sweep(cfg, [1.0], [5.0])
+        assert started == [(1.0, 5.0, 0)]
         assert [(r.lambda_f, r.seed) for r in again] == [(5.0, 0)]
         assert len(read_results(path)) == 2
 
@@ -673,10 +677,13 @@ class TestRunAndSweep:
         # rows written under an older generator came from another graph
         cfg = small_cfg(epochs=1, seeds=[0], out_dir=str(tmp_path / "out"))
         monkeypatch.setattr(train, "SYNTH_GENERATOR", train.SYNTH_GENERATOR - 1)
-        sweep(cfg, [1.0], [5.0])
+        _, path = sweep(cfg, [1.0], [5.0])
         monkeypatch.undo()
+        started = count_runs(monkeypatch)
         again, _ = sweep(cfg, [1.0], [5.0])
+        assert started == [(1.0, 5.0, 0)]
         assert [(r.lambda_f, r.seed) for r in again] == [(5.0, 0)]
+        assert len(read_results(path)) == 2
 
     def test_resume_after_torn_row(self, tmp_path, monkeypatch):
         # an interrupted append leaves the last row without its line ending
