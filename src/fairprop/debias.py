@@ -177,9 +177,10 @@ def stack(
     ``fair`` and ``ml1`` schemes take them from ``steps``, and ``appnp``
     passes its teleport alpha as gamma at lam = 0.
 
-    For the hand-written reverse sweep it keeps softmax(F) and, with a dual,
-    softmax(f_bar) and the clamp mask of every layer. The module docstring
-    gives the class-major layout, the sparse products and the lam = 0 path.
+    For the hand-written reverse sweep it keeps softmax(F), the dual and,
+    with a dual update, softmax(f_bar) and the clamp mask of every layer;
+    the sweep drops each layer's as it passes it. The module docstring gives
+    the class-major layout, the sparse products and the lam = 0 path.
     """
     if n_layers == 0:
         return X_trans
@@ -222,16 +223,17 @@ def stack(
         for k in reversed(range(n_layers)):
             g_agg, gF_fair = gF, None
             if lam > 0:
+                # each layer's saved values are dropped as the sweep passes it;
                 # the primal step subtracts gamma * _fair_grad: -gamma goes on the duals
-                S = Ss[k]
+                S = Ss.pop()
                 q = _softmax_vjp(S, gF)
-                terms = [(-gamma * duals[k + 1], q)]
+                terms = [(-gamma * duals.pop(), q)]
                 if not ml1:
-                    gu = (gu - gamma * (q @ d)[:, None]) * insides[k]  # through the prox
+                    S_bar = S_bars.pop()
+                    gu = (gu - gamma * (q @ d)[:, None]) * insides.pop()  # through the prox
                     if gu.any():  # else every entry is clamped: nothing flows back
                         # p_bar = S_bar delta^T, so its pullback to f_bar is the
                         # fairness gradient at f_bar with dual beta * gu
-                        S_bar = S_bars[k]
                         gf_bar = _fair_grad(S_bar, S_bar * d, beta * gu)
                         if k > 0:  # layer 1's f_bar is agg: no dual term, no earlier dual
                             q_bar = _softmax_vjp(S, gf_bar)
@@ -239,7 +241,9 @@ def stack(
                             gu = gu - gamma * (q_bar @ d)[:, None]
                         gf_bar += gF
                         g_agg = gf_bar
+                    del S_bar
                 gF_fair = _fair_grad_vjp(S, d, terms)
+                del S
             # the normalized adjacency is symmetric, so A^T = A
             gF = _spmv(A, (1.0 - gamma) * g_agg, gF_fair)
             if k == 0:  # layer 1's state is X: its cotangent joins before layer 1's own term

@@ -1,8 +1,9 @@
 """Graph representation, degree normalization, and smoothness utilities.
 
-A graph keeps its edges as one sorted, deduplicated (m, 2) int64 array and a
-CSR matrix of the self-loop-augmented, normalized adjacency D^{-1/2} (A + I)
-D^{-1/2}, the operator every propagation scheme in this package multiplies by.
+A graph is its node count and one CSR matrix: the self-loop-augmented,
+normalized adjacency D^{-1/2} (A + I) D^{-1/2}, the operator every propagation
+scheme in this package multiplies by. The edge list is read off the CSR's upper
+triangle when asked for, so a graph holds its edges once.
 """
 
 from __future__ import annotations
@@ -23,12 +24,25 @@ class SparseGraph:
     """
 
     n: int
-    edges: Array  # (m, 2) int64 rows (i, j) with i < j, sorted, deduplicated, read-only
-    adjacency: sp.csr_matrix = field(repr=False)  # normalized, with self-loops
+    adjacency: sp.csr_matrix = field(repr=False)  # normalized, with self-loops; sorted indices
+
+    @property
+    def edges(self) -> Array:
+        """A new read-only (m, 2) int64 array of rows (i, j) with i < j, sorted:
+        the entries above the CSR's diagonal."""
+        a = self.adjacency
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(a.indptr))
+        upper = a.indices > rows
+        edges = np.empty((self.num_edges, 2), dtype=np.int64)
+        edges[:, 0] = rows[upper]
+        edges[:, 1] = a.indices[upper]
+        edges.setflags(write=False)
+        return edges
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        # each edge is stored twice and each node's self-loop once
+        return (self.adjacency.nnz - self.n) // 2
 
     def dense_adjacency(self) -> Array:
         """Dense copy of the normalized adjacency (small graphs only)."""
@@ -52,8 +66,9 @@ def build_graph(n: int, edges) -> SparseGraph:
 
     Duplicate edges and reversed orientations are deduplicated. Self-loops
     are rejected in the input; the normalization adds exactly one per node.
-    Each temporary is freed once used, and the COO indices are int32 when
-    the node count fits, the index type scipy gives the CSR matrix anyway.
+    Each temporary is freed once used, the edge list before the CSR is
+    built, and the COO indices are int32 when the node count fits, the index
+    type scipy gives the CSR matrix anyway.
     """
     if n <= 0:
         raise ValueError("node count must be positive")
@@ -79,15 +94,14 @@ def build_graph(n: int, edges) -> SparseGraph:
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     keys = keys[first]
     del first
-    m = keys.size
-    edges = np.empty((m, 2), dtype=np.int64)
-    lo, hi = edges[:, 0], edges[:, 1]
-    np.divmod(keys, n, out=(lo, hi))
+    lo, hi = np.divmod(keys, n)
     del keys
-    edges.setflags(write=False)
 
     # Entries of D^{-1/2} (A + I) D^{-1/2} with D the self-loop degree.
-    inv_sqrt = 1.0 / np.sqrt(np.bincount(edges.ravel(), minlength=n) + 1.0)
+    degrees = np.bincount(lo, minlength=n)
+    degrees += np.bincount(hi, minlength=n)
+    inv_sqrt = 1.0 / np.sqrt(degrees + 1.0)
+    del degrees
     w = inv_sqrt[lo] * inv_sqrt[hi]
     vals = np.concatenate([w, w, inv_sqrt * inv_sqrt])
     del w, inv_sqrt
@@ -95,11 +109,11 @@ def build_graph(n: int, edges) -> SparseGraph:
     diag = np.arange(n, dtype=index)
     rows = np.concatenate([lo, hi, diag], dtype=index)
     cols = np.concatenate([hi, lo, diag], dtype=index)
-    del diag
+    del diag, lo, hi
     adjacency = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     del vals, rows, cols
-    adjacency.sum_duplicates()
-    return SparseGraph(n=n, edges=edges, adjacency=adjacency)
+    adjacency.sum_duplicates()  # also sorts each row's indices
+    return SparseGraph(n=n, adjacency=adjacency)
 
 
 def incident_vector(s) -> IncidentVector:
@@ -124,9 +138,19 @@ def smoothness_energy(g: SparseGraph, F: Array) -> float:
 
 
 def edge_homophily(g: SparseGraph, labels) -> float:
-    """Fraction of undirected edges whose endpoints share the label value."""
+    """Fraction of undirected edges whose endpoints share the label value.
+
+    It counts the CSR entries whose row and column share a label, each edge
+    twice and each self-loop once, on labels coded in the smallest integer
+    type (a NaN label equals none), so no edge list is built.
+    """
     labels = np.asarray(labels)
     if labels.shape[0] != g.n:
         raise ValueError("labels must cover all nodes")
-    same = int(np.count_nonzero(labels[g.edges[:, 0]] == labels[g.edges[:, 1]]))
-    return same / g.num_edges if g.num_edges else 0.0
+    if not g.num_edges:
+        return 0.0
+    values, codes = np.unique(labels, return_inverse=True, equal_nan=False)
+    codes = codes.astype(np.min_scalar_type(values.size - 1))
+    a = g.adjacency
+    equal = np.count_nonzero(codes[a.indices] == np.repeat(codes, np.diff(a.indptr)))
+    return (equal - g.n) // 2 / g.num_edges

@@ -1,8 +1,10 @@
 """Feature-transformation MLP, Adam optimizer, and JSON checkpoints.
 
-On the tape each MLP layer is one ``autodiff.dense`` record, which holds a
-single n x d output and computes no gradient for the constant input features.
-The first record standardizes the features as it reads them.
+On the tape the whole MLP is one record (``mlp_forward``), on the affine map
+of ``autodiff.dense``. It computes no gradient for the constant input
+features, and its first layer standardizes them as it reads them. Its hidden
+activations are its own, so its backward reuses each one's buffer for that
+layer's cotangent.
 """
 
 from __future__ import annotations
@@ -77,27 +79,56 @@ def init_weights(config: MlpConfig, seed: int) -> Mlp:
 
 
 def mlp_forward(mlp: Mlp, tape: ad.Tape, x: ad.Tensor, standardize=None):
-    """Run the MLP on the tape, one ``dense`` record per layer.
+    """Run the MLP on the tape as one record.
 
     ``standardize``, a per-column ``(shift, scale)`` of the input, is applied
-    inside the first layer (``autodiff.dense``): the MLP reads
+    inside the first layer (``autodiff._affine``): the MLP reads
     ``(x - shift) / scale`` and no standardized copy of ``x`` is made.
     Returns (output tensor, list of parameter leaf tensors in the order of
     ``mlp.parameters()``).
+
+    The record keeps each hidden layer's activation, ReLU applied in place,
+    and no mask: after the ReLU, ``h > 0`` holds exactly where the
+    pre-activation was > 0, NaN included. The backward writes each hidden
+    layer's cotangent into that layer's activation once the layer above has
+    taken its weight gradient from it, so it allocates no n x hidden array.
+    Values and gradients equal those of one ``autodiff.dense`` record per
+    layer bit for bit.
     """
     if x.shape[1] != mlp.config.in_dim:
         raise ValueError(
             f"expected input dim {mlp.config.in_dim}, got {x.shape[1]}"
         )
-    param_tensors = []
-    h = x
-    last = len(mlp.weights) - 1
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        wt = tape.leaf(w, requires_grad=True)
-        bt = tape.leaf(b.reshape(1, -1), requires_grad=True)
-        param_tensors += [wt, bt]
-        h = ad.dense(h, wt, bt, relu=i != last, standardize=standardize if i == 0 else None)
-    return h, param_tensors
+    layers = [
+        (tape.leaf(w, requires_grad=True), tape.leaf(b.reshape(1, -1), requires_grad=True))
+        for w, b in zip(mlp.weights, mlp.biases)
+    ]
+    last = len(layers) - 1
+    inputs, w_ins = [x.data], []  # each layer's input: the features, then each hidden activation
+    for i, (w, b) in enumerate(layers):
+        out, w_in = ad._affine(inputs[i], w.data, b.data, standardize=standardize if i == 0 else None)
+        w_ins.append(w_in)
+        if i != last:
+            out *= out > 0.0  # ReLU
+            inputs.append(out)
+
+    def backward(g):
+        grads = []
+        for i in reversed(range(last + 1)):
+            h = inputs.pop()
+            dw, db = ad._affine_grads(g, h, w_ins[i], standardize=standardize if i == 0 else None)
+            grads += zip(layers[i], (dw, db))
+            if i > 0:  # h is hidden: its buffer takes its cotangent, masked by its ReLU
+                mask = h > 0.0
+                np.matmul(g, w_ins[i].T, out=h)
+                h *= mask
+                g = h
+            elif x.requires_grad:
+                grads.append((x, g @ w_ins[0].T))
+        return grads
+
+    params = [t for layer in layers for t in layer]
+    return tape._result(out, (x, *params), backward), params
 
 
 # Adam's moment decay rates and the guard added to its denominator

@@ -387,7 +387,12 @@ def _report(cfg, logits: Array, dataset: Dataset, mask, delta, seed) -> MetricsR
 
 
 def run(cfg: RunConfig, dataset: Dataset | None = None, save: bool = True):
-    """Train every configured seed; returns (reports, checkpoints, traces)."""
+    """Train every configured seed; returns (reports, checkpoints, traces).
+
+    With ``save`` it writes each seed's checkpoint and appends its
+    ``results.csv`` row, having first dropped any row of the same fingerprint
+    and seed, so the file holds one row per run.
+    """
     with hashing_files_once():
         if dataset is None:
             dataset = load_run_dataset(cfg)
@@ -406,8 +411,29 @@ def run(cfg: RunConfig, dataset: Dataset | None = None, save: bool = True):
                 save_checkpoint(
                     os.path.join(cfg.out_dir, f"{cfg.fingerprint()}-seed{seed}.json"), model, cfg
                 )
-            write_results(os.path.join(cfg.out_dir, "results.csv"), reports, append=True)
+            path = os.path.join(cfg.out_dir, "results.csv")
+            trained = {(r.config_fingerprint, r.seed) for r in reports}
+            _kept_rows(path, lambda r: (r.config_fingerprint, r.seed) in trained)
+            write_results(path, reports, append=True)
     return reports, models, traces
+
+
+def _kept_rows(path, drop):
+    """The rows of the results file at ``path`` that ``drop`` does not refuse.
+
+    An interrupted append leaves a torn last row, which is cut off first. If
+    ``drop`` refuses a row, the file is replaced by the kept rows (atomically,
+    through ``write_results``). A missing file holds no rows.
+    """
+    if not os.path.exists(path):
+        return []
+    with open(path, "rb+") as f:
+        f.truncate(f.read().rfind(b"\n") + 1)
+    prior = read_results(path)
+    kept = [r for r in prior if not drop(r)]
+    if len(kept) < len(prior):
+        write_results(path, kept)
+    return kept
 
 
 def _grid(cfg: RunConfig, lambda_s_grid, lambda_f_grid):
@@ -433,15 +459,8 @@ def sweep(cfg: RunConfig, lambda_s_grid, lambda_f_grid, results_path=None):
     os.makedirs(cfg.out_dir, exist_ok=True)
     if results_path is None:
         results_path = os.path.join(cfg.out_dir, "sweep.csv")
-    kept = []
-    if os.path.exists(results_path):
-        # an interrupted append leaves a torn last row: drop it so it is re-run
-        with open(results_path, "rb+") as f:
-            f.truncate(f.read().rfind(b"\n") + 1)
-        prior = read_results(results_path)
-        kept = [r for r in prior if np.isfinite(r.accuracy)]
-        if len(kept) < len(prior):  # a failed run's row is dropped so it is re-run too
-            write_results(results_path, kept)
+    # a torn last row and a failed run's row are dropped, so their runs are re-run
+    kept = _kept_rows(results_path, lambda r: not np.isfinite(r.accuracy))
     done = {(r.config_fingerprint, r.seed) for r in kept}
 
     with hashing_files_once():

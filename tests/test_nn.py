@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import adam_per_array, assert_close_rel, finite_diff
+from conftest import adam_per_array, assert_close_rel, finite_diff, weighted_sum
 from fairprop import autodiff as ad
 from fairprop.nn import (
     AdamState,
@@ -90,6 +90,67 @@ class TestMlpForward:
 
             fd = finite_diff(f, params[pi].reshape(pt.shape) * 1.0)
             assert_close_rel(grads[pt.node_id], fd, rtol=1e-4, afloor=1e-7)
+
+
+class TestMlpRecord:
+    """The MLP as one tape record, against one ``ad.dense`` record per layer."""
+
+    @staticmethod
+    def dense_chain(mlp, tape, x, standardize):
+        h, params = x, []
+        last = len(mlp.weights) - 1
+        for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+            params += [tape.leaf(w, requires_grad=True), tape.leaf(b.reshape(1, -1), requires_grad=True)]
+            h = ad.dense(h, *params[-2:], relu=i != last, standardize=standardize if i == 0 else None)
+        return h, params
+
+    @pytest.mark.parametrize("hidden", [[], [6], [5, 7, 4]])
+    @pytest.mark.parametrize("x_grad", [False, True])
+    @pytest.mark.parametrize("standardized", [False, True])
+    def test_bitwise_equal_to_one_dense_record_per_layer(self, rng, hidden, x_grad, standardized):
+        X = rng.standard_normal((30, 4))
+        X[:4] = 0.0  # with zero biases, exact +0.0 and -0.0 pre-activations
+        mlp = init_weights(MlpConfig(in_dim=4, hidden=hidden, out_dim=3), 5)
+        for b in mlp.biases[1:]:
+            b[::2] = rng.standard_normal(b[::2].shape)
+        stats = (rng.standard_normal(4), rng.uniform(0.5, 2.0, size=4)) if standardized else None
+        weights = rng.standard_normal((30, 3))
+
+        def run(forward):
+            tape = ad.Tape()
+            x = tape.leaf(X, requires_grad=x_grad)
+            out, params = forward(mlp, tape, x, stats)
+            grads = tape.backward(weighted_sum(out, weights))
+            keys = [x, *params] if x_grad else params
+            assert set(grads) == {t.node_id for t in keys}
+            return out.data.tobytes(), [grads[t.node_id].tobytes() for t in keys]
+
+        assert run(mlp_forward) == run(self.dense_chain)
+
+    def test_one_record(self, rng):
+        mlp = init_weights(MlpConfig(in_dim=4, hidden=[5, 6], out_dim=3), 0)
+        tape = ad.Tape()
+        mlp_forward(mlp, tape, tape.leaf(rng.standard_normal((7, 4))))
+        assert len(tape._records) == 1
+
+    def test_a_nan_pre_activation_stays_out_of_the_relu_mask(self, rng):
+        # after the ReLU, h > 0 exactly where the pre-activation was > 0:
+        # a NaN pre-activation gives a NaN activation, and neither passes
+        X = rng.standard_normal((6, 3))
+        mlp = init_weights(MlpConfig(in_dim=3, hidden=[4], out_dim=2), 1)
+        mlp.biases[0][1] = np.nan  # hidden unit 1 is NaN on every row
+        weights = rng.standard_normal((6, 2))
+        results = []
+        for forward in (mlp_forward, self.dense_chain):
+            tape = ad.Tape()
+            out, params = forward(mlp, tape, tape.leaf(X), None)
+            grads = tape.backward(weighted_sum(out, weights))
+            results.append((out.data, [grads[t.node_id] for t in params]))
+        (out, grads), (ref_out, ref_grads) = results
+        assert np.all(grads[0][:, 1] == 0.0), "the NaN unit passed a gradient back"
+        np.testing.assert_array_equal(out, ref_out)
+        for g, ref in zip(grads, ref_grads):
+            np.testing.assert_array_equal(g, ref)
 
 
 class TestInitWeights:

@@ -340,10 +340,11 @@ class TestZeroFairWeightGuard:
 
 class TestTrainMemory:
     def test_traced_peak_of_a_two_epoch_fair_run(self):
-        # One dense record per MLP layer, no gradient for the constant
+        # One record for the whole MLP, no gradient for the constant
         # features, and each record and gradient freed once used keep this
-        # run near 11.5 MiB. Three records per layer, with every gradient
-        # kept until backward returns, peak near 27 MiB.
+        # run near 6.4 MiB (7.4 MiB with one dense record per MLP layer).
+        # Three records per layer, with every gradient kept until backward
+        # returns, peaked near 27 MiB.
         rng = np.random.default_rng(0)
         n, d, m = 20_000, 16, 100_000
         a = rng.integers(n, size=m)
@@ -369,8 +370,9 @@ class TestTrainMemory:
     def test_holds_no_standardized_copy_of_the_features(self):
         # The first MLP layer standardizes the features as it reads them, so
         # a run holds no n x d standardized copy (12.2 MiB here). Measured:
-        # 19.1 MiB with the fold, 31.3 MiB with a copy; the bound leaves less
-        # than one n x d float64 array of headroom above the former.
+        # 16.8 MiB with the fold (19.1 MiB with one dense record per MLP
+        # layer), 31.3 MiB with a copy; the bound leaves less than one n x d
+        # float64 array of headroom above 19.1 MiB.
         rng = np.random.default_rng(0)
         n, d, m = 50_000, 32, 250_000
         a = rng.integers(n, size=m)
@@ -384,6 +386,35 @@ class TestTrainMemory:
         cfg = RunConfig(scheme="fair", hidden=[16], epochs=2, seeds=[0])
         masks = make_splits(dataset, cfg.split_fractions, 0)
         bound = 19.1 * 2**20 + n * d * 8 / 2
+
+        tracemalloc.start()
+        try:
+            train_one(cfg, dataset, masks, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"train_one peaked at {peak / 2**20:.1f} MiB"
+
+    def test_mlp_backward_writes_each_hidden_cotangent_into_its_activation(self):
+        # The MLP record keeps its n x 64 hidden activation without a ReLU
+        # mask, and its backward writes the hidden layer's cotangent into
+        # it. Measured: 30.3 MiB; 54.6 MiB with one dense record per layer,
+        # which keeps a bool mask and allocates a new n x 64 cotangent while
+        # the activation is alive. The bound leaves half an n x 64 float64
+        # array of headroom.
+        rng = np.random.default_rng(0)
+        n, d, m = 50_000, 16, 250_000
+        a = rng.integers(n, size=m)
+        b = (a + rng.integers(1, n, size=m)) % n
+        dataset = Dataset(
+            graph=build_graph(n, np.stack([a, b], axis=1)),
+            features=rng.standard_normal((n, d)),
+            sensitive=np.where(rng.random(n) < 0.5, 1, -1),
+            labels=rng.integers(2, size=n),
+        )
+        cfg = RunConfig(scheme="mlp", hidden=[64], epochs=2, seeds=[0])
+        masks = make_splits(dataset, cfg.split_fractions, 0)
+        bound = 30.3 * 2**20 + n * 64 * 8 / 2
 
         tracemalloc.start()
         try:
@@ -631,6 +662,14 @@ class TestRunAndSweep:
         fp = cfg.fingerprint()
         for seed in (0, 1):
             assert (tmp_path / "out" / f"{fp}-seed{seed}.json").exists()
+
+    def test_training_twice_keeps_one_row_per_seed(self, tmp_path):
+        cfg = small_cfg(epochs=1, seeds=[0, 1], out_dir=str(tmp_path / "out"))
+        run(cfg)
+        (kept,), _, _ = run(dataclasses.replace(cfg, lambda_s=4.0, seeds=[0]))
+        second, _, _ = run(cfg)
+        # the first run's rows give way to the second's; another config's row stays
+        assert read_results(tmp_path / "out" / "results.csv") == [kept, *second]
 
     def test_sweep_and_resume(self, tmp_path, monkeypatch):
         cfg = small_cfg(epochs=1, seeds=[0], out_dir=str(tmp_path / "out"))
