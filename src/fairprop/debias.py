@@ -11,19 +11,30 @@ for a layer's step sizes. Training records the whole stack of layers as one
 hand-differentiated tape record (``stack``), the unrolled primal-dual solver
 differentiated as one unit. It starts from the transformed features X_trans
 with the dual at u = 0, so layer 1's dual update takes no fairness gradient,
-and every scheme that propagates this way calls it directly on X_trans. It
-runs class-major: node states are C x n, so per-node sums over the C classes
-run along axis 0 and the duals are C x 1 columns; ``fairness_grad`` and
-``row_softmax`` call the same class-major core on a transpose. Its reverse
-sweep adds the primal and dual cotangents on each aggregation before one
-sparse product, so a layer costs two sparse products per epoch, one forward
-and one backward; each is C matrix-vector products, one per contiguous class
-row. At lambda_fair = 0 the dual is 0 and a layer is the aggregation alone
-(teleport propagation), so the sweeps skip the softmaxes, the dual update and
-the fairness gradients. The direct-subgradient baseline (``ml1=True``) runs
-the same sweep with the constant dual lambda_fair * sign(p) in place of the
-dual update, and the ``appnp`` baseline runs it at lambda_fair = 0 with
-teleport alpha.
+and every scheme that propagates this way calls it directly on X_trans.
+
+A softmax does not change when the same number is added to all of a node's
+logits, and the fairness gradient sums to 0 over each node's classes. So the
+stack propagates the C - 1 contrasts Z = B^T F of a fixed orthonormal
+C x (C - 1) basis B orthogonal to the all-ones vector (the Helmert basis,
+``_basis``) in place of the C class rows F, and returns B Z_L, the logits
+centred per node. The aggregation, the teleport term and every sparse
+product run on the C - 1 contrast rows; the softmaxes, the fairness gradients
+and the dual update read the C class rows B Z, and their results go back
+through B^T. The reverse sweep does the same with the cotangents.
+
+It runs class-major: states are (C - 1) x n or C x n, so per-node sums over
+the classes run along axis 0 and the duals are C x 1 columns;
+``fairness_grad`` and ``row_softmax`` call the same class-major core on a
+transpose. The reverse sweep adds the primal and dual cotangents on each
+aggregation before one sparse product, so a layer costs two sparse products
+per epoch, one forward and one backward; each is C - 1 matrix-vector
+products, one per contiguous contrast row. At lambda_fair = 0 the dual is 0
+and a layer is the aggregation alone (teleport propagation), so the sweeps
+skip the softmaxes, the dual update and the fairness gradients. The
+direct-subgradient baseline (``ml1=True``) runs the same sweep with the
+constant dual lambda_fair * sign(p) in place of the dual update, and the
+``appnp`` baseline runs it at lambda_fair = 0 with teleport alpha.
 """
 
 from __future__ import annotations
@@ -139,20 +150,33 @@ def fairness_objective(F: Array, delta: IncidentVector, lambda_fair: float):
 
 
 def _spmv(A, G: Array, out: Array | None = None) -> Array:
-    """A @ G[c] for every class row c of the C-contiguous C x n state G.
+    """A @ G[r] for every row r of the row-major (C-order) state G.
 
-    One matrix-vector product per class: ``A @ G.T`` would make scipy copy the
+    One matrix-vector product per row: ``A @ G.T`` would make scipy copy the
     transpose and run its slower multivector kernel. With ``out`` given, the
     products are added into it in place.
     """
     if out is None:
         out = np.empty_like(G)
-        for c, row in enumerate(G):
-            out[c] = A @ row
+        for r, row in enumerate(G):
+            out[r] = A @ row
     else:
-        for c, row in enumerate(G):
-            out[c] += A @ row
+        for r, row in enumerate(G):
+            out[r] += A @ row
     return out
+
+
+def _basis(C: int) -> Array:
+    """The Helmert basis: C x (C - 1), orthonormal columns orthogonal to the all-ones vector.
+
+    Column j - 1 contrasts classes 0..j-1 with class j. ``B @ B.T`` centres
+    each column of a C x n matrix, so B^T F keeps all that a softmax of F reads.
+    """
+    B = np.zeros((C, C - 1))
+    for j in range(1, C):
+        B[:j, j - 1] = 1.0 / np.sqrt(j * (j + 1.0))
+        B[j, j - 1] = -j / np.sqrt(j * (j + 1.0))
+    return B
 
 
 def stack(
@@ -173,60 +197,74 @@ def stack(
     lam from u to u_next, and the primal step
     ``agg - gamma * fairness_grad(F, u_next)``. With ``ml1`` the stack is the
     direct-subgradient baseline: the primal step uses the constant dual
-    lam * sign(p) instead. Returns F_L. The step sizes are plain numbers: the
-    ``fair`` and ``ml1`` schemes take them from ``steps``, and ``appnp``
-    passes its teleport alpha as gamma at lam = 0.
+    lam * sign(p) instead. The step sizes are plain numbers: the ``fair`` and
+    ``ml1`` schemes take them from ``steps``, and ``appnp`` passes its
+    teleport alpha as gamma at lam = 0.
+
+    It propagates the C - 1 contrasts Z = B^T F of the Helmert basis B
+    (``_basis``), not the C class rows F, and returns B Z_L: F_L centred per
+    node, which every softmax of it, and so the loss, the argmax and the
+    group gap, reads as F_L. Every sparse product is C - 1 matrix-vector
+    passes. Products with B take ``np.dot``, not ``@``: at C = 2 their inner
+    dimension is 1, where ``matmul`` takes a loop 2-4x slower (n = 2000), and
+    a broadcast product per contrast row, as fast at C = 2, is 5-7x slower
+    at C = 3 and 4.
 
     For the hand-written reverse sweep it keeps softmax(F), the dual and,
     with a dual update, softmax(f_bar) and the clamp mask of every layer;
     the sweep drops each layer's as it passes it. The module docstring gives
-    the class-major layout, the sparse products and the lam = 0 path.
+    the layout, the sparse products and the lam = 0 path.
     """
     if n_layers == 0:
         return X_trans
     A, d = g.adjacency, delta.values
-    F = np.ascontiguousarray(X_trans.data.T)
-    teleport = gamma * F
-    u = None if ml1 else np.zeros((F.shape[0], 1))
+    B = _basis(X_trans.shape[1])
+    Bt = np.ascontiguousarray(B.T)
+    Z = Bt @ X_trans.data.T
+    teleport = gamma * Z
+    u = None if ml1 else np.zeros((B.shape[0], 1))
     duals, Ss, S_bars, insides = [u], [], [], []
     for k in range(n_layers):
-        agg = _spmv(A, F)
+        agg = _spmv(A, Z)
         agg *= 1.0 - gamma
         agg += teleport
         if lam > 0:  # else the dual, and with it the fairness gradient, is 0
-            S = _softmax(F)
-            del F  # the layer's state is not read again
+            S = _softmax(np.dot(B, Z))
+            del Z  # the layer's state is not read again
             Sd = S * d
             if ml1:
                 u = lam * np.sign(S @ d)[:, None]
             else:
-                # layer 1's dual is 0, and so is its fairness gradient
-                S_bar = _softmax(agg if k == 0 else agg - _fair_grad(S, Sd, gamma * u))
+                f_bar = np.dot(B, agg)
+                if k > 0:  # layer 1's dual is 0, and so is its fairness gradient
+                    f_bar -= _fair_grad(S, Sd, gamma * u)
+                S_bar = _softmax(f_bar)
                 u_bar = u + beta * (S_bar @ d)[:, None]
                 insides.append(np.abs(u_bar) <= lam)  # where the prox passes the gradient through
                 S_bars.append(S_bar)
                 u = prox_dual(u_bar, lam)
-            agg -= _fair_grad(S, Sd, gamma * u)
+            # the fairness gradient sums to 0 over each node's classes: B B^T keeps it
+            agg -= Bt @ _fair_grad(S, Sd, gamma * u)
             Ss.append(S)
             duals.append(u)
-        F = agg
+        Z = agg
     # one check suffices: every node has a positively weighted self-loop in A,
     # and the softmax, S @ d and prox_dual all carry a NaN on to later layers
-    if np.isnan(F).any():
+    if np.isnan(Z).any():
         raise FloatingPointError("NaN produced in propagation layer")
 
     def backward(gout):
-        gF = np.ascontiguousarray(gout.T)  # cotangent of a layer's output F
+        gZ = Bt @ gout.T  # cotangent of a layer's output contrasts
         del gout
-        gu = np.zeros((gF.shape[0], 1))  # and of its output dual
+        gu = np.zeros((B.shape[0], 1))  # and of its output dual
         gX = None
         for k in reversed(range(n_layers)):
-            g_agg, gF_fair = gF, None
+            g_agg, gZ_fair = gZ, None
             if lam > 0:
                 # each layer's saved values are dropped as the sweep passes it;
                 # the primal step subtracts gamma * _fair_grad: -gamma goes on the duals
                 S = Ss.pop()
-                q = _softmax_vjp(S, gF)
+                q = _softmax_vjp(S, np.dot(B, gZ))
                 terms = [(-gamma * duals.pop(), q)]
                 if not ml1:
                     S_bar = S_bars.pop()
@@ -239,16 +277,16 @@ def stack(
                             q_bar = _softmax_vjp(S, gf_bar)
                             terms.append((-gamma * duals[k], q_bar))
                             gu = gu - gamma * (q_bar @ d)[:, None]
-                        gf_bar += gF
-                        g_agg = gf_bar
+                        g_agg = Bt @ gf_bar
+                        g_agg += gZ
                     del S_bar
-                gF_fair = _fair_grad_vjp(S, d, terms)
+                gZ_fair = Bt @ _fair_grad_vjp(S, d, terms)
                 del S
             # the normalized adjacency is symmetric, so A^T = A
-            gF = _spmv(A, (1.0 - gamma) * g_agg, gF_fair)
+            gZ = _spmv(A, (1.0 - gamma) * g_agg, gZ_fair)
             if k == 0:  # layer 1's state is X: its cotangent joins before layer 1's own term
-                gX = gF if gX is None else np.add(gX, gF, out=gX)
+                gX = gZ if gX is None else np.add(gX, gZ, out=gX)
             gX = gamma * g_agg if gX is None else np.add(gX, gamma * g_agg, out=gX)
-        return [(X_trans, np.ascontiguousarray(gX.T))]
+        return [(X_trans, np.dot(gX.T, Bt))]  # B gX, as n x C
 
-    return X_trans.tape._result(np.ascontiguousarray(F.T), (X_trans,), backward)
+    return X_trans.tape._result(np.dot(Z.T, Bt), (X_trans,), backward)  # B Z, as n x C

@@ -281,7 +281,14 @@ def prepare(cfg: RunConfig, dataset: Dataset, masks: SplitMasks | None, delta: I
 
 
 def _num_classes(dataset: Dataset) -> int:
-    return int(dataset.labels[dataset.labeled_mask].max()) + 1
+    """The class count, the largest label + 1; labeled nodes of one class are refused."""
+    labels = dataset.labels[dataset.labeled_mask]
+    lowest, highest = int(labels.min()), int(labels.max())
+    if lowest == highest:
+        raise ValueError(
+            f"labeled nodes hold one class ({lowest}): node classification needs at least 2"
+        )
+    return highest + 1
 
 
 def train_one(cfg: RunConfig, dataset: Dataset, masks: SplitMasks, seed: int):
@@ -294,9 +301,9 @@ def train_one(cfg: RunConfig, dataset: Dataset, masks: SplitMasks, seed: int):
     scored the selected weights.
     """
     start = time.perf_counter()
+    num_classes = _num_classes(dataset)
     delta = incident_vector(dataset.sensitive)
     features, forward = prepare(cfg, dataset, masks, delta)
-    num_classes = _num_classes(dataset)
     mlp_cfg = MlpConfig(in_dim=features.shape[1], hidden=list(cfg.hidden), out_dim=num_classes)
     mlp = init_weights(mlp_cfg, seed)
     state = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)

@@ -71,6 +71,12 @@ def assert_close_rel(actual, expected, rtol, afloor=1e-9):
     )
 
 
+def centred(F):
+    """Each row of F less its mean: the logits a softmax reads, as ``debias.stack`` returns them."""
+    F = np.asarray(F, dtype=np.float64)
+    return F - F.mean(axis=1, keepdims=True)
+
+
 def add_row_bias(a, b):
     """Tape record of a + b for a 1 x d row bias b.
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import appnp_step, gcn_oracle
+from conftest import appnp_step, centred, gcn_oracle
 from fairprop import autodiff as ad
 from fairprop import debias, train
 from fairprop.data import (
@@ -282,6 +282,19 @@ class TestTrainOne:
         _, _, trace = train_one(cfg, small_dataset, masks, 0)
         assert trace.best_epoch == cfg.epochs - 1
 
+    @pytest.mark.parametrize("label", [0, 1])
+    @pytest.mark.parametrize("scheme", ["fair", "appnp", "ml1"])
+    def test_one_class_labels_are_refused_before_the_first_epoch(self, scheme, label, monkeypatch):
+        dataset = synth_generate(SynthConfig(n=200, mean_degree=4.0, feat_dim=6, seed=0))
+        dataset = dataclasses.replace(dataset, labels=np.full_like(dataset.labels, label))
+        masks = make_splits(dataset, (0.5, 0.25, 0.25), 0)
+        losses, loss = [], ad.cross_entropy_with_logits
+        monkeypatch.setattr(ad, "cross_entropy_with_logits", lambda *a: losses.append(1) or loss(*a))
+        message = rf"^labeled nodes hold one class \({label}\): node classification needs at least 2$"
+        with pytest.raises(ValueError, match=message):
+            train_one(small_cfg(scheme=scheme, epochs=3), dataset, masks, 0)
+        assert losses == []
+
 
 class CountingAdjacency:
     """The normalized adjacency, counting its matrix-vector passes."""
@@ -306,20 +319,32 @@ def _epoch_increase(dataset, count, **overrides):
 
 
 class TestSparseProducts:
+    @staticmethod
+    def _epoch_products(dataset, **overrides):
+        counter = CountingAdjacency(dataset.graph.adjacency)
+        graph = dataclasses.replace(dataset.graph, adjacency=counter)
+        dataset = dataclasses.replace(dataset, graph=graph)
+        return _epoch_increase(dataset, lambda: counter.products, **overrides)
+
     @pytest.mark.parametrize("layers", [1, 3])
     @pytest.mark.parametrize("lambda_f", [0.0, 5.0])
     @pytest.mark.parametrize("scheme", ["fair", "ml1"])
     def test_epoch_makes_two_per_layer_and_class(self, small_dataset, scheme, lambda_f, layers):
         # one forward and one backward product per layer, each a matrix-vector
-        # pass per class: the reverse sweep pulls the primal and dual
-        # cotangents through the aggregation at once
-        counter = CountingAdjacency(small_dataset.graph.adjacency)
-        graph = dataclasses.replace(small_dataset.graph, adjacency=counter)
-        dataset = dataclasses.replace(small_dataset, graph=graph)
-        increase = _epoch_increase(
-            dataset, lambda: counter.products, scheme=scheme, lambda_f=lambda_f, num_layers=layers
+        # pass per logit contrast, C - 1 of them: the reverse sweep pulls the
+        # primal and dual cotangents through the aggregation at once
+        increase = self._epoch_products(
+            small_dataset, scheme=scheme, lambda_f=lambda_f, num_layers=layers
         )
-        assert increase == 2 * layers * train._num_classes(small_dataset)
+        assert increase == 2 * layers * (train._num_classes(small_dataset) - 1)
+
+    @pytest.mark.parametrize("lambda_f", [0.0, 5.0])
+    @pytest.mark.parametrize("scheme", ["fair", "ml1"])
+    def test_three_classes_make_two_per_layer_and_contrast(self, small_dataset, scheme, lambda_f):
+        labels = np.arange(small_dataset.labels.size) % 3
+        dataset = dataclasses.replace(small_dataset, labels=labels)
+        increase = self._epoch_products(dataset, scheme=scheme, lambda_f=lambda_f, num_layers=3)
+        assert increase == 2 * 3 * (3 - 1)
 
 
 class TestZeroFairWeightGuard:
@@ -648,8 +673,9 @@ class TestAppnp:
         expected = x_trans
         for _ in range(prop_k):
             expected = appnp_step(small_dataset.graph, expected, x_trans, alpha)
-        # bitwise: both sum each row of A F in the same order
-        assert np.array_equal(logits.data, expected)
+        # the stack propagates logit contrasts, so the two agree per node up to
+        # a constant and rounding
+        np.testing.assert_allclose(centred(logits.data), centred(expected), rtol=0, atol=1e-12)
 
 
 class TestRunAndSweep:
