@@ -19,9 +19,18 @@ stack propagates the C - 1 contrasts Z = B^T F of a fixed orthonormal
 C x (C - 1) basis B orthogonal to the all-ones vector (the Helmert basis,
 ``_basis``) in place of the C class rows F, and returns B Z_L, the logits
 centred per node. The aggregation, the teleport term and every sparse
-product run on the C - 1 contrast rows; the softmaxes, the fairness gradients
-and the dual update read the C class rows B Z, and their results go back
-through B^T. The reverse sweep does the same with the cotangents.
+product run on the C - 1 contrast rows. In the general sweep
+(``_contrast_sweep``) the softmaxes, the fairness gradients and the dual
+update read the C class rows B Z, and their results go back through B^T;
+the reverse sweep does the same with the cotangents.
+
+At two classes there is one contrast, z = (F_0 - F_1) / sqrt(2), and with
+t = tanh(z / sqrt(2)) the softmax is ((1 + t) / 2, (1 - t) / 2). There a
+lambda_fair > 0 layer runs in closed form (``_binary_sweep``): its fairness
+term is the row w = (sqrt(2) / 4) delta (1 - t^2) times the dual's difference
+u_0 - u_1, the group gap is two dot products, and the dual update and prox
+run on two floats. ``stack`` picks this sweep from the class count of its
+input alone; C >= 3 and lambda_fair = 0 take the general one.
 
 It runs class-major: states are (C - 1) x n or C x n, so per-node sums over
 the classes run along axis 0 and the duals are C x 1 columns;
@@ -30,14 +39,17 @@ transpose. The reverse sweep adds the primal and dual cotangents on each
 aggregation before one sparse product, so a layer costs two sparse products
 per epoch, one forward and one backward; each is C - 1 matrix-vector
 products, one per contiguous contrast row. At lambda_fair = 0 the dual is 0
-and a layer is the aggregation alone (teleport propagation), so the sweeps
-skip the softmaxes, the dual update and the fairness gradients. The
-direct-subgradient baseline (``ml1=True``) runs the same sweep with the
+and a layer is the aggregation alone (teleport propagation), so the sweep
+skips the softmaxes, the dual update and the fairness gradients. The
+direct-subgradient baseline (``ml1=True``) runs the same sweeps with the
 constant dual lambda_fair * sign(p) in place of the dual update, and the
-``appnp`` baseline runs it at lambda_fair = 0 with teleport alpha.
+``appnp`` baseline runs the general one at lambda_fair = 0 with teleport
+alpha.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -205,22 +217,47 @@ def stack(
     (``_basis``), not the C class rows F, and returns B Z_L: F_L centred per
     node, which every softmax of it, and so the loss, the argmax and the
     group gap, reads as F_L. Every sparse product is C - 1 matrix-vector
-    passes. Products with B take ``np.dot``, not ``@``: at C = 2 their inner
-    dimension is 1, where ``matmul`` takes a loop 2-4x slower (n = 2000), and
-    a broadcast product per contrast row, as fast at C = 2, is 5-7x slower
-    at C = 3 and 4.
+    passes. The products with B on the way out take ``np.dot``, not ``@``:
+    at C = 2 their inner dimension is 1, where ``matmul`` takes a loop about
+    4x slower (n = 2000).
 
-    For the hand-written reverse sweep it keeps softmax(F), the dual and,
-    with a dual update, softmax(f_bar) and the clamp mask of every layer;
-    the sweep drops each layer's as it passes it. The module docstring gives
-    the layout, the sparse products and the lam = 0 path.
+    The class count of X_trans picks the sweep: at two classes with lam > 0,
+    ``_binary_sweep`` runs the layers in closed form on the one contrast;
+    otherwise ``_contrast_sweep`` runs them on C - 1 contrast rows. Each
+    keeps what its hand-written reverse sweep reads and drops each layer's
+    as the sweep passes it. The module docstring gives the layout, the
+    sparse products and the lam = 0 path.
     """
     if n_layers == 0:
         return X_trans
-    A, d = g.adjacency, delta.values
-    B = _basis(X_trans.shape[1])
+    Bt = np.ascontiguousarray(_basis(X_trans.shape[1]).T)
+    sweep = _binary_sweep if lam > 0 and X_trans.shape[1] == 2 else _contrast_sweep
+    Z, pullback = sweep(
+        Bt @ X_trans.data.T, g.adjacency, delta.values, n_layers, gamma, beta, lam, ml1
+    )
+    # one check suffices: every node has a positively weighted self-loop in A,
+    # and the softmax, the group gap and the prox all carry a NaN on to later layers
+    if np.isnan(Z).any():
+        raise FloatingPointError("NaN produced in propagation layer")
+
+    def backward(gout):
+        return [(X_trans, np.dot(pullback(Bt @ gout.T).T, Bt))]  # B gX, as n x C
+
+    return X_trans.tape._result(np.dot(Z.T, Bt), (X_trans,), backward)  # B Z, as n x C
+
+
+def _contrast_sweep(Z, A, d, n_layers, gamma, beta, lam, ml1):
+    """The layers on the C - 1 contrast rows Z, at any C.
+
+    The softmaxes, the fairness gradients and the dual update read the C
+    class rows B Z and go back through B^T, one product with B each (a
+    broadcast product per contrast row is 5-7x slower at C = 3 and 4,
+    n = 2000); the dual is a C x 1 column. It keeps softmax(F), the dual
+    and, with a dual update, softmax(f_bar) and the clamp mask of every
+    layer. Returns Z_L and its pullback, from Z_L's cotangent to Z's.
+    """
+    B = _basis(len(Z) + 1)
     Bt = np.ascontiguousarray(B.T)
-    Z = Bt @ X_trans.data.T
     teleport = gamma * Z
     u = None if ml1 else np.zeros((B.shape[0], 1))
     duals, Ss, S_bars, insides = [u], [], [], []
@@ -248,15 +285,9 @@ def stack(
             Ss.append(S)
             duals.append(u)
         Z = agg
-    # one check suffices: every node has a positively weighted self-loop in A,
-    # and the softmax, S @ d and prox_dual all carry a NaN on to later layers
-    if np.isnan(Z).any():
-        raise FloatingPointError("NaN produced in propagation layer")
 
-    def backward(gout):
-        gZ = Bt @ gout.T  # cotangent of a layer's output contrasts
-        del gout
-        gu = np.zeros((B.shape[0], 1))  # and of its output dual
+    def pullback(gZ):
+        gu = np.zeros((B.shape[0], 1))  # cotangent of a layer's output dual
         gX = None
         for k in reversed(range(n_layers)):
             g_agg, gZ_fair = gZ, None
@@ -284,9 +315,131 @@ def stack(
                 del S
             # the normalized adjacency is symmetric, so A^T = A
             gZ = _spmv(A, (1.0 - gamma) * g_agg, gZ_fair)
-            if k == 0:  # layer 1's state is X: its cotangent joins before layer 1's own term
+            if k == 0:  # layer 1's state is Z: its cotangent joins before layer 1's own term
                 gX = gZ if gX is None else np.add(gX, gZ, out=gX)
             gX = gamma * g_agg if gX is None else np.add(gX, gamma * g_agg, out=gX)
-        return [(X_trans, np.dot(gX.T, Bt))]  # B gX, as n x C
+        return gX
 
-    return X_trans.tape._result(np.dot(Z.T, Bt), (X_trans,), backward)  # B Z, as n x C
+    return Z, pullback
+
+
+_SQRT2 = np.sqrt(2.0)
+
+
+def _binary_softmax(z: Array) -> Array:
+    """t = tanh(z / sqrt(2)) for the two-class contrast z = (F_0 - F_1) / sqrt(2).
+
+    softmax(F) is ((1 + t) / 2, (1 - t) / 2).
+    """
+    t = z / _SQRT2
+    np.tanh(t, out=t)
+    return t
+
+
+def _binary_gap(t: Array, d: Array):
+    """The group gap p = (s . delta, (1 - s) . delta) of s = (1 + t) / 2.
+
+    Both entries are summed, as ``S @ delta`` does, rather than taking
+    p_1 = -p_0: delta sums to 0 only up to rounding.
+    """
+    s = t * 0.5
+    s += 0.5
+    p0 = s @ d
+    np.subtract(1.0, s, out=s)
+    return p0, s @ d
+
+
+def _binary_sweep(Z, A, d, n_layers, gamma, beta, lam, ml1):
+    """The layers at C = 2 and lam > 0, in closed form on the contrast z = (F_0 - F_1) / sqrt(2).
+
+    With t = tanh(z / sqrt(2)), softmax(F)_0 = s = (1 + t) / 2 and
+    B^T fairness_grad(F, u) = w (u_0 - u_1) for the row
+    w = (sqrt(2) / 4) delta (1 - t^2), computed once per layer and applied
+    to both duals. The group gap is (s . delta, (1 - s) . delta), and the
+    dual update and the prox run on two floats as ``prox_dual`` does. The
+    reverse sweep pulls w's cotangent through dw/dz = -sqrt(2) t w. It
+    keeps w, t w and the dual's difference u_0 - u_1 of every layer and,
+    with a dual update, tanh(z_bar / sqrt(2)) and the clamp flags. Returns
+    Z_L and its pullback, as ``_contrast_sweep`` does.
+    """
+    z = Z[0]
+    teleport = gamma * z
+    cd = (_SQRT2 / 4.0) * d
+    u0 = u1 = 0.0
+    # dus[k] is u_0 - u_1 of layer k's input dual
+    ws, tws, dus, t_bars, insides = [], [], [0.0], [], []
+    for k in range(n_layers):
+        agg = A @ z
+        agg *= 1.0 - gamma
+        agg += teleport
+        t = _binary_softmax(z)
+        del z  # the layer's state is not read again
+        w = t * t
+        np.subtract(1.0, w, out=w)
+        w *= cd
+        if ml1:
+            p0, p1 = _binary_gap(t, d)
+            u0, u1 = lam * np.sign(p0), lam * np.sign(p1)
+        else:
+            z_bar = agg
+            if k > 0:  # layer 1's dual is 0, and so is its fairness term
+                z_bar = w * (-gamma * dus[-1])
+                z_bar += agg
+            t_bar = _binary_softmax(z_bar)
+            p0, p1 = _binary_gap(t_bar, d)
+            u0, u1 = u0 + beta * p0, u1 + beta * p1
+            # where the prox passes the gradient through
+            insides.append((abs(u0) <= lam, abs(u1) <= lam))
+            t_bars.append(t_bar)
+            u0, u1 = (math.copysign(min(abs(x), lam), x) for x in (u0, u1))  # prox_dual
+        du = u0 - u1
+        agg -= (gamma * du) * w
+        t *= w
+        ws.append(w)
+        tws.append(t)
+        dus.append(du)
+        z = agg
+
+    def pullback(gZ):
+        gz = gZ[0]
+        del gZ  # freed once gz moves on
+        gu0 = gu1 = 0.0  # cotangent of a layer's output dual
+        gX = None
+        for k in reversed(range(n_layers)):
+            # the primal step subtracts gamma (u_0 - u_1) w: w's cotangent
+            # -gamma (u_0 - u_1) gz goes to z as gamma sqrt(2) (u_0 - u_1) t w gz
+            w, tw, du = ws.pop(), tws.pop(), dus.pop()
+            h = (gamma * _SQRT2 * du) * gz
+            g_agg = gz
+            if not ml1:
+                a = gamma * (w @ gz)
+                inside0, inside1 = insides.pop()
+                gu0, gu1 = (gu0 - a) * inside0, (gu1 + a) * inside1  # through the prox
+                t_bar = t_bars.pop()
+                # with equal entries the gap's cotangent reads s_bar + (1 - s_bar):
+                # nothing flows back
+                if gu0 != gu1:
+                    # z_bar's cotangent through p_bar = (s_bar . delta, (1 - s_bar) . delta):
+                    # beta (gu_0 - gu_1) (sqrt(2) / 4) delta (1 - t_bar^2)
+                    g_bar = np.multiply(t_bar, t_bar, out=t_bar)
+                    np.subtract(1.0, g_bar, out=g_bar)
+                    g_bar *= cd
+                    g_bar *= beta * (gu0 - gu1)
+                    if k > 0:  # layer 1's z_bar is agg: no dual term, no earlier dual
+                        h += (gamma * _SQRT2 * dus[-1]) * g_bar
+                        b = gamma * (w @ g_bar)
+                        gu0, gu1 = gu0 - b, gu1 + b
+                    g_bar += gz
+                    g_agg = g_bar
+                del t_bar
+            h *= tw
+            del w, tw
+            # the normalized adjacency is symmetric, so A^T = A
+            gz = A @ ((1.0 - gamma) * g_agg)
+            gz += h
+            if k == 0:  # layer 1's state is z: its cotangent joins before layer 1's own term
+                gX = gz if gX is None else np.add(gX, gz, out=gX)
+            gX = gamma * g_agg if gX is None else np.add(gX, gamma * g_agg, out=gX)
+        return gX[None]
+
+    return z[None], pullback

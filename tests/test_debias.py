@@ -15,6 +15,7 @@ from conftest import (
     weighted_sum,
 )
 from fairprop import autodiff as ad
+from fairprop import debias
 from fairprop.debias import (
     fairness_grad,
     fairness_objective,
@@ -355,6 +356,66 @@ class TestContrastStack:
         assert_close_rel(grad1, grad2, rtol=1e-12, afloor=1e-15)
         row_sums = np.abs(F1.data.sum(axis=1))
         assert np.all(row_sums <= 1e-12 * np.abs(F1.data).sum(axis=1))
+
+
+class TestBinarySweep:
+    """At two classes and lambda_f > 0 the stack runs its closed form; the
+    contrast sweep, called directly at C = 2, is the reference."""
+
+    @staticmethod
+    def _setup():
+        # the groups' features are shifted apart, so the lambda_f = 0.5 dual
+        # starts inside the ball and is clamped by layer 4
+        rng = np.random.default_rng(2)
+        g = build_graph(16, [(i, (i + 1) % 16) for i in range(16)] + [(0, 8), (3, 11), (5, 13)])
+        s = np.where(rng.random(16) < 0.4, 1, -1)
+        s[:2] = [1, -1]
+        Xt = rng.standard_normal((16, 2)) + 0.3 * s[:, None] * [1.0, -1.0]
+        return g, incident_vector(s), Xt, rng.standard_normal((16, 2))
+
+    @staticmethod
+    def _stack(g, delta, Xt, w, cfg, ml1):
+        """F_L and X_trans's cotangent under the weighting w."""
+        tape = ad.Tape()
+        x = tape.leaf(Xt, requires_grad=True)
+        F = stack(x, g, delta, *stack_args(cfg), ml1)
+        return F.data, tape.backward(weighted_sum(F, w))[x.node_id]
+
+    def test_clamped_dual_fixture(self):
+        g, delta, Xt, _ = self._setup()
+        A = g.dense_adjacency()
+        F, u = Xt, np.zeros(2)
+        radii = []
+        for _ in range(4):
+            F, u = oracle_layer(F, u, Xt, A, delta.values, 1.5, 0.5)
+            radii.append(np.abs(u).max())
+        assert radii[0] < 0.5 and radii[-1] == 0.5
+
+    @pytest.mark.parametrize("lambda_f, ml1", [(0.5, False), (30.0, False), (1e5, False), (30.0, True)])
+    @pytest.mark.parametrize("layers", [1, 2, 3, 4])
+    def test_matches_contrast_sweep(self, monkeypatch, layers, lambda_f, ml1):
+        g, delta, Xt, w = self._setup()
+        cfg = RunConfig(lambda_s=1.5, lambda_f=lambda_f, num_layers=layers)
+        calls, binary = [], debias._binary_sweep
+
+        def counting(*args):
+            calls.append(1)
+            return binary(*args)
+
+        monkeypatch.setattr(debias, "_binary_sweep", counting)
+        F, grad = self._stack(g, delta, Xt, w, cfg, ml1)
+        assert calls == [1]
+        monkeypatch.setattr(debias, "_binary_sweep", debias._contrast_sweep)
+        F_ref, grad_ref = self._stack(g, delta, Xt, w, cfg, ml1)
+
+        assert_close_rel(F, F_ref, rtol=1e-12, afloor=1e-12 * np.abs(F_ref).max())
+        assert_close_rel(grad, grad_ref, rtol=1e-12, afloor=1e-12 * np.abs(grad_ref).max())
+
+    @pytest.mark.parametrize("ml1", [False, True])
+    def test_zero_layers_return_the_input(self, ml1):
+        g, delta, Xt, _ = self._setup()
+        x = ad.Tape().leaf(Xt, requires_grad=True)
+        assert stack(x, g, delta, 0, *steps(1.5), 30.0, ml1) is x
 
 
 class TestTapeSize:

@@ -56,6 +56,26 @@ class TestEqualOpportunity:
             equal_opportunity([1, 1], [1, 0], [1, -1], full(2))
 
 
+class TestThreeClasses:
+    """Both gaps read class 1 as the positive class at any class count, so a
+    gap in another class's rates goes unseen; a multi-class definition is
+    still to be chosen."""
+
+    # class 1 is predicted, and recalled, at the same rate in both groups;
+    # class 2 is predicted and recalled for half of group +1 and none of group -1
+    S = [1, 1, 1, 1, -1, -1, -1, -1]
+    Y = [1, 2, 2, 0, 1, 2, 2, 0]
+    Y_HAT = [1, 2, 2, 0, 1, 0, 0, 0]
+
+    @pytest.mark.xfail(strict=True, reason="demographic_parity reads class 1 alone at any C")
+    def test_demographic_parity_sees_a_class_2_gap(self):
+        assert demographic_parity(self.Y_HAT, self.S, full(8)) > 0.0
+
+    @pytest.mark.xfail(strict=True, reason="equal_opportunity reads class 1 alone at any C")
+    def test_equal_opportunity_sees_a_class_2_gap(self):
+        assert equal_opportunity(self.Y_HAT, self.Y, self.S, full(8)) > 0.0
+
+
 class TestInvariances:
     def test_group_flip_leaves_gaps_unchanged(self, rng):
         for _ in range(20):

@@ -348,19 +348,43 @@ class TestSparseProducts:
 
 
 class TestZeroFairWeightGuard:
+    """The fairness terms read softmaxes, and only at lambda_f > 0: ``_softmax``
+    of the C class rows, or at two classes ``_binary_softmax`` of the one
+    logit contrast in closed form."""
+
+    @staticmethod
+    def _epoch_softmaxes(dataset, monkeypatch, **overrides):
+        """How many (``_softmax``, ``_binary_softmax``) calls an epoch makes."""
+        names = ("_softmax", "_binary_softmax")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+
+            def counting(F, name=name, softmax=getattr(debias, name)):
+                calls[name] += 1
+                return softmax(F)
+
+            monkeypatch.setattr(debias, name, counting)
+        return tuple(_epoch_increase(dataset, lambda: np.array([calls[n] for n in names]), **overrides))
+
     @pytest.mark.parametrize("lambda_f", [0.0, 5.0])
     @pytest.mark.parametrize("scheme", ["fair", "ml1"])
     def test_softmax_runs_only_with_a_fairness_weight(self, small_dataset, scheme, lambda_f, monkeypatch):
         # at lambda_f = 0 both duals are 0 and the stack is the aggregation alone
-        calls, softmax = [], debias._softmax
+        assert train._num_classes(small_dataset) == 2
+        softmax, binary = self._epoch_softmaxes(small_dataset, monkeypatch, scheme=scheme, lambda_f=lambda_f)
+        assert softmax == 0
+        assert binary > 0 if lambda_f > 0 else binary == 0
 
-        def counting(F):
-            calls.append(1)
-            return softmax(F)
-
-        monkeypatch.setattr(debias, "_softmax", counting)
-        increase = _epoch_increase(small_dataset, lambda: len(calls), scheme=scheme, lambda_f=lambda_f)
-        assert increase > 0 if lambda_f > 0 else increase == 0
+    @pytest.mark.parametrize("lambda_f", [0.0, 5.0])
+    @pytest.mark.parametrize("scheme", ["fair", "ml1"])
+    def test_three_classes_run_softmax_only_with_a_fairness_weight(
+        self, small_dataset, scheme, lambda_f, monkeypatch
+    ):
+        labels = np.arange(small_dataset.labels.size) % 3
+        dataset = dataclasses.replace(small_dataset, labels=labels)
+        softmax, binary = self._epoch_softmaxes(dataset, monkeypatch, scheme=scheme, lambda_f=lambda_f)
+        assert binary == 0
+        assert softmax > 0 if lambda_f > 0 else softmax == 0
 
 
 class TestTrainMemory:
