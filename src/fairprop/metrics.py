@@ -69,13 +69,22 @@ def accuracy(y_hat, y, mask=None) -> float:
     return float(np.mean(y_hat == y))
 
 
+def _two_class(values, name):
+    """One ValueError line unless every entry of the array ``values`` is 0 or 1."""
+    outside = (values != 0) & (values != 1)
+    if outside.any():
+        raise ValueError(f"{name} {values[outside][0]} is not 0 or 1: fairprop is two-class")
+
+
 def demographic_parity(y_hat, s, mask=None) -> float:
     """Absolute positive-prediction rate gap between sensitive groups,
-    over masked nodes, or over all nodes without a mask."""
+    over masked nodes, or over all nodes without a mask; a prediction other
+    than 0 or 1 is refused."""
     y_hat, s = np.asarray(y_hat), np.asarray(s)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         y_hat, s = y_hat[mask], s[mask]
+    _two_class(y_hat, "prediction")
     pos = s == 1
     neg = s == -1
     if not pos.any() or not neg.any():
@@ -84,9 +93,12 @@ def demographic_parity(y_hat, s, mask=None) -> float:
 
 
 def equal_opportunity(y_hat, y, s, mask) -> float:
-    """Absolute true-positive rate gap between sensitive groups."""
+    """Absolute true-positive rate gap between sensitive groups, over masked
+    nodes; a masked prediction or label other than 0 or 1 is refused."""
     y_hat, y = np.asarray(y_hat), np.asarray(y)
     s, mask = np.asarray(s), np.asarray(mask, dtype=bool)
+    _two_class(y_hat[mask], "prediction")
+    _two_class(y[mask], "label")
     pos = mask & (s == 1) & (y == 1)
     neg = mask & (s == -1) & (y == 1)
     if not pos.any() or not neg.any():

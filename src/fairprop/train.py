@@ -271,24 +271,31 @@ def prepare(cfg: RunConfig, dataset: Dataset, masks: SplitMasks | None, delta: I
 
     For ``mlp``, ``appnp``, ``ppnp_exact``, ``fair`` and ``ml1`` the input is
     ``dataset.features`` itself, and the first MLP layer standardizes it as
-    it reads it (``autodiff.dense``), so a run holds no standardized copy;
-    its values differ from standardizing first by about ``|shift| / scale``
-    times the float64 eps. For ``gcn`` and ``sgc`` the input is the
-    standardized features propagated once per run.
+    it reads it (``nn.mlp_forward``, on ``autodiff._affine``), so a run holds
+    no standardized copy; its values differ from standardizing first by about
+    ``|shift| / scale`` times the float64 eps. For ``gcn`` and ``sgc`` the
+    input is the standardized features propagated once per run.
     """
     stats = standardize_features(dataset.features, masks.train) if cfg.standardize else None
     return _SCHEME_TABLE[cfg.scheme](cfg, dataset.graph, delta, dataset.features, stats)
 
 
 def _num_classes(dataset: Dataset) -> int:
-    """The class count, the largest label + 1; labeled nodes of one class are refused."""
+    """The class count, 2; labeled nodes of one class, or with a label above 1, are refused."""
     labels = dataset.labels[dataset.labeled_mask]
     lowest, highest = int(labels.min()), int(labels.max())
     if lowest == highest:
         raise ValueError(
             f"labeled nodes hold one class ({lowest}): node classification needs at least 2"
         )
-    return highest + 1
+    _two_classes(highest + 1, "labeled nodes hold")
+    return 2
+
+
+def _two_classes(count: int, holder: str) -> None:
+    """One ValueError line unless ``count``, the class count of ``holder``, is 2."""
+    if count != 2:
+        raise ValueError(f"{holder} {count} classes: fairprop is two-class, labels 0 and 1")
 
 
 def train_one(cfg: RunConfig, dataset: Dataset, masks: SplitMasks, seed: int):
@@ -363,10 +370,13 @@ def evaluate(
 
     The run's constants come from one ``prepare`` call, as in ``train_one``.
     The report carries the split's seed, ``masks.seed``; a ``seed`` that
-    differs from it is refused.
+    differs from it is refused. Labels that training refuses are refused
+    with its line, and so is a model with other than two outputs.
     """
     if seed is not None and seed != masks.seed:
         raise ValueError(f"seed {seed} is not the seed of the split, {masks.seed}")
+    _num_classes(dataset)
+    _two_classes(mlp.config.out_dim, "the model outputs")
     delta = incident_vector(dataset.sensitive)
     features, forward = prepare(cfg, dataset, masks, delta)
     tape = ad.Tape()
@@ -480,7 +490,10 @@ def sweep(cfg: RunConfig, lambda_s_grid, lambda_f_grid, results_path=None):
                     done.add((fp, seed))
                     pending.append((lam_s, lam_f, point, fp, seed))
         rows = [r for r in kept if (r.config_fingerprint, r.seed) in keys]
-        dataset = load_run_dataset(cfg) if pending else None
+        dataset = None
+        if pending:
+            dataset = load_run_dataset(cfg)
+            _num_classes(dataset)  # labels every run would refuse fail the sweep at once
         for lam_s, lam_f, point, fp, seed in pending:
             masks = make_splits(dataset, point.split_fractions, seed)
             try:

@@ -133,7 +133,7 @@ class TestCriterion4:
     def test_zero_radius_reduces_to_teleport_propagation(self, rng):
         for _ in range(20):
             g = random_graph(rng, n_max=15)
-            d_in, d_out = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+            d_in, d_out = int(rng.integers(2, 5)), 2
             s = rng.choice([-1, 1], size=g.n)
             s[:2] = [1, -1]
             dataset = Dataset(

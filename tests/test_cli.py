@@ -388,6 +388,16 @@ class TestMetrics:
         assert isinstance(result.exception, ValueError)
         assert str(result.exception) == "non-integer label '2.7' in column 'label'"
 
+    def test_a_third_class_is_one_error(self, runner, tmp_path):
+        # a class 2 label or prediction would be read as a class never positive
+        truth = ["a,1,1", "b,2,-1", "c,0,-1"]
+        result = self._invoke(runner, tmp_path, truth, ["a,1", "b,1", "c,0"])
+        assert isinstance(result.exception, ValueError)
+        assert str(result.exception) == "label 2 is not 0 or 1: fairprop is two-class"
+        result = self._invoke(runner, tmp_path, ["a,1,1", "b,1,-1", "c,0,-1"], ["a,1", "b,2", "c,0"])
+        assert isinstance(result.exception, ValueError)
+        assert str(result.exception) == "prediction 2 is not 0 or 1: fairprop is two-class"
+
     def test_no_labeled_truth_row_is_one_error(self, runner, tmp_path):
         result = self._invoke(runner, tmp_path, ["a,,1", "b,-1,-1"])
         assert isinstance(result.exception, ValueError)

@@ -57,9 +57,8 @@ class TestEqualOpportunity:
 
 
 class TestThreeClasses:
-    """Both gaps read class 1 as the positive class at any class count, so a
-    gap in another class's rates goes unseen; a multi-class definition is
-    still to be chosen."""
+    """Both gaps are defined for two classes: a class 2 is refused with one
+    line, not read as a class that is never positive."""
 
     # class 1 is predicted, and recalled, at the same rate in both groups;
     # class 2 is predicted and recalled for half of group +1 and none of group -1
@@ -67,13 +66,22 @@ class TestThreeClasses:
     Y = [1, 2, 2, 0, 1, 2, 2, 0]
     Y_HAT = [1, 2, 2, 0, 1, 0, 0, 0]
 
-    @pytest.mark.xfail(strict=True, reason="demographic_parity reads class 1 alone at any C")
-    def test_demographic_parity_sees_a_class_2_gap(self):
-        assert demographic_parity(self.Y_HAT, self.S, full(8)) > 0.0
+    def test_demographic_parity_refuses_a_class_2_prediction(self):
+        with pytest.raises(ValueError, match=r"^prediction 2 is not 0 or 1: fairprop is two-class$"):
+            demographic_parity(self.Y_HAT, self.S, full(8))
 
-    @pytest.mark.xfail(strict=True, reason="equal_opportunity reads class 1 alone at any C")
-    def test_equal_opportunity_sees_a_class_2_gap(self):
-        assert equal_opportunity(self.Y_HAT, self.Y, self.S, full(8)) > 0.0
+    def test_equal_opportunity_refuses_a_class_2_prediction_or_label(self):
+        with pytest.raises(ValueError, match=r"^prediction 2 is not 0 or 1: fairprop is two-class$"):
+            equal_opportunity(self.Y_HAT, self.Y, self.S, full(8))
+        y_hat = [1, 0, 0, 0, 1, 0, 0, 0]
+        with pytest.raises(ValueError, match=r"^label 2 is not 0 or 1: fairprop is two-class$"):
+            equal_opportunity(y_hat, self.Y, self.S, full(8))
+
+    def test_unmasked_values_are_not_read(self):
+        # only the masked nodes are scored: a class 2 outside the mask is no class of the gap
+        mask = np.array([True, False, False, True, True, False, False, True])
+        assert demographic_parity(self.Y_HAT, self.S, mask) == 0.0
+        assert equal_opportunity(self.Y_HAT, self.Y, self.S, mask) == 0.0
 
 
 class TestInvariances:

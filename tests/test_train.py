@@ -25,6 +25,15 @@ from fairprop.propagation import ppnp_exact
 from fairprop.train import RunConfig, evaluate, run, summarize, sweep, train_one
 
 
+# the line a label above 1 gets, in training, evaluation and a sweep
+THREE_CLASSES = r"^labeled nodes hold 3 classes: fairprop is two-class, labels 0 and 1$"
+
+
+def three_classes(dataset):
+    """``dataset`` with node i labeled i % 3."""
+    return dataclasses.replace(dataset, labels=np.arange(dataset.labels.size) % 3)
+
+
 def small_cfg(**overrides):
     base = dict(
         dataset={"synth": {"n": 50, "mean_degree": 4.0, "feat_dim": 6, "seed": 0}},
@@ -295,6 +304,35 @@ class TestTrainOne:
             train_one(small_cfg(scheme=scheme, epochs=3), dataset, masks, 0)
         assert losses == []
 
+    @pytest.mark.parametrize("scheme", ["fair", "appnp", "ml1"])
+    def test_three_classes_are_refused_before_the_first_epoch(self, small_dataset, scheme, monkeypatch):
+        # the stack propagates the one logit contrast of two classes, and the
+        # parity gaps read class 1 as the positive class
+        dataset = three_classes(small_dataset)
+        masks = make_splits(dataset, (0.5, 0.25, 0.25), 0)
+        losses, loss = [], ad.cross_entropy_with_logits
+        monkeypatch.setattr(ad, "cross_entropy_with_logits", lambda *a: losses.append(1) or loss(*a))
+        with pytest.raises(ValueError, match=THREE_CLASSES):
+            train_one(small_cfg(scheme=scheme, epochs=3), dataset, masks, 0)
+        assert losses == []
+
+    def test_evaluate_refuses_three_classes_with_the_training_line(self, small_dataset):
+        cfg = small_cfg(epochs=1)
+        masks = make_splits(small_dataset, cfg.split_fractions, 0)
+        model, _, _ = train_one(cfg, small_dataset, masks, 0)
+        with pytest.raises(ValueError, match=THREE_CLASSES):
+            evaluate(cfg, model, three_classes(small_dataset), masks)
+
+    def test_evaluate_refuses_a_checkpoint_of_three_outputs(self, small_dataset, tmp_path):
+        cfg = small_cfg()
+        masks = make_splits(small_dataset, cfg.split_fractions, 0)
+        mlp_cfg = MlpConfig(in_dim=small_dataset.features.shape[1], hidden=cfg.hidden, out_dim=3)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, init_weights(mlp_cfg, 0), cfg)
+        message = r"^the model outputs 3 classes: fairprop is two-class, labels 0 and 1$"
+        with pytest.raises(ValueError, match=message):
+            evaluate(cfg, load_checkpoint(path, cfg), small_dataset, masks)
+
 
 class CountingAdjacency:
     """The normalized adjacency, counting its matrix-vector passes."""
@@ -331,26 +369,18 @@ class TestSparseProducts:
     @pytest.mark.parametrize("scheme", ["fair", "ml1"])
     def test_epoch_makes_two_per_layer_and_class(self, small_dataset, scheme, lambda_f, layers):
         # one forward and one backward product per layer, each a matrix-vector
-        # pass per logit contrast, C - 1 of them: the reverse sweep pulls the
-        # primal and dual cotangents through the aggregation at once
+        # pass on the one logit contrast: the reverse sweep pulls the primal
+        # and dual cotangents through the aggregation at once
         increase = self._epoch_products(
             small_dataset, scheme=scheme, lambda_f=lambda_f, num_layers=layers
         )
-        assert increase == 2 * layers * (train._num_classes(small_dataset) - 1)
-
-    @pytest.mark.parametrize("lambda_f", [0.0, 5.0])
-    @pytest.mark.parametrize("scheme", ["fair", "ml1"])
-    def test_three_classes_make_two_per_layer_and_contrast(self, small_dataset, scheme, lambda_f):
-        labels = np.arange(small_dataset.labels.size) % 3
-        dataset = dataclasses.replace(small_dataset, labels=labels)
-        increase = self._epoch_products(dataset, scheme=scheme, lambda_f=lambda_f, num_layers=3)
-        assert increase == 2 * 3 * (3 - 1)
+        assert increase == 2 * layers
 
 
 class TestZeroFairWeightGuard:
-    """The fairness terms read softmaxes, and only at lambda_f > 0: ``_softmax``
-    of the C class rows, or at two classes ``_binary_softmax`` of the one
-    logit contrast in closed form."""
+    """The fairness terms read softmaxes, and only at lambda_f > 0:
+    ``_binary_softmax`` of the one logit contrast, in closed form; the
+    general ``_softmax`` runs in no epoch."""
 
     @staticmethod
     def _epoch_softmaxes(dataset, monkeypatch, **overrides):
@@ -374,17 +404,6 @@ class TestZeroFairWeightGuard:
         softmax, binary = self._epoch_softmaxes(small_dataset, monkeypatch, scheme=scheme, lambda_f=lambda_f)
         assert softmax == 0
         assert binary > 0 if lambda_f > 0 else binary == 0
-
-    @pytest.mark.parametrize("lambda_f", [0.0, 5.0])
-    @pytest.mark.parametrize("scheme", ["fair", "ml1"])
-    def test_three_classes_run_softmax_only_with_a_fairness_weight(
-        self, small_dataset, scheme, lambda_f, monkeypatch
-    ):
-        labels = np.arange(small_dataset.labels.size) % 3
-        dataset = dataclasses.replace(small_dataset, labels=labels)
-        softmax, binary = self._epoch_softmaxes(dataset, monkeypatch, scheme=scheme, lambda_f=lambda_f)
-        assert binary == 0
-        assert softmax > 0 if lambda_f > 0 else softmax == 0
 
 
 class TestTrainMemory:
@@ -734,6 +753,16 @@ class TestRunAndSweep:
         assert len(started) == 4
         assert again == rows
         assert len(read_results(path)) == 4
+
+    def test_sweep_refuses_three_classes_before_any_run(self, small_dataset, tmp_path, monkeypatch):
+        # one line for the sweep, not a failed row per run
+        dataset = file_dataset(three_classes(small_dataset), tmp_path)
+        cfg = small_cfg(dataset=dataset, epochs=1, seeds=[0, 1], out_dir=str(tmp_path / "out"))
+        started = count_runs(monkeypatch)
+        with pytest.raises(ValueError, match=THREE_CLASSES):
+            sweep(cfg, [1.0], [0.0, 5.0])
+        assert started == []
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_resume_with_nothing_left_loads_no_dataset(self, tmp_path, monkeypatch):
         cfg = small_cfg(epochs=1, seeds=[0, 1], out_dir=str(tmp_path / "out"))
