@@ -1,24 +1,21 @@
 """Minimal reverse-mode differentiation over dense 2-D matrices.
 
-Define-by-run: every primitive appends one record to the active Tape, and
+Define-by-run: every operation appends one record to the active Tape, and
 ``Tape.backward`` replays the records in reverse, accumulating gradients in
 64-bit. It frees each record and its output's gradient once they are used,
 so it returns the gradients of the leaves only, keyed by node id: a tape is
-replayed once. The five primitives: ``dense`` (one record for
-``relu(x @ W + b)``, the bias optionally scaled per row and the input
-optionally standardized per column),
-``matmul``, ``spmm_const``, ``relu`` and ``cross_entropy_with_logits`` (over
-the masked rows only).
-``matmul`` and ``dense`` compute no gradient for an operand that requires
-none. Other modules add fused records of their own through ``Tape._result``:
-the whole MLP (``fairprop.nn.mlp_forward``, on ``dense``'s affine map) and
-the whole debiasing stack (``fairprop.debias.stack``).
+replayed once. This module holds the tape, the loss
+(``cross_entropy_with_logits``, over the masked rows only) and ``matmul``,
+which computes no gradient for an operand that requires none. Other modules
+add fused records of their own through ``Tape._result``: the whole MLP
+(``fairprop.nn.mlp_forward``, ``gcn``'s aggregation included) and the whole
+debiasing stack (``fairprop.debias.stack``).
 
 A backward function owns the cotangent it is handed: nothing else holds it,
-so the function may write into it (``dense`` and ``relu`` apply their masks
-in place) and may return it as a contribution. Each contribution it returns
-is handed on the same way, so it returns only arrays nothing else holds: no
-forward value and no array returned twice.
+so the function may write into it (the MLP applies its ReLU masks in place)
+and may return it as a contribution. Each contribution it returns is handed
+on the same way, so it returns only arrays nothing else holds: no forward
+value and no array returned twice.
 """
 
 from __future__ import annotations
@@ -132,127 +129,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return grads
 
     return a.tape._result(a.data @ b.data, (a, b), backward)
-
-
-def dense(
-    x: Tensor,
-    w: Tensor,
-    b: Tensor,
-    relu: bool,
-    row_scale: Array | None = None,
-    standardize: tuple[Array, Array] | None = None,
-) -> Tensor:
-    """One record for ``x @ w + b``, with a ReLU after it when ``relu`` is set.
-
-    ``b`` is a 1 x d row bias. The bias add and the ReLU mask are applied in
-    place, so the record keeps one n x d output; the values, signed zeros
-    included, equal those of ``x @ w``, then ``+ b``, then ``relu``.
-    ``row_scale`` and ``standardize`` are those of ``_affine``.
-    """
-    _check(x, w)
-    _check(x, b)
-    h, w_in = _affine(x.data, w.data, b.data, row_scale, standardize)
-    mask = None
-    if relu:
-        mask = h > 0.0
-        h *= mask
-
-    def backward(g):
-        if mask is not None:
-            g *= mask
-        dw, db = _affine_grads(g, x.data, w_in, row_scale, standardize)
-        grads = [(w, dw), (b, db)]
-        if x.requires_grad:
-            grads.append((x, g @ w_in.T))
-        return grads
-
-    return x.tape._result(h, (x, w, b), backward)
-
-
-def _affine(
-    x: Array,
-    w: Array,
-    b: Array,
-    row_scale: Array | None = None,
-    standardize: tuple[Array, Array] | None = None,
-) -> tuple[Array, Array]:
-    """``x @ w + b`` on arrays, the bias added in place: (output, the weights x was multiplied by).
-
-    The affine map of ``dense`` and of the MLP record (``nn.mlp_forward``).
-    A constant ``row_scale`` of shape (n,) scales the bias of row i by
-    ``row_scale[i]``: ``x @ w + row_scale b``, so that ``A (x w + 1 b)`` is
-    ``(A x) w + (A 1) b`` with ``A x`` computed once.
-
-    A constant ``standardize = (shift, scale)``, each of shape (d_in,), makes
-    the map ``((x - shift) / scale) @ w + b`` without an n x d_in temporary:
-    it computes ``x @ (w / scale) + (b - (shift / scale) @ w)``, and
-    ``_affine_grads`` takes ``dw = (x^T g - shift (1^T g)) / scale``, reading
-    ``x`` as is. Both cancel ``shift`` against ``x``, so their relative error
-    against standardizing first grows like ``|shift| / scale`` times the
-    float64 eps. It does not combine with ``row_scale``.
-    """
-    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
-        raise ValueError(f"dense shape mismatch {x.shape} @ {w.shape} + {b.shape}")
-    if row_scale is not None and row_scale.shape != (x.shape[0],):
-        raise ValueError(f"dense row scale of shape {row_scale.shape} for {x.shape[0]} rows")
-    w_in, b_in = w, b
-    if standardize is not None:
-        shift, scale = standardize
-        if shift.shape != (x.shape[1],) or scale.shape != (x.shape[1],):
-            raise ValueError(
-                f"dense standardization of shapes {shift.shape}, {scale.shape} for {x.shape[1]} columns"
-            )
-        if row_scale is not None:
-            raise ValueError("dense takes a row scale or a standardization, not both")
-        w_in = w / scale[:, None]
-        b_in = b - (shift / scale) @ w
-    h = x @ w_in
-    h += b_in if row_scale is None else row_scale[:, None] * b_in
-    return h, w_in
-
-
-def _affine_grads(
-    g: Array,
-    x: Array,
-    w_in: Array,
-    row_scale: Array | None = None,
-    standardize: tuple[Array, Array] | None = None,
-) -> tuple[Array, Array]:
-    """The weight and bias gradients (dw, db) of ``_affine`` at output cotangent ``g``.
-
-    ``w_in`` is the weights ``_affine`` returned; the input's cotangent is
-    ``g @ w_in.T``, left to the caller.
-    """
-    db = g.sum(axis=0, keepdims=True) if row_scale is None else (row_scale @ g)[None, :]
-    dw = x.T @ g
-    if standardize is not None:
-        shift, scale = standardize
-        dw -= np.outer(shift, db)
-        dw /= scale[:, None]
-    return dw, db
-
-
-def spmm_const(graph, x: Tensor) -> Tensor:
-    """Multiply by a constant symmetric sparse matrix (normalized adjacency)."""
-    adj = graph.adjacency
-    if x.shape[0] != adj.shape[1]:
-        raise ValueError(f"spmm shape mismatch {adj.shape} @ {x.shape}")
-
-    def backward(g):
-        # adjacency is symmetric, so A^T g == A g
-        return [(x, adj @ g)]
-
-    return x.tape._result(adj @ x.data, (x,), backward)
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0.0
-
-    def backward(g):
-        g *= mask
-        return [(a, g)]
-
-    return a.tape._result(a.data * mask, (a,), backward)
 
 
 class RowLabels(NamedTuple):

@@ -1,8 +1,10 @@
 """Feature-transformation MLP, Adam optimizer, and JSON checkpoints.
 
 On the tape the whole MLP is one record (``mlp_forward``), on the affine map
-of ``autodiff.dense``. It computes no gradient for the constant input
-features, and its first layer standardizes them as it reads them. Its hidden
+``_affine``, which this module alone knows: its first layer standardizes the
+input features as it reads them, or scales its bias per row. It computes no
+gradient for the constant input features. With a graph's adjacency it is
+``gcn``, aggregating after every later layer's affine map. Its hidden
 activations are its own, so its backward reuses each one's buffer for that
 layer's cotangent.
 """
@@ -78,22 +80,27 @@ def init_weights(config: MlpConfig, seed: int) -> Mlp:
     return Mlp(config, weights, biases, seed=seed)
 
 
-def mlp_forward(mlp: Mlp, tape: ad.Tape, x: ad.Tensor, standardize=None):
+def mlp_forward(mlp: Mlp, tape: ad.Tape, x: ad.Tensor, standardize=None, adjacency=None, row_scale=None):
     """Run the MLP on the tape as one record.
 
     ``standardize``, a per-column ``(shift, scale)`` of the input, is applied
-    inside the first layer (``autodiff._affine``): the MLP reads
-    ``(x - shift) / scale`` and no standardized copy of ``x`` is made.
-    Returns (output tensor, list of parameter leaf tensors in the order of
-    ``mlp.parameters()``).
+    inside the first layer (``_affine``): the MLP reads ``(x - shift) /
+    scale`` and no standardized copy of ``x`` is made. A constant symmetric
+    ``adjacency`` A makes it ``gcn``: every layer after the first multiplies
+    its affine map by A before its ReLU, and the backward multiplies that
+    layer's cotangent by A (A is its own transpose). ``row_scale`` scales the
+    first layer's bias per row (``_affine``), which ``gcn`` sets to A·1 to
+    read A X once per run. Returns (output tensor, list of parameter leaf
+    tensors in the order of ``mlp.parameters()``).
 
     The record keeps each hidden layer's activation, ReLU applied in place,
     and no mask: after the ReLU, ``h > 0`` holds exactly where the
     pre-activation was > 0, NaN included. The backward writes each hidden
     layer's cotangent into that layer's activation once the layer above has
     taken its weight gradient from it, so it allocates no n x hidden array.
-    Values and gradients equal those of one ``autodiff.dense`` record per
-    layer bit for bit.
+    Values and gradients equal those of the tests' per-layer oracle
+    (``dense``, ``spmm_const`` and ``relu`` in ``tests/conftest.py``, one
+    record each) bit for bit.
     """
     if x.shape[1] != mlp.config.in_dim:
         raise ValueError(
@@ -104,9 +111,12 @@ def mlp_forward(mlp: Mlp, tape: ad.Tape, x: ad.Tensor, standardize=None):
         for w, b in zip(mlp.weights, mlp.biases)
     ]
     last = len(layers) - 1
+    first = {"row_scale": row_scale, "standardize": standardize}  # the first layer's constants
     inputs, w_ins = [x.data], []  # each layer's input: the features, then each hidden activation
     for i, (w, b) in enumerate(layers):
-        out, w_in = ad._affine(inputs[i], w.data, b.data, standardize=standardize if i == 0 else None)
+        out, w_in = _affine(inputs[i], w.data, b.data, **(first if i == 0 else {}))
+        if i > 0 and adjacency is not None:
+            out = adjacency @ out
         w_ins.append(w_in)
         if i != last:
             out *= out > 0.0  # ReLU
@@ -116,7 +126,9 @@ def mlp_forward(mlp: Mlp, tape: ad.Tape, x: ad.Tensor, standardize=None):
         grads = []
         for i in reversed(range(last + 1)):
             h = inputs.pop()
-            dw, db = ad._affine_grads(g, h, w_ins[i], standardize=standardize if i == 0 else None)
+            if i > 0 and adjacency is not None:
+                g = adjacency @ g
+            dw, db = _affine_grads(g, h, w_ins[i], **(first if i == 0 else {}))
             grads += zip(layers[i], (dw, db))
             if i > 0:  # h is hidden: its buffer takes its cotangent, masked by its ReLU
                 mask = h > 0.0
@@ -129,6 +141,69 @@ def mlp_forward(mlp: Mlp, tape: ad.Tape, x: ad.Tensor, standardize=None):
 
     params = [t for layer in layers for t in layer]
     return tape._result(out, (x, *params), backward), params
+
+
+def _affine(
+    x: Array,
+    w: Array,
+    b: Array,
+    row_scale: Array | None = None,
+    standardize: tuple[Array, Array] | None = None,
+) -> tuple[Array, Array]:
+    """``x @ w + b`` on arrays, the bias added in place: (output, the weights x was multiplied by).
+
+    The affine map of every MLP layer. A constant ``row_scale`` of shape (n,)
+    scales the bias of row i by ``row_scale[i]``: ``x @ w + row_scale b``, so
+    that ``A (x w + 1 b)`` is ``(A x) w + (A 1) b`` with ``A x`` computed
+    once.
+
+    A constant ``standardize = (shift, scale)``, each of shape (d_in,), makes
+    the map ``((x - shift) / scale) @ w + b`` without an n x d_in temporary:
+    it computes ``x @ (w / scale) + (b - (shift / scale) @ w)``, and
+    ``_affine_grads`` takes ``dw = (x^T g - shift (1^T g)) / scale``, reading
+    ``x`` as is. Both cancel ``shift`` against ``x``, so their relative error
+    against standardizing first grows like ``|shift| / scale`` times the
+    float64 eps. It does not combine with ``row_scale``.
+    """
+    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+        raise ValueError(f"MLP layer shape mismatch {x.shape} @ {w.shape} + {b.shape}")
+    if row_scale is not None and row_scale.shape != (x.shape[0],):
+        raise ValueError(f"MLP row scale of shape {row_scale.shape} for {x.shape[0]} rows")
+    w_in, b_in = w, b
+    if standardize is not None:
+        shift, scale = standardize
+        if shift.shape != (x.shape[1],) or scale.shape != (x.shape[1],):
+            raise ValueError(
+                f"MLP standardization of shapes {shift.shape}, {scale.shape} for {x.shape[1]} columns"
+            )
+        if row_scale is not None:
+            raise ValueError("the MLP takes a row scale or a standardization, not both")
+        w_in = w / scale[:, None]
+        b_in = b - (shift / scale) @ w
+    h = x @ w_in
+    h += b_in if row_scale is None else row_scale[:, None] * b_in
+    return h, w_in
+
+
+def _affine_grads(
+    g: Array,
+    x: Array,
+    w_in: Array,
+    row_scale: Array | None = None,
+    standardize: tuple[Array, Array] | None = None,
+) -> tuple[Array, Array]:
+    """The weight and bias gradients (dw, db) of ``_affine`` at output cotangent ``g``.
+
+    ``w_in`` is the weights ``_affine`` returned; the input's cotangent is
+    ``g @ w_in.T``, left to the caller.
+    """
+    db = g.sum(axis=0, keepdims=True) if row_scale is None else (row_scale @ g)[None, :]
+    dw = x.T @ g
+    if standardize is not None:
+        shift, scale = standardize
+        dw -= np.outer(shift, db)
+        dw /= scale[:, None]
+    return dw, db
 
 
 # Adam's moment decay rates and the guard added to its denominator

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 import sys
 import time
@@ -65,6 +66,14 @@ class RunConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        for name, value in (
+            ("epochs", self.epochs),
+            ("num_layers", self.num_layers),
+            ("prop_k", self.prop_k),
+            *(("hidden width", width) for width in self.hidden),
+        ):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not self.seeds:
@@ -186,28 +195,11 @@ def _sgc(cfg, g, delta, x, stats):
 
 
 def _gcn(cfg, g, delta, x, stats):
-    # transform + aggregate in every layer, ReLU between layers; the first
-    # layer's A (X W + 1 b) = (A X) W + (A 1) b reads A X and A 1, once per run
+    # the MLP with A after every later layer's affine map; the first layer's
+    # A (X W + 1 b) = (A X) W + (A 1) b reads A X and A 1, once per run
     x = g.adjacency @ _standardized(x, stats)
     row_sums = g.adjacency @ np.ones(g.n)
-
-    def forward(mlp, tape, x):
-        params = []
-        h = x
-        last = len(mlp.weights) - 1
-        for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-            wt = tape.leaf(w, requires_grad=True)
-            bt = tape.leaf(b.reshape(1, -1), requires_grad=True)
-            params += [wt, bt]
-            if i == 0:
-                h = ad.dense(h, wt, bt, relu=last != 0, row_scale=row_sums)
-            else:
-                h = ad.spmm_const(g, ad.dense(h, wt, bt, relu=False))
-                if i != last:
-                    h = ad.relu(h)
-        return h, params
-
-    return x, forward
+    return x, lambda mlp, tape, x: mlp_forward(mlp, tape, x, adjacency=g.adjacency, row_scale=row_sums)
 
 
 def _appnp(cfg, g, delta, x, stats):
@@ -243,11 +235,12 @@ def _fair(cfg, g, delta, x, stats, ml1=False):
 
 # Scheme -> (cfg, graph, delta, features, standardization or None) -> (model
 # input, forward), where forward(mlp, tape, x) -> (logits, MLP parameter
-# tensors) has the run's constants bound. An MLP that reads the features
-# standardizes them in its first layer; gcn and sgc standardize a copy, which
-# they propagate once per run. The forwards look their callees up by name when
-# called, so a rebound module attribute (a profiler's wrapper, say) is the one
-# that runs.
+# tensors) has the run's constants bound. Every forward records one
+# mlp_forward entry, then at most one debias.stack or matmul entry. An MLP that
+# reads the features standardizes them in its first layer; gcn and sgc
+# standardize a copy, which they propagate once per run. The forwards look
+# their callees up by name when called, so a rebound module attribute (a
+# profiler's wrapper, say) is the one that runs.
 _SCHEME_TABLE = {
     "mlp": _mlp,
     "gcn": _gcn,
@@ -271,10 +264,12 @@ def prepare(cfg: RunConfig, dataset: Dataset, masks: SplitMasks | None, delta: I
 
     For ``mlp``, ``appnp``, ``ppnp_exact``, ``fair`` and ``ml1`` the input is
     ``dataset.features`` itself, and the first MLP layer standardizes it as
-    it reads it (``nn.mlp_forward``, on ``autodiff._affine``), so a run holds
-    no standardized copy; its values differ from standardizing first by about
+    it reads it (``nn.mlp_forward``, on ``nn._affine``), so a run holds no
+    standardized copy; its values differ from standardizing first by about
     ``|shift| / scale`` times the float64 eps. For ``gcn`` and ``sgc`` the
-    input is the standardized features propagated once per run.
+    input is the standardized features propagated once per run, and ``gcn``
+    is ``nn.mlp_forward`` with the adjacency and the first layer's row sums
+    bound.
     """
     stats = standardize_features(dataset.features, masks.train) if cfg.standardize else None
     return _SCHEME_TABLE[cfg.scheme](cfg, dataset.graph, delta, dataset.features, stats)

@@ -7,6 +7,7 @@ from fairprop import train
 from fairprop.data import Dataset
 from fairprop.debias import fairness_grad, fairness_objective, prox_dual, steps
 from fairprop.graph import build_graph
+from fairprop.nn import _affine, _affine_grads
 from fairprop.train import RunConfig
 
 
@@ -80,14 +81,82 @@ def centred(F):
 def add_row_bias(a, b):
     """Tape record of a + b for a 1 x d row bias b.
 
-    ``matmul`` -> ``add_row_bias`` -> ``relu`` is the three-record chain that
-    ``ad.dense`` fuses into one; tests compare the two bit for bit.
+    ``ad.matmul`` -> ``add_row_bias`` -> ``relu`` is the three-record chain
+    that one layer of ``nn.mlp_forward`` fuses; tests compare the two bit for
+    bit.
     """
 
     def backward(g):
         return [(a, g), (b, g.sum(axis=0, keepdims=True))]
 
     return a.tape._result(a.data + b.data, (a, b), backward)
+
+
+def relu(a):
+    """Tape record of max(a, 0); the backward masks its cotangent in place."""
+    mask = a.data > 0.0
+
+    def backward(g):
+        g *= mask
+        return [(a, g)]
+
+    return a.tape._result(a.data * mask, (a,), backward)
+
+
+def spmm_const(adjacency, x):
+    """Tape record of A @ x for a constant symmetric sparse A, so A^T g is A g."""
+
+    def backward(g):
+        return [(x, adjacency @ g)]
+
+    return x.tape._result(adjacency @ x.data, (x,), backward)
+
+
+def dense(x, w, b, relu, row_scale=None, standardize=None):
+    """Tape record of one MLP layer, ``x @ w + b`` on ``nn._affine``, ReLU'd if ``relu`` is set.
+
+    ``row_scale`` and ``standardize`` are those of ``nn._affine``. The bias
+    add and the ReLU mask are applied in place.
+    """
+    h, w_in = _affine(x.data, w.data, b.data, row_scale, standardize)
+    mask = None
+    if relu:
+        mask = h > 0.0
+        h *= mask
+
+    def backward(g):
+        if mask is not None:
+            g *= mask
+        dw, db = _affine_grads(g, x.data, w_in, row_scale, standardize)
+        grads = [(w, dw), (b, db)]
+        if x.requires_grad:
+            grads.append((x, g @ w_in.T))
+        return grads
+
+    return x.tape._result(h, (x, w, b), backward)
+
+
+def per_layer_mlp(mlp, tape, x, standardize=None, adjacency=None, row_scale=None):
+    """Oracle: ``nn.mlp_forward`` as one tape record per operation; (output, parameter leaves).
+
+    One ``dense`` record per layer, the first one standardized or
+    row-scaled. With an ``adjacency`` (``gcn``) every later layer is
+    ``dense`` without its ReLU, then ``spmm_const``, then ``relu``.
+    ``mlp_forward``'s values and gradients equal this chain's bit for bit.
+    """
+    h, params = x, []
+    last = len(mlp.weights) - 1
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        params += [tape.leaf(w, requires_grad=True), tape.leaf(b.reshape(1, -1), requires_grad=True)]
+        if i == 0:
+            h = dense(h, *params[-2:], i != last, row_scale, standardize)
+        elif adjacency is None:
+            h = dense(h, *params[-2:], i != last)
+        else:
+            h = spmm_const(adjacency, dense(h, *params[-2:], False))
+            if i != last:
+                h = relu(h)
+    return h, params
 
 
 def weighted_sum(out, w):

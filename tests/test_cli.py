@@ -487,6 +487,33 @@ class TestErrors:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:") and "\n" not in err
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize(
+        "field, value", [("hidden", [8.5]), ("num_layers", 2.5), ("prop_k", 1.5), ("epochs", 2.5)]
+    )
+    def test_non_integer_count_is_one_error(self, tmp_path, capsys, monkeypatch, command, field, value):
+        # a sweep trained each run into the same TypeError and wrote NaN rows
+        import fairprop.cli as cli
+
+        if field == "hidden":
+            line = "hidden width must be an integer, got 8.5"
+        else:
+            line = f"{field} must be an integer, got {value}"
+
+        def no_dataset(cfg):
+            raise AssertionError("the dataset was loaded")
+
+        monkeypatch.setattr("fairprop.train.load_run_dataset", no_dataset)
+        cfg = write_json(tmp_path / "run.json", run_config_doc(tmp_path, **{field: value}))
+        grid = write_json(tmp_path / "grid.json", {"lambda_s": [1.0], "lambda_f": [0.0, 5.0]})
+        args = ["--config", cfg] + (["--grid", grid] if command == "sweep" else [])
+        monkeypatch.setattr("sys.argv", ["fairprop", command, *args])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_empty_node_csv_names_the_file(self, tmp_path, capsys, monkeypatch):
         import fairprop.cli as cli
 

@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import dense_normalized_adjacency, edge_energy, random_graph
-from fairprop import autodiff as ad
 from fairprop.graph import (
     build_graph,
     edge_homophily,
@@ -222,12 +221,6 @@ class TestSpmm:
             np.testing.assert_allclose(
                 g.adjacency @ X, g.dense_adjacency() @ X, atol=1e-12
             )
-
-    def test_dimension_mismatch(self, rng):
-        g = build_graph(2, [(0, 1)])
-        tape = ad.Tape()
-        with pytest.raises(ValueError, match="spmm shape mismatch"):
-            ad.spmm_const(g, tape.leaf(np.zeros((3, 2))))
 
 
 class TestSmoothnessEnergy:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import adam_per_array, assert_close_rel, finite_diff, weighted_sum
+from conftest import adam_per_array, assert_close_rel, finite_diff, per_layer_mlp, weighted_sum
 from fairprop import autodiff as ad
 from fairprop.nn import (
     AdamState,
@@ -93,16 +93,7 @@ class TestMlpForward:
 
 
 class TestMlpRecord:
-    """The MLP as one tape record, against one ``ad.dense`` record per layer."""
-
-    @staticmethod
-    def dense_chain(mlp, tape, x, standardize):
-        h, params = x, []
-        last = len(mlp.weights) - 1
-        for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-            params += [tape.leaf(w, requires_grad=True), tape.leaf(b.reshape(1, -1), requires_grad=True)]
-            h = ad.dense(h, *params[-2:], relu=i != last, standardize=standardize if i == 0 else None)
-        return h, params
+    """The MLP as one tape record, against one record per layer (``conftest.per_layer_mlp``)."""
 
     @pytest.mark.parametrize("hidden", [[], [6], [5, 7, 4]])
     @pytest.mark.parametrize("x_grad", [False, True])
@@ -125,7 +116,7 @@ class TestMlpRecord:
             assert set(grads) == {t.node_id for t in keys}
             return out.data.tobytes(), [grads[t.node_id].tobytes() for t in keys]
 
-        assert run(mlp_forward) == run(self.dense_chain)
+        assert run(mlp_forward) == run(per_layer_mlp)
 
     def test_one_record(self, rng):
         mlp = init_weights(MlpConfig(in_dim=4, hidden=[5, 6], out_dim=3), 0)
@@ -141,7 +132,7 @@ class TestMlpRecord:
         mlp.biases[0][1] = np.nan  # hidden unit 1 is NaN on every row
         weights = rng.standard_normal((6, 2))
         results = []
-        for forward in (mlp_forward, self.dense_chain):
+        for forward in (mlp_forward, per_layer_mlp):
             tape = ad.Tape()
             out, params = forward(mlp, tape, tape.leaf(X), None)
             grads = tape.backward(weighted_sum(out, weights))

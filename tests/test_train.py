@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import appnp_step, centred, gcn_oracle
+from conftest import appnp_step, assert_close_rel, centred, finite_diff, gcn_oracle, per_layer_mlp
 from fairprop import autodiff as ad
 from fairprop import debias, train
 from fairprop.data import (
@@ -154,6 +154,29 @@ class TestRunConfig:
         # a zero-width layer is a bias-only model
         with pytest.raises(ValueError, match=r"^hidden width must be >= 1, got "):
             small_cfg(hidden=hidden)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("hidden", [8.5]),
+            ("hidden", [8, 5.0]),
+            ("num_layers", 2.5),
+            ("num_layers", True),
+            ("prop_k", 1.5),
+            ("epochs", 2.5),
+            ("epochs", 2.0),
+        ],
+    )
+    def test_non_integer_count_rejected(self, field, value):
+        # range() of a float failed inside each run, which a sweep recorded as
+        # a NaN row; True trained as 1 under a fingerprint of its own
+        name = "hidden width" if field == "hidden" else field
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+            small_cfg(**{field: value})
+
+    def test_integer_counts_accepted(self):
+        cfg = small_cfg(hidden=[np.int64(8), 5], num_layers=np.int64(3), prop_k=0, epochs=1)
+        assert (cfg.hidden, cfg.num_layers, cfg.prop_k, cfg.epochs) == ([8, 5], 3, 0, 1)
 
     def test_training_bounds_accepted(self):
         cfg = small_cfg(lr=1e-6, weight_decay=0.0, hidden=[])
@@ -646,6 +669,66 @@ class TestGcn:
         expected = gcn_oracle(small_dataset.graph, mlp, h)
         np.testing.assert_allclose(logits.data, expected, rtol=0, atol=1e-12)
 
+    @staticmethod
+    def _model(dataset, hidden):
+        """``gcn``'s forward pass on ``dataset``, its input, its row sums A 1 and perturbed weights."""
+        cfg = small_cfg(scheme="gcn", hidden=hidden)
+        masks = make_splits(dataset, cfg.split_fractions, 0)
+        features, forward = train.prepare(cfg, dataset, masks, incident_vector(dataset.sensitive))
+        mlp = init_weights(MlpConfig(in_dim=6, hidden=hidden, out_dim=2), 0)
+        rng = np.random.default_rng(1)
+        mlp.set_parameters([p + rng.standard_normal(p.shape) for p in mlp.parameters()])
+        row_sums = dataset.graph.adjacency @ np.ones(dataset.graph.n)
+        return forward, features, row_sums, mlp, masks
+
+    @pytest.mark.parametrize("hidden", [[], [8], [8, 5]])
+    def test_logits_and_gradients_equal_the_per_layer_chain(self, small_dataset, hidden):
+        # one dense record per layer, the later ones followed by A and the ReLU
+        forward, features, row_sums, mlp, masks = self._model(small_dataset, hidden)
+        labels = ad.RowLabels.of(small_dataset.labels, masks.train, 2)
+
+        def run(fwd):
+            tape = ad.Tape()
+            logits, params = fwd(mlp, tape, tape.leaf(features))
+            grads = tape.backward(ad.cross_entropy_with_logits(logits, labels))
+            assert set(grads) == {t.node_id for t in params}
+            return logits.data.tobytes(), [grads[t.node_id].tobytes() for t in params]
+
+        adjacency = small_dataset.graph.adjacency
+        assert run(forward) == run(
+            lambda mlp, tape, x: per_layer_mlp(mlp, tape, x, adjacency=adjacency, row_scale=row_sums)
+        )
+
+    def test_gradients_match_finite_differences(self, small_dataset):
+        forward, features, _, mlp, masks = self._model(small_dataset, [8, 5])
+        labels = ad.RowLabels.of(small_dataset.labels, masks.train, 2)
+        params = mlp.parameters()
+
+        def loss(probe):
+            tape = ad.Tape()
+            logits, leaves = forward(probe, tape, tape.leaf(features))
+            return tape, ad.cross_entropy_with_logits(logits, labels), leaves
+
+        tape, value, leaves = loss(mlp)
+        grads = tape.backward(value)
+        for i, leaf in enumerate(leaves):
+
+            def f(v):
+                probe = mlp.copy()
+                probe.set_parameters([v if j == i else p for j, p in enumerate(params)])
+                return float(loss(probe)[1].data[0, 0])
+
+            fd = finite_diff(f, params[i])
+            assert_close_rel(grads[leaf.node_id].reshape(fd.shape), fd, rtol=1e-5, afloor=1e-8)
+
+    @pytest.mark.parametrize("hidden", [[8], [8, 5]])
+    def test_forward_records_one_entry(self, small_dataset, hidden):
+        # the whole model is one record over the parameter leaves, as for every scheme
+        forward, features, _, mlp, _ = self._model(small_dataset, hidden)
+        tape = ad.Tape()
+        forward(mlp, tape, tape.leaf(features))
+        assert len(tape._records) == 1
+
     def test_epoch_makes_only_out_dim_wide_products(self, small_dataset):
         # A X and A 1 are computed once per run; an epoch multiplies by A only
         # in the layers after the first, whose output is out_dim wide
@@ -680,19 +763,18 @@ class TestSgc:
         expected, _ = mlp_forward(mlp, t2, t2.leaf(h))
         np.testing.assert_allclose(logits.data, expected.data, rtol=0, atol=1e-12)
 
-    def test_epoch_records_no_spmm_const(self, small_dataset, monkeypatch):
-        calls = []
-        spmm_const = ad.spmm_const
-
-        def counting(*args):
-            calls.append(1)
-            return spmm_const(*args)
-
-        monkeypatch.setattr(ad, "spmm_const", counting)
-        cfg = small_cfg(scheme="sgc", epochs=1)
-        masks = make_splits(small_dataset, cfg.split_fractions, 0)
-        train_one(cfg, small_dataset, masks, 0)
-        assert calls == []
+    def test_epoch_makes_no_sparse_products(self, small_dataset):
+        # the features are propagated prop_k times once per run, and an epoch
+        # multiplies by A nowhere
+        counter = WidthRecordingAdjacency(small_dataset.graph.adjacency)
+        dataset = dataclasses.replace(
+            small_dataset, graph=dataclasses.replace(small_dataset.graph, adjacency=counter)
+        )
+        for epochs in (1, 2):
+            counter.widths = []
+            cfg = small_cfg(scheme="sgc", prop_k=3, epochs=epochs)
+            train_one(cfg, dataset, make_splits(dataset, cfg.split_fractions, 0), 0)
+            assert counter.widths == [6, 6, 6]
 
 
 class TestAppnp:
