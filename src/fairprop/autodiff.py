@@ -5,11 +5,12 @@ Define-by-run: every operation appends one record to the active Tape, and
 64-bit. It frees each record and its output's gradient once they are used,
 so it returns the gradients of the leaves only, keyed by node id: a tape is
 replayed once. This module holds the tape, the loss
-(``cross_entropy_with_logits``, over the masked rows only) and ``matmul``,
-which computes no gradient for an operand that requires none. Other modules
-add fused records of their own through ``Tape._result``: the whole MLP
-(``fairprop.nn.mlp_forward``, ``gcn``'s aggregation included) and the whole
-debiasing stack (``fairprop.debias.stack``).
+(``cross_entropy_with_logits``, over the masked rows of two logit columns
+only) and ``matmul``, which computes no gradient for an operand that
+requires none. Other modules add fused records of their own through
+``Tape._result``: the whole MLP (``fairprop.nn.mlp_forward``, ``gcn``'s
+aggregation included) and the whole debiasing stack
+(``fairprop.debias.stack``).
 
 A backward function owns the cotangent it is handed: nothing else holds it,
 so the function may write into it (the MLP applies its ReLU masks in place)
@@ -155,19 +156,25 @@ class RowLabels(NamedTuple):
 
 
 def cross_entropy_with_logits(logits: Tensor, labels, mask=None) -> Tensor:
-    """Mean negative log softmax over masked rows, row-max stabilized.
+    """Mean negative log softmax over masked rows of two logit columns, row-max stabilized.
 
     ``labels`` has one label per row and ``mask`` is a boolean row mask; or
     ``labels`` is a ``RowLabels`` and ``mask`` is left out. Only the masked
     rows enter the softmax, and the gradient is zero on every other row.
+    fairprop is two-class, so the row max is ``np.maximum`` of the two
+    columns and the row sum of exponentials ``e0 + e1``: the values a
+    reduction along each row computes, bit for bit, without its overhead.
     """
+    if logits.shape[1] != 2:
+        raise ValueError(f"cross entropy over {logits.shape[1]} logit columns: fairprop is two-class")
     if not isinstance(labels, RowLabels):
-        labels = RowLabels.of(labels, mask, logits.shape[1])
+        labels = RowLabels.of(labels, mask, 2)
     idx, lab = labels
 
     z = logits.data[idx]
-    z -= z.max(axis=1, keepdims=True)
-    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))  # log softmax
+    z -= np.maximum(z[:, 0], z[:, 1])[:, None]
+    e = np.exp(z)
+    z -= np.log(e[:, 0] + e[:, 1])[:, None]  # log softmax
     loss = -z[np.arange(idx.size), lab].mean()
 
     def backward(g):

@@ -7,6 +7,10 @@ gradient for the constant input features. With a graph's adjacency it is
 ``gcn``, aggregating after every later layer's affine map. Its hidden
 activations are its own, so its backward reuses each one's buffer for that
 layer's cotangent.
+
+The parameters are one flat vector, ``Mlp.theta``: the record has one leaf
+for it, its backward writes every layer's gradients into one flat vector,
+and Adam updates ``theta`` and its moments in place.
 """
 
 from __future__ import annotations
@@ -37,36 +41,39 @@ class MlpConfig:
 
 
 class Mlp:
-    """Fully connected network: ReLU between layers, none after the last."""
+    """Fully connected network: ReLU between layers, none after the last.
+
+    Its parameters are one float64 vector, ``theta``: each layer's weights,
+    then its bias, in layer order. ``weights`` and ``biases`` are tuples of
+    views of ``theta``, so an update of ``theta`` in place updates them.
+    """
 
     def __init__(self, config: MlpConfig, weights, biases, seed=None):
-        for (w, b), (fan_in, fan_out) in zip(zip(weights, biases), config.layer_dims()):
-            if w.shape != (fan_in, fan_out) or b.shape != (fan_out,):
-                raise ValueError("layer shapes inconsistent with config")
-        self.config = config
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
-        self.seed = seed
+        dims = [(int(i), int(o)) for i, o in config.layer_dims()]
+        got = ([np.shape(w) for w in weights], [np.shape(b) for b in biases])
+        if got != (dims, [(o,) for _, o in dims]):
+            raise ValueError(f"weight shapes {got[0]} and bias shapes {got[1]} do not match the layers {dims}")
+        theta = np.concatenate([np.ravel(a) for layer in zip(weights, biases) for a in layer], dtype=np.float64)
+        self._bind(config, theta, seed)
 
-    def parameters(self):
-        params = []
-        for w, b in zip(self.weights, self.biases):
-            params += [w, b]
-        return params
-
-    def set_parameters(self, params):
-        it = iter(params)
-        for i in range(len(self.weights)):
-            self.weights[i] = np.asarray(next(it), dtype=np.float64)
-            self.biases[i] = np.asarray(next(it), dtype=np.float64)
+    def _bind(self, config, theta, seed):
+        self.config, self.theta, self.seed = config, theta, seed
+        self.weights, self.biases = zip(*_layer_views(theta, config.layer_dims()))
 
     def copy(self) -> "Mlp":
-        return Mlp(
-            self.config,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            seed=self.seed,
-        )
+        new = object.__new__(Mlp)
+        new._bind(self.config, self.theta.copy(), self.seed)
+        return new
+
+
+def _layer_views(flat: Array, dims) -> list:
+    """Each layer's (weights, bias) as views of the flat vector ``flat``, in layer order."""
+    views, start = [], 0
+    for fan_in, fan_out in dims:
+        end = start + fan_in * fan_out
+        views.append((flat[start:end].reshape(fan_in, fan_out), flat[end : end + fan_out]))
+        start = end + fan_out
+    return views
 
 
 def init_weights(config: MlpConfig, seed: int) -> Mlp:
@@ -81,7 +88,7 @@ def init_weights(config: MlpConfig, seed: int) -> Mlp:
 
 
 def mlp_forward(mlp: Mlp, tape: ad.Tape, x: ad.Tensor, standardize=None, adjacency=None, row_scale=None):
-    """Run the MLP on the tape as one record.
+    """Run the MLP on the tape as one record over one parameter leaf.
 
     ``standardize``, a per-column ``(shift, scale)`` of the input, is applied
     inside the first layer (``_affine``): the MLP reads ``(x - shift) /
@@ -90,31 +97,28 @@ def mlp_forward(mlp: Mlp, tape: ad.Tape, x: ad.Tensor, standardize=None, adjacen
     its affine map by A before its ReLU, and the backward multiplies that
     layer's cotangent by A (A is its own transpose). ``row_scale`` scales the
     first layer's bias per row (``_affine``), which ``gcn`` sets to A·1 to
-    read A X once per run. Returns (output tensor, list of parameter leaf
-    tensors in the order of ``mlp.parameters()``).
+    read A X once per run. Returns (output tensor, parameter leaf): the leaf
+    is ``mlp.theta`` as a 1 x P row, and its gradient is one new 1 x P array
+    laid out as ``theta``, each layer's dw and db written into views of it.
 
     The record keeps each hidden layer's activation, ReLU applied in place,
     and no mask: after the ReLU, ``h > 0`` holds exactly where the
     pre-activation was > 0, NaN included. The backward writes each hidden
     layer's cotangent into that layer's activation once the layer above has
     taken its weight gradient from it, so it allocates no n x hidden array.
-    Values and gradients equal those of the tests' per-layer oracle
-    (``dense``, ``spmm_const`` and ``relu`` in ``tests/conftest.py``, one
-    record each) bit for bit.
+    It reads the weights, views of ``theta``, so ``theta`` is updated only
+    after the backward. Values and gradients equal those of the tests'
+    per-layer oracle (``dense``, ``spmm_const`` and ``relu`` in
+    ``tests/conftest.py``, one record each) bit for bit.
     """
     if x.shape[1] != mlp.config.in_dim:
-        raise ValueError(
-            f"expected input dim {mlp.config.in_dim}, got {x.shape[1]}"
-        )
-    layers = [
-        (tape.leaf(w, requires_grad=True), tape.leaf(b.reshape(1, -1), requires_grad=True))
-        for w, b in zip(mlp.weights, mlp.biases)
-    ]
-    last = len(layers) - 1
+        raise ValueError(f"expected input dim {mlp.config.in_dim}, got {x.shape[1]}")
+    theta = tape.leaf(mlp.theta[None, :], requires_grad=True)
+    last = len(mlp.weights) - 1
     first = {"row_scale": row_scale, "standardize": standardize}  # the first layer's constants
     inputs, w_ins = [x.data], []  # each layer's input: the features, then each hidden activation
-    for i, (w, b) in enumerate(layers):
-        out, w_in = _affine(inputs[i], w.data, b.data, **(first if i == 0 else {}))
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        out, w_in = _affine(inputs[i], w, b, **(first if i == 0 else {}))
         if i > 0 and adjacency is not None:
             out = adjacency @ out
         w_ins.append(w_in)
@@ -123,13 +127,13 @@ def mlp_forward(mlp: Mlp, tape: ad.Tape, x: ad.Tensor, standardize=None, adjacen
             inputs.append(out)
 
     def backward(g):
-        grads = []
+        dtheta = np.empty_like(theta.data)
+        grads, views = [(theta, dtheta)], _layer_views(dtheta[0], mlp.config.layer_dims())
         for i in reversed(range(last + 1)):
             h = inputs.pop()
             if i > 0 and adjacency is not None:
                 g = adjacency @ g
-            dw, db = _affine_grads(g, h, w_ins[i], **(first if i == 0 else {}))
-            grads += zip(layers[i], (dw, db))
+            _affine_grads(g, h, w_ins[i], *views[i], **(first if i == 0 else {}))
             if i > 0:  # h is hidden: its buffer takes its cotangent, masked by its ReLU
                 mask = h > 0.0
                 np.matmul(g, w_ins[i].T, out=h)
@@ -139,8 +143,7 @@ def mlp_forward(mlp: Mlp, tape: ad.Tape, x: ad.Tensor, standardize=None, adjacen
                 grads.append((x, g @ w_ins[0].T))
         return grads
 
-    params = [t for layer in layers for t in layer]
-    return tape._result(out, (x, *params), backward), params
+    return tape._result(out, (x, theta), backward), theta
 
 
 def _affine(
@@ -152,10 +155,10 @@ def _affine(
 ) -> tuple[Array, Array]:
     """``x @ w + b`` on arrays, the bias added in place: (output, the weights x was multiplied by).
 
-    The affine map of every MLP layer. A constant ``row_scale`` of shape (n,)
-    scales the bias of row i by ``row_scale[i]``: ``x @ w + row_scale b``, so
-    that ``A (x w + 1 b)`` is ``(A x) w + (A 1) b`` with ``A x`` computed
-    once.
+    The affine map of every MLP layer; ``b`` has shape (d_out,). A constant
+    ``row_scale`` of shape (n,) scales the bias of row i by ``row_scale[i]``:
+    ``x @ w + row_scale b``, so that ``A (x w + 1 b)`` is ``(A x) w + (A 1)
+    b`` with ``A x`` computed once.
 
     A constant ``standardize = (shift, scale)``, each of shape (d_in,), makes
     the map ``((x - shift) / scale) @ w + b`` without an n x d_in temporary:
@@ -165,7 +168,7 @@ def _affine(
     against standardizing first grows like ``|shift| / scale`` times the
     float64 eps. It does not combine with ``row_scale``.
     """
-    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+    if x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ValueError(f"MLP layer shape mismatch {x.shape} @ {w.shape} + {b.shape}")
     if row_scale is not None and row_scale.shape != (x.shape[0],):
         raise ValueError(f"MLP row scale of shape {row_scale.shape} for {x.shape[0]} rows")
@@ -186,24 +189,23 @@ def _affine(
 
 
 def _affine_grads(
-    g: Array,
-    x: Array,
-    w_in: Array,
-    row_scale: Array | None = None,
-    standardize: tuple[Array, Array] | None = None,
-) -> tuple[Array, Array]:
-    """The weight and bias gradients (dw, db) of ``_affine`` at output cotangent ``g``.
+    g: Array, x: Array, w_in: Array, dw: Array, db: Array,
+    row_scale: Array | None = None, standardize: tuple[Array, Array] | None = None,
+) -> None:
+    """Write the weight and bias gradients of ``_affine`` at output cotangent ``g`` into ``dw`` and ``db``.
 
     ``w_in`` is the weights ``_affine`` returned; the input's cotangent is
     ``g @ w_in.T``, left to the caller.
     """
-    db = g.sum(axis=0, keepdims=True) if row_scale is None else (row_scale @ g)[None, :]
-    dw = x.T @ g
+    if row_scale is None:
+        g.sum(axis=0, out=db)
+    else:
+        np.matmul(row_scale, g, out=db)
+    np.matmul(x.T, g, out=dw)
     if standardize is not None:
         shift, scale = standardize
         dw -= np.outer(shift, db)
         dw /= scale[:, None]
-    return dw, db
 
 
 # Adam's moment decay rates and the guard added to its denominator
@@ -219,27 +221,22 @@ class AdamState:
     v: Array | None = None  # second moments, likewise
 
 
-def adam_step(params, grads, state: AdamState):
-    """One bias-corrected Adam update; weight decay coupled into the gradient.
+def adam_step(theta: Array, grad: Array, state: AdamState) -> None:
+    """One bias-corrected Adam update of ``theta``, in place; weight decay coupled into the gradient.
 
-    The parameters are updated as one flat vector, in the elementwise order
-    of a per-array update, so the results equal it bit for bit. Mutates
-    ``state`` and returns the updated parameters, views of one new vector.
+    ``theta`` is the MLP's flat parameter vector and ``grad`` its gradient,
+    of the same shape; the moments ``state.m`` and ``state.v`` are flat too
+    and are updated in place. Element by element it is a per-array update,
+    bit for bit. Mutates ``state``; ``grad`` is left as it is.
     """
-    if len(params) != len(grads):
-        raise ValueError("params and grads length mismatch")
-    if any(p.shape != g.shape for p, g in zip(params, grads)):
+    if theta.shape != grad.shape or (state.m is not None and state.m.shape != theta.shape):
         raise ValueError("parameter/gradient shape mismatch")
-    p = np.concatenate([q.ravel() for q in params])
-    g = np.concatenate([q.ravel() for q in grads])
     if state.m is None:
-        state.m = np.zeros_like(p)
-        state.v = np.zeros_like(p)
-    elif state.m.shape != p.shape:
-        raise ValueError("parameter/gradient shape mismatch")
+        state.m, state.v = np.zeros_like(theta), np.zeros_like(theta)
     state.t += 1
     t = state.t
-    g += state.weight_decay * p
+    g = state.weight_decay * theta
+    g += grad
     state.m *= ADAM_BETA1
     state.m += (1.0 - ADAM_BETA1) * g
     state.v *= ADAM_BETA2
@@ -250,12 +247,7 @@ def adam_step(params, grads, state: AdamState):
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS
     step /= denom
-    p -= step
-    out, start = [], 0
-    for q in params:
-        out.append(p[start : start + q.size].reshape(q.shape))
-        start += q.size
-    return out
+    theta -= step
 
 
 def save_checkpoint(path, mlp: Mlp, run: RunConfig):
@@ -279,7 +271,7 @@ def save_checkpoint(path, mlp: Mlp, run: RunConfig):
         "fingerprint": run.fingerprint(),
     }
     with open(path, "w") as f:
-        json.dump(doc, f)
+        f.write(json.dumps(doc))  # the C encoder; json.dump streams through the Python one
 
 
 def load_checkpoint(path, run: RunConfig) -> Mlp:
@@ -287,6 +279,8 @@ def load_checkpoint(path, run: RunConfig) -> Mlp:
 
     A checkpoint saved under another fingerprint raises one ValueError line.
     The fingerprint hashes the scheme too, so it is the only field compared.
+    Layers of another count or shape than its config's raise one line that
+    names the path.
     """
     with open(path) as f:
         doc = json.load(f)
@@ -303,4 +297,7 @@ def load_checkpoint(path, run: RunConfig) -> Mlp:
     )
     weights = [np.asarray(layer["w"], dtype=np.float64) for layer in doc["layers"]]
     biases = [np.asarray(layer["b"], dtype=np.float64) for layer in doc["layers"]]
-    return Mlp(config, weights, biases, seed=doc.get("seed"))
+    try:
+        return Mlp(config, weights, biases, seed=doc.get("seed"))
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from None

@@ -66,11 +66,15 @@ class RunConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        for name, value in (("hidden", self.hidden), ("seeds", self.seeds)):
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{name} must be a list of integers, got {value!r}")
         for name, value in (
             ("epochs", self.epochs),
             ("num_layers", self.num_layers),
             ("prop_k", self.prop_k),
             *(("hidden width", width) for width in self.hidden),
+            *(("seed in seeds", seed) for seed in self.seeds),
         ):
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -165,7 +169,6 @@ def _file_digest(path) -> str:
 class TrainTrace:
     train_loss: list = field(default_factory=list)
     val_accuracy: list = field(default_factory=list)
-    val_dp: list = field(default_factory=list)
     best_epoch: int = 0
 
 
@@ -205,8 +208,8 @@ def _gcn(cfg, g, delta, x, stats):
 def _appnp(cfg, g, delta, x, stats):
     # teleport propagation is the debiasing stack at radius 0 with teleport alpha
     def forward(mlp, tape, x):
-        x_trans, params = mlp_forward(mlp, tape, x, stats)
-        return debias.stack(x_trans, g, delta, cfg.prop_k, cfg.alpha, 0.0, 0.0), params
+        x_trans, theta = mlp_forward(mlp, tape, x, stats)
+        return debias.stack(x_trans, g, delta, cfg.prop_k, cfg.alpha, 0.0, 0.0), theta
 
     return x, forward
 
@@ -215,8 +218,8 @@ def _ppnp_exact(cfg, g, delta, x, stats):
     kernel = ppnp_exact(g, np.eye(g.n), cfg.alpha)  # one dense solve per run
 
     def forward(mlp, tape, x):
-        x_trans, params = mlp_forward(mlp, tape, x, stats)
-        return ad.matmul(tape.leaf(kernel), x_trans), params
+        x_trans, theta = mlp_forward(mlp, tape, x, stats)
+        return ad.matmul(tape.leaf(kernel), x_trans), theta
 
     return x, forward
 
@@ -226,16 +229,16 @@ def _fair(cfg, g, delta, x, stats, ml1=False):
     gamma, beta = debias.steps(cfg.lambda_s)
 
     def forward(mlp, tape, x):
-        x_trans, params = mlp_forward(mlp, tape, x, stats)
+        x_trans, theta = mlp_forward(mlp, tape, x, stats)
         logits = debias.stack(x_trans, g, delta, cfg.num_layers, gamma, beta, cfg.lambda_f, ml1)
-        return logits, params
+        return logits, theta
 
     return x, forward
 
 
 # Scheme -> (cfg, graph, delta, features, standardization or None) -> (model
-# input, forward), where forward(mlp, tape, x) -> (logits, MLP parameter
-# tensors) has the run's constants bound. Every forward records one
+# input, forward), where forward(mlp, tape, x) -> (logits, the MLP's parameter
+# leaf) has the run's constants bound. Every forward records one
 # mlp_forward entry, then at most one debias.stack or matmul entry. An MLP that
 # reads the features standardizes them in its first layer; gcn and sgc
 # standardize a copy, which they propagate once per run. The forwards look
@@ -260,7 +263,7 @@ def prepare(cfg: RunConfig, dataset: Dataset, masks: SplitMasks | None, delta: I
     train rows (``masks`` may be None when ``cfg.standardize`` is off), and
     the scheme's entry computes what is constant for the run once.
     ``forward(mlp, tape, x)`` takes the input as a tape tensor and returns
-    (logits, MLP parameter tensors).
+    (logits, the MLP's parameter leaf, ``mlp.theta`` as a 1 x P row).
 
     For ``mlp``, ``appnp``, ``ppnp_exact``, ``fair`` and ``ml1`` the input is
     ``dataset.features`` itself, and the first MLP layer standardizes it as
@@ -311,14 +314,14 @@ def train_one(cfg: RunConfig, dataset: Dataset, masks: SplitMasks, seed: int):
     state = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     train_rows = ad.RowLabels.of(dataset.labels, masks.train, num_classes)
     val = np.flatnonzero(masks.val)
-    val_labels, val_groups = dataset.labels[val], dataset.sensitive[val]
+    val_labels = dataset.labels[val]
 
     trace = TrainTrace()
     best_val = -1.0
     best = mlp.copy()
     for epoch in range(cfg.epochs):
         tape = ad.Tape()
-        logits, param_tensors = forward(mlp, tape, tape.leaf(features))
+        logits, theta = forward(mlp, tape, tape.leaf(features))
         loss = ad.cross_entropy_with_logits(logits, train_rows)
         loss_val = float(loss.data[0, 0])
         if not np.isfinite(loss_val):
@@ -330,23 +333,15 @@ def train_one(cfg: RunConfig, dataset: Dataset, masks: SplitMasks, seed: int):
         # tensor would keep its tape alive
         y_hat = predict_labels(logits.data[val])
         val_acc = accuracy(y_hat, val_labels)
-        val_dp = demographic_parity(y_hat, val_groups)
         trace.train_loss.append(loss_val)
         trace.val_accuracy.append(val_acc)
-        trace.val_dp.append(val_dp)
         if cfg.selection == "last" or val_acc > best_val:
             best_val = val_acc
             best = mlp.copy()
             best_logits = logits.data
             trace.best_epoch = epoch
 
-        grad_map = tape.backward(loss)
-        params = mlp.parameters()
-        grads = []
-        for p, t in zip(params, param_tensors):
-            grad = grad_map.get(t.node_id)
-            grads.append((np.zeros(t.shape) if grad is None else grad).reshape(p.shape))
-        mlp.set_parameters(adam_step(params, grads, state))
+        adam_step(mlp.theta, tape.backward(loss)[theta.node_id][0], state)
 
     report = _report(cfg, best_logits, dataset, masks.test, delta, seed)
     report.wall_time_ms = (time.perf_counter() - start) * 1000.0

@@ -118,7 +118,7 @@ def dense(x, w, b, relu, row_scale=None, standardize=None):
     ``row_scale`` and ``standardize`` are those of ``nn._affine``. The bias
     add and the ReLU mask are applied in place.
     """
-    h, w_in = _affine(x.data, w.data, b.data, row_scale, standardize)
+    h, w_in = _affine(x.data, w.data, b.data[0], row_scale, standardize)
     mask = None
     if relu:
         mask = h > 0.0
@@ -127,7 +127,8 @@ def dense(x, w, b, relu, row_scale=None, standardize=None):
     def backward(g):
         if mask is not None:
             g *= mask
-        dw, db = _affine_grads(g, x.data, w_in, row_scale, standardize)
+        dw, db = np.empty(w.shape), np.empty(b.shape)
+        _affine_grads(g, x.data, w_in, dw, db[0], row_scale, standardize)
         grads = [(w, dw), (b, db)]
         if x.requires_grad:
             grads.append((x, g @ w_in.T))
@@ -142,7 +143,9 @@ def per_layer_mlp(mlp, tape, x, standardize=None, adjacency=None, row_scale=None
     One ``dense`` record per layer, the first one standardized or
     row-scaled. With an ``adjacency`` (``gcn``) every later layer is
     ``dense`` without its ReLU, then ``spmm_const``, then ``relu``.
-    ``mlp_forward``'s values and gradients equal this chain's bit for bit.
+    ``mlp_forward``'s values equal this chain's bit for bit, and so does its
+    flat gradient to these leaves' gradients joined in layer order
+    (``joined``).
     """
     h, params = x, []
     last = len(mlp.weights) - 1
@@ -157,6 +160,11 @@ def per_layer_mlp(mlp, tape, x, standardize=None, adjacency=None, row_scale=None
             if i != last:
                 h = relu(h)
     return h, params
+
+
+def joined(grads, leaves):
+    """The gradients of ``leaves`` in ``grads`` raveled and joined in order: a flat gradient."""
+    return np.concatenate([grads[t.node_id].ravel() for t in leaves])
 
 
 def weighted_sum(out, w):

@@ -10,6 +10,7 @@ from conftest import (
     finite_diff,
     forward,
     full_mask_cross_entropy,
+    joined,
     random_graph,
     relu,
     spmm_const,
@@ -20,7 +21,7 @@ from fairprop import train
 from fairprop.data import SynthConfig, make_splits, synth_generate
 from fairprop.debias import row_softmax
 from fairprop.graph import incident_vector
-from fairprop.nn import Mlp, MlpConfig, adam_step, init_weights, mlp_forward
+from fairprop.nn import Mlp, MlpConfig, _affine, _layer_views, adam_step, init_weights, mlp_forward
 
 
 def check_backward(op, rng, n_shapes=50, **kwargs):
@@ -98,9 +99,9 @@ class TestPrimitiveBackward:
 
     def test_cross_entropy_backward(self, rng):
         for _ in range(20):
-            n, d = int(rng.integers(2, 7)), int(rng.integers(2, 5))
-            logits_data = rng.standard_normal((n, d))
-            labels = rng.integers(0, d, size=n)
+            n = int(rng.integers(2, 7))
+            logits_data = rng.standard_normal((n, 2))
+            labels = rng.integers(0, 2, size=n)
             mask = rng.random(n) < 0.7
             if not mask.any():
                 mask[0] = True
@@ -123,21 +124,56 @@ class TestCrossEntropyRows:
         # only the masked rows enter the softmax; the loss and the gradient
         # are those of the softmax over all rows, bit for bit
         for _ in range(30):
-            n, d = int(rng.integers(1, 40)), int(rng.integers(2, 5))
-            logits_data = 3.0 * rng.standard_normal((n, d))
-            labels = rng.integers(0, d, size=n)
+            n = int(rng.integers(1, 40))
+            logits_data = 3.0 * rng.standard_normal((n, 2))
+            labels = rng.integers(0, 2, size=n)
             mask = rng.random(n) < 0.5
             mask[rng.integers(n)] = True
             tape = ad.Tape()
             logits = tape.leaf(logits_data, requires_grad=True)
             if checked_once:
-                loss = ad.cross_entropy_with_logits(logits, ad.RowLabels.of(labels, mask, d))
+                loss = ad.cross_entropy_with_logits(logits, ad.RowLabels.of(labels, mask, 2))
             else:
                 loss = ad.cross_entropy_with_logits(logits, labels, mask)
             grads = tape.backward(loss)
             ref_loss, ref_grad = full_mask_cross_entropy(logits_data, labels, mask)
             assert loss.data[0, 0].tobytes() == ref_loss.tobytes()
             assert grads[logits.node_id].tobytes() == ref_grad.tobytes()
+
+    def test_extreme_and_tied_rows_bitwise_equal_to_a_softmax_over_every_row(self, rng):
+        # the two-column row max and sum of exponentials are the row
+        # reductions' values: at logits of +-1000, at ties and at signed zeros
+        logits_data = np.array(
+            [
+                [1000.0, -1000.0],
+                [-1000.0, 1000.0],
+                [1000.0, 1000.0],
+                [-1000.0, -1000.0],
+                [0.0, -0.0],
+                [-0.0, 0.0],
+                [2.5, 2.5],
+                [1000.0, 0.0],
+                [-3.0, 1000.0],
+            ]
+        )
+        logits_data = np.concatenate([logits_data, rng.standard_normal((7, 2))])
+        n = logits_data.shape[0]
+        for labels in (np.zeros(n, dtype=np.int64), np.arange(n) % 2, rng.integers(0, 2, size=n)):
+            for mask in (np.ones(n, dtype=bool), rng.random(n) < 0.5):
+                mask[0] = True
+                tape = ad.Tape()
+                logits = tape.leaf(logits_data, requires_grad=True)
+                loss = ad.cross_entropy_with_logits(logits, labels, mask)
+                grads = tape.backward(loss)
+                ref_loss, ref_grad = full_mask_cross_entropy(logits_data, labels, mask)
+                assert loss.data[0, 0].tobytes() == ref_loss.tobytes()
+                assert grads[logits.node_id].tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_other_than_two_logit_columns_is_refused(self, columns):
+        tape = ad.Tape()
+        with pytest.raises(ValueError, match=rf"^cross entropy over {columns} logit columns: fairprop is two-class$"):
+            ad.cross_entropy_with_logits(tape.leaf(np.zeros((3, columns))), [0, 0, 0], [True] * 3)
 
     def test_row_labels_keep_the_errors(self):
         with pytest.raises(ValueError, match="cross entropy over an empty mask"):
@@ -156,14 +192,14 @@ def mlp_layers(rng, k, d, with_relu):
 def run_mlp(x_data, params, x_grad=False, **constants):
     """``mlp_forward`` of the weights and biases ``params`` on a new tape: (tape, output, leaves).
 
-    The leaves are the input's, then the parameters'.
+    The leaves are the input's, then the parameter vector's.
     """
     dims = [params[0].shape[0]] + [w.shape[1] for w in params[::2]]
     mlp = Mlp(MlpConfig(dims[0], dims[1:-1], dims[-1]), params[::2], params[1::2])
     tape = ad.Tape()
     x = tape.leaf(x_data, requires_grad=x_grad)
-    out, leaves = mlp_forward(mlp, tape, x, **constants)
-    return tape, out, [x, *leaves]
+    out, theta = mlp_forward(mlp, tape, x, **constants)
+    return tape, out, [x, theta]
 
 
 def check_mlp_backward(rng, with_relu, x_grad=True, reference=None, constants=None):
@@ -190,10 +226,12 @@ def check_mlp_backward(rng, with_relu, x_grad=True, reference=None, constants=No
 
             return f
 
-        for i, t in enumerate(leaves):
-            if t.requires_grad:
-                fd = finite_diff(loss_at(i), data[i])
-                assert_close_rel(grads[t.node_id].reshape(fd.shape), fd, rtol=1e-6, afloor=1e-9)
+        fds = [finite_diff(loss_at(i), a) for i, a in enumerate(data)]
+        x, theta = leaves
+        if x.requires_grad:
+            assert_close_rel(grads[x.node_id], fds[0], rtol=1e-6, afloor=1e-9)
+        flat = np.concatenate([fd.ravel() for fd in fds[1:]])  # laid out as theta
+        assert_close_rel(grads[theta.node_id][0], flat, rtol=1e-6, afloor=1e-9)
 
 
 def numpy_mlp(x, params, row_scale=None, standardize=None):
@@ -238,16 +276,17 @@ class TestDense:
             return h, leaves
 
         def replay(tape, out, leaves):
+            # the output, the input's gradient or None, and the flat parameter gradient
             grads = tape.backward(weighted_sum(out, g_data))
             assert set(grads) <= {t.node_id for t in leaves}
-            return out.data.tobytes(), [
-                None if t.node_id not in grads else grads[t.node_id].tobytes() for t in leaves
-            ]
+            x_grad = grads[leaves[0].node_id].tobytes() if leaves[0].node_id in grads else None
+            return out.data.tobytes(), x_grad, joined(grads, leaves[1:]).tobytes()
 
-        out, grads = replay(*run_mlp(x_data, params, x_grad))
+        out, x_bytes, theta_bytes = replay(*run_mlp(x_data, params, x_grad))
         ref_tape = ad.Tape()
-        assert (out, grads) == replay(ref_tape, *chain(ref_tape, ref_tape.leaf(x_data, requires_grad=x_grad)))
-        assert (grads[0] is None) == (not x_grad)
+        ref = replay(ref_tape, *chain(ref_tape, ref_tape.leaf(x_data, requires_grad=x_grad)))
+        assert (out, x_bytes, theta_bytes) == ref
+        assert (x_bytes is None) == (not x_grad)
 
     @pytest.mark.parametrize("with_relu", [False, True])
     def test_row_scaled_bias_matches_finite_differences(self, rng, with_relu):
@@ -281,20 +320,21 @@ class TestDense:
             run_mlp(rng.standard_normal((4, 3)), mlp_layers(rng, 3, 2, False), row_scale=np.ones(3))
 
     def test_constant_input_gets_no_gradient(self, rng):
-        tape, out, (x, w, b) = run_mlp(rng.standard_normal((4, 3)), mlp_layers(rng, 3, 2, False))
+        tape, out, (x, theta) = run_mlp(rng.standard_normal((4, 3)), mlp_layers(rng, 3, 2, False))
         ((_, _, backward_fn),) = tape._records
-        assert [t.node_id for t, _ in backward_fn(np.ones(out.shape))] == [w.node_id, b.node_id]
+        assert [t.node_id for t, _ in backward_fn(np.ones(out.shape))] == [theta.node_id]
 
     def test_shape_mismatch(self, rng):
-        # weights set after the model was built are checked as each layer reads them
+        # a layer's weights are views of theta and cannot be swapped for
+        # another array; the affine map checks the shapes it is handed
         x = rng.standard_normal((4, 3))
-        for which, layer, bad in (("biases", 0, np.zeros(3)), ("weights", 1, np.zeros((3, 2)))):
-            params = mlp_layers(rng, 3, 2, True)
-            mlp = Mlp(MlpConfig(3, [2], 2), params[::2], params[1::2])
-            getattr(mlp, which)[layer] = bad
-            tape = ad.Tape()
+        for w, b in ((np.zeros((3, 2)), np.zeros(3)), (np.zeros((2, 2)), np.zeros(2))):
             with pytest.raises(ValueError, match="^MLP layer shape mismatch"):
-                mlp_forward(mlp, tape, tape.leaf(x))
+                _affine(x, w, b)
+        params = mlp_layers(rng, 3, 2, True)
+        mlp = Mlp(MlpConfig(3, [2], 2), params[::2], params[1::2])
+        with pytest.raises(TypeError):
+            mlp.weights[1] = np.zeros((3, 2))
 
 
 class TestSoftmaxValues:
@@ -338,12 +378,12 @@ class TestBackwardPass:
 
     def test_returns_leaf_gradients_only(self, rng):
         tape = ad.Tape()
-        x = tape.leaf(rng.standard_normal((4, 3)), requires_grad=True)
-        w = tape.leaf(rng.standard_normal((3, 3)), requires_grad=True)
-        b = tape.leaf(rng.standard_normal((1, 3)), requires_grad=True)
+        x = tape.leaf(rng.standard_normal((4, 2)), requires_grad=True)
+        w = tape.leaf(rng.standard_normal((2, 2)), requires_grad=True)
+        b = tape.leaf(rng.standard_normal((1, 2)), requires_grad=True)
         # five intermediate records, and w enters two of them
         h = relu(add_row_bias(ad.matmul(relu(ad.matmul(x, w)), w), b))
-        grads = tape.backward(ad.cross_entropy_with_logits(h, [0, 1, 2, 0], [True] * 4))
+        grads = tape.backward(ad.cross_entropy_with_logits(h, [0, 1, 1, 0], [True] * 4))
         assert set(grads) == {x.node_id, w.node_id, b.node_id}
 
     def test_constant_matmul_operand_gets_no_gradient(self, rng):
@@ -478,22 +518,24 @@ class TestTapeLifetime:
         mlp = init_weights(MlpConfig(in_dim=3, hidden=[5], out_dim=4), 0)
         tape = ad.Tape()
         x = tape.leaf(rng.standard_normal((8, 3)), requires_grad=True)
-        out, params = mlp_forward(mlp, tape, x)
+        out, theta = mlp_forward(mlp, tape, x)
         y = relu(out)
         weights = rng.standard_normal((8, 4))
-        held = [x.data, *(p.data for p in params), out.data, y.data, weights]
+        held = [x.data, theta.data, out.data, y.data, weights]
         copies = [array.copy() for array in held]
         grads = tape.backward(weighted_sum(y, weights))
         for array, copy in zip(held, copies):
             assert np.array_equal(array, copy)
         # the out-of-place chain rule, operation for operation
-        h = x.data @ params[0].data + params[1].data
+        (w0, b0), (w1, _) = zip(mlp.weights, mlp.biases)
+        (dw0, _), (dw1, _) = _layer_views(grads[theta.node_id][0], mlp.config.layer_dims())
+        h = x.data @ w0 + b0
         h *= h > 0.0
         gy = weights * (y.data > 0.0)
-        gh = (gy @ params[2].data.T) * (h > 0.0)
-        assert np.array_equal(grads[params[2].node_id], h.T @ gy)
-        assert np.array_equal(grads[params[0].node_id], x.data.T @ gh)
-        assert np.array_equal(grads[x.node_id], gh @ params[0].data.T)
+        gh = (gy @ w1.T) * (h > 0.0)
+        assert np.array_equal(dw1, h.T @ gy)
+        assert np.array_equal(dw0, x.data.T @ gh)
+        assert np.array_equal(grads[x.node_id], gh @ w0.T)
 
     def test_single_use(self, rng):
         tape = ad.Tape()

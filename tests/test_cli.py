@@ -514,6 +514,34 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: {line}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize(
+        "field, value, line",
+        [
+            ("hidden", 8, "hidden must be a list of integers, got 8"),
+            ("seeds", [1.5, 2], "seed in seeds must be an integer, got 1.5"),
+            ("seeds", [True], "seed in seeds must be an integer, got True"),
+        ],
+    )
+    def test_malformed_hidden_or_seeds_is_one_error(self, tmp_path, capsys, monkeypatch, command, field, value, line):
+        # a float seed failed in make_splits after sweep had made its
+        # directory; seed True wrote a row no later run could read
+        import fairprop.cli as cli
+
+        def no_dataset(cfg):
+            raise AssertionError("the dataset was loaded")
+
+        monkeypatch.setattr("fairprop.train.load_run_dataset", no_dataset)
+        cfg = write_json(tmp_path / "run.json", run_config_doc(tmp_path, **{field: value}))
+        grid = write_json(tmp_path / "grid.json", {"lambda_s": [1.0], "lambda_f": [0.0, 5.0]})
+        args = ["--config", cfg] + (["--grid", grid] if command == "sweep" else [])
+        monkeypatch.setattr("sys.argv", ["fairprop", command, *args])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_empty_node_csv_names_the_file(self, tmp_path, capsys, monkeypatch):
         import fairprop.cli as cli
 

@@ -521,9 +521,9 @@ class TestForward:
                 outs = []
                 for fwd in (appnp_forward, forward, ml1_forward):
                     tape = ad.Tape()
-                    logits, params = fwd(mlp, tape, tape.leaf(X), g, delta, cfg)
+                    logits, theta = fwd(mlp, tape, tape.leaf(X), g, delta, cfg)
                     grad_map = tape.backward(ad.cross_entropy_with_logits(logits, labels, mask))
-                    outs.append([logits.data] + [grad_map[p.node_id] for p in params])
+                    outs.append([logits.data, grad_map[theta.node_id]])
                 for out in outs[1:]:
                     for a, b in zip(out, outs[0]):
                         assert np.array_equal(a, b)
@@ -538,23 +538,18 @@ class TestForward:
         cfg = RunConfig(lambda_s=1.0, lambda_f=0.5, num_layers=2)
 
         tape = ad.Tape()
-        logits, param_tensors = forward(mlp, tape, tape.leaf(X), g, delta, cfg)
+        logits, theta = forward(mlp, tape, tape.leaf(X), g, delta, cfg)
         grads = tape.backward(ad.cross_entropy_with_logits(logits, labels, mask))
 
-        params = mlp.parameters()
-        for pi, pt in enumerate(param_tensors):
+        def f(theta_value):
+            probe = mlp.copy()
+            probe.theta[:] = theta_value
+            t2 = ad.Tape()
+            lg, _ = forward(probe, t2, t2.leaf(X), g, delta, cfg)
+            return float(ad.cross_entropy_with_logits(lg, labels, mask).data[0, 0])
 
-            def f(pv):
-                probe = mlp.copy()
-                new = [p.copy() for p in params]
-                new[pi] = pv.reshape(params[pi].shape)
-                probe.set_parameters(new)
-                t2 = ad.Tape()
-                lg, _ = forward(probe, t2, t2.leaf(X), g, delta, cfg)
-                return float(ad.cross_entropy_with_logits(lg, labels, mask).data[0, 0])
-
-            fd = finite_diff(f, params[pi] * 1.0)
-            assert_close_rel(grads[pt.node_id], fd, rtol=1e-4, afloor=1e-7)
+        fd = finite_diff(f, mlp.theta)
+        assert_close_rel(grads[theta.node_id][0], fd, rtol=1e-4, afloor=1e-7)
 
 
 class TestFairnessObjective:

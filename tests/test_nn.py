@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import adam_per_array, assert_close_rel, finite_diff, per_layer_mlp, weighted_sum
+import json
+
+from conftest import adam_per_array, assert_close_rel, finite_diff, joined, per_layer_mlp, weighted_sum
 from fairprop import autodiff as ad
 from fairprop.nn import (
     AdamState,
     Mlp,
     MlpConfig,
+    _layer_views,
     adam_step,
     init_weights,
     load_checkpoint,
@@ -38,7 +41,9 @@ class TestMlpForward:
     def test_zero_weights_zero_output(self, rng):
         cfg = MlpConfig(in_dim=3, hidden=[4], out_dim=2)
         mlp = init_weights(cfg, 0)
-        mlp.weights = [np.zeros_like(w) for w in mlp.weights]
+        for w in mlp.weights:
+            w[...] = 0.0
+        assert not mlp.theta.any()
         tape = ad.Tape()
         out, _ = mlp_forward(mlp, tape, tape.leaf(rng.standard_normal((5, 3))))
         np.testing.assert_array_equal(out.data, np.zeros((5, 2)))
@@ -66,30 +71,25 @@ class TestMlpForward:
             mlp_forward(mlp, tape, tape.leaf(rng.standard_normal((5, 2))))
 
     def test_loss_gradient_matches_finite_differences(self, rng):
-        cfg = MlpConfig(in_dim=4, hidden=[5], out_dim=3)
+        cfg = MlpConfig(in_dim=4, hidden=[5], out_dim=2)
         mlp = init_weights(cfg, 3)
         X = rng.standard_normal((6, 4))
-        labels = rng.integers(0, 3, size=6)
+        labels = rng.integers(0, 2, size=6)
         mask = np.ones(6, dtype=bool)
 
         tape = ad.Tape()
-        logits, param_tensors = mlp_forward(mlp, tape, tape.leaf(X))
+        logits, theta = mlp_forward(mlp, tape, tape.leaf(X))
         grads = tape.backward(ad.cross_entropy_with_logits(logits, labels, mask))
 
-        params = mlp.parameters()
-        for pi, pt in enumerate(param_tensors):
+        def f(theta_value):
+            probe = mlp.copy()
+            probe.theta[:] = theta_value
+            t2 = ad.Tape()
+            lg, _ = mlp_forward(probe, t2, t2.leaf(X))
+            return float(ad.cross_entropy_with_logits(lg, labels, mask).data[0, 0])
 
-            def f(pv):
-                probe = mlp.copy()
-                new = [p.copy() for p in params]
-                new[pi] = pv.reshape(params[pi].shape)
-                probe.set_parameters(new)
-                t2 = ad.Tape()
-                lg, _ = mlp_forward(probe, t2, t2.leaf(X))
-                return float(ad.cross_entropy_with_logits(lg, labels, mask).data[0, 0])
-
-            fd = finite_diff(f, params[pi].reshape(pt.shape) * 1.0)
-            assert_close_rel(grads[pt.node_id], fd, rtol=1e-4, afloor=1e-7)
+        fd = finite_diff(f, mlp.theta)
+        assert_close_rel(grads[theta.node_id][0], fd, rtol=1e-4, afloor=1e-7)
 
 
 class TestMlpRecord:
@@ -108,13 +108,16 @@ class TestMlpRecord:
         weights = rng.standard_normal((30, 3))
 
         def run(forward):
+            # the output, the input's gradient and the flat parameter
+            # gradient (the oracle's per-parameter gradients joined)
             tape = ad.Tape()
             x = tape.leaf(X, requires_grad=x_grad)
             out, params = forward(mlp, tape, x, stats)
+            params = params if forward is per_layer_mlp else [params]
             grads = tape.backward(weighted_sum(out, weights))
-            keys = [x, *params] if x_grad else params
-            assert set(grads) == {t.node_id for t in keys}
-            return out.data.tobytes(), [grads[t.node_id].tobytes() for t in keys]
+            assert set(grads) == {t.node_id for t in ([x, *params] if x_grad else params)}
+            x_bytes = grads[x.node_id].tobytes() if x_grad else None
+            return out.data.tobytes(), x_bytes, joined(grads, params).tobytes()
 
         assert run(mlp_forward) == run(per_layer_mlp)
 
@@ -123,6 +126,19 @@ class TestMlpRecord:
         tape = ad.Tape()
         mlp_forward(mlp, tape, tape.leaf(rng.standard_normal((7, 4))))
         assert len(tape._records) == 1
+
+    def test_one_parameter_leaf(self, rng):
+        # the record's one parameter leaf is theta as a 1 x P row, no copy
+        mlp = init_weights(MlpConfig(in_dim=4, hidden=[5, 6], out_dim=2), 0)
+        tape = ad.Tape()
+        x = tape.leaf(rng.standard_normal((7, 4)))
+        out, theta = mlp_forward(mlp, tape, x)
+        ((_, inputs, _),) = tape._records
+        assert [t for t in inputs if t.requires_grad] == [theta]
+        assert (x.node_id, theta.node_id, out.node_id, tape._next_id) == (0, 1, 2, 3)
+        assert theta.shape == (1, mlp.theta.size) and np.shares_memory(theta.data, mlp.theta)
+        grads = tape.backward(weighted_sum(out, np.ones(out.shape)))
+        assert set(grads) == {theta.node_id} and grads[theta.node_id].shape == theta.shape
 
     def test_a_nan_pre_activation_stays_out_of_the_relu_mask(self, rng):
         # after the ReLU, h > 0 exactly where the pre-activation was > 0:
@@ -135,13 +151,14 @@ class TestMlpRecord:
         for forward in (mlp_forward, per_layer_mlp):
             tape = ad.Tape()
             out, params = forward(mlp, tape, tape.leaf(X), None)
+            params = params if forward is per_layer_mlp else [params]
             grads = tape.backward(weighted_sum(out, weights))
-            results.append((out.data, [grads[t.node_id] for t in params]))
-        (out, grads), (ref_out, ref_grads) = results
-        assert np.all(grads[0][:, 1] == 0.0), "the NaN unit passed a gradient back"
+            results.append((out.data, joined(grads, params)))
+        (out, grad), (ref_out, ref_grad) = results
+        ((dw0, _), _) = _layer_views(grad, mlp.config.layer_dims())
+        assert np.all(dw0[:, 1] == 0.0), "the NaN unit passed a gradient back"
         np.testing.assert_array_equal(out, ref_out)
-        for g, ref in zip(grads, ref_grads):
-            np.testing.assert_array_equal(g, ref)
+        np.testing.assert_array_equal(grad, ref_grad)
 
 
 class TestInitWeights:
@@ -178,21 +195,21 @@ class TestCrossEntropy:
         assert np.isfinite(loss.data[0, 0]) and loss.data[0, 0] > 100.0
 
     def test_batch_mean_vs_per_row_oracle(self, rng):
-        logits = rng.standard_normal((2, 3))
-        labels = [1, 2]
+        logits = rng.standard_normal((2, 2))
+        labels = [1, 0]
 
         def row_loss(z, lab):
             z = z - z.max()
             return float(-(z[lab] - np.log(np.exp(z).sum())))
 
-        expected = 0.5 * (row_loss(logits[0], 1) + row_loss(logits[1], 2))
+        expected = 0.5 * (row_loss(logits[0], 1) + row_loss(logits[1], 0))
         tape = ad.Tape()
         loss = ad.cross_entropy_with_logits(tape.leaf(logits), labels, [True, True])
         assert abs(loss.data[0, 0] - expected) <= 1e-12
 
     def test_row_shift_invariance(self, rng):
-        logits = rng.standard_normal((5, 3))
-        labels = rng.integers(0, 3, size=5)
+        logits = rng.standard_normal((5, 2))
+        labels = rng.integers(0, 2, size=5)
         mask = np.ones(5, dtype=bool)
         tape = ad.Tape()
         a = ad.cross_entropy_with_logits(tape.leaf(logits), labels, mask).data[0, 0]
@@ -200,8 +217,8 @@ class TestCrossEntropy:
         assert abs(a - b) <= 1e-9
 
     def test_node_permutation_equivariance(self, rng):
-        logits = rng.standard_normal((6, 3))
-        labels = rng.integers(0, 3, size=6)
+        logits = rng.standard_normal((6, 2))
+        labels = rng.integers(0, 2, size=6)
         mask = rng.random(6) < 0.5
         mask[0] = True
         perm = rng.permutation(6)
@@ -239,23 +256,23 @@ def adam_scalar_oracle(w0, lr, steps):
 class TestAdam:
     def test_zero_gradient_no_change(self, rng):
         p = rng.standard_normal((3, 2))
-        state = AdamState(lr=0.01, weight_decay=0.0)
-        (out,) = adam_step([p.copy()], [np.zeros_like(p)], state)
-        np.testing.assert_array_equal(out, p)
+        theta = p.copy()
+        adam_step(theta, np.zeros_like(p), AdamState(lr=0.01, weight_decay=0.0))
+        np.testing.assert_array_equal(theta, p)
 
     def test_first_step_bounded_by_lr(self, rng):
         p = rng.standard_normal((4, 3))
         g = rng.standard_normal((4, 3)) * 10.0
-        state = AdamState(lr=0.05, weight_decay=0.0)
-        (out,) = adam_step([p.copy()], [g], state)
-        assert np.all(np.abs(out - p) <= 0.05 * (1.0 + 1e-7))
+        theta = p.copy()
+        adam_step(theta, g, AdamState(lr=0.05, weight_decay=0.0))
+        assert np.all(np.abs(theta - p) <= 0.05 * (1.0 + 1e-7))
 
     def test_scalar_trace_matches_oracle(self):
         state = AdamState(lr=0.1, weight_decay=0.0)
         w = np.array([[1.0]])
         got = []
         for _ in range(3):
-            (w,) = adam_step([w], [2.0 * w], state)
+            adam_step(w, 2.0 * w, state)
             got.append(w[0, 0])
         expected = adam_scalar_oracle(1.0, 0.1, 3)
         np.testing.assert_allclose(got, expected, atol=1e-12)
@@ -263,28 +280,44 @@ class TestAdam:
     def test_shape_mismatch(self, rng):
         state = AdamState()
         with pytest.raises(ValueError):
-            adam_step([np.zeros((2, 2))], [np.zeros((3, 2))], state)
+            adam_step(np.zeros((2, 2)), np.zeros((3, 2)), state)
 
     def test_fused_step_equals_a_per_array_step(self, rng):
-        # one update over all parameters as a flat vector, bit for bit the
-        # per-array update
-        shapes = [(5, 7), (7,), (7, 1), (1,), (3, 4), (4,)]
-        params = [rng.standard_normal(shape) for shape in shapes]
-        ref = [p.copy() for p in params]
+        # one in-place update of theta, the parameters joined into one flat
+        # vector, bit for bit the per-array update
+        mlp = init_weights(MlpConfig(in_dim=5, hidden=[7, 3], out_dim=2), 0)
+        mlp.theta[:] = rng.standard_normal(mlp.theta.shape)
+        ref = [a.copy() for layer in zip(mlp.weights, mlp.biases) for a in layer]
         state = AdamState(lr=0.03, weight_decay=1e-3)
         ref_state = dict(lr=0.03, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=1e-3, t=0)
         for step in range(50):
-            grads = [rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 3) for shape in shapes]
-            params = adam_step(params, grads, state)
+            grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-3, 3) for p in ref]
+            adam_step(mlp.theta, np.concatenate([g.ravel() for g in grads]), state)
             ref = adam_per_array(ref, grads, ref_state)
-            for p, r in zip(params, ref):
-                assert p.shape == r.shape and p.tobytes() == r.tobytes(), f"step {step}"
+            assert mlp.theta.tobytes() == np.concatenate([r.ravel() for r in ref]).tobytes(), f"step {step}"
+        for p, r in zip((a for layer in zip(mlp.weights, mlp.biases) for a in layer), ref):
+            assert p.shape == r.shape and p.tobytes() == r.tobytes()
+
+    def test_updates_theta_and_its_moments_in_place(self, rng):
+        # the weight views follow theta; the gradient is left as it is
+        mlp = init_weights(MlpConfig(in_dim=3, hidden=[4], out_dim=2), 0)
+        theta, first_weights = mlp.theta, mlp.weights[0]
+        grad = rng.standard_normal(theta.shape)
+        kept = grad.copy()
+        state = AdamState(lr=0.1)
+        adam_step(theta, grad, state)
+        m, v = state.m, state.v
+        adam_step(theta, grad, state)
+        assert mlp.theta is theta and state.m is m and state.v is v
+        assert np.shares_memory(mlp.weights[0], theta) and mlp.weights[0] is first_weights
+        assert not np.array_equal(first_weights, init_weights(mlp.config, 0).weights[0])
+        np.testing.assert_array_equal(grad, kept)
 
     def test_moment_size_mismatch(self, rng):
         state = AdamState()
-        adam_step([np.zeros((2, 2))], [np.ones((2, 2))], state)
+        adam_step(np.zeros((2, 2)), np.ones((2, 2)), state)
         with pytest.raises(ValueError, match="shape mismatch"):
-            adam_step([np.zeros((2, 3))], [np.ones((2, 3))], state)
+            adam_step(np.zeros((2, 3)), np.ones((2, 3)), state)
 
     def test_identical_trajectories(self, rng):
         g_seq = [rng.standard_normal((2, 2)) for _ in range(5)]
@@ -293,7 +326,7 @@ class TestAdam:
             state = AdamState(lr=0.01, weight_decay=1e-5)
             p = np.ones((2, 2))
             for g in g_seq:
-                (p,) = adam_step([p], [g], state)
+                adam_step(p, g, state)
             return p
 
         assert np.array_equal(run(), run())
@@ -322,3 +355,74 @@ class TestCheckpoint:
         expected = f"not the config's scheme 'fair', fingerprint '{other.fingerprint()}'"
         with pytest.raises(ValueError, match=expected):
             load_checkpoint(path, other)
+
+    def test_written_bytes_are_those_of_json_dump(self, tmp_path):
+        mlp = init_weights(MlpConfig(in_dim=4, hidden=[6, 3], out_dim=2), 5)
+        mlp.theta[::3] *= 1e-7  # floats of every magnitude repr'd
+        run = RunConfig(hidden=[6, 3])
+        path = tmp_path / "model.json"
+        save_checkpoint(path, mlp, run)
+        doc = {
+            "config": {"in_dim": 4, "hidden": [6, 3], "out_dim": 2},
+            "layers": [{"w": w.tolist(), "b": b.tolist()} for w, b in zip(mlp.weights, mlp.biases)],
+            "seed": 5,
+            "scheme": "fair",
+            "fingerprint": run.fingerprint(),
+        }
+        with open(tmp_path / "dumped.json", "w") as f:
+            json.dump(doc, f)
+        assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
+
+    @pytest.mark.parametrize("edit", ["drop", "add", "reshape"])
+    def test_layers_unlike_the_config_name_the_path(self, tmp_path, edit):
+        # a missing layer used to fail inside numpy's matmul at eval
+        mlp = init_weights(MlpConfig(in_dim=3, hidden=[4], out_dim=2), 0)
+        run = RunConfig(hidden=[4])
+        path = tmp_path / "model.json"
+        save_checkpoint(path, mlp, run)
+        doc = json.loads(path.read_text())
+        if edit == "drop":
+            del doc["layers"][1]
+        elif edit == "add":
+            doc["layers"].append({"w": [[0.0, 0.0], [0.0, 0.0]], "b": [0.0, 0.0]})
+        else:
+            doc["layers"][1]["w"] = doc["layers"][1]["w"][:3]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"^checkpoint {path}: weight shapes .* do not match the layers"):
+            load_checkpoint(path, run)
+
+
+class TestMlp:
+    def test_weights_and_biases_are_views_of_theta(self):
+        mlp = init_weights(MlpConfig(in_dim=3, hidden=[4], out_dim=2), 0)
+        assert mlp.theta.shape == (3 * 4 + 4 + 4 * 2 + 2,) and mlp.theta.dtype == np.float64
+        joined_layers = np.concatenate([a.ravel() for layer in zip(mlp.weights, mlp.biases) for a in layer])
+        np.testing.assert_array_equal(mlp.theta, joined_layers)
+        mlp.theta[:] = np.arange(mlp.theta.size)
+        assert mlp.weights[1][0, 1] == 3 * 4 + 4 + 1 and mlp.biases[1][1] == mlp.theta.size - 1
+
+    def test_copy_is_one_new_vector(self):
+        mlp = init_weights(MlpConfig(in_dim=3, hidden=[4], out_dim=2), 7)
+        copy = mlp.copy()
+        np.testing.assert_array_equal(copy.theta, mlp.theta)
+        assert not np.shares_memory(copy.theta, mlp.theta) and copy.seed == 7
+        copy.theta += 1.0
+        assert np.shares_memory(copy.weights[0], copy.theta)
+        assert not np.shares_memory(copy.weights[0], mlp.theta)
+
+    @pytest.mark.parametrize("keep", [slice(0, 1), slice(0, 3)])
+    def test_layer_count_unlike_the_config_is_refused(self, rng, keep):
+        # a list one layer short built a model 4 wide where its config says 2
+        cfg = MlpConfig(3, [4], 2)
+        w = [rng.standard_normal((3, 4)), rng.standard_normal((4, 2)), rng.standard_normal((2, 2))]
+        b = [np.zeros(4), np.zeros(2), np.zeros(2)]
+        with pytest.raises(ValueError, match=r"^weight shapes .* do not match the layers \[\(3, 4\), \(4, 2\)\]$"):
+            Mlp(cfg, w[keep], b[keep])
+
+    @pytest.mark.parametrize("which", ["weights", "biases"])
+    def test_layer_shape_unlike_the_config_is_refused(self, rng, which):
+        cfg = MlpConfig(3, [4], 2)
+        layers = {"weights": [np.zeros((3, 4)), np.zeros((4, 2))], "biases": [np.zeros(4), np.zeros(2)]}
+        layers[which][1] = layers[which][1][:1]
+        with pytest.raises(ValueError, match="^weight shapes .* do not match the layers"):
+            Mlp(cfg, layers["weights"], layers["biases"])

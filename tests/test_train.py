@@ -2,12 +2,13 @@ import collections
 import dataclasses
 import os
 import pathlib
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import appnp_step, assert_close_rel, centred, finite_diff, gcn_oracle, per_layer_mlp
+from conftest import appnp_step, assert_close_rel, centred, finite_diff, gcn_oracle, joined, per_layer_mlp
 from fairprop import autodiff as ad
 from fairprop import debias, train
 from fairprop.data import (
@@ -20,7 +21,7 @@ from fairprop.data import (
 )
 from fairprop.graph import build_graph, incident_vector
 from fairprop.metrics import MetricsReport
-from fairprop.nn import MlpConfig, init_weights, load_checkpoint, mlp_forward, save_checkpoint
+from fairprop.nn import MlpConfig, _layer_views, init_weights, load_checkpoint, mlp_forward, save_checkpoint
 from fairprop.propagation import ppnp_exact
 from fairprop.train import RunConfig, evaluate, run, summarize, sweep, train_one
 
@@ -174,6 +175,24 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
             small_cfg(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value, line",
+        [
+            ("hidden", 8, "hidden must be a list of integers, got 8"),
+            ("hidden", "8", "hidden must be a list of integers, got '8'"),
+            ("seeds", 3, "seeds must be a list of integers, got 3"),
+            ("seeds", [1.5, 2], "seed in seeds must be an integer, got 1.5"),
+            ("seeds", [0, 2.0], "seed in seeds must be an integer, got 2.0"),
+            ("seeds", [True], "seed in seeds must be an integer, got True"),
+        ],
+    )
+    def test_malformed_hidden_or_seeds_rejected(self, field, value, line):
+        # "hidden": 8 failed with "'int' object is not iterable"; a float seed
+        # failed inside make_splits, and seed True wrote a results row that
+        # every later run on the directory failed to read
+        with pytest.raises(ValueError, match=rf"^{re.escape(line)}$"):
+            small_cfg(**{field: value})
+
     def test_integer_counts_accepted(self):
         cfg = small_cfg(hidden=[np.int64(8), 5], num_layers=np.int64(3), prop_k=0, epochs=1)
         assert (cfg.hidden, cfg.num_layers, cfg.prop_k, cfg.epochs) == ([8, 5], 3, 0, 1)
@@ -231,8 +250,7 @@ class TestTrainOne:
         masks = make_splits(small_dataset, cfg.split_fractions, 0)
         m1, r1, t1 = train_one(cfg, small_dataset, masks, 0)
         m2, r2, t2 = train_one(cfg, small_dataset, masks, 0)
-        for a, b in zip(m1.parameters(), m2.parameters()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(m1.theta, m2.theta)
         assert (r1.accuracy, r1.dp, r1.eo, r1.fairness_obj) == (
             r2.accuracy,
             r2.dp,
@@ -252,8 +270,7 @@ class TestTrainOne:
         masks = make_splits(small_dataset, fair_cfg.split_fractions, 0)
         m1, r1, _ = train_one(fair_cfg, small_dataset, masks, 0)
         m2, r2, _ = train_one(base_cfg, small_dataset, masks, 0)
-        for a, b in zip(m1.parameters(), m2.parameters()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(m1.theta, m2.theta)
         assert (r1.accuracy, r1.dp, r1.eo) == (r2.accuracy, r2.dp, r2.eo)
 
     def test_evaluate_matches_training_report(self, small_dataset):
@@ -522,10 +539,10 @@ def _logits_and_gradients(cfg, dataset, masks):
     features, forward = train.prepare(cfg, dataset, masks, delta)
     mlp = init_weights(MlpConfig(in_dim=features.shape[1], hidden=cfg.hidden, out_dim=2), 0)
     tape = ad.Tape()
-    logits, params = forward(mlp, tape, tape.leaf(features))
+    logits, theta = forward(mlp, tape, tape.leaf(features))
     loss = ad.cross_entropy_with_logits(logits, ad.RowLabels.of(dataset.labels, masks.train, 2))
-    grads = tape.backward(loss)
-    return logits.data, [grads[p.node_id] for p in params]
+    grad = tape.backward(loss)[theta.node_id][0]
+    return logits.data, [a for layer in _layer_views(grad, mlp.config.layer_dims()) for a in layer]
 
 
 class TestStandardizeInFirstLayer:
@@ -586,7 +603,7 @@ class TestStandardizeInFirstLayer:
             delta = incident_vector(dataset.sensitive)
             mlp = init_weights(MlpConfig(in_dim=2, hidden=[], out_dim=2), 0)
             one = init_weights(MlpConfig(in_dim=1, hidden=[], out_dim=2), 0)
-            one.set_parameters([mlp.weights[0][:1], mlp.biases[0]])
+            one.theta[:] = np.concatenate([mlp.weights[0][0], mlp.biases[0]])
             logits = []
             for data, model in ((dataset, mlp), (without, one)):
                 features, forward = train.prepare(cfg, data, masks, delta)
@@ -660,7 +677,7 @@ class TestGcn:
         masks = make_splits(small_dataset, cfg.split_fractions, 0)
         mlp = init_weights(MlpConfig(in_dim=6, hidden=hidden, out_dim=2), 0)
         rng = np.random.default_rng(0)
-        mlp.set_parameters([p + rng.standard_normal(p.shape) for p in mlp.parameters()])
+        mlp.theta += rng.standard_normal(mlp.theta.shape)
         delta = incident_vector(small_dataset.sensitive)
         features, forward = train.prepare(cfg, small_dataset, masks, delta)
         tape = ad.Tape()
@@ -677,7 +694,7 @@ class TestGcn:
         features, forward = train.prepare(cfg, dataset, masks, incident_vector(dataset.sensitive))
         mlp = init_weights(MlpConfig(in_dim=6, hidden=hidden, out_dim=2), 0)
         rng = np.random.default_rng(1)
-        mlp.set_parameters([p + rng.standard_normal(p.shape) for p in mlp.parameters()])
+        mlp.theta += rng.standard_normal(mlp.theta.shape)
         row_sums = dataset.graph.adjacency @ np.ones(dataset.graph.n)
         return forward, features, row_sums, mlp, masks
 
@@ -688,11 +705,13 @@ class TestGcn:
         labels = ad.RowLabels.of(small_dataset.labels, masks.train, 2)
 
         def run(fwd):
+            # the logits and the flat parameter gradient (the oracle's joined)
             tape = ad.Tape()
             logits, params = fwd(mlp, tape, tape.leaf(features))
+            params = params if isinstance(params, list) else [params]
             grads = tape.backward(ad.cross_entropy_with_logits(logits, labels))
             assert set(grads) == {t.node_id for t in params}
-            return logits.data.tobytes(), [grads[t.node_id].tobytes() for t in params]
+            return logits.data.tobytes(), joined(grads, params).tobytes()
 
         adjacency = small_dataset.graph.adjacency
         assert run(forward) == run(
@@ -702,24 +721,21 @@ class TestGcn:
     def test_gradients_match_finite_differences(self, small_dataset):
         forward, features, _, mlp, masks = self._model(small_dataset, [8, 5])
         labels = ad.RowLabels.of(small_dataset.labels, masks.train, 2)
-        params = mlp.parameters()
 
         def loss(probe):
             tape = ad.Tape()
-            logits, leaves = forward(probe, tape, tape.leaf(features))
-            return tape, ad.cross_entropy_with_logits(logits, labels), leaves
+            logits, theta = forward(probe, tape, tape.leaf(features))
+            return tape, ad.cross_entropy_with_logits(logits, labels), theta
 
-        tape, value, leaves = loss(mlp)
-        grads = tape.backward(value)
-        for i, leaf in enumerate(leaves):
+        tape, value, theta = loss(mlp)
+        grad = tape.backward(value)[theta.node_id][0]
 
-            def f(v):
-                probe = mlp.copy()
-                probe.set_parameters([v if j == i else p for j, p in enumerate(params)])
-                return float(loss(probe)[1].data[0, 0])
+        def f(v):
+            probe = mlp.copy()
+            probe.theta[:] = v
+            return float(loss(probe)[1].data[0, 0])
 
-            fd = finite_diff(f, params[i])
-            assert_close_rel(grads[leaf.node_id].reshape(fd.shape), fd, rtol=1e-5, afloor=1e-8)
+        assert_close_rel(grad, finite_diff(f, mlp.theta), rtol=1e-5, afloor=1e-8)
 
     @pytest.mark.parametrize("hidden", [[8], [8, 5]])
     def test_forward_records_one_entry(self, small_dataset, hidden):
