@@ -4,13 +4,12 @@ Define-by-run: every operation appends one record to the active Tape, and
 ``Tape.backward`` replays the records in reverse, accumulating gradients in
 64-bit. It frees each record and its output's gradient once they are used,
 so it returns the gradients of the leaves only, keyed by node id: a tape is
-replayed once. This module holds the tape, the loss
+replayed once. This module holds the tape and the loss
 (``cross_entropy_with_logits``, over the masked rows of two logit columns
-only) and ``matmul``, which computes no gradient for an operand that
-requires none. Other modules add fused records of their own through
+only). Other modules add fused records of their own through
 ``Tape._result``: the whole MLP (``fairprop.nn.mlp_forward``, ``gcn``'s
-aggregation included) and the whole debiasing stack
-(``fairprop.debias.stack``).
+aggregation included), the whole debiasing stack (``fairprop.debias.stack``)
+and ``ppnp_exact``'s product by its constant kernel (``fairprop.train``).
 
 A backward function owns the cotangent it is handed: nothing else holds it,
 so the function may write into it (the MLP applies its ReLU masks in place)
@@ -111,27 +110,6 @@ def _accumulate(grads: dict, contribs):
             grads[tensor.node_id] = contrib if acc is None else acc + contrib
 
 
-def _check(a: Tensor, b: Tensor):
-    if a.tape is not b.tape:
-        raise ValueError("operands belong to different tapes")
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _check(a, b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch {a.shape} @ {b.shape}")
-
-    def backward(g):
-        grads = []
-        if a.requires_grad:
-            grads.append((a, g @ b.data.T))
-        if b.requires_grad:
-            grads.append((b, a.data.T @ g))
-        return grads
-
-    return a.tape._result(a.data @ b.data, (a, b), backward)
-
-
 class RowLabels(NamedTuple):
     """The rows a masked cross entropy averages over, ascending, and their labels.
 
@@ -143,14 +121,14 @@ class RowLabels(NamedTuple):
     labels: Array
 
     @classmethod
-    def of(cls, labels, mask, num_classes: int) -> "RowLabels":
-        """The masked rows of ``labels``; an empty mask or a label outside
-        ``range(num_classes)`` on a masked row raises one ValueError line."""
+    def of(cls, labels, mask) -> "RowLabels":
+        """The masked rows of ``labels``; an empty mask or a label other than
+        0 or 1 on a masked row raises one ValueError line."""
         rows = np.flatnonzero(np.asarray(mask, dtype=bool))
         if rows.size == 0:
             raise ValueError("cross entropy over an empty mask")
         lab = np.asarray(labels)[rows]
-        if lab.min() < 0 or lab.max() >= num_classes:
+        if lab.min() < 0 or lab.max() > 1:
             raise ValueError("labels out of range on masked nodes")
         return cls(rows, lab)
 
@@ -168,7 +146,7 @@ def cross_entropy_with_logits(logits: Tensor, labels, mask=None) -> Tensor:
     if logits.shape[1] != 2:
         raise ValueError(f"cross entropy over {logits.shape[1]} logit columns: fairprop is two-class")
     if not isinstance(labels, RowLabels):
-        labels = RowLabels.of(labels, mask, 2)
+        labels = RowLabels.of(labels, mask)
     idx, lab = labels
 
     z = logits.data[idx]

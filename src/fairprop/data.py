@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
+import numbers
 import os
 import re
 from array import array
@@ -399,10 +401,28 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 4:
-            raise ValueError("need at least 4 nodes")
-        if not (0.0 <= self.eps_sens <= 1.0 and 0.0 <= self.eps_label <= 1.0):
-            raise ValueError("homophily targets must lie in [0, 1]")
+        for name, low in (("n", 4), ("feat_dim", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        for name in (
+            "mean_degree", "group_frac", "eps_sens", "eps_label", "label_group_corr", "class_shift", "group_shift"
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if not 0 < self.mean_degree < math.inf:  # NaN too
+            raise ValueError(f"mean_degree must be > 0 and finite, got {self.mean_degree}")
+        if not 0 < self.group_frac < 1:
+            raise ValueError(f"group_frac must be in (0, 1), got {self.group_frac}")
+        for name in ("eps_sens", "eps_label", "label_group_corr"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        for name in ("class_shift", "group_shift"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def synth_generate(cfg: SynthConfig, max_attempts: int = 20) -> Dataset:

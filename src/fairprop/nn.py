@@ -279,25 +279,59 @@ def load_checkpoint(path, run: RunConfig) -> Mlp:
 
     A checkpoint saved under another fingerprint raises one ValueError line.
     The fingerprint hashes the scheme too, so it is the only field compared.
-    Layers of another count or shape than its config's raise one line that
-    names the path.
+    A damaged file raises one line that names the path and the field, or
+    says that the file is not a JSON object; so do layers of another count
+    or shape than its config's.
     """
+
+    def fail(message):
+        return ValueError(f"checkpoint {path}: {message}")
+
+    def field(doc, key, name):
+        if key not in doc:
+            raise fail(f"field {name!r} is missing")
+        return doc[key]
+
+    def integer(value):
+        return isinstance(value, int) and not isinstance(value, bool)
+
     with open(path) as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise fail(f"not a JSON object ({exc})") from None
+    if not isinstance(doc, dict):
+        raise fail("not a JSON object")
     if doc.get("fingerprint") != run.fingerprint():
         raise ValueError(
             f"checkpoint {path} was trained under scheme {doc.get('scheme')!r}, "
             f"fingerprint {doc.get('fingerprint')!r}, not the config's scheme "
             f"{run.scheme!r}, fingerprint {run.fingerprint()!r}"
         )
-    config = MlpConfig(
-        in_dim=doc["config"]["in_dim"],
-        hidden=list(doc["config"]["hidden"]),
-        out_dim=doc["config"]["out_dim"],
-    )
-    weights = [np.asarray(layer["w"], dtype=np.float64) for layer in doc["layers"]]
-    biases = [np.asarray(layer["b"], dtype=np.float64) for layer in doc["layers"]]
+    config, layers, seed = field(doc, "config", "config"), field(doc, "layers", "layers"), doc.get("seed")
+    if not isinstance(config, dict):
+        raise fail(f"field 'config' is not an object: {config!r}")
+    dims = {key: field(config, key, f"config.{key}") for key in ("in_dim", "hidden", "out_dim")}
+    for name, value in (("config.in_dim", dims["in_dim"]), ("config.out_dim", dims["out_dim"]), ("seed", seed)):
+        if not integer(value) and not (name == "seed" and value is None):  # a checkpoint may record no seed
+            raise fail(f"field {name!r} is not an integer: {value!r}")
+    if not isinstance(dims["hidden"], list) or not all(map(integer, dims["hidden"])):
+        raise fail(f"field 'config.hidden' is not a list of integers: {dims['hidden']!r}")
+    if not isinstance(layers, list) or not all(isinstance(layer, dict) for layer in layers):
+        raise fail("field 'layers' is not a list of objects")
+    arrays = {"w": [], "b": []}
+    for i, layer in enumerate(layers):
+        for key, kept in arrays.items():
+            name = f"layers[{i}].{key}"
+            value = field(layer, key, name)
+            try:
+                array = np.asarray(value)
+            except ValueError:  # a ragged list
+                array = None
+            if array is None or array.dtype.kind not in "iuf":
+                raise fail(f"field {name!r} is not an array of numbers")
+            kept.append(np.asarray(array, dtype=np.float64))
     try:
-        return Mlp(config, weights, biases, seed=doc.get("seed"))
+        return Mlp(MlpConfig(**dims), arrays["w"], arrays["b"], seed=seed)
     except ValueError as exc:
-        raise ValueError(f"checkpoint {path}: {exc}") from None
+        raise fail(exc) from None

@@ -66,6 +66,7 @@ class RunConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        _check_dataset_entry(self.dataset)
         for name, value in (("hidden", self.hidden), ("seeds", self.seeds)):
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"{name} must be a list of integers, got {value!r}")
@@ -134,6 +135,58 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _check_dataset_entry(source) -> None:
+    """One ValueError line naming the key unless ``source`` is a dataset entry.
+
+    An entry is ``{"synth": {...}}``, whose fields ``SynthConfig`` checks, or
+    ``node_csv``, ``edges`` and ``schema`` with an optional ``name``. The
+    schema holds ``id``, ``sensitive``, ``sensitive_pos_value`` and ``label``,
+    with an optional ``drop``. An empty entry passes: ``run`` may be handed
+    its dataset, and ``load_run_dataset`` refuses it.
+    """
+    if not isinstance(source, dict):
+        raise ValueError(f"dataset must be an object, got {source!r}")
+    if "synth" in source:
+        for key in source:
+            if key != "synth":
+                raise ValueError(f"dataset entry holds {key!r} beside 'synth'")
+        _check_keys(source["synth"], "dataset 'synth'", (), SynthConfig.__dataclass_fields__)
+        SynthConfig(**source["synth"])
+        return
+    if not source:
+        return
+    _check_keys(source, "dataset entry", ("node_csv", "edges", "schema"), ("name",))
+    schema = source["schema"]
+    _check_keys(schema, "dataset schema", ("id", "sensitive", "sensitive_pos_value", "label"), ("drop",))
+    for where, doc, key in (
+        *(("dataset", source, key) for key in ("node_csv", "edges", "name")),
+        *(("dataset schema", schema, key) for key in ("id", "sensitive", "label")),
+    ):
+        if key in doc and not isinstance(doc[key], str):
+            raise ValueError(f"{where} {key!r} must be a string, got {doc[key]!r}")
+    if not isinstance(schema["sensitive_pos_value"], (str, numbers.Real)):
+        raise ValueError(
+            f"dataset schema 'sensitive_pos_value' must be a string or a number, "
+            f"got {schema['sensitive_pos_value']!r}"
+        )
+    drop = schema.get("drop", [])
+    if not isinstance(drop, (list, tuple)) or not all(isinstance(column, str) for column in drop):
+        raise ValueError(f"dataset schema 'drop' must be a list of column names, got {drop!r}")
+
+
+def _check_keys(doc, where, required, optional) -> None:
+    """One ValueError line unless ``doc`` is an object that holds every key
+    of ``required`` and no key outside ``required`` and ``optional``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be an object, got {doc!r}")
+    for key in doc:
+        if key not in required and key not in optional:
+            raise ValueError(f"{where} has unknown key {key!r}")
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"{where} lacks {key!r}")
+
+
 # path -> sha256 of each dataset file hashed inside an open ``hashing_files_once``
 _file_digests: ContextVar[dict | None] = ContextVar("file_digests", default=None)
 
@@ -173,7 +226,10 @@ class TrainTrace:
 
 
 def load_run_dataset(cfg: RunConfig) -> Dataset:
+    """The dataset of ``cfg``'s entry; an empty entry is one ValueError line."""
     source = cfg.dataset
+    if not source:
+        raise ValueError('dataset entry is empty: expected {"synth": {...}} or node_csv, edges and schema')
     if "synth" in source:
         return synth_generate(SynthConfig(**source["synth"]))
     return load_dataset(
@@ -218,8 +274,10 @@ def _ppnp_exact(cfg, g, delta, x, stats):
     kernel = ppnp_exact(g, np.eye(g.n), cfg.alpha)  # one dense solve per run
 
     def forward(mlp, tape, x):
+        # one record of the product by the constant kernel, K X, whose cotangent is K^T g
         x_trans, theta = mlp_forward(mlp, tape, x, stats)
-        return ad.matmul(tape.leaf(kernel), x_trans), theta
+        logits = tape._result(kernel @ x_trans.data, (x_trans,), lambda g: [(x_trans, kernel.T @ g)])
+        return logits, theta
 
     return x, forward
 
@@ -239,7 +297,8 @@ def _fair(cfg, g, delta, x, stats, ml1=False):
 # Scheme -> (cfg, graph, delta, features, standardization or None) -> (model
 # input, forward), where forward(mlp, tape, x) -> (logits, the MLP's parameter
 # leaf) has the run's constants bound. Every forward records one
-# mlp_forward entry, then at most one debias.stack or matmul entry. An MLP that
+# mlp_forward entry, then at most one debias.stack entry or, for ppnp_exact, one
+# record of its own kernel product. An MLP that
 # reads the features standardizes them in its first layer; gcn and sgc
 # standardize a copy, which they propagate once per run. The forwards look
 # their callees up by name when called, so a rebound module attribute (a
@@ -278,8 +337,8 @@ def prepare(cfg: RunConfig, dataset: Dataset, masks: SplitMasks | None, delta: I
     return _SCHEME_TABLE[cfg.scheme](cfg, dataset.graph, delta, dataset.features, stats)
 
 
-def _num_classes(dataset: Dataset) -> int:
-    """The class count, 2; labeled nodes of one class, or with a label above 1, are refused."""
+def _check_labels(dataset: Dataset) -> None:
+    """One ValueError line if the labeled nodes hold one class, or a label above 1."""
     labels = dataset.labels[dataset.labeled_mask]
     lowest, highest = int(labels.min()), int(labels.max())
     if lowest == highest:
@@ -287,7 +346,6 @@ def _num_classes(dataset: Dataset) -> int:
             f"labeled nodes hold one class ({lowest}): node classification needs at least 2"
         )
     _two_classes(highest + 1, "labeled nodes hold")
-    return 2
 
 
 def _two_classes(count: int, holder: str) -> None:
@@ -306,13 +364,13 @@ def train_one(cfg: RunConfig, dataset: Dataset, masks: SplitMasks, seed: int):
     scored the selected weights.
     """
     start = time.perf_counter()
-    num_classes = _num_classes(dataset)
+    _check_labels(dataset)
     delta = incident_vector(dataset.sensitive)
     features, forward = prepare(cfg, dataset, masks, delta)
-    mlp_cfg = MlpConfig(in_dim=features.shape[1], hidden=list(cfg.hidden), out_dim=num_classes)
+    mlp_cfg = MlpConfig(in_dim=features.shape[1], hidden=list(cfg.hidden))
     mlp = init_weights(mlp_cfg, seed)
     state = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
-    train_rows = ad.RowLabels.of(dataset.labels, masks.train, num_classes)
+    train_rows = ad.RowLabels.of(dataset.labels, masks.train)
     val = np.flatnonzero(masks.val)
     val_labels = dataset.labels[val]
 
@@ -365,7 +423,7 @@ def evaluate(
     """
     if seed is not None and seed != masks.seed:
         raise ValueError(f"seed {seed} is not the seed of the split, {masks.seed}")
-    _num_classes(dataset)
+    _check_labels(dataset)
     _two_classes(mlp.config.out_dim, "the model outputs")
     delta = incident_vector(dataset.sensitive)
     features, forward = prepare(cfg, dataset, masks, delta)
@@ -483,7 +541,7 @@ def sweep(cfg: RunConfig, lambda_s_grid, lambda_f_grid, results_path=None):
         dataset = None
         if pending:
             dataset = load_run_dataset(cfg)
-            _num_classes(dataset)  # labels every run would refuse fail the sweep at once
+            _check_labels(dataset)  # labels every run would refuse fail the sweep at once
         for lam_s, lam_f, point, fp, seed in pending:
             masks = make_splits(dataset, point.split_fractions, seed)
             try:

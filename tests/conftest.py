@@ -78,10 +78,32 @@ def centred(F):
     return F - F.mean(axis=1, keepdims=True)
 
 
+def matmul(a, b):
+    """Tape record of a @ b; no gradient is computed for an operand that requires none.
+
+    With a constant kernel leaf ``a`` it is the product ``ppnp_exact``'s
+    forward pass records itself; tests compare the two bit for bit.
+    """
+    if a.tape is not b.tape:
+        raise ValueError("operands belong to different tapes")
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"matmul shape mismatch {a.shape} @ {b.shape}")
+
+    def backward(g):
+        grads = []
+        if a.requires_grad:
+            grads.append((a, g @ b.data.T))
+        if b.requires_grad:
+            grads.append((b, a.data.T @ g))
+        return grads
+
+    return a.tape._result(a.data @ b.data, (a, b), backward)
+
+
 def add_row_bias(a, b):
     """Tape record of a + b for a 1 x d row bias b.
 
-    ``ad.matmul`` -> ``add_row_bias`` -> ``relu`` is the three-record chain
+    ``matmul`` -> ``add_row_bias`` -> ``relu`` is the three-record chain
     that one layer of ``nn.mlp_forward`` fuses; tests compare the two bit for
     bit.
     """

@@ -11,6 +11,7 @@ from conftest import (
     forward,
     full_mask_cross_entropy,
     joined,
+    matmul,
     random_graph,
     relu,
     spmm_const,
@@ -58,7 +59,7 @@ class TestPrimitiveBackward:
             tape = ad.Tape()
             a = tape.leaf(a_data, requires_grad=True)
             b = tape.leaf(b_data, requires_grad=True)
-            grads = tape.backward(weighted_sum(ad.matmul(a, b), w_data))
+            grads = tape.backward(weighted_sum(matmul(a, b), w_data))
 
             def fa(av):
                 return float(np.sum((av @ b_data) * w_data))
@@ -132,7 +133,7 @@ class TestCrossEntropyRows:
             tape = ad.Tape()
             logits = tape.leaf(logits_data, requires_grad=True)
             if checked_once:
-                loss = ad.cross_entropy_with_logits(logits, ad.RowLabels.of(labels, mask, 2))
+                loss = ad.cross_entropy_with_logits(logits, ad.RowLabels.of(labels, mask))
             else:
                 loss = ad.cross_entropy_with_logits(logits, labels, mask)
             grads = tape.backward(loss)
@@ -177,9 +178,9 @@ class TestCrossEntropyRows:
 
     def test_row_labels_keep_the_errors(self):
         with pytest.raises(ValueError, match="cross entropy over an empty mask"):
-            ad.RowLabels.of([0, 1], [False, False], 2)
+            ad.RowLabels.of([0, 1], [False, False])
         with pytest.raises(ValueError, match="labels out of range on masked nodes"):
-            ad.RowLabels.of([0, 2], [True, True], 2)
+            ad.RowLabels.of([0, 2], [True, True])
 
 
 def mlp_layers(rng, k, d, with_relu):
@@ -270,7 +271,7 @@ class TestDense:
             last = len(params) // 2 - 1
             for i, (w, b) in enumerate(zip(params[::2], params[1::2])):
                 leaves += [tape.leaf(w, requires_grad=True), tape.leaf(b.reshape(1, -1), requires_grad=True)]
-                h = add_row_bias(ad.matmul(h, leaves[-2]), leaves[-1])
+                h = add_row_bias(matmul(h, leaves[-2]), leaves[-1])
                 if i != last:
                     h = relu(h)
             return h, leaves
@@ -364,7 +365,7 @@ class TestBackwardPass:
         tape = ad.Tape()
         x = tape.leaf(rng.standard_normal((3, 4)), requires_grad=True)
         zero = tape.leaf(np.zeros((4, 4)))
-        grads = tape.backward(weighted_sum(ad.matmul(x, zero), np.ones((3, 4))))
+        grads = tape.backward(weighted_sum(matmul(x, zero), np.ones((3, 4))))
         np.testing.assert_array_equal(grads[x.node_id], np.zeros((3, 4)))
 
     def test_gradient_accumulation_square(self, rng):
@@ -373,7 +374,7 @@ class TestBackwardPass:
         w_data = rng.standard_normal((3, 3))
         tape = ad.Tape()
         x = tape.leaf(x_data, requires_grad=True)
-        grads = tape.backward(weighted_sum(ad.matmul(x, x), w_data))
+        grads = tape.backward(weighted_sum(matmul(x, x), w_data))
         np.testing.assert_allclose(grads[x.node_id], w_data @ x_data.T + x_data.T @ w_data)
 
     def test_returns_leaf_gradients_only(self, rng):
@@ -382,7 +383,7 @@ class TestBackwardPass:
         w = tape.leaf(rng.standard_normal((2, 2)), requires_grad=True)
         b = tape.leaf(rng.standard_normal((1, 2)), requires_grad=True)
         # five intermediate records, and w enters two of them
-        h = relu(add_row_bias(ad.matmul(relu(ad.matmul(x, w)), w), b))
+        h = relu(add_row_bias(matmul(relu(matmul(x, w)), w), b))
         grads = tape.backward(ad.cross_entropy_with_logits(h, [0, 1, 1, 0], [True] * 4))
         assert set(grads) == {x.node_id, w.node_id, b.node_id}
 
@@ -390,7 +391,7 @@ class TestBackwardPass:
         tape = ad.Tape()
         kernel = tape.leaf(rng.standard_normal((4, 4)))  # constant, as in ppnp_exact
         x = tape.leaf(rng.standard_normal((4, 3)), requires_grad=True)
-        out = ad.matmul(kernel, x)
+        out = matmul(kernel, x)
         ((_, _, backward_fn),) = tape._records
         assert [t.node_id for t, _ in backward_fn(np.ones(out.shape))] == [x.node_id]
         grads = tape.backward(weighted_sum(out, np.ones(out.shape)))
@@ -400,7 +401,7 @@ class TestBackwardPass:
         tape = ad.Tape()
         x = tape.leaf(rng.standard_normal((2, 2)), requires_grad=True)
         with pytest.raises(ValueError):
-            tape.backward(ad.matmul(x, x))
+            tape.backward(matmul(x, x))
 
     def test_bitwise_deterministic_rerun(self, rng):
         x_data = rng.standard_normal((4, 3))
@@ -410,7 +411,7 @@ class TestBackwardPass:
             tape = ad.Tape()
             x = tape.leaf(x_data, requires_grad=True)
             w = tape.leaf(w_data, requires_grad=True)
-            h = relu(ad.matmul(x, w))
+            h = relu(matmul(x, w))
             grads = tape.backward(ad.cross_entropy_with_logits(h, [0, 1, 1, 0], [True] * 4))
             return grads[x.node_id], grads[w.node_id]
 
@@ -497,7 +498,7 @@ class TestTapeLifetime:
         mlp = init_weights(MlpConfig(in_dim=3, hidden=[5], out_dim=4), 0)
         tape = ad.Tape()
         h, _ = mlp_forward(mlp, tape, tape.leaf(rng.standard_normal((6, 3))))
-        logits = ad.matmul(h, tape.leaf(rng.standard_normal((4, 2)), requires_grad=True))
+        logits = matmul(h, tape.leaf(rng.standard_normal((4, 2)), requires_grad=True))
         loss = ad.cross_entropy_with_logits(logits, rng.integers(0, 2, size=6), np.ones(6, dtype=bool))
         index = next(i for i, record in enumerate(tape._records) if record[0] is h)
         out, inputs, backward_fn = tape._records[index]

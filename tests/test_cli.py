@@ -257,11 +257,34 @@ class TestEvalCheckpointBinding:
         err = self._eval_error(tmp_path, monkeypatch, capsys, str(tmp_path / "old.json"))
         assert "scheme None" in err
 
+    def test_a_truncated_checkpoint_is_one_line_naming_the_file(self, runner, tmp_path, monkeypatch, capsys):
+        # it printed json's bare "Expecting ',' delimiter: line 1 column 100 (char 99)"
+        ckpt = self._train(runner, tmp_path)
+        cut = tmp_path / "cut.json"
+        with open(ckpt) as f:
+            cut.write_text(f.read()[:100])
+        err = self._eval_error(tmp_path, monkeypatch, capsys, str(cut))
+        assert err.startswith(f"error: checkpoint {cut}: not a JSON object (Expecting ")
+
     def test_matching_config_evaluates(self, runner, tmp_path):
         ckpt = self._train(runner, tmp_path)
         cfg = write_json(tmp_path / "same.json", run_config_doc(tmp_path, seeds=[3]))
         result = runner.invoke(main, ["eval", "--checkpoint", ckpt, "--config", cfg])
         assert result.exit_code == 0, result.output
+
+
+class TestOutDirOverride:
+    def test_train_writes_under_the_environment_directory(self, runner, tmp_path, monkeypatch):
+        out = tmp_path / "elsewhere"
+        monkeypatch.setenv("FAIRPROP_OUT_DIR", str(out))
+        doc = run_config_doc(tmp_path, seeds=[0, 2])
+        result = runner.invoke(main, ["train", "--config", write_json(tmp_path / "run.json", doc)])
+        assert result.exit_code == 0, result.output
+        assert result.output.rstrip().endswith(f"results={out / 'results.csv'}")
+        fp = RunConfig.from_dict(doc).fingerprint()  # the output directory is not hashed
+        assert sorted(p.name for p in out.iterdir()) == [f"{fp}-seed0.json", f"{fp}-seed2.json", "results.csv"]
+        assert [r.seed for r in read_results(out / "results.csv")] == [0, 2]
+        assert not (tmp_path / "out").exists()
 
 
 class TestEvalSeed:
@@ -540,6 +563,58 @@ class TestErrors:
             cli.entry()
         assert exc.value.code == 1
         assert capsys.readouterr().err == f"error: {line}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize(
+        "dataset, line",
+        [
+            (
+                {"node_csv": "nodes.csv", "schema": NODE_SCHEMA},
+                "dataset entry lacks 'edges'",
+            ),
+            (
+                {"synth": SYNTH_DOC, "node_csv": "nodes.csv"},
+                "dataset entry holds 'node_csv' beside 'synth'",
+            ),
+            (
+                {"node_csv": "n.csv", "edges": "e.txt", "schema": {"id": "id", "sensitive": "s", "label": "y"}},
+                "dataset schema lacks 'sensitive_pos_value'",
+            ),
+            ({"synth": dict(SYNTH_DOC, group_frac=2.0)}, "group_frac must be in (0, 1), got 2.0"),
+        ],
+    )
+    def test_malformed_dataset_entry_is_one_error(self, tmp_path, capsys, monkeypatch, command, dataset, line):
+        # a missing key failed with a bare KeyError ('edges'), after sweep had
+        # made its directory; synth beside node_csv trained on the synthetic
+        # graph, and group_frac 2.0 silently drew n - 1 positive nodes
+        import fairprop.cli as cli
+
+        def no_dataset(cfg):
+            raise AssertionError("the dataset was loaded")
+
+        monkeypatch.setattr("fairprop.train.load_run_dataset", no_dataset)
+        cfg = write_json(tmp_path / "run.json", run_config_doc(tmp_path, dataset=dataset))
+        grid = write_json(tmp_path / "grid.json", {"lambda_s": [1.0], "lambda_f": [0.0, 5.0]})
+        args = ["--config", cfg] + (["--grid", grid] if command == "sweep" else [])
+        monkeypatch.setattr("sys.argv", ["fairprop", command, *args])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_dataset_entry_is_one_error(self, tmp_path, capsys, monkeypatch):
+        # it failed with a bare KeyError: 'node_csv'
+        import fairprop.cli as cli
+
+        cfg = write_json(tmp_path / "run.json", run_config_doc(tmp_path, dataset={}))
+        monkeypatch.setattr("sys.argv", ["fairprop", "train", "--config", cfg])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset entry is empty: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_empty_node_csv_names_the_file(self, tmp_path, capsys, monkeypatch):

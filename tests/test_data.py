@@ -663,6 +663,48 @@ class TestSynthGenerate:
         with pytest.raises(ValueError):
             SynthConfig(eps_sens=1.5)
 
+    @pytest.mark.parametrize(
+        "field, value, line",
+        [
+            ("n", 50.5, "n must be an integer, got 50.5"),
+            ("n", True, "n must be an integer, got True"),
+            ("n", 3, "n must be >= 4, got 3"),
+            ("feat_dim", 0, "feat_dim must be >= 1, got 0"),
+            ("feat_dim", 2.0, "feat_dim must be an integer, got 2.0"),
+            ("seed", -1, "seed must be >= 0, got -1"),
+            ("seed", 1.5, "seed must be an integer, got 1.5"),
+            ("mean_degree", -3, "mean_degree must be > 0 and finite, got -3"),
+            ("mean_degree", 0, "mean_degree must be > 0 and finite, got 0"),
+            ("mean_degree", float("nan"), "mean_degree must be > 0 and finite, got nan"),
+            ("mean_degree", float("inf"), "mean_degree must be > 0 and finite, got inf"),
+            ("mean_degree", "3", "mean_degree must be a number, got '3'"),
+            ("group_frac", 2.0, "group_frac must be in (0, 1), got 2.0"),
+            ("group_frac", 0.0, "group_frac must be in (0, 1), got 0.0"),
+            ("group_frac", 1, "group_frac must be in (0, 1), got 1"),
+            ("label_group_corr", 1.5, "label_group_corr must be in [0, 1], got 1.5"),
+            ("label_group_corr", -0.1, "label_group_corr must be in [0, 1], got -0.1"),
+            ("eps_sens", 1.5, "eps_sens must be in [0, 1], got 1.5"),
+            ("eps_label", float("nan"), "eps_label must be in [0, 1], got nan"),
+            ("class_shift", float("inf"), "class_shift must be finite, got inf"),
+            ("group_shift", float("nan"), "group_shift must be finite, got nan"),
+            ("group_shift", None, "group_shift must be a number, got None"),
+        ],
+    )
+    def test_out_of_range_field_is_one_line(self, field, value, line):
+        # group_frac 2.0 drew n - 1 positive nodes, label_group_corr 1.5 acted
+        # as 1, feat_dim 0 trained on no features, mean_degree -3 and n 50.5
+        # failed inside numpy, and mean_degree 0 after 20 attempts
+        with pytest.raises(ValueError, match=rf"^{re.escape(line)}$"):
+            SynthConfig(**{field: value})
+
+    def test_boundary_fields_accepted(self):
+        cfg = SynthConfig(
+            n=np.int64(4), feat_dim=1, seed=0, mean_degree=0.5, group_frac=0.05,
+            label_group_corr=0, eps_sens=1, eps_label=0.0, class_shift=-2, group_shift=0,
+        )
+        assert (cfg.n, cfg.label_group_corr) == (4, 0)
+        assert SynthConfig(n=5, mean_degree=10.0, label_group_corr=1.0).mean_degree == 10.0
+
 
 class TestStandardizeFeatures:
     def test_train_stats(self, rng):

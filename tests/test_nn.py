@@ -392,6 +392,45 @@ class TestCheckpoint:
             load_checkpoint(path, run)
 
 
+    @pytest.mark.parametrize(
+        "damage, line",
+        [
+            ("no layers", "field 'layers' is missing"),
+            ("no config", "field 'config' is missing"),
+            ("string weight", "field 'layers[0].w' is not an array of numbers"),
+            ("integer hidden", "field 'config.hidden' is not a list of integers: 64"),
+            ("a list", "not a JSON object"),
+            ("cut at 100 bytes", "not a JSON object ("),
+        ],
+    )
+    def test_a_damaged_file_is_one_line_naming_the_field(self, tmp_path, damage, line):
+        # each failed with a bare KeyError, TypeError or a numpy or json
+        # message naming neither the file nor the field: 'layers', 'config',
+        # could not convert string to float: 'x', 'int' object is not
+        # iterable, 'list' object has no attribute 'get', Expecting ','
+        # delimiter: line 1 column 100 (char 99)
+        run = RunConfig(hidden=[4])
+        path = tmp_path / "model.json"
+        save_checkpoint(path, init_weights(MlpConfig(in_dim=3, hidden=[4], out_dim=2), 0), run)
+        text = path.read_text()
+        doc = json.loads(text)
+        if damage == "no layers":
+            del doc["layers"]
+        elif damage == "no config":
+            del doc["config"]
+        elif damage == "string weight":
+            doc["layers"][0]["w"][0][0] = "x"
+        elif damage == "integer hidden":
+            doc["config"]["hidden"] = 64
+        elif damage == "a list":
+            doc = [doc]
+        path.write_text(text[:100] if damage == "cut at 100 bytes" else json.dumps(doc))
+        with pytest.raises(ValueError) as exc:
+            load_checkpoint(path, run)
+        message = str(exc.value)
+        assert message.startswith(f"checkpoint {path}: {line}") and "\n" not in message
+
+
 class TestMlp:
     def test_weights_and_biases_are_views_of_theta(self):
         mlp = init_weights(MlpConfig(in_dim=3, hidden=[4], out_dim=2), 0)

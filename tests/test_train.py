@@ -8,7 +8,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import appnp_step, assert_close_rel, centred, finite_diff, gcn_oracle, joined, per_layer_mlp
+from conftest import (
+    appnp_step,
+    assert_close_rel,
+    centred,
+    finite_diff,
+    gcn_oracle,
+    joined,
+    matmul,
+    per_layer_mlp,
+)
 from fairprop import autodiff as ad
 from fairprop import debias, train
 from fairprop.data import (
@@ -234,6 +243,68 @@ class TestRunConfig:
             small_cfg(dataset=dataset).fingerprint()
 
 
+SCHEMA = {"id": "id", "sensitive": "sensitive", "sensitive_pos_value": "1", "label": "label"}
+FILES = {"node_csv": "nodes.csv", "edges": "edges.txt", "schema": SCHEMA}
+
+
+class TestDatasetEntry:
+    @pytest.mark.parametrize(
+        "entry, line",
+        [
+            ({"node_csv": "nodes.csv", "schema": SCHEMA}, "dataset entry lacks 'edges'"),
+            ({"edges": "edges.txt", "schema": SCHEMA}, "dataset entry lacks 'node_csv'"),
+            ({"node_csv": "nodes.csv", "edges": "edges.txt"}, "dataset entry lacks 'schema'"),
+            (dict(FILES, nodes="x.csv"), "dataset entry has unknown key 'nodes'"),
+            ({"synth": {"n": 50}, "node_csv": "nodes.csv"}, "dataset entry holds 'node_csv' beside 'synth'"),
+            ({"synth": 50}, "dataset 'synth' must be an object, got 50"),
+            ({"synth": {"n": 50, "nodes": 3}}, "dataset 'synth' has unknown key 'nodes'"),
+            ({"synth": {"n": 50, "feat_dim": 0}}, "feat_dim must be >= 1, got 0"),
+            (dict(FILES, node_csv=5), "dataset 'node_csv' must be a string, got 5"),
+            (dict(FILES, name=["x"]), "dataset 'name' must be a string, got ['x']"),
+            (dict(FILES, schema="id"), "dataset schema must be an object, got 'id'"),
+            (
+                dict(FILES, schema={k: v for k, v in SCHEMA.items() if k != "sensitive_pos_value"}),
+                "dataset schema lacks 'sensitive_pos_value'",
+            ),
+            (dict(FILES, schema=dict(SCHEMA, weight="w")), "dataset schema has unknown key 'weight'"),
+            (dict(FILES, schema=dict(SCHEMA, label=3)), "dataset schema 'label' must be a string, got 3"),
+            (
+                dict(FILES, schema=dict(SCHEMA, sensitive_pos_value=[1])),
+                "dataset schema 'sensitive_pos_value' must be a string or a number, got [1]",
+            ),
+            (
+                dict(FILES, schema=dict(SCHEMA, drop="f0")),
+                "dataset schema 'drop' must be a list of column names, got 'f0'",
+            ),
+        ],
+    )
+    def test_malformed_entry_rejected(self, entry, line):
+        # a missing key failed as a bare KeyError when the dataset loaded, and
+        # synth beside node_csv trained on the synthetic graph alone
+        with pytest.raises(ValueError, match=rf"^{re.escape(line)}$"):
+            small_cfg(dataset=entry)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {},
+            {"synth": {}},
+            FILES,
+            dict(FILES, name="nba", schema=dict(SCHEMA, sensitive_pos_value=1, drop=["f0"])),
+        ],
+    )
+    def test_well_formed_entry_accepted(self, entry):
+        assert small_cfg(dataset=entry).dataset == entry
+
+    def test_an_empty_entry_is_refused_only_when_loaded(self, small_dataset):
+        # train.run with a dataset passed in reads no entry
+        cfg = small_cfg(dataset={})
+        (report,), _, _ = run(cfg, small_dataset, save=False)
+        assert np.isfinite(report.accuracy)
+        with pytest.raises(ValueError, match=r"^dataset entry is empty: expected "):
+            train.load_run_dataset(cfg)
+
+
 class TestTrainOne:
     @pytest.mark.parametrize("scheme", train.SCHEMES)
     def test_all_schemes_smoke(self, scheme, small_dataset):
@@ -440,7 +511,6 @@ class TestZeroFairWeightGuard:
     @pytest.mark.parametrize("scheme", ["fair", "ml1"])
     def test_softmax_runs_only_with_a_fairness_weight(self, small_dataset, scheme, lambda_f, monkeypatch):
         # at lambda_f = 0 both duals are 0 and the stack is the aggregation alone
-        assert train._num_classes(small_dataset) == 2
         softmax, binary = self._epoch_softmaxes(small_dataset, monkeypatch, scheme=scheme, lambda_f=lambda_f)
         assert softmax == 0
         assert binary > 0 if lambda_f > 0 else binary == 0
@@ -540,7 +610,7 @@ def _logits_and_gradients(cfg, dataset, masks):
     mlp = init_weights(MlpConfig(in_dim=features.shape[1], hidden=cfg.hidden, out_dim=2), 0)
     tape = ad.Tape()
     logits, theta = forward(mlp, tape, tape.leaf(features))
-    loss = ad.cross_entropy_with_logits(logits, ad.RowLabels.of(dataset.labels, masks.train, 2))
+    loss = ad.cross_entropy_with_logits(logits, ad.RowLabels.of(dataset.labels, masks.train))
     grad = tape.backward(loss)[theta.node_id][0]
     return logits.data, [a for layer in _layer_views(grad, mlp.config.layer_dims()) for a in layer]
 
@@ -641,6 +711,33 @@ class TestPpnpKernel:
         np.testing.assert_allclose(logits.data, expected, rtol=0, atol=1e-12)
 
 
+    def test_logits_and_gradient_equal_the_matmul_chain(self, small_dataset):
+        # the forward records K X itself, K the kernel: its logits and theta
+        # gradient are those of the MLP then the tests' matmul oracle on a
+        # constant kernel leaf, bit for bit
+        cfg = small_cfg(scheme="ppnp_exact")
+        masks = make_splits(small_dataset, cfg.split_fractions, 0)
+        features, forward = train.prepare(cfg, small_dataset, masks, incident_vector(small_dataset.sensitive))
+        stats = standardize_features(small_dataset.features, masks.train)
+        kernel = ppnp_exact(small_dataset.graph, np.eye(small_dataset.graph.n), cfg.alpha)
+        mlp = init_weights(MlpConfig(in_dim=6, hidden=[8], out_dim=2), 0)
+        labels = ad.RowLabels.of(small_dataset.labels, masks.train)
+
+        def chain(mlp, tape, x):
+            x_trans, theta = mlp_forward(mlp, tape, x, stats)
+            return matmul(tape.leaf(kernel), x_trans), theta
+
+        def run(fwd):
+            tape = ad.Tape()
+            logits, theta = fwd(mlp, tape, tape.leaf(features))
+            assert len(tape._records) == 2  # the MLP, then the product
+            grads = tape.backward(ad.cross_entropy_with_logits(logits, labels))
+            assert set(grads) == {theta.node_id}
+            return logits.data.tobytes(), grads[theta.node_id].tobytes()
+
+        assert run(forward) == run(chain)
+
+
 class TestFairSteps:
     @pytest.mark.parametrize("scheme", ["fair", "ml1"])
     def test_taken_once_per_run(self, small_dataset, monkeypatch, scheme):
@@ -702,7 +799,7 @@ class TestGcn:
     def test_logits_and_gradients_equal_the_per_layer_chain(self, small_dataset, hidden):
         # one dense record per layer, the later ones followed by A and the ReLU
         forward, features, row_sums, mlp, masks = self._model(small_dataset, hidden)
-        labels = ad.RowLabels.of(small_dataset.labels, masks.train, 2)
+        labels = ad.RowLabels.of(small_dataset.labels, masks.train)
 
         def run(fwd):
             # the logits and the flat parameter gradient (the oracle's joined)
@@ -720,7 +817,7 @@ class TestGcn:
 
     def test_gradients_match_finite_differences(self, small_dataset):
         forward, features, _, mlp, masks = self._model(small_dataset, [8, 5])
-        labels = ad.RowLabels.of(small_dataset.labels, masks.train, 2)
+        labels = ad.RowLabels.of(small_dataset.labels, masks.train)
 
         def loss(probe):
             tape = ad.Tape()
@@ -757,9 +854,8 @@ class TestGcn:
             masks = make_splits(dataset, (0.5, 0.25, 0.25), 0)
             train_one(small_cfg(scheme="gcn", epochs=epochs), dataset, masks, 0)
             widths.append(collections.Counter(counter.widths))
-        out_dim = train._num_classes(small_dataset)
-        assert widths[1] - widths[0] == {out_dim: 2}
-        assert widths[0] == {6: 1, 1: 1, out_dim: 2}
+        assert widths[1] - widths[0] == {2: 2}
+        assert widths[0] == {6: 1, 1: 1, 2: 2}
 
 
 class TestSgc:
