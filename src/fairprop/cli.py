@@ -16,6 +16,7 @@ from .metrics import demographic_parity, equal_opportunity
 from .nn import load_checkpoint
 from .train import (
     RunConfig,
+    _check_keys,
     evaluate,
     hashing_files_once,
     load_run_dataset,
@@ -29,9 +30,20 @@ from .train import (
 WRITE_BLOCK_ROWS = 1024
 
 
-def _load_config(path) -> RunConfig:
+def _read_json(path, what):
+    """The JSON document in the file at ``path``, a ``what`` file; text that
+    does not parse is one ValueError line naming the file."""
     with open(path) as f:
-        doc = json.load(f)
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{what} {path}: not a JSON object ({exc})") from None
+
+
+def _load_config(path) -> RunConfig:
+    doc = _read_json(path, "config")
+    if not isinstance(doc, dict):
+        raise ValueError(f"config {path} must be an object, got {doc!r}")
     out_dir = os.environ.get("FAIRPROP_OUT_DIR")
     if out_dir:
         doc["out_dir"] = out_dir
@@ -74,8 +86,7 @@ def sweep_cmd(config_path, grid_path):
     seed in the results file, the rows a resume kept included.
     """
     cfg = _load_config(config_path)
-    with open(grid_path) as f:
-        grid = json.load(f)
+    grid = _read_json(grid_path, "grid file")
     for key in ("lambda_s", "lambda_f"):
         if not isinstance(grid, dict) or not isinstance(grid.get(key), list) or not grid[key]:
             raise ValueError(f"grid file {grid_path} needs a list of values under {key!r}")
@@ -124,8 +135,8 @@ def eval_cmd(checkpoint, config_path, seed, mask):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def synth_cmd(config_path, out_dir):
     """Generate a synthetic dataset and write node CSV plus edge list."""
-    with open(config_path) as f:
-        doc = json.load(f)
+    doc = _read_json(config_path, "synth config")
+    _check_keys(doc, f"synth config {config_path}", (), SynthConfig.__dataclass_fields__)
     cfg = SynthConfig(**doc)
     dataset = synth_generate(cfg)
     os.makedirs(out_dir, exist_ok=True)

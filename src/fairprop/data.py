@@ -111,7 +111,7 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
     if id_index is None or np.any(id_index[0][1:] == id_index[0][:-1]):
         id_map = dict(zip(ids, range(n)))
         if len(id_map) < n:
-            repeated = next(node_id for k, node_id in enumerate(ids) if id_map[node_id] != k)
+            repeated = next(node for k, node in enumerate(ids) if id_map[node] != k)
             raise ValueError(f"duplicate node id {repeated!r} in node CSV")
     sensitive = np.where(np.array(positive, dtype=bool), 1, -1)
     labels = parse_labels(label_cells, header[label_col])

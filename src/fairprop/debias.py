@@ -8,12 +8,12 @@ back into the l-infinity ball of radius lambda_fair.
 The numpy functions (``fairness_grad``, ``prox_dual``, ``fairness_objective``)
 state the pieces of the update on plain arrays, and ``steps`` is the one rule
 for a layer's step sizes. ``fairness_grad`` and ``row_softmax`` run
-class-major (C x n) on a transpose. Training records the whole stack of
-layers as one hand-differentiated tape record (``stack``), the unrolled
-primal-dual solver differentiated as one unit. It starts from the
-transformed features X_trans with the dual at u = 0, so layer 1's dual update
-takes no fairness gradient, and every scheme that propagates this way calls
-it directly on X_trans.
+class-major (C x n) on a transpose. Training runs the whole stack of
+layers as one hand-differentiated stage (``stack``), which returns its
+output and a pullback: the unrolled primal-dual solver differentiated as one
+unit. It starts from the transformed features X_trans with the dual at
+u = 0, so layer 1's dual update takes no fairness gradient, and every scheme
+that propagates this way calls it directly on X_trans.
 
 fairprop is two-class. A softmax does not change when the same number is
 added to both of a node's logits, and the fairness gradient sums to 0 over
@@ -42,7 +42,6 @@ import math
 
 import numpy as np
 
-from . import autodiff as ad
 from .graph import IncidentVector, SparseGraph
 
 Array = np.ndarray
@@ -119,7 +118,7 @@ def fairness_objective(F: Array, delta: IncidentVector, lambda_fair: float):
 
 
 # ---------------------------------------------------------------------------
-# The layer stack on the tape
+# The layer stack and its pullback
 # ---------------------------------------------------------------------------
 
 
@@ -129,7 +128,7 @@ _BT = np.array([[1.0 / _SQRT2, -1.0 / _SQRT2]])
 
 
 def stack(
-    X_trans: ad.Tensor,
+    X_trans: Array,
     g: SparseGraph,
     delta: IncidentVector,
     n_layers: int,
@@ -137,8 +136,8 @@ def stack(
     beta: float,
     lam: float,
     ml1: bool = False,
-) -> ad.Tensor:
-    """``n_layers`` layers from the n x 2 logits X_trans as one tape record.
+):
+    """``n_layers`` layers from the n x 2 logits X_trans: (F_L, pullback).
 
     The first layer's state is X_trans and the dual starts at u = 0. Each
     layer aggregates, ``agg = gamma X + (1 - gamma) A F``, and then takes the
@@ -148,7 +147,9 @@ def stack(
     direct-subgradient baseline: the primal step uses the constant dual
     lam * sign(p) instead. The step sizes are plain numbers: the ``fair`` and
     ``ml1`` schemes take them from ``steps``, and ``appnp`` passes its
-    teleport alpha as gamma at lam = 0.
+    teleport alpha as gamma at lam = 0. ``pullback``, single-use, maps F_L's
+    cotangent to X_trans's; at ``n_layers == 0`` F_L is X_trans and the
+    pullback the identity.
 
     ``_binary_sweep`` runs the layers on the contrast z = B^T F of the two
     class rows, for B^T = ``_BT``, and the stack returns B z_L: F_L centred
@@ -159,19 +160,19 @@ def stack(
     form and the lam = 0 path.
     """
     if n_layers == 0:
-        return X_trans
-    z, pullback = _binary_sweep(
-        (_BT @ X_trans.data.T)[0], g.adjacency, delta.values, n_layers, gamma, beta, lam, ml1
+        return X_trans, lambda gout: gout
+    z, z_pullback = _binary_sweep(
+        (_BT @ X_trans.T)[0], g.adjacency, delta.values, n_layers, gamma, beta, lam, ml1
     )
     # one check suffices: every node has a positively weighted self-loop in A,
     # and the softmax, the group gap and the prox all carry a NaN on to later layers
     if np.isnan(z).any():
         raise FloatingPointError("NaN produced in propagation layer")
 
-    def backward(gout):
-        return [(X_trans, np.dot(pullback((_BT @ gout.T)[0])[:, None], _BT))]  # B gX, as n x 2
+    def pullback(gout):
+        return np.dot(z_pullback((_BT @ gout.T)[0])[:, None], _BT)  # B gX, as n x 2
 
-    return X_trans.tape._result(np.dot(z[:, None], _BT), (X_trans,), backward)  # B z, as n x 2
+    return np.dot(z[:, None], _BT), pullback  # B z, as n x 2
 
 
 def _binary_softmax(z: Array) -> Array:

@@ -1,16 +1,16 @@
 """Feature-transformation MLP, Adam optimizer, and JSON checkpoints.
 
-On the tape the whole MLP is one record (``mlp_forward``), on the affine map
-``_affine``, which this module alone knows: its first layer standardizes the
-input features as it reads them, or scales its bias per row. It computes no
-gradient for the constant input features. With a graph's adjacency it is
-``gcn``, aggregating after every later layer's affine map. Its hidden
-activations are its own, so its backward reuses each one's buffer for that
-layer's cotangent.
+The whole MLP is one stage (``mlp_forward``), which returns its output and
+a pullback, on the affine map ``_affine``, which this module alone knows:
+its first layer standardizes the input features as it reads them, or scales
+its bias per row. It computes no gradient for the constant input features.
+With a graph's adjacency it is ``gcn``, aggregating after every later
+layer's affine map. Its hidden activations are its own, so its pullback
+reuses each one's buffer for that layer's cotangent.
 
-The parameters are one flat vector, ``Mlp.theta``: the record has one leaf
-for it, its backward writes every layer's gradients into one flat vector,
-and Adam updates ``theta`` and its moments in place.
+The parameters are one flat vector, ``Mlp.theta``: the pullback writes every
+layer's gradients into one flat vector shaped like it, and Adam updates
+``theta`` and its moments in place.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from . import autodiff as ad
 
 if TYPE_CHECKING:
     from .train import RunConfig
@@ -87,36 +85,38 @@ def init_weights(config: MlpConfig, seed: int) -> Mlp:
     return Mlp(config, weights, biases, seed=seed)
 
 
-def mlp_forward(mlp: Mlp, tape: ad.Tape, x: ad.Tensor, standardize=None, adjacency=None, row_scale=None):
-    """Run the MLP on the tape as one record over one parameter leaf.
+def mlp_forward(mlp: Mlp, x: Array, standardize=None, adjacency=None, row_scale=None):
+    """The MLP on the n x in_dim features ``x``: (output, pullback).
 
     ``standardize``, a per-column ``(shift, scale)`` of the input, is applied
     inside the first layer (``_affine``): the MLP reads ``(x - shift) /
     scale`` and no standardized copy of ``x`` is made. A constant symmetric
     ``adjacency`` A makes it ``gcn``: every layer after the first multiplies
-    its affine map by A before its ReLU, and the backward multiplies that
+    its affine map by A before its ReLU, and the pullback multiplies that
     layer's cotangent by A (A is its own transpose). ``row_scale`` scales the
     first layer's bias per row (``_affine``), which ``gcn`` sets to A·1 to
-    read A X once per run. Returns (output tensor, parameter leaf): the leaf
-    is ``mlp.theta`` as a 1 x P row, and its gradient is one new 1 x P array
-    laid out as ``theta``, each layer's dw and db written into views of it.
+    read A X once per run. ``pullback(g)`` takes the output's cotangent and
+    returns the gradient of ``mlp.theta``, one new array laid out as
+    ``theta``, each layer's dw and db written into views of it. The features
+    are constant: no gradient is computed for them, and nothing writes into
+    them.
 
-    The record keeps each hidden layer's activation, ReLU applied in place,
+    The forward keeps each hidden layer's activation, ReLU applied in place,
     and no mask: after the ReLU, ``h > 0`` holds exactly where the
-    pre-activation was > 0, NaN included. The backward writes each hidden
-    layer's cotangent into that layer's activation once the layer above has
-    taken its weight gradient from it, so it allocates no n x hidden array.
-    It reads the weights, views of ``theta``, so ``theta`` is updated only
-    after the backward. Values and gradients equal those of the tests'
-    per-layer oracle (``dense``, ``spmm_const`` and ``relu`` in
-    ``tests/conftest.py``, one record each) bit for bit.
+    pre-activation was > 0, NaN included. The pullback is single-use: it
+    writes each hidden layer's cotangent into that layer's activation once
+    the layer above has taken its weight gradient from it, so it allocates
+    no n x hidden array, and drops each activation as it passes it. It reads
+    the weights, views of ``theta``, so ``theta`` is updated only after it
+    has run. Values and gradients equal those of the tests' per-layer chain
+    (``dense``, ``spmm_const`` and ``relu`` in ``tests/conftest.py``, one
+    pullback each) bit for bit.
     """
     if x.shape[1] != mlp.config.in_dim:
         raise ValueError(f"expected input dim {mlp.config.in_dim}, got {x.shape[1]}")
-    theta = tape.leaf(mlp.theta[None, :], requires_grad=True)
     last = len(mlp.weights) - 1
     first = {"row_scale": row_scale, "standardize": standardize}  # the first layer's constants
-    inputs, w_ins = [x.data], []  # each layer's input: the features, then each hidden activation
+    inputs, w_ins = [x], []  # each layer's input: the features, then each hidden activation
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
         out, w_in = _affine(inputs[i], w, b, **(first if i == 0 else {}))
         if i > 0 and adjacency is not None:
@@ -126,9 +126,9 @@ def mlp_forward(mlp: Mlp, tape: ad.Tape, x: ad.Tensor, standardize=None, adjacen
             out *= out > 0.0  # ReLU
             inputs.append(out)
 
-    def backward(g):
-        dtheta = np.empty_like(theta.data)
-        grads, views = [(theta, dtheta)], _layer_views(dtheta[0], mlp.config.layer_dims())
+    def pullback(g):
+        dtheta = np.empty_like(mlp.theta)
+        views = _layer_views(dtheta, mlp.config.layer_dims())
         for i in reversed(range(last + 1)):
             h = inputs.pop()
             if i > 0 and adjacency is not None:
@@ -139,11 +139,9 @@ def mlp_forward(mlp: Mlp, tape: ad.Tape, x: ad.Tensor, standardize=None, adjacen
                 np.matmul(g, w_ins[i].T, out=h)
                 h *= mask
                 g = h
-            elif x.requires_grad:
-                grads.append((x, g @ w_ins[0].T))
-        return grads
+        return dtheta
 
-    return tape._result(out, (x, theta), backward), theta
+    return out, pullback
 
 
 def _affine(

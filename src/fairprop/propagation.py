@@ -1,8 +1,9 @@
 """Exact teleport propagation (PPNP) by a dense solve.
 
 This is the fixed point that the ``appnp`` iteration approaches. The
-iterative baselines ``gcn`` and ``sgc`` are tape passes in ``fairprop.train``;
-``appnp`` is ``fairprop.debias.stack`` at radius 0.
+iterative baselines ``gcn`` and ``sgc`` are passes of the MLP
+(``fairprop.nn.mlp_forward``) in ``fairprop.train``; ``appnp`` is
+``fairprop.debias.stack`` at radius 0.
 """
 
 from __future__ import annotations

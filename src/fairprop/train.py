@@ -1,4 +1,11 @@
-"""Training loop, evaluation, and hyperparameter sweeps."""
+"""Training loop, evaluation, and hyperparameter sweeps.
+
+An epoch is one forward pass of the run's scheme, which returns the logits
+and a single-use pullback composed of its stages' pullbacks (the MLP, then
+the debiasing stack or ``ppnp_exact``'s kernel product), the loss and its
+gradient in the logits, and one Adam step on the gradient the pullback
+returns for ``Mlp.theta``. Evaluation drops the pullback.
+"""
 
 from __future__ import annotations
 
@@ -242,7 +249,7 @@ def _standardized(x, stats):
 
 
 def _mlp(cfg, g, delta, x, stats):
-    return x, lambda mlp, tape, x: mlp_forward(mlp, tape, x, stats)
+    return x, lambda mlp, x: mlp_forward(mlp, x, stats)
 
 
 def _sgc(cfg, g, delta, x, stats):
@@ -258,26 +265,32 @@ def _gcn(cfg, g, delta, x, stats):
     # A (X W + 1 b) = (A X) W + (A 1) b reads A X and A 1, once per run
     x = g.adjacency @ _standardized(x, stats)
     row_sums = g.adjacency @ np.ones(g.n)
-    return x, lambda mlp, tape, x: mlp_forward(mlp, tape, x, adjacency=g.adjacency, row_scale=row_sums)
+    return x, lambda mlp, x: mlp_forward(mlp, x, adjacency=g.adjacency, row_scale=row_sums)
+
+
+def _mlp_then_stack(stats, g, delta, *stack_args):
+    """A forward pass: the MLP, then ``debias.stack(x_trans, g, delta, *stack_args)``."""
+
+    def forward(mlp, x):
+        x_trans, mlp_pullback = mlp_forward(mlp, x, stats)
+        logits, stack_pullback = debias.stack(x_trans, g, delta, *stack_args)
+        return logits, lambda dlogits: mlp_pullback(stack_pullback(dlogits))
+
+    return forward
 
 
 def _appnp(cfg, g, delta, x, stats):
     # teleport propagation is the debiasing stack at radius 0 with teleport alpha
-    def forward(mlp, tape, x):
-        x_trans, theta = mlp_forward(mlp, tape, x, stats)
-        return debias.stack(x_trans, g, delta, cfg.prop_k, cfg.alpha, 0.0, 0.0), theta
-
-    return x, forward
+    return x, _mlp_then_stack(stats, g, delta, cfg.prop_k, cfg.alpha, 0.0, 0.0)
 
 
 def _ppnp_exact(cfg, g, delta, x, stats):
     kernel = ppnp_exact(g, np.eye(g.n), cfg.alpha)  # one dense solve per run
 
-    def forward(mlp, tape, x):
-        # one record of the product by the constant kernel, K X, whose cotangent is K^T g
-        x_trans, theta = mlp_forward(mlp, tape, x, stats)
-        logits = tape._result(kernel @ x_trans.data, (x_trans,), lambda g: [(x_trans, kernel.T @ g)])
-        return logits, theta
+    def forward(mlp, x):
+        # the product by the constant kernel, K X, whose cotangent is K^T g
+        x_trans, mlp_pullback = mlp_forward(mlp, x, stats)
+        return kernel @ x_trans, lambda dlogits: mlp_pullback(kernel.T @ dlogits)
 
     return x, forward
 
@@ -285,24 +298,18 @@ def _ppnp_exact(cfg, g, delta, x, stats):
 def _fair(cfg, g, delta, x, stats, ml1=False):
     # ml1 is the stack with the constant dual lambda_f * sign(p)
     gamma, beta = debias.steps(cfg.lambda_s)
-
-    def forward(mlp, tape, x):
-        x_trans, theta = mlp_forward(mlp, tape, x, stats)
-        logits = debias.stack(x_trans, g, delta, cfg.num_layers, gamma, beta, cfg.lambda_f, ml1)
-        return logits, theta
-
-    return x, forward
+    return x, _mlp_then_stack(stats, g, delta, cfg.num_layers, gamma, beta, cfg.lambda_f, ml1)
 
 
 # Scheme -> (cfg, graph, delta, features, standardization or None) -> (model
-# input, forward), where forward(mlp, tape, x) -> (logits, the MLP's parameter
-# leaf) has the run's constants bound. Every forward records one
-# mlp_forward entry, then at most one debias.stack entry or, for ppnp_exact, one
-# record of its own kernel product. An MLP that
-# reads the features standardizes them in its first layer; gcn and sgc
-# standardize a copy, which they propagate once per run. The forwards look
-# their callees up by name when called, so a rebound module attribute (a
-# profiler's wrapper, say) is the one that runs.
+# input, forward), where forward(mlp, x) -> (logits, pullback) has the run's
+# constants bound, and pullback(dlogits), single-use, returns the gradient of
+# mlp.theta. Every forward is mlp_forward, then at most one debias.stack or,
+# for ppnp_exact, its own kernel product, and its pullback is theirs composed
+# in reverse. An MLP that reads the features standardizes them in its first
+# layer; gcn and sgc standardize a copy, which they propagate once per run.
+# The forwards look their callees up by name when called, so a rebound module
+# attribute (a profiler's wrapper, say) is the one that runs.
 _SCHEME_TABLE = {
     "mlp": _mlp,
     "gcn": _gcn,
@@ -321,8 +328,9 @@ def prepare(cfg: RunConfig, dataset: Dataset, masks: SplitMasks | None, delta: I
     The standardization (``data.standardize_features``) is computed on the
     train rows (``masks`` may be None when ``cfg.standardize`` is off), and
     the scheme's entry computes what is constant for the run once.
-    ``forward(mlp, tape, x)`` takes the input as a tape tensor and returns
-    (logits, the MLP's parameter leaf, ``mlp.theta`` as a 1 x P row).
+    ``forward(mlp, x)`` takes the input array and returns (logits,
+    pullback): ``pullback(dlogits)``, single-use, maps the logits' cotangent
+    to the gradient of ``mlp.theta``.
 
     For ``mlp``, ``appnp``, ``ppnp_exact``, ``fair`` and ``ml1`` the input is
     ``dataset.features`` itself, and the first MLP layer standardizes it as
@@ -378,28 +386,26 @@ def train_one(cfg: RunConfig, dataset: Dataset, masks: SplitMasks, seed: int):
     best_val = -1.0
     best = mlp.copy()
     for epoch in range(cfg.epochs):
-        tape = ad.Tape()
-        logits, theta = forward(mlp, tape, tape.leaf(features))
-        loss = ad.cross_entropy_with_logits(logits, train_rows)
-        loss_val = float(loss.data[0, 0])
-        if not np.isfinite(loss_val):
+        logits, pullback = forward(mlp, features)
+        loss, dlogits = ad.cross_entropy_with_logits(logits, train_rows)
+        if not np.isfinite(loss):
             raise RuntimeError(
                 f"training diverged: non-finite loss at epoch {epoch} (seed {seed})"
             )
         # the logits score the weights before this epoch's update, so a
-        # selected model is snapshot before it; only the array is kept, as a
-        # tensor would keep its tape alive
-        y_hat = predict_labels(logits.data[val])
+        # selected model is snapshot before it
+        y_hat = predict_labels(logits[val])
         val_acc = accuracy(y_hat, val_labels)
-        trace.train_loss.append(loss_val)
+        trace.train_loss.append(loss)
         trace.val_accuracy.append(val_acc)
         if cfg.selection == "last" or val_acc > best_val:
             best_val = val_acc
             best = mlp.copy()
-            best_logits = logits.data
+            best_logits = logits
             trace.best_epoch = epoch
 
-        adam_step(mlp.theta, tape.backward(loss)[theta.node_id][0], state)
+        adam_step(mlp.theta, pullback(dlogits), state)
+        del pullback, dlogits  # nothing of this epoch's pass is held through the next forward
 
     report = _report(cfg, best_logits, dataset, masks.test, delta, seed)
     report.wall_time_ms = (time.perf_counter() - start) * 1000.0
@@ -427,10 +433,8 @@ def evaluate(
     _two_classes(mlp.config.out_dim, "the model outputs")
     delta = incident_vector(dataset.sensitive)
     features, forward = prepare(cfg, dataset, masks, delta)
-    tape = ad.Tape()
-    logits, _ = forward(mlp, tape, tape.leaf(features))
-    tape.release()  # forward only: nothing replays it
-    return _report(cfg, logits.data, dataset, getattr(masks, mask_name), delta, masks.seed)
+    logits, _ = forward(mlp, features)
+    return _report(cfg, logits, dataset, getattr(masks, mask_name), delta, masks.seed)
 
 
 def _report(cfg, logits: Array, dataset: Dataset, mask, delta, seed) -> MetricsReport:
@@ -519,9 +523,10 @@ def sweep(cfg: RunConfig, lambda_s_grid, lambda_f_grid, results_path=None):
     recorded as NaN rows and do not abort the sweep; a resumed sweep removes
     those rows and runs them again. The returned rows are those of the file
     for a grid point and a seed of ``cfg`` whose run finished, in file order:
-    the rows a resume kept, then the runs it trained.
+    the rows a resume kept, then the runs it trained. ``cfg.out_dir`` is
+    made only once the dataset has loaded for a run to train, so a refused
+    input leaves no directory behind.
     """
-    os.makedirs(cfg.out_dir, exist_ok=True)
     if results_path is None:
         results_path = os.path.join(cfg.out_dir, "sweep.csv")
     # a torn last row and a failed run's row are dropped, so their runs are re-run
@@ -542,6 +547,7 @@ def sweep(cfg: RunConfig, lambda_s_grid, lambda_f_grid, results_path=None):
         if pending:
             dataset = load_run_dataset(cfg)
             _check_labels(dataset)  # labels every run would refuse fail the sweep at once
+            os.makedirs(cfg.out_dir, exist_ok=True)  # only once a run is to be written
         for lam_s, lam_f, point, fp, seed in pending:
             masks = make_splits(dataset, point.split_fractions, seed)
             try:

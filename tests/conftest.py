@@ -7,6 +7,7 @@ from fairprop import train
 from fairprop.data import Dataset
 from fairprop.debias import fairness_grad, fairness_objective, prox_dual, steps
 from fairprop.graph import build_graph
+from fairprop.autodiff import RowLabels, cross_entropy_with_logits
 from fairprop.nn import _affine, _affine_grads
 from fairprop.train import RunConfig
 
@@ -79,153 +80,137 @@ def centred(F):
 
 
 def matmul(a, b):
-    """Tape record of a @ b; no gradient is computed for an operand that requires none.
+    """a @ b and its pullback, g -> (the cotangent of a, that of b).
 
-    With a constant kernel leaf ``a`` it is the product ``ppnp_exact``'s
-    forward pass records itself; tests compare the two bit for bit.
+    With a constant kernel ``a``, ``a.T @ g`` is the cotangent
+    ``ppnp_exact``'s forward pass pulls back itself; tests compare the two
+    bit for bit.
     """
-    if a.tape is not b.tape:
-        raise ValueError("operands belong to different tapes")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch {a.shape} @ {b.shape}")
-
-    def backward(g):
-        grads = []
-        if a.requires_grad:
-            grads.append((a, g @ b.data.T))
-        if b.requires_grad:
-            grads.append((b, a.data.T @ g))
-        return grads
-
-    return a.tape._result(a.data @ b.data, (a, b), backward)
+    return a @ b, lambda g: (g @ b.T, a.T @ g)
 
 
 def add_row_bias(a, b):
-    """Tape record of a + b for a 1 x d row bias b.
+    """a + b for a row bias b of shape (d,), and its pullback, g -> (da, db).
 
-    ``matmul`` -> ``add_row_bias`` -> ``relu`` is the three-record chain
-    that one layer of ``nn.mlp_forward`` fuses; tests compare the two bit for
-    bit.
+    ``matmul`` -> ``add_row_bias`` -> ``relu`` is the three-step chain that
+    one layer of ``nn.mlp_forward`` fuses; tests compare the two bit for bit.
     """
-
-    def backward(g):
-        return [(a, g), (b, g.sum(axis=0, keepdims=True))]
-
-    return a.tape._result(a.data + b.data, (a, b), backward)
+    return a + b, lambda g: (g, g.sum(axis=0))
 
 
 def relu(a):
-    """Tape record of max(a, 0); the backward masks its cotangent in place."""
-    mask = a.data > 0.0
-
-    def backward(g):
-        g *= mask
-        return [(a, g)]
-
-    return a.tape._result(a.data * mask, (a,), backward)
+    """max(a, 0) and its pullback, which masks the cotangent."""
+    mask = a > 0.0
+    return a * mask, lambda g: g * mask
 
 
 def spmm_const(adjacency, x):
-    """Tape record of A @ x for a constant symmetric sparse A, so A^T g is A g."""
-
-    def backward(g):
-        return [(x, adjacency @ g)]
-
-    return x.tape._result(adjacency @ x.data, (x,), backward)
+    """A @ x for a constant symmetric sparse A and its pullback: A^T g is A g."""
+    return adjacency @ x, lambda g: adjacency @ g
 
 
 def dense(x, w, b, relu, row_scale=None, standardize=None):
-    """Tape record of one MLP layer, ``x @ w + b`` on ``nn._affine``, ReLU'd if ``relu`` is set.
+    """One MLP layer, ``x @ w + b`` on ``nn._affine``, ReLU'd if ``relu`` is
+    set, and its pullback, g -> (dx, dw, db).
 
     ``row_scale`` and ``standardize`` are those of ``nn._affine``. The bias
     add and the ReLU mask are applied in place.
     """
-    h, w_in = _affine(x.data, w.data, b.data[0], row_scale, standardize)
+    h, w_in = _affine(x, w, b, row_scale, standardize)
     mask = None
     if relu:
         mask = h > 0.0
         h *= mask
 
-    def backward(g):
+    def pullback(g):
         if mask is not None:
-            g *= mask
+            g = g * mask
         dw, db = np.empty(w.shape), np.empty(b.shape)
-        _affine_grads(g, x.data, w_in, dw, db[0], row_scale, standardize)
-        grads = [(w, dw), (b, db)]
-        if x.requires_grad:
-            grads.append((x, g @ w_in.T))
-        return grads
+        _affine_grads(g, x, w_in, dw, db, row_scale, standardize)
+        return g @ w_in.T, dw, db
 
-    return x.tape._result(h, (x, w, b), backward)
+    return h, pullback
 
 
-def per_layer_mlp(mlp, tape, x, standardize=None, adjacency=None, row_scale=None):
-    """Oracle: ``nn.mlp_forward`` as one tape record per operation; (output, parameter leaves).
+def per_layer_mlp(mlp, x, standardize=None, adjacency=None, row_scale=None):
+    """Oracle: ``nn.mlp_forward`` as one pullback per operation, chained by hand.
 
-    One ``dense`` record per layer, the first one standardized or
-    row-scaled. With an ``adjacency`` (``gcn``) every later layer is
-    ``dense`` without its ReLU, then ``spmm_const``, then ``relu``.
-    ``mlp_forward``'s values equal this chain's bit for bit, and so does its
-    flat gradient to these leaves' gradients joined in layer order
-    (``joined``).
+    One ``dense`` step per layer, the first one standardized or row-scaled.
+    With an ``adjacency`` (``gcn``) every later layer is ``dense`` without
+    its ReLU, then ``spmm_const``, then ``relu``. Returns (output,
+    pullback), the pullback from the output's cotangent to each layer's dw
+    and db raveled and joined in layer order: ``mlp_forward``'s values and
+    flat gradient equal this chain's bit for bit.
     """
-    h, params = x, []
+    h, pullbacks = x, []  # each layer's pullbacks, in forward order
     last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        params += [tape.leaf(w, requires_grad=True), tape.leaf(b.reshape(1, -1), requires_grad=True)]
-        if i == 0:
-            h = dense(h, *params[-2:], i != last, row_scale, standardize)
-        elif adjacency is None:
-            h = dense(h, *params[-2:], i != last)
-        else:
-            h = spmm_const(adjacency, dense(h, *params[-2:], False))
+        first = (row_scale, standardize) if i == 0 else ()
+        aggregated = i > 0 and adjacency is not None
+        h, back = dense(h, w, b, i != last and not aggregated, *first)
+        pullbacks.append([back])
+        if aggregated:
+            h, spmm_back = spmm_const(adjacency, h)
+            pullbacks[-1].append(spmm_back)
             if i != last:
-                h = relu(h)
-    return h, params
+                h, relu_back = relu(h)
+                pullbacks[-1].append(relu_back)
 
+    def pullback(g):
+        grads = []
+        for layer in reversed(pullbacks):
+            for back in reversed(layer[1:]):
+                g = back(g)
+            g, dw, db = layer[0](g)
+            grads = [dw.ravel(), db] + grads
+        return np.concatenate(grads)
 
-def joined(grads, leaves):
-    """The gradients of ``leaves`` in ``grads`` raveled and joined in order: a flat gradient."""
-    return np.concatenate([grads[t.node_id].ravel() for t in leaves])
+    return h, pullback
 
 
 def weighted_sum(out, w):
-    """Tape record of sum(out * w) for a constant array w, as a 1x1 loss.
+    """sum(out * w) for a constant array w, and its gradient in ``out``, w itself.
 
-    Gradient checks reduce an op's output to a scalar with it; the gradient
-    with respect to ``out`` is ``w``.
+    Gradient checks reduce an op's output to a scalar with it, as the loss
+    (``autodiff.cross_entropy_with_logits``) does: (value, gradient).
     """
     w = np.asarray(w, dtype=np.float64)
-
-    def backward(g):
-        return [(out, g[0, 0] * w)]
-
-    return out.tape._result(np.array([[np.sum(out.data * w)]]), (out,), backward)
+    return float(np.sum(out * w)), w
 
 
-def forward(mlp, tape, x, g, delta, cfg, scheme="fair"):
-    """``scheme``'s forward pass on the tape under ``cfg``'s ``lambda_s``,
-    ``lambda_f`` and ``num_layers``, through ``train.prepare``.
+def forward(mlp, x, g, delta, cfg, scheme="fair"):
+    """``scheme``'s forward pass under ``cfg``'s ``lambda_s``, ``lambda_f``
+    and ``num_layers``, through ``train.prepare``.
 
     ``appnp`` takes the primal step of ``lambda_s`` as its teleport alpha and
-    ``num_layers`` as its step count. Returns (logits tensor, MLP parameter tensors).
+    ``num_layers`` as its step count. Returns (logits, pullback to the
+    gradient of ``mlp.theta``).
     """
     gamma, _ = steps(cfg.lambda_s)
     cfg = replace(cfg, scheme=scheme, alpha=gamma, prop_k=cfg.num_layers, standardize=False)
     labels = np.zeros(g.n, dtype=np.int64)
-    dataset = Dataset(graph=g, features=x.data, sensitive=np.sign(delta.values), labels=labels)
+    dataset = Dataset(graph=g, features=x, sensitive=np.sign(delta.values), labels=labels)
     _, scheme_forward = train.prepare(cfg, dataset, None, delta)
-    return scheme_forward(mlp, tape, x)
+    return scheme_forward(mlp, x)
 
 
-def ml1_forward(mlp, tape, x, g, delta, cfg):
+def ml1_forward(mlp, x, g, delta, cfg):
     """The ``ml1`` scheme's forward pass; see ``forward``."""
-    return forward(mlp, tape, x, g, delta, cfg, scheme="ml1")
+    return forward(mlp, x, g, delta, cfg, scheme="ml1")
 
 
-def appnp_forward(mlp, tape, x, g, delta, cfg):
+def appnp_forward(mlp, x, g, delta, cfg):
     """The ``appnp`` scheme's forward pass; see ``forward``."""
-    return forward(mlp, tape, x, g, delta, cfg, scheme="appnp")
+    return forward(mlp, x, g, delta, cfg, scheme="appnp")
+
+
+def loss_gradient(fwd, mlp, x, labels, mask, *args):
+    """The masked cross entropy of ``fwd(mlp, x, *args)``'s logits: (logits, loss, gradient of mlp.theta)."""
+    logits, pullback = fwd(mlp, x, *args)
+    loss, dlogits = cross_entropy_with_logits(logits, RowLabels.of(labels, mask))
+    return logits, loss, pullback(dlogits)
 
 
 def appnp_step(g, F, X_trans, alpha):
@@ -273,48 +258,76 @@ def _ref_fair_grad_vjp(S, dcol, u, h):
 
 
 def _ref_primal_step(F, u, X_trans, g, dcol, gamma, S, agg):
-    def backward(gout):
-        dF, du = _ref_fair_grad_vjp(S, dcol, u.data, -gamma * gout)
-        return [(F, g.adjacency @ ((1.0 - gamma) * gout) + dF), (u, du), (X_trans, gamma * gout)]
+    """The primal step from (F, u, X_trans) and its pullback, gF -> (dF, du, dX)."""
 
-    return F.tape._result(agg - gamma * _ref_fair_grad(S, dcol, u.data), (F, u, X_trans), backward)
+    def pullback(gout):
+        dF, du = _ref_fair_grad_vjp(S, dcol, u, -gamma * gout)
+        return g.adjacency @ ((1.0 - gamma) * gout) + dF, du, gamma * gout
+
+    return agg - gamma * _ref_fair_grad(S, dcol, u), pullback
 
 
 def reference_layer(F, u, X_trans, g, delta, cfg, ml1=False):
-    """Reference: one layer as two n x C tape records; returns (F_next, u_next).
+    """Reference: one layer as two n x C steps; returns (F_next, u_next, pullback).
 
     This is the layer ``debias.stack`` replaced: ``u_next`` from (F, u,
     X_trans), the dual ascent and prox, then ``F_next`` from (F, u_next,
-    X_trans), the primal step, each record pulling back through the
-    aggregation on its own, at the steps of ``cfg.lambda_s`` and the radius
-    ``cfg.lambda_f``. With ``ml1`` the dual is the constant leaf
-    lambda_f * sign(p) and u is passed through.
+    X_trans), the primal step, each pulling back through the aggregation on
+    its own, at the steps of ``cfg.lambda_s`` and the radius
+    ``cfg.lambda_f``. With ``ml1`` the dual is the constant
+    lambda_f * sign(p) and u is passed through. ``pullback(gF, gu)`` takes
+    the cotangents of F_next and u_next and returns those of F, u and
+    X_trans.
     """
     (gamma, beta), lam = steps(cfg.lambda_s), cfg.lambda_f
     dcol = delta.values[:, None]
-    S = _ref_softmax(F.data)
-    agg = gamma * X_trans.data + (1.0 - gamma) * (g.adjacency @ F.data)
+    S = _ref_softmax(F)
+    agg = gamma * X_trans + (1.0 - gamma) * (g.adjacency @ F)
     if ml1:
-        u_eff = F.tape.leaf(lam * np.sign(delta.values @ S).reshape(1, -1))
-        return _ref_primal_step(F, u_eff, X_trans, g, dcol, gamma, S, agg), u
-    S_bar = _ref_softmax(agg - gamma * _ref_fair_grad(S, dcol, u.data))
-    u_bar = u.data + beta * (delta.values @ S_bar)
+        u_eff = lam * np.sign(delta.values @ S).reshape(1, -1)
+        F_next, primal_back = _ref_primal_step(F, u_eff, X_trans, g, dcol, gamma, S, agg)
+
+        def ml1_pullback(gF, gu):
+            dF, _, dX = primal_back(gF)  # the constant dual takes no gradient
+            return dF, gu, dX
+
+        return F_next, u, ml1_pullback
+    S_bar = _ref_softmax(agg - gamma * _ref_fair_grad(S, dcol, u))
+    u_bar = u + beta * (delta.values @ S_bar)
     inside = np.abs(u_bar) <= lam
+    u_next = prox_dual(u_bar, lam)
+    F_next, primal_back = _ref_primal_step(F, u_next, X_trans, g, dcol, gamma, S, agg)
 
-    def dual_backward(gu):
-        gu_bar = gu * inside
-        if not gu_bar.any():
-            return []
+    def pullback(gF, gu):
+        dF, du_next, dX = primal_back(gF)
+        gu_bar = (gu + du_next) * inside
         gf_bar = _ref_fair_grad(S_bar, dcol, beta * gu_bar)
-        dF, du = _ref_fair_grad_vjp(S, dcol, u.data, -gamma * gf_bar)
-        return [
-            (F, g.adjacency @ ((1.0 - gamma) * gf_bar) + dF),
-            (u, gu_bar + du),
-            (X_trans, gamma * gf_bar),
-        ]
+        dF_bar, du = _ref_fair_grad_vjp(S, dcol, u, -gamma * gf_bar)
+        return (
+            dF + g.adjacency @ ((1.0 - gamma) * gf_bar) + dF_bar,
+            gu_bar + du,
+            dX + gamma * gf_bar,
+        )
 
-    u_next = F.tape._result(prox_dual(u_bar, lam), (F, u, X_trans), dual_backward)
-    return _ref_primal_step(F, u_next, X_trans, g, dcol, gamma, S, agg), u_next
+    return F_next, u_next, pullback
+
+
+def reference_stack(X_trans, g, delta, cfg, ml1=False):
+    """Reference: ``cfg.num_layers`` ``reference_layer`` steps from X_trans and
+    the dual u = 0, chained by hand: (F_L, pullback from F_L's cotangent to X_trans's)."""
+    F, u, pullbacks = X_trans, np.zeros((1, X_trans.shape[1])), []
+    for _ in range(cfg.num_layers):
+        F, u, back = reference_layer(F, u, X_trans, g, delta, cfg, ml1)
+        pullbacks.append(back)
+
+    def pullback(gF):
+        gu, gX = np.zeros_like(u), np.zeros_like(X_trans)
+        for back in reversed(pullbacks):
+            gF, gu, dX = back(gF, gu)
+            gX += dX
+        return gX + gF  # layer 1's state is X_trans
+
+    return F, pullback
 
 
 @pytest.fixture

@@ -16,9 +16,9 @@ from conftest import (
     edge_energy,
     finite_diff,
     forward,
+    loss_gradient,
     random_graph,
 )
-from fairprop import autodiff as ad
 from fairprop import debias
 from fairprop.data import Dataset, SynthConfig, synth_generate
 from fairprop.graph import build_graph, incident_vector, smoothness_energy
@@ -126,9 +126,7 @@ class TestCriterion4:
         from fairprop.train import prepare
 
         features, forward = prepare(cfg, dataset, None, delta)
-        tape = ad.Tape()
-        logits, _ = forward(mlp, tape, tape.leaf(features))
-        return logits.data
+        return forward(mlp, features)[0]
 
     def test_zero_radius_reduces_to_teleport_propagation(self, rng):
         for _ in range(20):
@@ -207,19 +205,15 @@ class TestCriterion6:
         cfg = RunConfig(lambda_s=1.0, lambda_f=2.0, num_layers=2)
         mlp = init_weights(MlpConfig(in_dim=d_in, hidden=[hidden], out_dim=d_out), 0)
 
-        tape = ad.Tape()
-        logits, theta = forward(mlp, tape, tape.leaf(X), g, delta, cfg)
-        grads = tape.backward(ad.cross_entropy_with_logits(logits, labels, mask))
+        _, _, grad = loss_gradient(forward, mlp, X, labels, mask, g, delta, cfg)
 
         def f(theta_value):
             probe = mlp.copy()
             probe.theta[:] = theta_value
-            t2 = ad.Tape()
-            lg, _ = forward(probe, t2, t2.leaf(X), g, delta, cfg)
-            return float(ad.cross_entropy_with_logits(lg, labels, mask).data[0, 0])
+            return loss_gradient(forward, probe, X, labels, mask, g, delta, cfg)[1]
 
         fd = finite_diff(f, mlp.theta)
-        assert_close_rel(grads[theta.node_id][0], fd, rtol=1e-4, afloor=1e-7)
+        assert_close_rel(grad, fd, rtol=1e-4, afloor=1e-7)
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0
         report(6, f"all MLP parameter gradients within 1e-4, {elapsed:.2f}s < 30s")
@@ -290,9 +284,8 @@ class TestCriterion7:
         logits = []
         for lam_f in (30.0, 1000.0):
             cfg = RunConfig(lambda_s=1.0, lambda_f=lam_f, num_layers=2)
-            tape = ad.Tape()
-            out, _ = forward(mlp, tape, tape.leaf(ds.features), ds.graph, delta, cfg)
-            logits.append(out.data)
+            out, _ = forward(mlp, ds.features, ds.graph, delta, cfg)
+            logits.append(out)
         assert not np.array_equal(*logits)
 
 

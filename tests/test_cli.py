@@ -617,6 +617,92 @@ class TestErrors:
         assert err.startswith("error: dataset entry is empty: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_sweep_on_an_empty_dataset_entry_leaves_no_directory(self, tmp_path, capsys, monkeypatch):
+        # sweep made its out_dir before the dataset loaded, and left it empty
+        import fairprop.cli as cli
+
+        cfg = write_json(tmp_path / "run.json", run_config_doc(tmp_path, dataset={}))
+        grid = write_json(tmp_path / "grid.json", {"lambda_s": [1.0], "lambda_f": [0.0]})
+        monkeypatch.setattr("sys.argv", ["fairprop", "sweep", "--config", cfg, "--grid", grid])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset entry is empty: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "doc, line",
+        [
+            ({"n": 50, "nodes": 3}, "has unknown key 'nodes'"),
+            ([50, 3], "must be an object, got [50, 3]"),
+        ],
+    )
+    def test_malformed_synth_config_is_one_line(self, tmp_path, capsys, monkeypatch, doc, line):
+        # the file went to SynthConfig(**doc) as it was, which printed Python's
+        # own line: an unexpected keyword argument, or ** of a list
+        import fairprop.cli as cli
+
+        path = write_json(tmp_path / "synth.json", doc)
+        monkeypatch.setattr("sys.argv", ["fairprop", "synth", "--config", path, "--out", str(tmp_path / "data")])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == f"error: synth config {path} {line}\n"
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize(
+        "command, cut, what",
+        [
+            ("train", "config", "config"),
+            ("sweep", "config", "config"),
+            ("sweep", "grid", "grid file"),
+            ("eval", "config", "config"),
+            ("synth", "config", "synth config"),
+        ],
+    )
+    def test_cut_short_json_names_the_file(self, tmp_path, capsys, monkeypatch, command, cut, what):
+        # json's own message named no file: "Expecting property name enclosed
+        # in double quotes: line 1 column 14 (char 13)"
+        import fairprop.cli as cli
+
+        files = {"config": tmp_path / "run.json", "grid": tmp_path / "grid.json", "cut": tmp_path / "cut.json"}
+        write_json(files["config"], SYNTH_DOC if command == "synth" else run_config_doc(tmp_path))
+        write_json(files["grid"], {"lambda_s": [1.0], "lambda_f": [0.0]})
+        files["cut"].write_text(files[cut].read_text()[:13])
+        paths = dict({key: str(path) for key, path in files.items()}, **{cut: str(files["cut"])})
+        args = {
+            "train": ["--config", paths["config"]],
+            "sweep": ["--config", paths["config"], "--grid", paths["grid"]],
+            "eval": ["--checkpoint", paths["grid"], "--config", paths["config"]],
+            "synth": ["--config", paths["config"], "--out", str(tmp_path / "data")],
+        }[command]
+        monkeypatch.setattr("sys.argv", ["fairprop", command, *args])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {what} {paths[cut]}: not a JSON object (") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists() and not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_config_that_is_not_an_object_is_one_line(self, tmp_path, capsys, monkeypatch, command):
+        # a list read as field names ("unknown config fields: [1, 2]"), and
+        # with FAIRPROP_OUT_DIR set failed inside Python ("list indices must
+        # be integers or slices, not str")
+        import fairprop.cli as cli
+
+        cfg = write_json(tmp_path / "run.json", [1, 2])
+        grid = write_json(tmp_path / "grid.json", {"lambda_s": [1.0], "lambda_f": [0.0]})
+        args = ["--config", cfg] + (["--grid", grid] if command == "sweep" else [])
+        monkeypatch.setenv("FAIRPROP_OUT_DIR", str(tmp_path / "out"))
+        monkeypatch.setattr("sys.argv", ["fairprop", command, *args])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == f"error: config {cfg} must be an object, got [1, 2]\n"
+        assert not (tmp_path / "out").exists()
+
     def test_empty_node_csv_names_the_file(self, tmp_path, capsys, monkeypatch):
         import fairprop.cli as cli
 

@@ -10,12 +10,13 @@ from conftest import (
     forward,
     ml1_forward,
     ml1_step,
+    loss_gradient,
     random_graph,
-    reference_layer,
+    reference_stack,
     weighted_sum,
 )
 from fairprop import autodiff as ad
-from fairprop import debias
+from fairprop import debias, train
 from fairprop.debias import (
     fairness_grad,
     fairness_objective,
@@ -189,9 +190,8 @@ def stack_args(cfg):
 
 
 def run_stack(Xt, g, delta, cfg):
-    """The F_L array of ``stack`` on a fresh leaf."""
-    tape = ad.Tape()
-    return stack(tape.leaf(Xt), g, delta, *stack_args(cfg)).data
+    """The F_L array of ``stack``."""
+    return stack(Xt, g, delta, *stack_args(cfg))[0]
 
 
 class TestLayerStep:
@@ -247,15 +247,11 @@ class TestLayerGradients:
         g, delta = TestLayerGradients._graph()
         w_F = rng.standard_normal(Xt.shape)
 
-        def scalar(X):
-            return weighted_sum(stack(X, g, delta, *stack_args(cfg), ml1), w_F)
-
-        tape = ad.Tape()
-        leaf = tape.leaf(Xt, requires_grad=True)
-        grad = tape.backward(scalar(leaf))[leaf.node_id]
+        F, pullback = stack(Xt, g, delta, *stack_args(cfg), ml1)
+        grad = pullback(weighted_sum(F, w_F)[1])
 
         def f(v):
-            return float(scalar(ad.Tape().leaf(v)).data[0, 0])
+            return weighted_sum(stack(v, g, delta, *stack_args(cfg), ml1)[0], w_F)[0]
 
         assert_close_rel(grad, finite_diff(f, Xt.copy()), rtol=1e-6, afloor=1e-9)
 
@@ -299,7 +295,7 @@ class TestLayerGradients:
 
 
 class TestStackMatchesTwoRecordLayer:
-    """The stack's gradients against the layer it replaced, two records per layer."""
+    """The stack's gradients against the layer it replaced, two steps per layer."""
 
     @pytest.mark.parametrize("ml1", [False, True])
     def test_gradients_match(self, rng, ml1):
@@ -312,25 +308,16 @@ class TestStackMatchesTwoRecordLayer:
             # reference's alike: the two differ by a per-node constant
             w = centred(rng.standard_normal(Xt.shape))
 
-            t1 = ad.Tape()
-            x1 = t1.leaf(Xt, requires_grad=True)
-            F1 = stack(x1, g, delta, *stack_args(cfg), ml1)
-            grads1 = t1.backward(weighted_sum(F1, w))
+            F1, pullback1 = stack(Xt, g, delta, *stack_args(cfg), ml1)
+            F2, pullback2 = reference_stack(Xt, g, delta, cfg, ml1)
 
-            t2 = ad.Tape()
-            x2 = t2.leaf(Xt, requires_grad=True)
-            F2, u2 = x2, t2.leaf(np.zeros((1, 2)))
-            for _ in range(layers):
-                F2, u2 = reference_layer(F2, u2, x2, g, delta, cfg, ml1=ml1)
-            grads2 = t2.backward(weighted_sum(F2, w))
-
-            assert_close_rel(F1.data, centred(F2.data), rtol=1e-12, afloor=1e-15)
-            assert_close_rel(grads1[x1.node_id], grads2[x2.node_id], rtol=1e-12, afloor=1e-15)
+            assert_close_rel(F1, centred(F2), rtol=1e-12, afloor=1e-15)
+            assert_close_rel(pullback1(w), pullback2(w), rtol=1e-12, afloor=1e-15)
 
 
 class TestContrastStack:
     """The stack propagates the one logit contrast of two classes; the C-row
-    two-record layer is the reference. ``train`` refuses any other class count."""
+    two-step layer is the reference. ``train`` refuses any other class count."""
 
     @pytest.mark.parametrize("ml1", [False, True])
     @pytest.mark.parametrize("lambda_f", [0.0, 0.5, 30.0])
@@ -344,27 +331,21 @@ class TestContrastStack:
         mask = rng.random(g.n) < 0.6
         mask[0] = True
 
-        t1 = ad.Tape()
-        x1 = t1.leaf(Xt, requires_grad=True)
-        F1 = stack(x1, g, delta, *stack_args(cfg), ml1)
-        grad1 = t1.backward(ad.cross_entropy_with_logits(F1, labels, mask))[x1.node_id]
+        rows = ad.RowLabels.of(labels, mask)
+        F1, pullback1 = stack(Xt, g, delta, *stack_args(cfg), ml1)
+        grad1 = pullback1(ad.cross_entropy_with_logits(F1, rows)[1])
+        F2, pullback2 = reference_stack(Xt, g, delta, cfg, ml1)
+        grad2 = pullback2(ad.cross_entropy_with_logits(F2, rows)[1])
 
-        t2 = ad.Tape()
-        x2 = t2.leaf(Xt, requires_grad=True)
-        F2, u2 = x2, t2.leaf(np.zeros((1, classes)))
-        for _ in range(cfg.num_layers):
-            F2, u2 = reference_layer(F2, u2, x2, g, delta, cfg, ml1=ml1)
-        grad2 = t2.backward(ad.cross_entropy_with_logits(F2, labels, mask))[x2.node_id]
-
-        assert_close_rel(row_softmax(F1.data), row_softmax(F2.data), rtol=1e-12, afloor=1e-15)
+        assert_close_rel(row_softmax(F1), row_softmax(F2), rtol=1e-12, afloor=1e-15)
         assert_close_rel(grad1, grad2, rtol=1e-12, afloor=1e-15)
-        row_sums = np.abs(F1.data.sum(axis=1))
-        assert np.all(row_sums <= 1e-12 * np.abs(F1.data).sum(axis=1))
+        row_sums = np.abs(F1.sum(axis=1))
+        assert np.all(row_sums <= 1e-12 * np.abs(F1).sum(axis=1))
 
 
 class TestBinarySweep:
     """The stack runs every layer in closed form on the one logit contrast;
-    the C-row two-record layer (``reference_layer``) is the reference."""
+    the C-row two-step layer (``conftest.reference_layer``) is the reference."""
 
     @staticmethod
     def _setup():
@@ -399,51 +380,46 @@ class TestBinarySweep:
         w = centred(w)
         cfg = RunConfig(lambda_s=1.5, lambda_f=lambda_f, num_layers=layers)
 
-        t1 = ad.Tape()
-        x1 = t1.leaf(Xt, requires_grad=True)
-        F = stack(x1, g, delta, *stack_args(cfg), ml1)
-        grad = t1.backward(weighted_sum(F, w))[x1.node_id]
+        F, pullback = stack(Xt, g, delta, *stack_args(cfg), ml1)
+        grad = pullback(w)
+        F_ref, ref_pullback = reference_stack(Xt, g, delta, cfg, ml1)
+        grad_ref = ref_pullback(w)
 
-        t2 = ad.Tape()
-        x2 = t2.leaf(Xt, requires_grad=True)
-        F_ref, u = x2, t2.leaf(np.zeros((1, 2)))
-        for _ in range(layers):
-            F_ref, u = reference_layer(F_ref, u, x2, g, delta, cfg, ml1=ml1)
-        grad_ref = t2.backward(weighted_sum(F_ref, w))[x2.node_id]
-
-        F, F_ref = F.data, centred(F_ref.data)
+        F_ref = centred(F_ref)
         assert_close_rel(F, F_ref, rtol=1e-12, afloor=1e-12 * np.abs(F_ref).max())
         assert_close_rel(grad, grad_ref, rtol=1e-12, afloor=1e-12 * np.abs(grad_ref).max())
 
     @pytest.mark.parametrize("ml1", [False, True])
     def test_zero_layers_return_the_input(self, ml1):
-        g, delta, Xt, _ = self._setup()
-        x = ad.Tape().leaf(Xt, requires_grad=True)
-        assert stack(x, g, delta, 0, *steps(1.5), 30.0, ml1) is x
+        g, delta, Xt, w = self._setup()
+        F, pullback = stack(Xt, g, delta, 0, *steps(1.5), 30.0, ml1)
+        assert F is Xt and pullback(w) is w
 
 
 class TestTapeSize:
-    """One record for the whole stack: a silent un-fusing fails here."""
+    """One stage for the whole stack: a silent un-fusing fails here."""
 
     @staticmethod
-    def _extra_records(fwd, layers, rng):
+    def _stages(fwd, layers, rng, monkeypatch):
+        """The stages one forward pass of ``fwd`` runs, in order."""
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         delta = incident_vector([1, -1, 1, -1, 1])
         mlp = init_weights(MlpConfig(in_dim=3, hidden=[4], out_dim=2), 0)
         X = rng.standard_normal((5, 3))
         cfg = RunConfig(lambda_s=1.0, lambda_f=2.0, num_layers=layers)
-        tape, mlp_tape = ad.Tape(), ad.Tape()
-        fwd(mlp, tape, tape.leaf(X), g, delta, cfg)
-        mlp_forward(mlp, mlp_tape, mlp_tape.leaf(X))
-        return len(tape._records) - len(mlp_tape._records)
+        calls, mlp_forward_, stack_ = [], train.mlp_forward, debias.stack
+        monkeypatch.setattr(train, "mlp_forward", lambda *a, **k: calls.append("mlp") or mlp_forward_(*a, **k))
+        monkeypatch.setattr(debias, "stack", lambda *a, **k: calls.append("stack") or stack_(*a, **k))
+        fwd(mlp, X, g, delta, cfg)
+        return calls
 
     @pytest.mark.parametrize("layers", [1, 4])
-    def test_fair_records_one_for_the_stack(self, rng, layers):
-        assert self._extra_records(forward, layers, rng) == 1
+    def test_fair_records_one_for_the_stack(self, rng, layers, monkeypatch):
+        assert self._stages(forward, layers, rng, monkeypatch) == ["mlp", "stack"]
 
     @pytest.mark.parametrize("layers", [1, 4])
-    def test_ml1_records_one_for_the_stack(self, rng, layers):
-        assert self._extra_records(ml1_forward, layers, rng) == 1
+    def test_ml1_records_one_for_the_stack(self, rng, layers, monkeypatch):
+        assert self._stages(ml1_forward, layers, rng, monkeypatch) == ["mlp", "stack"]
 
 
 class TestNanGuard:
@@ -455,9 +431,8 @@ class TestNanGuard:
         X = rng.standard_normal((4, 3))
         X[2, 1] = np.nan
         cfg = RunConfig(lambda_s=1.0, lambda_f=2.0, num_layers=2)
-        tape = ad.Tape()
         with pytest.raises(FloatingPointError, match="NaN produced in propagation layer"):
-            fwd(mlp, tape, tape.leaf(X), g, delta, cfg)
+            fwd(mlp, X, g, delta, cfg)
 
     @pytest.mark.parametrize("lambda_f", [0.0, 2.0])
     @pytest.mark.parametrize("fwd", [forward, ml1_forward, appnp_forward])
@@ -469,9 +444,8 @@ class TestNanGuard:
         X = rng.standard_normal((5, 3))
         X[2, 0] = np.nan
         cfg = RunConfig(lambda_s=1.0, lambda_f=lambda_f, num_layers=3)
-        tape = ad.Tape()
         with pytest.raises(FloatingPointError, match="NaN produced in propagation layer"):
-            fwd(mlp, tape, tape.leaf(X), g, delta, cfg)
+            fwd(mlp, X, g, delta, cfg)
 
 
 class TestForward:
@@ -487,29 +461,24 @@ class TestForward:
     def test_zero_layers_returns_transform(self, rng):
         g, delta, mlp, X = self._setup(rng)
         cfg = RunConfig(lambda_s=1.0, lambda_f=2.0, num_layers=0)
-        tape = ad.Tape()
-        x = tape.leaf(X)
-        out, _ = forward(mlp, tape, x, g, delta, cfg)
-        t2 = ad.Tape()
-        ref, _ = mlp_forward(mlp, t2, t2.leaf(X))
-        np.testing.assert_array_equal(out.data, ref.data)
+        out, _ = forward(mlp, X, g, delta, cfg)
+        ref, _ = mlp_forward(mlp, X)
+        np.testing.assert_array_equal(out, ref)
 
     def test_zero_fair_weight_equals_appnp_trajectory(self, rng):
         for _ in range(20):
             g, delta, mlp, X = self._setup(rng)
             cfg = RunConfig(lambda_s=1.5, lambda_f=0.0, num_layers=3)
-            tape = ad.Tape()
-            out, _ = forward(mlp, tape, tape.leaf(X), g, delta, cfg)
-            t2 = ad.Tape()
-            xt, _ = mlp_forward(mlp, t2, t2.leaf(X))
-            F = xt.data
+            out, _ = forward(mlp, X, g, delta, cfg)
+            xt, _ = mlp_forward(mlp, X)
+            F = xt
             for _ in range(3):
-                F = appnp_step(g, F, xt.data, steps(cfg.lambda_s)[0])
-            np.testing.assert_allclose(centred(out.data), centred(F), rtol=0, atol=1e-12)
+                F = appnp_step(g, F, xt, steps(cfg.lambda_s)[0])
+            np.testing.assert_allclose(centred(out), centred(F), rtol=0, atol=1e-12)
 
     def test_zero_fair_weight_gradients_equal_appnp(self, rng):
         # the reverse sweep adds the cotangents of X_trans in the order the
-        # teleport-propagation tape does, so the logits and weight gradients
+        # teleport-propagation pullback does, so the logits and weight gradients
         # of both debiasing schemes are bitwise equal to it
         for layers in (1, 2, 3):
             for _ in range(10):
@@ -520,10 +489,8 @@ class TestForward:
                 cfg = RunConfig(lambda_s=1.5, lambda_f=0.0, num_layers=layers)
                 outs = []
                 for fwd in (appnp_forward, forward, ml1_forward):
-                    tape = ad.Tape()
-                    logits, theta = fwd(mlp, tape, tape.leaf(X), g, delta, cfg)
-                    grad_map = tape.backward(ad.cross_entropy_with_logits(logits, labels, mask))
-                    outs.append([logits.data, grad_map[theta.node_id]])
+                    logits, _, grad = loss_gradient(fwd, mlp, X, labels, mask, g, delta, cfg)
+                    outs.append([logits, grad])
                 for out in outs[1:]:
                     for a, b in zip(out, outs[0]):
                         assert np.array_equal(a, b)
@@ -537,19 +504,15 @@ class TestForward:
         mask = np.ones(8, dtype=bool)
         cfg = RunConfig(lambda_s=1.0, lambda_f=0.5, num_layers=2)
 
-        tape = ad.Tape()
-        logits, theta = forward(mlp, tape, tape.leaf(X), g, delta, cfg)
-        grads = tape.backward(ad.cross_entropy_with_logits(logits, labels, mask))
+        _, _, grad = loss_gradient(forward, mlp, X, labels, mask, g, delta, cfg)
 
         def f(theta_value):
             probe = mlp.copy()
             probe.theta[:] = theta_value
-            t2 = ad.Tape()
-            lg, _ = forward(probe, t2, t2.leaf(X), g, delta, cfg)
-            return float(ad.cross_entropy_with_logits(lg, labels, mask).data[0, 0])
+            return loss_gradient(forward, probe, X, labels, mask, g, delta, cfg)[1]
 
         fd = finite_diff(f, mlp.theta)
-        assert_close_rel(grads[theta.node_id][0], fd, rtol=1e-4, afloor=1e-7)
+        assert_close_rel(grad, fd, rtol=1e-4, afloor=1e-7)
 
 
 class TestFairnessObjective:
@@ -627,14 +590,12 @@ class TestMl1Step:
         cfg = RunConfig(lambda_s=1.0, lambda_f=0.6, num_layers=3)
         mlp = init_weights(MlpConfig(in_dim=4, hidden=[6], out_dim=2), 2)
         X = rng.standard_normal((5, 4))
-        tape = ad.Tape()
-        out, _ = ml1_forward(mlp, tape, tape.leaf(X), g, delta, cfg)
-        t2 = ad.Tape()
-        xt = mlp_forward(mlp, t2, t2.leaf(X))[0].data
+        out, _ = ml1_forward(mlp, X, g, delta, cfg)
+        xt = mlp_forward(mlp, X)[0]
         F = xt
         for _ in range(3):
             F = ml1_step(F, xt, g, delta, cfg)
-        np.testing.assert_allclose(centred(out.data), centred(F), atol=1e-12)
+        np.testing.assert_allclose(centred(out), centred(F), atol=1e-12)
 
 
 class TestSingleStepDebiasEffect:

@@ -3,8 +3,9 @@ import pytest
 
 import json
 
-from conftest import adam_per_array, assert_close_rel, finite_diff, joined, per_layer_mlp, weighted_sum
+from conftest import adam_per_array, assert_close_rel, finite_diff, loss_gradient, per_layer_mlp, weighted_sum
 from fairprop import autodiff as ad
+from fairprop import nn
 from fairprop.nn import (
     AdamState,
     Mlp,
@@ -44,31 +45,27 @@ class TestMlpForward:
         for w in mlp.weights:
             w[...] = 0.0
         assert not mlp.theta.any()
-        tape = ad.Tape()
-        out, _ = mlp_forward(mlp, tape, tape.leaf(rng.standard_normal((5, 3))))
-        np.testing.assert_array_equal(out.data, np.zeros((5, 2)))
+        out, _ = mlp_forward(mlp, rng.standard_normal((5, 3)))
+        np.testing.assert_array_equal(out, np.zeros((5, 2)))
 
     def test_identity_single_layer(self, rng):
         cfg = MlpConfig(in_dim=3, hidden=[], out_dim=3)
         mlp = Mlp(cfg, [np.eye(3)], [np.zeros(3)])
         X = rng.standard_normal((4, 3))
-        tape = ad.Tape()
-        out, _ = mlp_forward(mlp, tape, tape.leaf(X))
-        np.testing.assert_array_equal(out.data, X)
+        out, _ = mlp_forward(mlp, X)
+        np.testing.assert_array_equal(out, X)
 
     def test_matches_loop_oracle(self, rng):
         cfg = MlpConfig(in_dim=4, hidden=[5], out_dim=3)
         mlp = init_weights(cfg, 7)
         X = rng.standard_normal((6, 4))
-        tape = ad.Tape()
-        out, _ = mlp_forward(mlp, tape, tape.leaf(X))
-        np.testing.assert_allclose(out.data, loop_mlp_oracle(mlp, X), atol=1e-12)
+        out, _ = mlp_forward(mlp, X)
+        np.testing.assert_allclose(out, loop_mlp_oracle(mlp, X), atol=1e-12)
 
     def test_dimension_mismatch(self, rng):
         mlp = init_weights(MlpConfig(in_dim=3, hidden=[4], out_dim=2), 0)
-        tape = ad.Tape()
         with pytest.raises(ValueError):
-            mlp_forward(mlp, tape, tape.leaf(rng.standard_normal((5, 2))))
+            mlp_forward(mlp, rng.standard_normal((5, 2)))
 
     def test_loss_gradient_matches_finite_differences(self, rng):
         cfg = MlpConfig(in_dim=4, hidden=[5], out_dim=2)
@@ -77,30 +74,29 @@ class TestMlpForward:
         labels = rng.integers(0, 2, size=6)
         mask = np.ones(6, dtype=bool)
 
-        tape = ad.Tape()
-        logits, theta = mlp_forward(mlp, tape, tape.leaf(X))
-        grads = tape.backward(ad.cross_entropy_with_logits(logits, labels, mask))
+        _, _, grad = loss_gradient(mlp_forward, mlp, X, labels, mask)
 
         def f(theta_value):
             probe = mlp.copy()
             probe.theta[:] = theta_value
-            t2 = ad.Tape()
-            lg, _ = mlp_forward(probe, t2, t2.leaf(X))
-            return float(ad.cross_entropy_with_logits(lg, labels, mask).data[0, 0])
+            return loss_gradient(mlp_forward, probe, X, labels, mask)[1]
 
         fd = finite_diff(f, mlp.theta)
-        assert_close_rel(grads[theta.node_id][0], fd, rtol=1e-4, afloor=1e-7)
+        assert_close_rel(grad, fd, rtol=1e-4, afloor=1e-7)
 
 
 class TestMlpRecord:
-    """The MLP as one tape record, against one record per layer (``conftest.per_layer_mlp``)."""
+    """The MLP as one stage, against one pullback per layer (``conftest.per_layer_mlp``)."""
 
     @pytest.mark.parametrize("hidden", [[], [6], [5, 7, 4]])
-    @pytest.mark.parametrize("x_grad", [False, True])
+    @pytest.mark.parametrize("read_only", [False, True])
     @pytest.mark.parametrize("standardized", [False, True])
-    def test_bitwise_equal_to_one_dense_record_per_layer(self, rng, hidden, x_grad, standardized):
+    def test_bitwise_equal_to_one_dense_record_per_layer(self, rng, hidden, read_only, standardized):
+        # with read_only the features are read-only, as load_dataset's are:
+        # the pullback writes into its own activations and never into them
         X = rng.standard_normal((30, 4))
         X[:4] = 0.0  # with zero biases, exact +0.0 and -0.0 pre-activations
+        X.setflags(write=not read_only)
         mlp = init_weights(MlpConfig(in_dim=4, hidden=hidden, out_dim=3), 5)
         for b in mlp.biases[1:]:
             b[::2] = rng.standard_normal(b[::2].shape)
@@ -108,37 +104,36 @@ class TestMlpRecord:
         weights = rng.standard_normal((30, 3))
 
         def run(forward):
-            # the output, the input's gradient and the flat parameter
-            # gradient (the oracle's per-parameter gradients joined)
-            tape = ad.Tape()
-            x = tape.leaf(X, requires_grad=x_grad)
-            out, params = forward(mlp, tape, x, stats)
-            params = params if forward is per_layer_mlp else [params]
-            grads = tape.backward(weighted_sum(out, weights))
-            assert set(grads) == {t.node_id for t in ([x, *params] if x_grad else params)}
-            x_bytes = grads[x.node_id].tobytes() if x_grad else None
-            return out.data.tobytes(), x_bytes, joined(grads, params).tobytes()
+            # the output and the flat parameter gradient (the oracle's
+            # per-parameter gradients joined)
+            out, pullback = forward(mlp, X, stats)
+            return out.tobytes(), pullback(weighted_sum(out, weights)[1]).tobytes()
 
         assert run(mlp_forward) == run(per_layer_mlp)
 
-    def test_one_record(self, rng):
+    def test_one_record(self, rng, monkeypatch):
+        # one stage for every layer: each layer's affine map is taken once
+        # forward, and its gradients once in the one pullback
+        calls = []
+        for name in ("_affine", "_affine_grads"):
+            fn = getattr(nn, name)
+            monkeypatch.setattr(nn, name, lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k))
         mlp = init_weights(MlpConfig(in_dim=4, hidden=[5, 6], out_dim=3), 0)
-        tape = ad.Tape()
-        mlp_forward(mlp, tape, tape.leaf(rng.standard_normal((7, 4))))
-        assert len(tape._records) == 1
+        out, pullback = mlp_forward(mlp, rng.standard_normal((7, 4)))
+        assert calls == ["_affine"] * 3
+        pullback(np.ones(out.shape))
+        assert calls == ["_affine"] * 3 + ["_affine_grads"] * 3
 
     def test_one_parameter_leaf(self, rng):
-        # the record's one parameter leaf is theta as a 1 x P row, no copy
+        # the pullback's one gradient is theta's, one new flat vector whose
+        # layer views are each layer's dw and db
         mlp = init_weights(MlpConfig(in_dim=4, hidden=[5, 6], out_dim=2), 0)
-        tape = ad.Tape()
-        x = tape.leaf(rng.standard_normal((7, 4)))
-        out, theta = mlp_forward(mlp, tape, x)
-        ((_, inputs, _),) = tape._records
-        assert [t for t in inputs if t.requires_grad] == [theta]
-        assert (x.node_id, theta.node_id, out.node_id, tape._next_id) == (0, 1, 2, 3)
-        assert theta.shape == (1, mlp.theta.size) and np.shares_memory(theta.data, mlp.theta)
-        grads = tape.backward(weighted_sum(out, np.ones(out.shape)))
-        assert set(grads) == {theta.node_id} and grads[theta.node_id].shape == theta.shape
+        out, pullback = mlp_forward(mlp, rng.standard_normal((7, 4)))
+        grad = pullback(np.ones(out.shape))
+        assert grad.shape == mlp.theta.shape and grad.dtype == np.float64
+        assert not np.shares_memory(grad, mlp.theta)
+        views = _layer_views(grad, mlp.config.layer_dims())
+        assert [(dw.shape, db.shape) for dw, db in views] == [(w.shape, b.shape) for w, b in zip(mlp.weights, mlp.biases)]
 
     def test_a_nan_pre_activation_stays_out_of_the_relu_mask(self, rng):
         # after the ReLU, h > 0 exactly where the pre-activation was > 0:
@@ -149,16 +144,35 @@ class TestMlpRecord:
         weights = rng.standard_normal((6, 2))
         results = []
         for forward in (mlp_forward, per_layer_mlp):
-            tape = ad.Tape()
-            out, params = forward(mlp, tape, tape.leaf(X), None)
-            params = params if forward is per_layer_mlp else [params]
-            grads = tape.backward(weighted_sum(out, weights))
-            results.append((out.data, joined(grads, params)))
+            out, pullback = forward(mlp, X, None)
+            results.append((out, pullback(weighted_sum(out, weights)[1])))
         (out, grad), (ref_out, ref_grad) = results
         ((dw0, _), _) = _layer_views(grad, mlp.config.layer_dims())
         assert np.all(dw0[:, 1] == 0.0), "the NaN unit passed a gradient back"
         np.testing.assert_array_equal(out, ref_out)
         np.testing.assert_array_equal(grad, ref_grad)
+
+    def test_in_place_masks_change_no_held_array(self, rng):
+        # the pullback writes each hidden cotangent into its activation and
+        # masks it in place: no input, output, cotangent or constant the
+        # caller holds changes
+        mlp = init_weights(MlpConfig(in_dim=3, hidden=[5], out_dim=4), 0)
+        x = rng.standard_normal((8, 3))
+        out, pullback = mlp_forward(mlp, x)
+        gy = rng.standard_normal((8, 4))
+        held = [x, mlp.theta, out, gy]
+        copies = [array.copy() for array in held]
+        grad = pullback(gy)
+        for array, copy in zip(held, copies):
+            assert np.array_equal(array, copy)
+        # the out-of-place chain rule, operation for operation
+        (w0, b0), (w1, _) = zip(mlp.weights, mlp.biases)
+        (dw0, _), (dw1, _) = _layer_views(grad, mlp.config.layer_dims())
+        h = x @ w0 + b0
+        h *= h > 0.0
+        gh = (gy @ w1.T) * (h > 0.0)
+        assert np.array_equal(dw1, h.T @ gy)
+        assert np.array_equal(dw0, x.T @ gh)
 
 
 class TestInitWeights:
@@ -185,14 +199,12 @@ class TestInitWeights:
 
 class TestCrossEntropy:
     def test_uniform_row(self):
-        tape = ad.Tape()
-        loss = ad.cross_entropy_with_logits(tape.leaf([[0.0, 0.0]]), [0], [True])
-        assert loss.data[0, 0] == pytest.approx(np.log(2.0))
+        loss, _ = ad.cross_entropy_with_logits(np.array([[0.0, 0.0]]), ad.RowLabels.of([0], [True]))
+        assert loss == pytest.approx(np.log(2.0))
 
     def test_large_logits_stable(self):
-        tape = ad.Tape()
-        loss = ad.cross_entropy_with_logits(tape.leaf([[1000.0, 0.0]]), [1], [True])
-        assert np.isfinite(loss.data[0, 0]) and loss.data[0, 0] > 100.0
+        loss, _ = ad.cross_entropy_with_logits(np.array([[1000.0, 0.0]]), ad.RowLabels.of([1], [True]))
+        assert np.isfinite(loss) and loss > 100.0
 
     def test_batch_mean_vs_per_row_oracle(self, rng):
         logits = rng.standard_normal((2, 2))
@@ -203,17 +215,16 @@ class TestCrossEntropy:
             return float(-(z[lab] - np.log(np.exp(z).sum())))
 
         expected = 0.5 * (row_loss(logits[0], 1) + row_loss(logits[1], 0))
-        tape = ad.Tape()
-        loss = ad.cross_entropy_with_logits(tape.leaf(logits), labels, [True, True])
-        assert abs(loss.data[0, 0] - expected) <= 1e-12
+        loss, _ = ad.cross_entropy_with_logits(logits, ad.RowLabels.of(labels, [True, True]))
+        assert abs(loss - expected) <= 1e-12
 
     def test_row_shift_invariance(self, rng):
         logits = rng.standard_normal((5, 2))
         labels = rng.integers(0, 2, size=5)
         mask = np.ones(5, dtype=bool)
-        tape = ad.Tape()
-        a = ad.cross_entropy_with_logits(tape.leaf(logits), labels, mask).data[0, 0]
-        b = ad.cross_entropy_with_logits(tape.leaf(logits + 7.3), labels, mask).data[0, 0]
+        rows = ad.RowLabels.of(labels, mask)
+        a, _ = ad.cross_entropy_with_logits(logits, rows)
+        b, _ = ad.cross_entropy_with_logits(logits + 7.3, rows)
         assert abs(a - b) <= 1e-9
 
     def test_node_permutation_equivariance(self, rng):
@@ -222,18 +233,13 @@ class TestCrossEntropy:
         mask = rng.random(6) < 0.5
         mask[0] = True
         perm = rng.permutation(6)
-        tape = ad.Tape()
-        a = ad.cross_entropy_with_logits(tape.leaf(logits), labels, mask).data[0, 0]
-        b = ad.cross_entropy_with_logits(tape.leaf(logits[perm]), labels[perm], mask[perm])
-        b = b.data[0, 0]
+        a, _ = ad.cross_entropy_with_logits(logits, ad.RowLabels.of(labels, mask))
+        b, _ = ad.cross_entropy_with_logits(logits[perm], ad.RowLabels.of(labels[perm], mask[perm]))
         assert abs(a - b) <= 1e-12
 
     def test_empty_mask(self, rng):
-        tape = ad.Tape()
         with pytest.raises(ValueError):
-            ad.cross_entropy_with_logits(
-                tape.leaf(rng.standard_normal((3, 2))), [0, 1, 0], [False] * 3
-            )
+            ad.cross_entropy_with_logits(rng.standard_normal((3, 2)), ad.RowLabels.of([0, 1, 0], [False] * 3))
 
 
 def adam_scalar_oracle(w0, lr, steps):
@@ -341,10 +347,9 @@ class TestCheckpoint:
         save_checkpoint(path, mlp, run)
         loaded = load_checkpoint(path, run)
         X = rng.standard_normal((7, 4))
-        t1, t2 = ad.Tape(), ad.Tape()
-        a, _ = mlp_forward(mlp, t1, t1.leaf(X))
-        b, _ = mlp_forward(loaded, t2, t2.leaf(X))
-        np.testing.assert_allclose(a.data, b.data, atol=1e-15)
+        a, _ = mlp_forward(mlp, X)
+        b, _ = mlp_forward(loaded, X)
+        np.testing.assert_allclose(a, b, atol=1e-15)
         assert loaded.seed == 5
 
     def test_other_config_is_refused(self, tmp_path):

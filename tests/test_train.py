@@ -14,7 +14,6 @@ from conftest import (
     centred,
     finite_diff,
     gcn_oracle,
-    joined,
     matmul,
     per_layer_mlp,
 )
@@ -518,11 +517,12 @@ class TestZeroFairWeightGuard:
 
 class TestTrainMemory:
     def test_traced_peak_of_a_two_epoch_fair_run(self):
-        # One record for the whole MLP, no gradient for the constant
-        # features, and each record and gradient freed once used keep this
-        # run near 6.4 MiB (7.4 MiB with one dense record per MLP layer).
-        # Three records per layer, with every gradient kept until backward
-        # returns, peaked near 27 MiB.
+        # One stage for the whole MLP, no gradient for the constant
+        # features, and pullbacks that free what they keep as they run keep
+        # this run near 5.3 MiB (the tape they replaced, freeing each record
+        # and gradient once used, read the same; 7.4 MiB with one dense
+        # record per MLP layer). Three records per layer, with every
+        # gradient kept until backward returns, peaked near 27 MiB.
         rng = np.random.default_rng(0)
         n, d, m = 20_000, 16, 100_000
         a = rng.integers(n, size=m)
@@ -549,8 +549,10 @@ class TestTrainMemory:
         # The first MLP layer standardizes the features as it reads them, so
         # a run holds no n x d standardized copy (12.2 MiB here). Measured:
         # 16.8 MiB with the fold (19.1 MiB with one dense record per MLP
-        # layer), 31.3 MiB with a copy; the bound leaves less than one n x d
-        # float64 array of headroom above 19.1 MiB.
+        # layer), 31.3 MiB with a copy; 13.3 MiB with pullbacks, which free
+        # the MLP's output once the stack has read it (14.1 MiB on the tape
+        # they replaced). The bound leaves less than one n x d float64 array
+        # of headroom above 19.1 MiB.
         rng = np.random.default_rng(0)
         n, d, m = 50_000, 32, 250_000
         a = rng.integers(n, size=m)
@@ -574,9 +576,10 @@ class TestTrainMemory:
         assert peak < bound, f"train_one peaked at {peak / 2**20:.1f} MiB"
 
     def test_mlp_backward_writes_each_hidden_cotangent_into_its_activation(self):
-        # The MLP record keeps its n x 64 hidden activation without a ReLU
-        # mask, and its backward writes the hidden layer's cotangent into
-        # it. Measured: 30.3 MiB; 54.6 MiB with one dense record per layer,
+        # The MLP stage keeps its n x 64 hidden activation without a ReLU
+        # mask, and its pullback writes the hidden layer's cotangent into
+        # it. Measured: 30.3 MiB (30.2 MiB with pullbacks, as on the tape
+        # they replaced); 54.6 MiB with one dense record per layer,
         # which keeps a bool mask and allocates a new n x 64 cotangent while
         # the activation is alive. The bound leaves half an n x 64 float64
         # array of headroom.
@@ -608,11 +611,10 @@ def _logits_and_gradients(cfg, dataset, masks):
     delta = incident_vector(dataset.sensitive)
     features, forward = train.prepare(cfg, dataset, masks, delta)
     mlp = init_weights(MlpConfig(in_dim=features.shape[1], hidden=cfg.hidden, out_dim=2), 0)
-    tape = ad.Tape()
-    logits, theta = forward(mlp, tape, tape.leaf(features))
-    loss = ad.cross_entropy_with_logits(logits, ad.RowLabels.of(dataset.labels, masks.train))
-    grad = tape.backward(loss)[theta.node_id][0]
-    return logits.data, [a for layer in _layer_views(grad, mlp.config.layer_dims()) for a in layer]
+    logits, pullback = forward(mlp, features)
+    _, dlogits = ad.cross_entropy_with_logits(logits, ad.RowLabels.of(dataset.labels, masks.train))
+    grad = pullback(dlogits)
+    return logits, [a for layer in _layer_views(grad, mlp.config.layer_dims()) for a in layer]
 
 
 class TestStandardizeInFirstLayer:
@@ -677,8 +679,7 @@ class TestStandardizeInFirstLayer:
             logits = []
             for data, model in ((dataset, mlp), (without, one)):
                 features, forward = train.prepare(cfg, data, masks, delta)
-                tape = ad.Tape()
-                logits.append(forward(model, tape, tape.leaf(features))[0].data)
+                logits.append(forward(model, features)[0])
             np.testing.assert_allclose(logits[0], logits[1], rtol=0, atol=1e-12)
 
 
@@ -703,18 +704,16 @@ class TestPpnpKernel:
         mlp = init_weights(MlpConfig(in_dim=6, hidden=[8], out_dim=2), 0)
         delta = incident_vector(small_dataset.sensitive)
         features, forward = train.prepare(cfg, small_dataset, None, delta)
-        tape = ad.Tape()
-        logits, _ = forward(mlp, tape, tape.leaf(features))
-        t2 = ad.Tape()
-        x_trans, _ = mlp_forward(mlp, t2, t2.leaf(small_dataset.features))
-        expected = ppnp_exact(small_dataset.graph, x_trans.data, cfg.alpha)
-        np.testing.assert_allclose(logits.data, expected, rtol=0, atol=1e-12)
+        logits, _ = forward(mlp, features)
+        x_trans, _ = mlp_forward(mlp, small_dataset.features)
+        expected = ppnp_exact(small_dataset.graph, x_trans, cfg.alpha)
+        np.testing.assert_allclose(logits, expected, rtol=0, atol=1e-12)
 
 
     def test_logits_and_gradient_equal_the_matmul_chain(self, small_dataset):
-        # the forward records K X itself, K the kernel: its logits and theta
-        # gradient are those of the MLP then the tests' matmul oracle on a
-        # constant kernel leaf, bit for bit
+        # the forward computes K X itself, K the kernel: its logits and theta
+        # gradient are those of the MLP then the tests' matmul oracle on the
+        # constant kernel, bit for bit
         cfg = small_cfg(scheme="ppnp_exact")
         masks = make_splits(small_dataset, cfg.split_fractions, 0)
         features, forward = train.prepare(cfg, small_dataset, masks, incident_vector(small_dataset.sensitive))
@@ -723,17 +722,16 @@ class TestPpnpKernel:
         mlp = init_weights(MlpConfig(in_dim=6, hidden=[8], out_dim=2), 0)
         labels = ad.RowLabels.of(small_dataset.labels, masks.train)
 
-        def chain(mlp, tape, x):
-            x_trans, theta = mlp_forward(mlp, tape, x, stats)
-            return matmul(tape.leaf(kernel), x_trans), theta
+        def chain(mlp, x):
+            # the MLP, then the product, pulled back by hand
+            x_trans, mlp_pullback = mlp_forward(mlp, x, stats)
+            logits, product_pullback = matmul(kernel, x_trans)
+            return logits, lambda g: mlp_pullback(product_pullback(g)[1])
 
         def run(fwd):
-            tape = ad.Tape()
-            logits, theta = fwd(mlp, tape, tape.leaf(features))
-            assert len(tape._records) == 2  # the MLP, then the product
-            grads = tape.backward(ad.cross_entropy_with_logits(logits, labels))
-            assert set(grads) == {theta.node_id}
-            return logits.data.tobytes(), grads[theta.node_id].tobytes()
+            logits, pullback = fwd(mlp, features)
+            _, dlogits = ad.cross_entropy_with_logits(logits, labels)
+            return logits.tobytes(), pullback(dlogits).tobytes()
 
         assert run(forward) == run(chain)
 
@@ -777,11 +775,10 @@ class TestGcn:
         mlp.theta += rng.standard_normal(mlp.theta.shape)
         delta = incident_vector(small_dataset.sensitive)
         features, forward = train.prepare(cfg, small_dataset, masks, delta)
-        tape = ad.Tape()
-        logits, _ = forward(mlp, tape, tape.leaf(features))
+        logits, _ = forward(mlp, features)
         h = standardize_features(small_dataset.features, masks.train).apply(small_dataset.features)
         expected = gcn_oracle(small_dataset.graph, mlp, h)
-        np.testing.assert_allclose(logits.data, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(logits, expected, rtol=0, atol=1e-12)
 
     @staticmethod
     def _model(dataset, hidden):
@@ -797,22 +794,19 @@ class TestGcn:
 
     @pytest.mark.parametrize("hidden", [[], [8], [8, 5]])
     def test_logits_and_gradients_equal_the_per_layer_chain(self, small_dataset, hidden):
-        # one dense record per layer, the later ones followed by A and the ReLU
+        # one dense step per layer, the later ones followed by A and the ReLU
         forward, features, row_sums, mlp, masks = self._model(small_dataset, hidden)
         labels = ad.RowLabels.of(small_dataset.labels, masks.train)
 
         def run(fwd):
             # the logits and the flat parameter gradient (the oracle's joined)
-            tape = ad.Tape()
-            logits, params = fwd(mlp, tape, tape.leaf(features))
-            params = params if isinstance(params, list) else [params]
-            grads = tape.backward(ad.cross_entropy_with_logits(logits, labels))
-            assert set(grads) == {t.node_id for t in params}
-            return logits.data.tobytes(), joined(grads, params).tobytes()
+            logits, pullback = fwd(mlp, features)
+            _, dlogits = ad.cross_entropy_with_logits(logits, labels)
+            return logits.tobytes(), pullback(dlogits).tobytes()
 
         adjacency = small_dataset.graph.adjacency
         assert run(forward) == run(
-            lambda mlp, tape, x: per_layer_mlp(mlp, tape, x, adjacency=adjacency, row_scale=row_sums)
+            lambda mlp, x: per_layer_mlp(mlp, x, adjacency=adjacency, row_scale=row_sums)
         )
 
     def test_gradients_match_finite_differences(self, small_dataset):
@@ -820,27 +814,30 @@ class TestGcn:
         labels = ad.RowLabels.of(small_dataset.labels, masks.train)
 
         def loss(probe):
-            tape = ad.Tape()
-            logits, theta = forward(probe, tape, tape.leaf(features))
-            return tape, ad.cross_entropy_with_logits(logits, labels), theta
+            logits, pullback = forward(probe, features)
+            value, dlogits = ad.cross_entropy_with_logits(logits, labels)
+            return value, dlogits, pullback
 
-        tape, value, theta = loss(mlp)
-        grad = tape.backward(value)[theta.node_id][0]
+        _, dlogits, pullback = loss(mlp)
+        grad = pullback(dlogits)
 
         def f(v):
             probe = mlp.copy()
             probe.theta[:] = v
-            return float(loss(probe)[1].data[0, 0])
+            return loss(probe)[0]
 
         assert_close_rel(grad, finite_diff(f, mlp.theta), rtol=1e-5, afloor=1e-8)
 
     @pytest.mark.parametrize("hidden", [[8], [8, 5]])
-    def test_forward_records_one_entry(self, small_dataset, hidden):
-        # the whole model is one record over the parameter leaves, as for every scheme
+    def test_forward_records_one_entry(self, small_dataset, hidden, monkeypatch):
+        # the whole model is the one MLP stage, with no stack after it
         forward, features, _, mlp, _ = self._model(small_dataset, hidden)
-        tape = ad.Tape()
-        forward(mlp, tape, tape.leaf(features))
-        assert len(tape._records) == 1
+        calls, mlp_forward_, stack = [], train.mlp_forward, debias.stack
+        monkeypatch.setattr(train, "mlp_forward", lambda *a, **k: calls.append("mlp") or mlp_forward_(*a, **k))
+        monkeypatch.setattr(debias, "stack", lambda *a, **k: calls.append("stack") or stack(*a, **k))
+        logits, pullback = forward(mlp, features)
+        assert calls == ["mlp"]
+        assert pullback(np.ones(logits.shape)).shape == mlp.theta.shape
 
     def test_epoch_makes_only_out_dim_wide_products(self, small_dataset):
         # A X and A 1 are computed once per run; an epoch multiplies by A only
@@ -865,15 +862,13 @@ class TestSgc:
         mlp = init_weights(MlpConfig(in_dim=6, hidden=[8], out_dim=2), 0)
         delta = incident_vector(small_dataset.sensitive)
         features, forward = train.prepare(cfg, small_dataset, masks, delta)
-        tape = ad.Tape()
-        logits, _ = forward(mlp, tape, tape.leaf(features))
+        logits, _ = forward(mlp, features)
 
         h = standardize_features(small_dataset.features, masks.train).apply(small_dataset.features)
         for _ in range(cfg.prop_k):
             h = small_dataset.graph.dense_adjacency() @ h
-        t2 = ad.Tape()
-        expected, _ = mlp_forward(mlp, t2, t2.leaf(h))
-        np.testing.assert_allclose(logits.data, expected.data, rtol=0, atol=1e-12)
+        expected, _ = mlp_forward(mlp, h)
+        np.testing.assert_allclose(logits, expected, rtol=0, atol=1e-12)
 
     def test_epoch_makes_no_sparse_products(self, small_dataset):
         # the features are propagated prop_k times once per run, and an epoch
@@ -900,19 +895,17 @@ class TestAppnp:
         mlp = init_weights(MlpConfig(in_dim=6, hidden=[8], out_dim=2), 0)
         delta = incident_vector(small_dataset.sensitive)
         features, forward = train.prepare(cfg, small_dataset, masks, delta)
-        tape = ad.Tape()
-        logits, _ = forward(mlp, tape, tape.leaf(features))
+        logits, _ = forward(mlp, features)
 
         # prepare's input is the raw features, standardized in the MLP's first layer
         stats = standardize_features(small_dataset.features, masks.train)
-        t2 = ad.Tape()
-        x_trans = mlp_forward(mlp, t2, t2.leaf(features), stats)[0].data
+        x_trans = mlp_forward(mlp, features, stats)[0]
         expected = x_trans
         for _ in range(prop_k):
             expected = appnp_step(small_dataset.graph, expected, x_trans, alpha)
         # the stack propagates logit contrasts, so the two agree per node up to
         # a constant and rounding
-        np.testing.assert_allclose(centred(logits.data), centred(expected), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(centred(logits), centred(expected), rtol=0, atol=1e-12)
 
 
 class TestRunAndSweep:
