@@ -3,45 +3,26 @@
 from __future__ import annotations
 
 import csv
-import json
 import os
 import sys
 
 import click
 import numpy as np
 
-from .data import MISSING_LABEL, SynthConfig, make_splits, parse_labels, synth_generate
+from .data import MISSING_LABEL, SynthConfig, check_keys, is_number, make_splits, parse_labels
+from .data import read_json, synth_generate
 from .metrics import accuracy as accuracy_metric
 from .metrics import demographic_parity, equal_opportunity
 from .nn import load_checkpoint
-from .train import (
-    RunConfig,
-    _check_keys,
-    evaluate,
-    hashing_files_once,
-    load_run_dataset,
-    run,
-    summarize,
-    sweep,
-)
+from .train import RunConfig, evaluate, hashing_files_once, load_run_dataset, run, summarize, sweep
 
 # Rows of text built before each write: the text of a whole file would peak
 # above the generator itself.
 WRITE_BLOCK_ROWS = 1024
 
 
-def _read_json(path, what):
-    """The JSON document in the file at ``path``, a ``what`` file; text that
-    does not parse is one ValueError line naming the file."""
-    with open(path) as f:
-        try:
-            return json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{what} {path}: not a JSON object ({exc})") from None
-
-
 def _load_config(path) -> RunConfig:
-    doc = _read_json(path, "config")
+    doc = read_json(path, "config")
     if not isinstance(doc, dict):
         raise ValueError(f"config {path} must be an object, got {doc!r}")
     out_dir = os.environ.get("FAIRPROP_OUT_DIR")
@@ -86,10 +67,13 @@ def sweep_cmd(config_path, grid_path):
     seed in the results file, the rows a resume kept included.
     """
     cfg = _load_config(config_path)
-    grid = _read_json(grid_path, "grid file")
+    grid = read_json(grid_path, "grid file")
     for key in ("lambda_s", "lambda_f"):
         if not isinstance(grid, dict) or not isinstance(grid.get(key), list) or not grid[key]:
             raise ValueError(f"grid file {grid_path} needs a list of values under {key!r}")
+        for value in grid[key]:
+            if not is_number(value):
+                raise ValueError(f"grid file {grid_path} needs numbers under {key!r}, got {value!r}")
     rows, path = sweep(cfg, grid["lambda_s"], grid["lambda_f"])
     for (lam_s, lam_f), stats in summarize(rows).items():
         click.echo(f"lambda_s={lam_s} lambda_f={lam_f} {_acc_dp(stats)} seeds={stats['n']}")
@@ -135,8 +119,8 @@ def eval_cmd(checkpoint, config_path, seed, mask):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def synth_cmd(config_path, out_dir):
     """Generate a synthetic dataset and write node CSV plus edge list."""
-    doc = _read_json(config_path, "synth config")
-    _check_keys(doc, f"synth config {config_path}", (), SynthConfig.__dataclass_fields__)
+    doc = read_json(config_path, "synth config")
+    check_keys(doc, f"synth config {config_path}", (), SynthConfig.__dataclass_fields__)
     cfg = SynthConfig(**doc)
     dataset = synth_generate(cfg)
     os.makedirs(out_dir, exist_ok=True)

@@ -1,9 +1,10 @@
-"""Dataset ingestion, deterministic splits, synthetic generation, results I/O."""
+"""Document checks, dataset ingestion, deterministic splits, synthetic generation, results I/O."""
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import math
 import numbers
 import os
@@ -25,6 +26,39 @@ MISSING_LABEL = -1
 # Characters of lines parsed at a time (``readlines`` hint): the text, cells
 # and tokens of one block, not of the whole file, are held at once.
 BLOCK_CHARS = 1 << 20
+
+
+def read_json(path, what):
+    """The JSON document in the file at ``path``, a ``what`` file; text that
+    does not parse is one ValueError line naming the file."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{what} {path}: not a JSON object ({exc})") from None
+
+
+def check_keys(doc, where, required, optional) -> None:
+    """One ValueError line unless ``doc`` is an object that holds every key
+    of ``required`` and no key outside ``required`` and ``optional``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be an object, got {doc!r}")
+    for key in doc:
+        if key not in required and key not in optional:
+            raise ValueError(f"{where} has unknown key {key!r}")
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"{where} lacks {key!r}")
+
+
+def is_integer(value) -> bool:
+    """Whether a document's ``value`` is an integer; ``true`` is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """Whether a document's ``value`` is a real number; ``true`` is not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -349,17 +383,26 @@ def _first_bad_edge_line(edge_path, id_map) -> str:
     raise AssertionError("no malformed edge line or unknown id found")
 
 
-def make_splits(dataset: Dataset, fractions=(0.5, 0.25, 0.25), seed: int = 0) -> SplitMasks:
-    """Deterministic shuffle of labeled nodes, sliced into train/val/test.
-
-    Train and val take floor(fraction * n_labeled); test takes the remainder.
-    A split left empty raises one ValueError line: training, selection and
-    the report each need rows.
-    """
+def check_split_fractions(fractions) -> None:
+    """One ValueError line unless ``fractions`` is a list of three numbers,
+    each >= 0, that sum to 1: the train, val and test shares."""
+    if not isinstance(fractions, (list, tuple)) or len(fractions) != 3 or not all(map(is_number, fractions)):
+        raise ValueError(f"split_fractions must be a list of three numbers, got {fractions!r}")
     if not all(f >= 0 for f in fractions):  # NaN too
         raise ValueError(f"split fractions must be >= 0, got {tuple(fractions)}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("split fractions must sum to 1")
+
+
+def make_splits(dataset: Dataset, fractions=(0.5, 0.25, 0.25), seed: int = 0) -> SplitMasks:
+    """Deterministic shuffle of labeled nodes, sliced into train/val/test.
+
+    Train and val take floor(fraction * n_labeled); test takes the remainder.
+    Fractions that ``check_split_fractions`` refuses, and a split left empty,
+    raise one ValueError line: training, selection and the report each need
+    rows.
+    """
+    check_split_fractions(fractions)
     labeled = np.flatnonzero(dataset.labeled_mask)
     if labeled.size < 4:
         raise ValueError("too few labeled nodes to split")
@@ -403,7 +446,7 @@ class SynthConfig:
     def __post_init__(self):
         for name, low in (("n", 4), ("feat_dim", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
@@ -411,7 +454,7 @@ class SynthConfig:
             "mean_degree", "group_frac", "eps_sens", "eps_label", "label_group_corr", "class_shift", "group_shift"
         ):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not is_number(value):
                 raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0 < self.mean_degree < math.inf:  # NaN too
             raise ValueError(f"mean_degree must be > 0 and finite, got {self.mean_degree}")

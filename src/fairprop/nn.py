@@ -21,6 +21,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .data import is_integer, read_json
+
 if TYPE_CHECKING:
     from .train import RunConfig
 
@@ -290,14 +292,7 @@ def load_checkpoint(path, run: RunConfig) -> Mlp:
             raise fail(f"field {name!r} is missing")
         return doc[key]
 
-    def integer(value):
-        return isinstance(value, int) and not isinstance(value, bool)
-
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise fail(f"not a JSON object ({exc})") from None
+    doc = read_json(path, "checkpoint")
     if not isinstance(doc, dict):
         raise fail("not a JSON object")
     if doc.get("fingerprint") != run.fingerprint():
@@ -311,9 +306,9 @@ def load_checkpoint(path, run: RunConfig) -> Mlp:
         raise fail(f"field 'config' is not an object: {config!r}")
     dims = {key: field(config, key, f"config.{key}") for key in ("in_dim", "hidden", "out_dim")}
     for name, value in (("config.in_dim", dims["in_dim"]), ("config.out_dim", dims["out_dim"]), ("seed", seed)):
-        if not integer(value) and not (name == "seed" and value is None):  # a checkpoint may record no seed
+        if not is_integer(value) and not (name == "seed" and value is None):  # a checkpoint may record no seed
             raise fail(f"field {name!r} is not an integer: {value!r}")
-    if not isinstance(dims["hidden"], list) or not all(map(integer, dims["hidden"])):
+    if not isinstance(dims["hidden"], list) or not all(map(is_integer, dims["hidden"])):
         raise fail(f"field 'config.hidden' is not a list of integers: {dims['hidden']!r}")
     if not isinstance(layers, list) or not all(isinstance(layer, dict) for layer in layers):
         raise fail("field 'layers' is not a list of objects")

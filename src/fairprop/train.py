@@ -29,7 +29,11 @@ from .data import (
     Dataset,
     SplitMasks,
     SynthConfig,
+    check_keys,
+    check_split_fractions,
     file_sha256,
+    is_integer,
+    is_number,
     load_dataset,
     make_splits,
     read_results,
@@ -84,8 +88,22 @@ class RunConfig:
             *(("hidden width", width) for width in self.hidden),
             *(("seed in seeds", seed) for seed in self.seeds),
         ):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if not is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name, value in (
+            ("lambda_smooth", self.lambda_s),
+            ("lambda_fair", self.lambda_f),
+            ("alpha", self.alpha),
+            ("lr", self.lr),
+            ("weight_decay", self.weight_decay),
+        ):
+            if not is_number(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        check_split_fractions(self.split_fractions)
+        if not isinstance(self.standardize, bool):
+            raise ValueError(f"standardize must be true or false, got {self.standardize!r}")
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not self.seeds:
@@ -107,6 +125,7 @@ class RunConfig:
             ("num_layers", self.num_layers, 0),
             ("weight_decay", self.weight_decay, 0),
             ("hidden width", min(self.hidden, default=1), 1),
+            ("seed in seeds", min(self.seeds), 0),
         ):
             if not value >= low:  # NaN too
                 raise ValueError(f"{name} must be >= {low}, got {value}")
@@ -157,14 +176,14 @@ def _check_dataset_entry(source) -> None:
         for key in source:
             if key != "synth":
                 raise ValueError(f"dataset entry holds {key!r} beside 'synth'")
-        _check_keys(source["synth"], "dataset 'synth'", (), SynthConfig.__dataclass_fields__)
+        check_keys(source["synth"], "dataset 'synth'", (), SynthConfig.__dataclass_fields__)
         SynthConfig(**source["synth"])
         return
     if not source:
         return
-    _check_keys(source, "dataset entry", ("node_csv", "edges", "schema"), ("name",))
+    check_keys(source, "dataset entry", ("node_csv", "edges", "schema"), ("name",))
     schema = source["schema"]
-    _check_keys(schema, "dataset schema", ("id", "sensitive", "sensitive_pos_value", "label"), ("drop",))
+    check_keys(schema, "dataset schema", ("id", "sensitive", "sensitive_pos_value", "label"), ("drop",))
     for where, doc, key in (
         *(("dataset", source, key) for key in ("node_csv", "edges", "name")),
         *(("dataset schema", schema, key) for key in ("id", "sensitive", "label")),
@@ -179,19 +198,6 @@ def _check_dataset_entry(source) -> None:
     drop = schema.get("drop", [])
     if not isinstance(drop, (list, tuple)) or not all(isinstance(column, str) for column in drop):
         raise ValueError(f"dataset schema 'drop' must be a list of column names, got {drop!r}")
-
-
-def _check_keys(doc, where, required, optional) -> None:
-    """One ValueError line unless ``doc`` is an object that holds every key
-    of ``required`` and no key outside ``required`` and ``optional``."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be an object, got {doc!r}")
-    for key in doc:
-        if key not in required and key not in optional:
-            raise ValueError(f"{where} has unknown key {key!r}")
-    for key in required:
-        if key not in doc:
-            raise ValueError(f"{where} lacks {key!r}")
 
 
 # path -> sha256 of each dataset file hashed inside an open ``hashing_files_once``
@@ -505,17 +511,9 @@ def _kept_rows(path, drop):
     return kept
 
 
-def _grid(cfg: RunConfig, lambda_s_grid, lambda_f_grid):
-    """(lambda_s, lambda_f, config, fingerprint) of each grid point, in grid order."""
-    for lam_s in lambda_s_grid:
-        for lam_f in lambda_f_grid:
-            point = replace(cfg, lambda_s=float(lam_s), lambda_f=float(lam_f))
-            yield lam_s, lam_f, point, point.fingerprint()
-
-
-def sweep(cfg: RunConfig, lambda_s_grid, lambda_f_grid, results_path=None):
+def sweep(cfg: RunConfig, lambda_s_values, lambda_f_values):
     """One training run per (grid point x seed), appended incrementally;
-    returns (every finished row of the grid, results path).
+    returns (every finished row of the grid, the path of its ``sweep.csv``).
 
     Rows already present in the results file (same fingerprint and seed) are
     skipped, so an interrupted sweep can resume without duplicates; the
@@ -527,21 +525,23 @@ def sweep(cfg: RunConfig, lambda_s_grid, lambda_f_grid, results_path=None):
     made only once the dataset has loaded for a run to train, so a refused
     input leaves no directory behind.
     """
-    if results_path is None:
-        results_path = os.path.join(cfg.out_dir, "sweep.csv")
+    path = os.path.join(cfg.out_dir, "sweep.csv")
     # a torn last row and a failed run's row are dropped, so their runs are re-run
-    kept = _kept_rows(results_path, lambda r: not np.isfinite(r.accuracy))
+    kept = _kept_rows(path, lambda r: not np.isfinite(r.accuracy))
     done = {(r.config_fingerprint, r.seed) for r in kept}
 
     with hashing_files_once():
         pending = []  # (lambda_s, lambda_f, point, fingerprint, seed) of each run to train
         keys = set()  # (fingerprint, seed) of each run of the grid
-        for lam_s, lam_f, point, fp in _grid(cfg, lambda_s_grid, lambda_f_grid):
-            for seed in cfg.seeds:
-                keys.add((fp, seed))
-                if (fp, seed) not in done:
-                    done.add((fp, seed))
-                    pending.append((lam_s, lam_f, point, fp, seed))
+        for lam_s in lambda_s_values:
+            for lam_f in lambda_f_values:
+                point = replace(cfg, lambda_s=float(lam_s), lambda_f=float(lam_f))
+                fp = point.fingerprint()
+                for seed in cfg.seeds:
+                    keys.add((fp, seed))
+                    if (fp, seed) not in done:
+                        done.add((fp, seed))
+                        pending.append((lam_s, lam_f, point, fp, seed))
         rows = [r for r in kept if (r.config_fingerprint, r.seed) in keys]
         dataset = None
         if pending:
@@ -569,10 +569,10 @@ def sweep(cfg: RunConfig, lambda_s_grid, lambda_f_grid, results_path=None):
                     lambda_s=point.lambda_s,
                     lambda_f=point.lambda_f,
                 )
-            write_results(results_path, [report], append=True)
+            write_results(path, [report], append=True)
             if np.isfinite(report.accuracy):
                 rows.append(report)
-    return rows, results_path
+    return rows, path
 
 
 def summarize(reports):

@@ -41,6 +41,28 @@ def run_config_doc(tmp_path, **overrides):
     return doc
 
 
+def refused_before_loading(tmp_path, capsys, monkeypatch, command, line, overrides, grid_overrides=()):
+    """Run ``command`` (train or sweep) on a run config with ``overrides`` and
+    a grid with ``grid_overrides``; it must exit 1 with the one stderr line
+    ``error: <line>``, having loaded no dataset and made no out/."""
+    import fairprop.cli as cli
+
+    def no_dataset(cfg):
+        raise AssertionError("the dataset was loaded")
+
+    monkeypatch.setattr("fairprop.train.load_run_dataset", no_dataset)
+    cfg = write_json(tmp_path / "run.json", run_config_doc(tmp_path, **overrides))
+    grid_doc = dict({"lambda_s": [1.0], "lambda_f": [0.0, 5.0]}, **dict(grid_overrides))
+    grid = write_json(tmp_path / "grid.json", grid_doc)
+    args = ["--config", cfg] + (["--grid", grid] if command == "sweep" else [])
+    monkeypatch.setattr("sys.argv", ["fairprop", command, *args])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not (tmp_path / "out").exists()
+
+
 class TestSynth:
     def test_writes_loadable_dataset(self, runner, tmp_path):
         cfg = write_json(tmp_path / "synth.json", SYNTH_DOC)
@@ -516,26 +538,11 @@ class TestErrors:
     )
     def test_non_integer_count_is_one_error(self, tmp_path, capsys, monkeypatch, command, field, value):
         # a sweep trained each run into the same TypeError and wrote NaN rows
-        import fairprop.cli as cli
-
         if field == "hidden":
             line = "hidden width must be an integer, got 8.5"
         else:
             line = f"{field} must be an integer, got {value}"
-
-        def no_dataset(cfg):
-            raise AssertionError("the dataset was loaded")
-
-        monkeypatch.setattr("fairprop.train.load_run_dataset", no_dataset)
-        cfg = write_json(tmp_path / "run.json", run_config_doc(tmp_path, **{field: value}))
-        grid = write_json(tmp_path / "grid.json", {"lambda_s": [1.0], "lambda_f": [0.0, 5.0]})
-        args = ["--config", cfg] + (["--grid", grid] if command == "sweep" else [])
-        monkeypatch.setattr("sys.argv", ["fairprop", command, *args])
-        with pytest.raises(SystemExit) as exc:
-            cli.entry()
-        assert exc.value.code == 1
-        assert capsys.readouterr().err == f"error: {line}\n"
-        assert not (tmp_path / "out").exists()
+        refused_before_loading(tmp_path, capsys, monkeypatch, command, line, {field: value})
 
     @pytest.mark.parametrize("command", ["train", "sweep"])
     @pytest.mark.parametrize(
@@ -544,26 +551,41 @@ class TestErrors:
             ("hidden", 8, "hidden must be a list of integers, got 8"),
             ("seeds", [1.5, 2], "seed in seeds must be an integer, got 1.5"),
             ("seeds", [True], "seed in seeds must be an integer, got True"),
+            ("seeds", [-1], "seed in seeds must be >= 0, got -1"),
         ],
     )
     def test_malformed_hidden_or_seeds_is_one_error(self, tmp_path, capsys, monkeypatch, command, field, value, line):
         # a float seed failed in make_splits after sweep had made its
-        # directory; seed True wrote a row no later run could read
-        import fairprop.cli as cli
+        # directory; seed True wrote a row no later run could read; seed -1
+        # failed in numpy once the dataset had loaded
+        refused_before_loading(tmp_path, capsys, monkeypatch, command, line, {field: value})
 
-        def no_dataset(cfg):
-            raise AssertionError("the dataset was loaded")
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize(
+        "field, value, line",
+        [
+            (
+                "split_fractions",
+                [0.25, 0.25, 0.25, 0.25],
+                "split_fractions must be a list of three numbers, got [0.25, 0.25, 0.25, 0.25]",
+            ),
+            ("standardize", "no", "standardize must be true or false, got 'no'"),
+            ("lambda_s", "1.0", "lambda_smooth must be a number, got '1.0'"),
+            ("weight_decay", None, "weight_decay must be a number, got None"),
+        ],
+    )
+    def test_malformed_run_field_is_one_error(self, tmp_path, capsys, monkeypatch, command, field, value, line):
+        # four fractions trained with the fourth ignored, "no" trained
+        # standardized, and "1.0" or null failed in a range comparison
+        refused_before_loading(tmp_path, capsys, monkeypatch, command, line, {field: value})
 
-        monkeypatch.setattr("fairprop.train.load_run_dataset", no_dataset)
-        cfg = write_json(tmp_path / "run.json", run_config_doc(tmp_path, **{field: value}))
-        grid = write_json(tmp_path / "grid.json", {"lambda_s": [1.0], "lambda_f": [0.0, 5.0]})
-        args = ["--config", cfg] + (["--grid", grid] if command == "sweep" else [])
-        monkeypatch.setattr("sys.argv", ["fairprop", command, *args])
-        with pytest.raises(SystemExit) as exc:
-            cli.entry()
-        assert exc.value.code == 1
-        assert capsys.readouterr().err == f"error: {line}\n"
-        assert not (tmp_path / "out").exists()
+    @pytest.mark.parametrize("key", ["lambda_s", "lambda_f"])
+    @pytest.mark.parametrize("value", ["abc", None, True])
+    def test_grid_value_that_is_not_a_number_is_one_line(self, tmp_path, capsys, monkeypatch, key, value):
+        # "abc" and null failed inside float() with Python's own line, and
+        # true trained at 1.0 and printed lambda_s=1.0
+        line = f"grid file {tmp_path / 'grid.json'} needs numbers under {key!r}, got {value!r}"
+        refused_before_loading(tmp_path, capsys, monkeypatch, "sweep", line, {}, {key: [1.0, value]})
 
     @pytest.mark.parametrize("command", ["train", "sweep"])
     @pytest.mark.parametrize(
@@ -588,21 +610,7 @@ class TestErrors:
         # a missing key failed with a bare KeyError ('edges'), after sweep had
         # made its directory; synth beside node_csv trained on the synthetic
         # graph, and group_frac 2.0 silently drew n - 1 positive nodes
-        import fairprop.cli as cli
-
-        def no_dataset(cfg):
-            raise AssertionError("the dataset was loaded")
-
-        monkeypatch.setattr("fairprop.train.load_run_dataset", no_dataset)
-        cfg = write_json(tmp_path / "run.json", run_config_doc(tmp_path, dataset=dataset))
-        grid = write_json(tmp_path / "grid.json", {"lambda_s": [1.0], "lambda_f": [0.0, 5.0]})
-        args = ["--config", cfg] + (["--grid", grid] if command == "sweep" else [])
-        monkeypatch.setattr("sys.argv", ["fairprop", command, *args])
-        with pytest.raises(SystemExit) as exc:
-            cli.entry()
-        assert exc.value.code == 1
-        assert capsys.readouterr().err == f"error: {line}\n"
-        assert not (tmp_path / "out").exists()
+        refused_before_loading(tmp_path, capsys, monkeypatch, command, line, {"dataset": dataset})
 
     def test_empty_dataset_entry_is_one_error(self, tmp_path, capsys, monkeypatch):
         # it failed with a bare KeyError: 'node_csv'

@@ -192,12 +192,63 @@ class TestRunConfig:
             ("seeds", [1.5, 2], "seed in seeds must be an integer, got 1.5"),
             ("seeds", [0, 2.0], "seed in seeds must be an integer, got 2.0"),
             ("seeds", [True], "seed in seeds must be an integer, got True"),
+            ("seeds", [-1], "seed in seeds must be >= 0, got -1"),
+            ("seeds", [0, -3], "seed in seeds must be >= 0, got -3"),
         ],
     )
     def test_malformed_hidden_or_seeds_rejected(self, field, value, line):
         # "hidden": 8 failed with "'int' object is not iterable"; a float seed
         # failed inside make_splits, and seed True wrote a results row that
-        # every later run on the directory failed to read
+        # every later run on the directory failed to read; seed -1 failed in
+        # numpy once the dataset had loaded
+        with pytest.raises(ValueError, match=rf"^{re.escape(line)}$"):
+            small_cfg(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, name",
+        [
+            ("lambda_s", "lambda_smooth"),
+            ("lambda_f", "lambda_fair"),
+            ("alpha", "alpha"),
+            ("lr", "lr"),
+            ("weight_decay", "weight_decay"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["1.0", None, True])
+    def test_non_number_rejected(self, field, name, value):
+        # "1.0" and null failed inside a range comparison ("'>=' not supported
+        # between instances of 'str' and 'int'"), and true trained as 1.0
+        # under a fingerprint of its own
+        with pytest.raises(ValueError, match=rf"^{name} must be a number, got {re.escape(repr(value))}$"):
+            small_cfg(**{field: value})
+
+    def test_numbers_accepted(self):
+        cfg = small_cfg(lambda_s=1, lambda_f=np.float64(0.5), alpha=1, lr=np.float32(0.5), weight_decay=0)
+        assert (cfg.lambda_s, cfg.lambda_f, cfg.alpha, cfg.lr, cfg.weight_decay) == (1, 0.5, 1, 0.5, 0)
+
+    @pytest.mark.parametrize(
+        "field, value, line",
+        [
+            *(
+                ("split_fractions", fractions, f"split_fractions must be a list of three numbers, got {fractions!r}")
+                for fractions in (
+                    [0.25, 0.25, 0.25, 0.25], [0.5, 0.5], "abc", 0.5, [0.5, "0.25", 0.25], [0.5, 0.5, None], [True, 0, 0]
+                )
+            ),
+            ("split_fractions", [0.75, 0.5, -0.25], "split fractions must be >= 0, got (0.75, 0.5, -0.25)"),
+            ("split_fractions", [0.5, 0.25, 0.1], "split fractions must sum to 1"),
+            ("standardize", "no", "standardize must be true or false, got 'no'"),
+            ("standardize", 0, "standardize must be true or false, got 0"),
+            ("standardize", None, "standardize must be true or false, got None"),
+            ("out_dir", 5, "out_dir must be a string, got 5"),
+            ("out_dir", ["out"], "out_dir must be a string, got ['out']"),
+        ],
+    )
+    def test_malformed_splits_standardize_or_out_dir_rejected(self, field, value, line):
+        # four fractions trained with the fourth ignored and the test split
+        # taking the rest, and "abc" or a sum other than 1 failed only once
+        # the dataset loaded; "no" trained standardized; out_dir 5 trained
+        # every seed and then failed at save
         with pytest.raises(ValueError, match=rf"^{re.escape(line)}$"):
             small_cfg(**{field: value})
 
