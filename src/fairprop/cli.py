@@ -9,8 +9,7 @@ import sys
 import click
 import numpy as np
 
-from .data import MISSING_LABEL, SynthConfig, check_keys, is_number, make_splits, parse_labels
-from .data import read_json, synth_generate
+from .data import MISSING_LABEL, SynthConfig, is_number, make_splits, parse_labels, read_json, synth_generate
 from .metrics import accuracy as accuracy_metric
 from .metrics import demographic_parity, equal_opportunity
 from .nn import load_checkpoint
@@ -119,9 +118,7 @@ def eval_cmd(checkpoint, config_path, seed, mask):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def synth_cmd(config_path, out_dir):
     """Generate a synthetic dataset and write node CSV plus edge list."""
-    doc = read_json(config_path, "synth config")
-    check_keys(doc, f"synth config {config_path}", (), SynthConfig.__dataclass_fields__)
-    cfg = SynthConfig(**doc)
+    cfg = SynthConfig.from_doc(read_json(config_path, "synth config"), f"synth config {config_path}")
     dataset = synth_generate(cfg)
     os.makedirs(out_dir, exist_ok=True)
     node_path = os.path.join(out_dir, "nodes.csv")

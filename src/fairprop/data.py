@@ -61,6 +61,22 @@ def is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def check_schema(schema) -> str:
+    """The cell text ``sensitive_pos_value`` names (an integer names its decimal text), or one
+    ValueError line naming a schema key that is missing, unknown or of the wrong type."""
+    check_keys(schema, "dataset schema", ("id", "sensitive", "sensitive_pos_value", "label"), ("drop",))
+    for key in ("id", "sensitive", "label"):
+        if not isinstance(schema[key], str):
+            raise ValueError(f"dataset schema {key!r} must be a string, got {schema[key]!r}")
+    pos_value = schema["sensitive_pos_value"]
+    if not (isinstance(pos_value, str) or is_integer(pos_value)):
+        raise ValueError(f"dataset schema 'sensitive_pos_value' must be a string or an integer, got {pos_value!r}")
+    drop = schema.get("drop", [])
+    if not isinstance(drop, (list, tuple)) or not all(isinstance(column, str) for column in drop):
+        raise ValueError(f"dataset schema 'drop' must be a list of column names, got {drop!r}")
+    return str(pos_value)
+
+
 @dataclass
 class Dataset:
     graph: SparseGraph
@@ -96,10 +112,9 @@ class SplitMasks:
 def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Dataset:
     """Load a node CSV plus edge list.
 
-    ``schema`` declares {"id": col, "sensitive": col, "sensitive_pos_value":
-    raw, "label": col, "drop": [cols]}. Nodes are indexed densely in file
-    order. Both files are parsed in blocks of lines (``BLOCK_CHARS``) or row
-    by row, so of the text only the id and label cells outlive their row.
+    ``check_schema`` checks ``schema`` first. Nodes are indexed densely in
+    file order. Both files are parsed in blocks of lines (``BLOCK_CHARS``)
+    or row by row, so of the text only the id and label cells outlive their row.
     The edge list holds one pair of ids per line, split on whitespace or
     commas, with ``#`` starting a comment. An empty feature cell reads as 0,
     and an empty or negative label marks the node unlabeled. Each of these
@@ -107,8 +122,9 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
     column, a row whose cell count differs from the header's (named by file
     and line), a repeated node id, a non-numeric or non-finite feature cell
     (``nan``, ``inf``) or a non-numeric, non-integer or non-finite label
-    (named by column), a sensitive column with a single value, and an edge
-    line that is malformed or names an unknown id (quoted without its
+    (named by column), a ``sensitive_pos_value`` that matches no cell
+    (named with the column), a sensitive column with a single value, and an
+    edge line that is malformed or names an unknown id (quoted without its
     comment).
 
     Two readers give the same arrays. numpy's text reader takes a node CSV
@@ -119,6 +135,7 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
     CSV goes through ``csv`` row by row, and any other block through a dict
     of the ids; these raise the errors above that concern a row or a line.
     """
+    pos_value = check_schema(schema)
     with open(node_csv_path, newline="") as f:
         header = next(csv.reader(f), None)
     if header is None:
@@ -135,7 +152,6 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
         for i, col in enumerate(header)
         if i not in (id_col, sens_col, label_col) and col not in drop
     ]
-    pos_value = str(schema["sensitive_pos_value"])
     columns = (node_csv_path, header, (id_col, sens_col, label_col), feat_cols, pos_value)
     ids, positive, label_cells, features = _plain_node_table(*columns) or _csv_node_table(*columns)
 
@@ -156,7 +172,9 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
             f"non-finite feature cell {str(features[r, c])!r} in column "
             f"{header[feat_cols[c]]!r} (node {ids[r]!r})"
         )
-    if len(set(sensitive.tolist())) < 2:
+    if not np.any(sensitive == 1):
+        raise ValueError(f"sensitive_pos_value {pos_value!r} matches no cell of column {schema['sensitive']!r}")
+    if np.all(sensitive == 1):
         raise ValueError("sensitive column takes a single value")
     del ids, positive, label_cells  # free the cell strings before the edge parse
 
@@ -428,6 +446,7 @@ def make_splits(dataset: Dataset, fractions=(0.5, 0.25, 0.25), seed: int = 0) ->
 # change that alters any generated graph must bump it, so that a resumed
 # sweep does not keep rows trained on the old graph.
 SYNTH_GENERATOR = 2
+SYNTH_MAX_ATTEMPTS = 20  # draws of synth_generate before it gives up
 
 
 @dataclass
@@ -442,6 +461,11 @@ class SynthConfig:
     group_shift: float = 1.0  # group-conditional feature mean shift
     label_group_corr: float = 0.75  # P(label == group indicator)
     seed: int = 0
+
+    @classmethod
+    def from_doc(cls, doc, where) -> "SynthConfig":
+        check_keys(doc, where, (), cls.__dataclass_fields__)
+        return cls(**doc)
 
     def __post_init__(self):
         for name, low in (("n", 4), ("feat_dim", 1), ("seed", 0)):
@@ -468,7 +492,7 @@ class SynthConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
-def synth_generate(cfg: SynthConfig, max_attempts: int = 20) -> Dataset:
+def synth_generate(cfg: SynthConfig) -> Dataset:
     """Two-group synthetic graph with tunable sensitive and label homophily.
 
     Each of the ``m = round(mean_degree * n / 2)`` edges draws two decisions
@@ -482,8 +506,8 @@ def synth_generate(cfg: SynthConfig, max_attempts: int = 20) -> Dataset:
     pair is new, the first of a round's repeats winning; a rejected edge
     keeps its decisions and is drawn again, for at most 100 rounds, after
     which it is dropped. The whole draw, labels included, is retried until
-    the measured label homophily lands within 0.05 of the target.
-    ``SYNTH_GENERATOR`` names this draw order.
+    the label homophily lands within 0.05 of the target, at most
+    ``SYNTH_MAX_ATTEMPTS`` times. ``SYNTH_GENERATOR`` names this draw order.
     """
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n
@@ -493,7 +517,7 @@ def synth_generate(cfg: SynthConfig, max_attempts: int = 20) -> Dataset:
     indicator = (sensitive == 1).astype(np.int64)
     m = int(round(cfg.mean_degree * n / 2.0))
 
-    for _ in range(max_attempts):
+    for _ in range(SYNTH_MAX_ATTEMPTS):
         flip = rng.random(n) >= cfg.label_group_corr
         labels = np.where(flip, 1 - indicator, indicator)
         same_group = rng.random(m) < cfg.eps_sens
@@ -533,7 +557,7 @@ def synth_generate(cfg: SynthConfig, max_attempts: int = 20) -> Dataset:
     else:
         raise RuntimeError(
             f"could not reach label homophily {cfg.eps_label} "
-            f"(sensitive homophily {cfg.eps_sens}) after {max_attempts} attempts"
+            f"(sensitive homophily {cfg.eps_sens}) after {SYNTH_MAX_ATTEMPTS} attempts"
         )
 
     d = cfg.feat_dim

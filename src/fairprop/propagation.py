@@ -17,13 +17,13 @@ Array = np.ndarray
 PPNP_DENSE_CAP = 500
 
 
-def ppnp_exact(g: SparseGraph, X_trans: Array, alpha: float, cap: int = PPNP_DENSE_CAP) -> Array:
+def ppnp_exact(g: SparseGraph, X_trans: Array, alpha: float) -> Array:
     """Exact teleport propagation alpha (I - (1-alpha) A_norm)^{-1} X_trans.
 
-    Dense solve on numpy's LAPACK; only intended as a small-n oracle.
+    Dense solve on numpy's LAPACK, a small-n oracle: ``PPNP_DENSE_CAP`` nodes at most.
     """
-    if g.n > cap:
-        raise ValueError(f"ppnp_exact limited to n <= {cap}, got n={g.n}")
+    if g.n > PPNP_DENSE_CAP:
+        raise ValueError(f"ppnp_exact limited to n <= {PPNP_DENSE_CAP}, got n={g.n}")
     X_trans = np.asarray(X_trans, dtype=np.float64)
     if X_trans.shape[0] != g.n:
         raise ValueError("row count mismatch")

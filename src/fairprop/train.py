@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 import os
 import sys
 import time
@@ -30,6 +29,7 @@ from .data import (
     SplitMasks,
     SynthConfig,
     check_keys,
+    check_schema,
     check_split_fractions,
     file_sha256,
     is_integer,
@@ -113,8 +113,6 @@ class RunConfig:
                 raise ValueError(f"seed {seed} is listed twice")
         if self.selection not in ("val_acc", "last"):
             raise ValueError(f"unknown selection rule {self.selection!r}")
-        if self.prop_k < 0:
-            raise ValueError(f"prop_k must be >= 0, got {self.prop_k}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if not self.lr > 0:  # NaN too
@@ -123,6 +121,7 @@ class RunConfig:
             ("lambda_smooth", self.lambda_s, 0),
             ("lambda_fair", self.lambda_f, 0),
             ("num_layers", self.num_layers, 0),
+            ("prop_k", self.prop_k, 0),
             ("weight_decay", self.weight_decay, 0),
             ("hidden width", min(self.hidden, default=1), 1),
             ("seed in seeds", min(self.seeds), 0),
@@ -132,8 +131,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(doc) - known
+        extra = set(doc) - set(cls.__dataclass_fields__)
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
         cfg = cls(**doc)
@@ -165,10 +163,9 @@ def _check_dataset_entry(source) -> None:
     """One ValueError line naming the key unless ``source`` is a dataset entry.
 
     An entry is ``{"synth": {...}}``, whose fields ``SynthConfig`` checks, or
-    ``node_csv``, ``edges`` and ``schema`` with an optional ``name``. The
-    schema holds ``id``, ``sensitive``, ``sensitive_pos_value`` and ``label``,
-    with an optional ``drop``. An empty entry passes: ``run`` may be handed
-    its dataset, and ``load_run_dataset`` refuses it.
+    ``node_csv``, ``edges`` and ``schema`` (``data.check_schema``) with an
+    optional ``name``; no file is read. An empty entry passes: ``run`` may
+    be handed its dataset, and ``load_run_dataset`` refuses it.
     """
     if not isinstance(source, dict):
         raise ValueError(f"dataset must be an object, got {source!r}")
@@ -176,28 +173,15 @@ def _check_dataset_entry(source) -> None:
         for key in source:
             if key != "synth":
                 raise ValueError(f"dataset entry holds {key!r} beside 'synth'")
-        check_keys(source["synth"], "dataset 'synth'", (), SynthConfig.__dataclass_fields__)
-        SynthConfig(**source["synth"])
+        SynthConfig.from_doc(source["synth"], "dataset 'synth'")
         return
     if not source:
         return
     check_keys(source, "dataset entry", ("node_csv", "edges", "schema"), ("name",))
-    schema = source["schema"]
-    check_keys(schema, "dataset schema", ("id", "sensitive", "sensitive_pos_value", "label"), ("drop",))
-    for where, doc, key in (
-        *(("dataset", source, key) for key in ("node_csv", "edges", "name")),
-        *(("dataset schema", schema, key) for key in ("id", "sensitive", "label")),
-    ):
-        if key in doc and not isinstance(doc[key], str):
-            raise ValueError(f"{where} {key!r} must be a string, got {doc[key]!r}")
-    if not isinstance(schema["sensitive_pos_value"], (str, numbers.Real)):
-        raise ValueError(
-            f"dataset schema 'sensitive_pos_value' must be a string or a number, "
-            f"got {schema['sensitive_pos_value']!r}"
-        )
-    drop = schema.get("drop", [])
-    if not isinstance(drop, (list, tuple)) or not all(isinstance(column, str) for column in drop):
-        raise ValueError(f"dataset schema 'drop' must be a list of column names, got {drop!r}")
+    for key in ("node_csv", "edges", "name"):
+        if key in source and not isinstance(source[key], str):
+            raise ValueError(f"dataset {key!r} must be a string, got {source[key]!r}")
+    check_schema(source["schema"])
 
 
 # path -> sha256 of each dataset file hashed inside an open ``hashing_files_once``
@@ -244,10 +228,8 @@ def load_run_dataset(cfg: RunConfig) -> Dataset:
     if not source:
         raise ValueError('dataset entry is empty: expected {"synth": {...}} or node_csv, edges and schema')
     if "synth" in source:
-        return synth_generate(SynthConfig(**source["synth"]))
-    return load_dataset(
-        source["node_csv"], source["edges"], source["schema"], name=source.get("name", "")
-    )
+        return synth_generate(SynthConfig.from_doc(source["synth"], "dataset 'synth'"))
+    return load_dataset(source["node_csv"], source["edges"], source["schema"], source.get("name", ""))
 
 
 def _standardized(x, stats):

@@ -604,6 +604,13 @@ class TestErrors:
                 "dataset schema lacks 'sensitive_pos_value'",
             ),
             ({"synth": dict(SYNTH_DOC, group_frac=2.0)}, "group_frac must be in (0, 1), got 2.0"),
+            *(
+                (
+                    {"node_csv": "n.csv", "edges": "e.txt", "schema": dict(NODE_SCHEMA, sensitive_pos_value=value)},
+                    f"dataset schema 'sensitive_pos_value' must be a string or an integer, got {value!r}",
+                )
+                for value in (1.0, True)
+            ),
         ],
     )
     def test_malformed_dataset_entry_is_one_error(self, tmp_path, capsys, monkeypatch, command, dataset, line):

@@ -110,8 +110,46 @@ class TestLoadDataset:
         nodes, edges = write_fixture(
             tmp_path, "id,sens,y,f0\na,1,0,1.0\nb,1,1,2.0\n", "a b\n"
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=exact("sensitive column takes a single value")):
             load_dataset(nodes, edges, SCHEMA)
+
+    @pytest.mark.parametrize("value", ["1", 1])
+    def test_positive_value_is_cell_text(self, tmp_path, value):
+        # an integer stands for its decimal text
+        nodes, edges = write_fixture(tmp_path, BASIC_NODES, BASIC_EDGES)
+        ds = load_dataset(nodes, edges, dict(SCHEMA, sensitive_pos_value=value))
+        np.testing.assert_array_equal(ds.sensitive, [1, -1, 1])
+
+    @pytest.mark.parametrize("value", [1.0, 2.0, True, [1], None, {"1": 1}])
+    def test_positive_value_of_another_type_is_refused_before_reading(self, tmp_path, value):
+        # 1.0 and true passed, then matched no cell of a 1/0 column and failed
+        # after the CSV loaded with a line that named neither key nor value
+        missing = tmp_path / "missing.csv"
+        line = f"dataset schema 'sensitive_pos_value' must be a string or an integer, got {value!r}"
+        with pytest.raises(ValueError, match=exact(line)):
+            load_dataset(missing, missing, dict(SCHEMA, sensitive_pos_value=value))
+
+    @pytest.mark.parametrize("value, text", [("2", "'2'"), (2, "'2'"), (" 1", "' 1'")])
+    def test_positive_value_that_matches_no_cell_names_it(self, tmp_path, value, text):
+        nodes, edges = write_fixture(tmp_path, BASIC_NODES, BASIC_EDGES)
+        line = f"sensitive_pos_value {text} matches no cell of column 'sens'"
+        with pytest.raises(ValueError, match=exact(line)):
+            load_dataset(nodes, edges, dict(SCHEMA, sensitive_pos_value=value))
+
+    @pytest.mark.parametrize(
+        "schema, line",
+        [
+            ({k: v for k, v in SCHEMA.items() if k != "label"}, "dataset schema lacks 'label'"),
+            (dict(SCHEMA, weight="w"), "dataset schema has unknown key 'weight'"),
+            (dict(SCHEMA, id=0), "dataset schema 'id' must be a string, got 0"),
+            (dict(SCHEMA, drop="f0"), "dataset schema 'drop' must be a list of column names, got 'f0'"),
+        ],
+    )
+    def test_malformed_schema_is_refused_before_reading(self, tmp_path, schema, line):
+        # a direct call gets the lines a run config's dataset entry gets
+        missing = tmp_path / "missing.csv"
+        with pytest.raises(ValueError, match=exact(line)):
+            load_dataset(missing, missing, schema)
 
     def test_duplicate_id_rejected(self, tmp_path):
         nodes, edges = write_fixture(
@@ -618,14 +656,15 @@ class TestSynthGenerate:
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
-    def test_infeasible_target_raises(self):
+    def test_infeasible_target_raises(self, monkeypatch):
+        monkeypatch.setattr(data, "SYNTH_MAX_ATTEMPTS", 3)
         # perfectly group-aligned labels + all cross-group edges can't reach
         # high label homophily
         cfg = SynthConfig(
             n=200, eps_sens=0.0, eps_label=0.9, label_group_corr=1.0, seed=0
         )
-        with pytest.raises(RuntimeError, match="label homophily"):
-            synth_generate(cfg, max_attempts=3)
+        with pytest.raises(RuntimeError, match=r"label homophily .* after 3 attempts$"):
+            synth_generate(cfg)
 
     def test_draws_every_edge_when_pairs_suffice(self):
         for n, degree in ((300, 10.0), (400, 40.0)):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import appnp_step, random_graph
-from fairprop import train
+from fairprop import propagation, train
 from fairprop.data import Dataset
 from fairprop.graph import build_graph, incident_vector
 from fairprop.propagation import ppnp_exact
@@ -90,10 +90,11 @@ class TestPpnpExact:
         g = build_graph(1, [])
         np.testing.assert_allclose(ppnp_exact(g, [[3.0]], 0.3), [[3.0]], atol=1e-12)
 
-    def test_cap_enforced(self, rng):
+    def test_cap_enforced(self, rng, monkeypatch):
         g = random_graph(rng)
-        with pytest.raises(ValueError):
-            ppnp_exact(g, np.zeros((g.n, 1)), 0.1, cap=g.n - 1)
+        monkeypatch.setattr(propagation, "PPNP_DENSE_CAP", g.n - 1)
+        with pytest.raises(ValueError, match=rf"^ppnp_exact limited to n <= {g.n - 1}, got n={g.n}$"):
+            ppnp_exact(g, np.zeros((g.n, 1)), 0.1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_is_one_error(self, rng, bad):
