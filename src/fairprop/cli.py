@@ -82,31 +82,22 @@ def sweep_cmd(config_path, grid_path):
 @main.command("eval")
 @click.option("--checkpoint", required=True, type=click.Path(exists=True))
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--seed", type=int, help="split seed  [default: the checkpoint's seed]")
 @click.option("--mask", default="test", show_default=True,
               type=click.Choice(["train", "val", "test"]))
-def eval_cmd(checkpoint, config_path, seed, mask):
+def eval_cmd(checkpoint, config_path, mask):
     """Evaluate a saved checkpoint on one split mask.
 
     The checkpoint must have been trained under this config: one whose
     fingerprint differs, the scheme included, is refused. The split and its
-    standardization come from the seed the checkpoint was trained with; a
-    ``--seed`` that differs from it is refused.
+    standardization come from the seed the checkpoint records, the seed it
+    was trained with.
     """
     cfg = _load_config(config_path)
     with hashing_files_once():
         mlp = load_checkpoint(checkpoint, cfg)
-        if seed is None:
-            seed = mlp.seed
-        if seed is None:
-            raise ValueError(f"checkpoint {checkpoint} records no seed: pass --seed")
-        if mlp.seed is not None and seed != mlp.seed:
-            raise ValueError(
-                f"checkpoint {checkpoint} was trained with seed {mlp.seed}, not --seed {seed}"
-            )
         dataset = load_run_dataset(cfg)
-        masks = make_splits(dataset, cfg.split_fractions, seed)
-        report = evaluate(cfg, mlp, dataset, masks, seed=seed, mask_name=mask)
+        masks = make_splits(dataset, cfg.split_fractions, mlp.seed)
+        report = evaluate(cfg, mlp, dataset, masks, mask_name=mask)
     click.echo(
         f"acc={report.accuracy:.4f} dp={report.dp:.4f} eo={report.eo:.4f} "
         f"fairness_obj={report.fairness_obj:.6f} n_eval={report.n_eval}"

@@ -10,13 +10,13 @@ import numbers
 import os
 import re
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .graph import SparseGraph, build_graph, edge_homophily
+from .graph import IncidentVector, SparseGraph, build_graph, edge_homophily, incident_vector
 from .metrics import RESULT_COLUMNS, MetricsReport
 
 Array = np.ndarray
@@ -79,11 +79,17 @@ def check_schema(schema) -> str:
 
 @dataclass
 class Dataset:
+    """A graph's node features, sensitive attribute and labels, checked once, when built:
+    a length other than the node count, a sensitive attribute ``incident_vector``
+    refuses and a label above 1 are one ValueError line each. ``delta``, the
+    incident vector every run reads, is computed here, and anew by ``dataclasses.replace``."""
+
     graph: SparseGraph
     features: Array  # n x d, sensitive column excluded
     sensitive: Array  # length n, values in {-1, +1}
     labels: Array  # length n integers, MISSING_LABEL where unknown
     name: str = ""
+    delta: IncidentVector = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.graph.n
@@ -93,8 +99,10 @@ class Dataset:
             and self.labels.shape[0] == n
         ):
             raise ValueError("feature/sensitive/label lengths must equal node count")
-        if not (np.any(self.sensitive == 1) and np.any(self.sensitive == -1)):
-            raise ValueError("sensitive attribute must contain both values")
+        self.delta = incident_vector(self.sensitive)
+        highest = int(self.labels.max())  # an unlabeled node is MISSING_LABEL, below every class
+        if highest > 1:
+            raise ValueError(f"labeled nodes hold {highest + 1} classes: fairprop is two-class, labels 0 and 1")
 
     @property
     def labeled_mask(self) -> Array:
@@ -118,14 +126,15 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
     The edge list holds one pair of ids per line, split on whitespace or
     commas, with ``#`` starting a comment. An empty feature cell reads as 0,
     and an empty or negative label marks the node unlabeled. Each of these
-    raises one ValueError line: an empty node CSV (named by file), a missing
-    column, a row whose cell count differs from the header's (named by file
-    and line), a repeated node id, a non-numeric or non-finite feature cell
-    (``nan``, ``inf``) or a non-numeric, non-integer or non-finite label
-    (named by column), a ``sensitive_pos_value`` that matches no cell
-    (named with the column), a sensitive column with a single value, and an
-    edge line that is malformed or names an unknown id (quoted without its
-    comment).
+    raises one ValueError line: a node CSV without a header or without a row
+    below it (named by file), a missing column, a row whose cell count
+    differs from the header's (named by file and line), a repeated node id,
+    a non-numeric or non-finite feature cell (``nan``, ``inf``) or a
+    non-numeric, non-integer or non-finite label (named by column), a
+    ``sensitive_pos_value`` that matches no cell (named with the column),
+    an edge line that is malformed or names an unknown id (quoted without
+    its comment), and what ``Dataset`` refuses: a sensitive column whose
+    cells all match, and a label above 1.
 
     Two readers give the same arrays. numpy's text reader takes a node CSV
     that holds no quote or NUL and whose non-blank rows all have the
@@ -156,6 +165,8 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
     ids, positive, label_cells, features = _plain_node_table(*columns) or _csv_node_table(*columns)
 
     n = len(ids)
+    if not n:
+        raise ValueError(f"empty node CSV {str(node_csv_path)!r}: expected a row per node below the header")
     id_index = _integer_index(ids)
     id_map = None
     if id_index is None or np.any(id_index[0][1:] == id_index[0][:-1]):
@@ -174,8 +185,6 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
         )
     if not np.any(sensitive == 1):
         raise ValueError(f"sensitive_pos_value {pos_value!r} matches no cell of column {schema['sensitive']!r}")
-    if np.all(sensitive == 1):
-        raise ValueError("sensitive column takes a single value")
     del ids, positive, label_cells  # free the cell strings before the edge parse
 
     blocks = [np.empty((0, 2), dtype=np.int64)]  # the edges of each block of lines

@@ -281,7 +281,7 @@ def load_checkpoint(path, run: RunConfig) -> Mlp:
     The fingerprint hashes the scheme too, so it is the only field compared.
     A damaged file raises one line that names the path and the field, or
     says that the file is not a JSON object; so do layers of another count
-    or shape than its config's.
+    or shape than its config's, and a missing ``seed``, which ``eval`` splits by.
     """
 
     def fail(message):
@@ -301,12 +301,12 @@ def load_checkpoint(path, run: RunConfig) -> Mlp:
             f"fingerprint {doc.get('fingerprint')!r}, not the config's scheme "
             f"{run.scheme!r}, fingerprint {run.fingerprint()!r}"
         )
-    config, layers, seed = field(doc, "config", "config"), field(doc, "layers", "layers"), doc.get("seed")
+    config, layers, seed = (field(doc, key, key) for key in ("config", "layers", "seed"))
     if not isinstance(config, dict):
         raise fail(f"field 'config' is not an object: {config!r}")
     dims = {key: field(config, key, f"config.{key}") for key in ("in_dim", "hidden", "out_dim")}
     for name, value in (("config.in_dim", dims["in_dim"]), ("config.out_dim", dims["out_dim"]), ("seed", seed)):
-        if not is_integer(value) and not (name == "seed" and value is None):  # a checkpoint may record no seed
+        if not is_integer(value):
             raise fail(f"field {name!r} is not an integer: {value!r}")
     if not isinstance(dims["hidden"], list) or not all(map(is_integer, dims["hidden"])):
         raise fail(f"field 'config.hidden' is not a list of integers: {dims['hidden']!r}")

@@ -41,7 +41,6 @@ from .data import (
     synth_generate,
     write_results,
 )
-from .graph import IncidentVector, incident_vector
 from .metrics import (
     MetricsReport,
     accuracy,
@@ -310,12 +309,13 @@ _SCHEME_TABLE = {
 SCHEMES = tuple(_SCHEME_TABLE)
 
 
-def prepare(cfg: RunConfig, dataset: Dataset, masks: SplitMasks | None, delta: IncidentVector):
+def prepare(cfg: RunConfig, dataset: Dataset, masks: SplitMasks | None):
     """A run's model input and forward pass: (input array, forward).
 
     The standardization (``data.standardize_features``) is computed on the
     train rows (``masks`` may be None when ``cfg.standardize`` is off), and
-    the scheme's entry computes what is constant for the run once.
+    the scheme's entry computes what is constant for the run once; the
+    debiasing stack reads the dataset's incident vector, ``dataset.delta``.
     ``forward(mlp, x)`` takes the input array and returns (logits,
     pullback): ``pullback(dlogits)``, single-use, maps the logits' cotangent
     to the gradient of ``mlp.theta``.
@@ -330,24 +330,19 @@ def prepare(cfg: RunConfig, dataset: Dataset, masks: SplitMasks | None, delta: I
     bound.
     """
     stats = standardize_features(dataset.features, masks.train) if cfg.standardize else None
-    return _SCHEME_TABLE[cfg.scheme](cfg, dataset.graph, delta, dataset.features, stats)
+    return _SCHEME_TABLE[cfg.scheme](cfg, dataset.graph, dataset.delta, dataset.features, stats)
 
 
 def _check_labels(dataset: Dataset) -> None:
-    """One ValueError line if the labeled nodes hold one class, or a label above 1."""
+    """One ValueError line unless the labeled nodes hold both classes (``Dataset`` refuses a third)."""
     labels = dataset.labels[dataset.labeled_mask]
-    lowest, highest = int(labels.min()), int(labels.max())
-    if lowest == highest:
+    if not labels.size:
+        raise ValueError("no node is labeled: node classification needs labeled nodes of 2 classes")
+    lowest = int(labels.min())
+    if lowest == labels.max():
         raise ValueError(
             f"labeled nodes hold one class ({lowest}): node classification needs at least 2"
         )
-    _two_classes(highest + 1, "labeled nodes hold")
-
-
-def _two_classes(count: int, holder: str) -> None:
-    """One ValueError line unless ``count``, the class count of ``holder``, is 2."""
-    if count != 2:
-        raise ValueError(f"{holder} {count} classes: fairprop is two-class, labels 0 and 1")
 
 
 def train_one(cfg: RunConfig, dataset: Dataset, masks: SplitMasks, seed: int):
@@ -361,8 +356,7 @@ def train_one(cfg: RunConfig, dataset: Dataset, masks: SplitMasks, seed: int):
     """
     start = time.perf_counter()
     _check_labels(dataset)
-    delta = incident_vector(dataset.sensitive)
-    features, forward = prepare(cfg, dataset, masks, delta)
+    features, forward = prepare(cfg, dataset, masks)
     mlp_cfg = MlpConfig(in_dim=features.shape[1], hidden=list(cfg.hidden))
     mlp = init_weights(mlp_cfg, seed)
     state = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
@@ -395,7 +389,7 @@ def train_one(cfg: RunConfig, dataset: Dataset, masks: SplitMasks, seed: int):
         adam_step(mlp.theta, pullback(dlogits), state)
         del pullback, dlogits  # nothing of this epoch's pass is held through the next forward
 
-    report = _report(cfg, best_logits, dataset, masks.test, delta, seed)
+    report = _report(cfg, best_logits, dataset, masks.test, seed)
     report.wall_time_ms = (time.perf_counter() - start) * 1000.0
     return best, report, trace
 
@@ -413,22 +407,22 @@ def evaluate(
     The run's constants come from one ``prepare`` call, as in ``train_one``.
     The report carries the split's seed, ``masks.seed``; a ``seed`` that
     differs from it is refused. Labels that training refuses are refused
-    with its line, and so is a model with other than two outputs.
+    with its line, and a model with other than two outputs is refused.
     """
     if seed is not None and seed != masks.seed:
         raise ValueError(f"seed {seed} is not the seed of the split, {masks.seed}")
     _check_labels(dataset)
-    _two_classes(mlp.config.out_dim, "the model outputs")
-    delta = incident_vector(dataset.sensitive)
-    features, forward = prepare(cfg, dataset, masks, delta)
+    if mlp.config.out_dim != 2:
+        raise ValueError(f"the model outputs {mlp.config.out_dim} classes: fairprop is two-class, labels 0 and 1")
+    features, forward = prepare(cfg, dataset, masks)
     logits, _ = forward(mlp, features)
-    return _report(cfg, logits, dataset, getattr(masks, mask_name), delta, masks.seed)
+    return _report(cfg, logits, dataset, getattr(masks, mask_name), masks.seed)
 
 
-def _report(cfg, logits: Array, dataset: Dataset, mask, delta, seed) -> MetricsReport:
+def _report(cfg, logits: Array, dataset: Dataset, mask, seed) -> MetricsReport:
     """Metrics of one model's logits on ``mask``; the soft parity gap is over every node."""
     y_hat = predict_labels(logits)
-    fair_obj, _ = debias.fairness_objective(logits, delta, 1.0)
+    fair_obj, _ = debias.fairness_objective(logits, dataset.delta, 1.0)
     return MetricsReport(
         accuracy=accuracy(y_hat, dataset.labels, mask),
         dp=demographic_parity(y_hat, dataset.sensitive, mask),

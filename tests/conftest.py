@@ -192,7 +192,7 @@ def forward(mlp, x, g, delta, cfg, scheme="fair"):
     cfg = replace(cfg, scheme=scheme, alpha=gamma, prop_k=cfg.num_layers, standardize=False)
     labels = np.zeros(g.n, dtype=np.int64)
     dataset = Dataset(graph=g, features=x, sensitive=np.sign(delta.values), labels=labels)
-    _, scheme_forward = train.prepare(cfg, dataset, None, delta)
+    _, scheme_forward = train.prepare(cfg, dataset, None)
     return scheme_forward(mlp, x)
 
 

@@ -125,7 +125,7 @@ class TestCriterion4:
         )
         from fairprop.train import prepare
 
-        features, forward = prepare(cfg, dataset, None, delta)
+        features, forward = prepare(cfg, dataset, None)
         return forward(mlp, features)[0]
 
     def test_zero_radius_reduces_to_teleport_propagation(self, rng):

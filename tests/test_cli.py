@@ -342,29 +342,34 @@ class TestEvalSeed:
         assert code == 0, out.err
         assert out.out.startswith(f"acc={row.accuracy:.4f} dp={row.dp:.4f} eo={row.eo:.4f} ")
 
-    def test_the_checkpoint_seed_is_accepted(self, trained, monkeypatch, capsys):
-        cfg, ckpt, row = trained
-        code, out = self._entry(monkeypatch, capsys, "--checkpoint", ckpt, "--config", cfg, "--seed", "3")
-        assert code == 0, out.err
-        assert out.out.startswith(f"acc={row.accuracy:.4f} dp={row.dp:.4f} ")
+    def test_help_lists_no_seed_option(self, runner):
+        # the split seed is the one the checkpoint records, so no option can choose another
+        result = runner.invoke(main, ["eval", "--help"])
+        assert result.exit_code == 0 and "--seed" not in result.output
 
-    def test_another_seed_is_refused(self, trained, monkeypatch, capsys):
+    def test_a_seed_option_is_a_usage_error(self, trained, monkeypatch, capsys):
         cfg, ckpt, _ = trained
-        code, out = self._entry(monkeypatch, capsys, "--checkpoint", ckpt, "--config", cfg, "--seed", "0")
-        assert code == 1 and out.out == ""
-        assert out.err == f"error: checkpoint {ckpt} was trained with seed 3, not --seed 0\n"
+        code, out = self._entry(monkeypatch, capsys, "--checkpoint", ckpt, "--config", cfg, "--seed", "3")
+        assert code == 2 and out.out == ""
+        # click's wording varies between releases; the line names the option
+        assert out.err.startswith("error: No such option") and "--seed" in out.err and out.err.count("\n") == 1
 
-    def test_a_checkpoint_without_a_seed_needs_one(self, trained, monkeypatch, capsys, tmp_path):
-        cfg, ckpt, row = trained
+    @pytest.mark.parametrize(
+        "seed, line", [(None, "field 'seed' is missing"), ("3", "field 'seed' is not an integer: '3'")]
+    )
+    def test_a_checkpoint_without_an_integer_seed_is_refused(self, trained, monkeypatch, capsys, tmp_path, seed, line):
+        # a checkpoint without a seed needed --seed, and eval took any seed it was given
+        cfg, ckpt, _ = trained
         with open(ckpt) as f:
             doc = json.load(f)
-        del doc["seed"]
-        unseeded = write_json(tmp_path / "unseeded.json", doc)
-        code, out = self._entry(monkeypatch, capsys, "--checkpoint", unseeded, "--config", cfg)
-        assert code == 1
-        assert out.err == f"error: checkpoint {unseeded} records no seed: pass --seed\n"
-        code, out = self._entry(monkeypatch, capsys, "--checkpoint", unseeded, "--config", cfg, "--seed", "3")
-        assert code == 0 and out.out.startswith(f"acc={row.accuracy:.4f} dp={row.dp:.4f} ")
+        if seed is None:
+            del doc["seed"]
+        else:
+            doc["seed"] = seed
+        damaged = write_json(tmp_path / "damaged.json", doc)
+        code, out = self._entry(monkeypatch, capsys, "--checkpoint", damaged, "--config", cfg)
+        assert code == 1 and out.out == ""
+        assert out.err == f"error: checkpoint {damaged}: {line}\n"
 
 
 class TestMetrics:

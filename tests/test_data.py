@@ -20,10 +20,13 @@ from fairprop.data import (
     synth_generate,
     write_results,
 )
-from fairprop.graph import build_graph, edge_homophily
+from fairprop.graph import build_graph, edge_homophily, incident_vector
 from fairprop.metrics import MetricsReport
 
 SCHEMA = {"id": "id", "sensitive": "sens", "sensitive_pos_value": "1", "label": "y"}
+
+# the line a label above 1 gets, wherever a dataset is built
+THREE_CLASSES = "labeled nodes hold 3 classes: fairprop is two-class, labels 0 and 1"
 
 
 def write_fixture(tmp_path, node_text, edge_text):
@@ -73,6 +76,12 @@ class TestLoadDataset:
             load_dataset(nodes, edges, SCHEMA)
         assert "\n" not in str(exc.value)
 
+    def test_header_without_rows_names_the_file(self, tmp_path, monkeypatch):
+        # it read "sensitive_pos_value '1' matches no cell of column 'sens'"
+        nodes, edges = write_fixture(tmp_path, "id,sens,y,f0\n", "")
+        line = f"ValueError: empty node CSV {str(nodes)!r}: expected a row per node below the header"
+        assert numpy_outcome(monkeypatch, nodes, edges) == csv_outcome(monkeypatch, nodes, edges) == line
+
     def test_missing_column(self, tmp_path):
         nodes, edges = write_fixture(tmp_path, BASIC_NODES, "a b\n")
         with pytest.raises(ValueError, match="missing column"):
@@ -110,7 +119,7 @@ class TestLoadDataset:
         nodes, edges = write_fixture(
             tmp_path, "id,sens,y,f0\na,1,0,1.0\nb,1,1,2.0\n", "a b\n"
         )
-        with pytest.raises(ValueError, match=exact("sensitive column takes a single value")):
+        with pytest.raises(ValueError, match=exact("both sensitive groups must be nonempty")):
             load_dataset(nodes, edges, SCHEMA)
 
     @pytest.mark.parametrize("value", ["1", 1])
@@ -200,12 +209,18 @@ class TestLoadDataset:
     def test_integral_and_negative_labels(self, tmp_path):
         nodes, edges = write_fixture(
             tmp_path,
-            "id,sens,y,f0\na,1,1.0,1.0\nb,0,-3,2.0\nc,0,-0.5,0.0\nd,1,,0.0\ne,0,2,0.0\n",
+            "id,sens,y,f0\na,1,1.0,1.0\nb,0,-3,2.0\nc,0,-0.5,0.0\nd,1,,0.0\ne,0,0,0.0\n",
             "a b\n",
         )
         ds = load_dataset(nodes, edges, SCHEMA)
         assert ds.labels.dtype == np.int64
-        assert ds.labels.tolist() == [1, MISSING_LABEL, MISSING_LABEL, MISSING_LABEL, 2]
+        assert ds.labels.tolist() == [1, MISSING_LABEL, MISSING_LABEL, MISSING_LABEL, 0]
+
+    def test_three_classes_are_refused(self, tmp_path):
+        # it loaded, and a run refused the dataset only once it started
+        nodes, edges = write_fixture(tmp_path, "id,sens,y,f0\na,1,1,1.0\nb,0,0,2.0\nc,0,2,0.0\n", "a b\n")
+        with pytest.raises(ValueError, match=exact(THREE_CLASSES)):
+            load_dataset(nodes, edges, SCHEMA)
 
     @pytest.mark.parametrize(
         "row, line, got",
@@ -563,6 +578,31 @@ class TestReaderAgreement:
         outcome = numpy_outcome(monkeypatch, nodes, edges, schema)
         assert not isinstance(outcome, str)
         assert outcome == csv_outcome(monkeypatch, nodes, edges, schema)
+
+
+class TestDataset:
+    def test_three_classes_are_refused_when_built(self):
+        # before any run starts, whichever scheme it trains or evaluates
+        labels = toy_dataset(6).labels.copy()
+        labels[4] = 2
+        with pytest.raises(ValueError, match=exact(THREE_CLASSES)):
+            dataclasses.replace(toy_dataset(6), labels=labels)
+
+    def test_sensitive_entry_of_zero_beside_both_groups_is_refused(self):
+        # it was accepted, and refused only when a run built the incident vector
+        sensitive = toy_dataset(6).sensitive.copy()
+        sensitive[2] = 0
+        with pytest.raises(ValueError, match=exact("sensitive attribute entries must be -1 or +1")):
+            dataclasses.replace(toy_dataset(6), sensitive=sensitive)
+
+    def test_replace_recomputes_delta(self):
+        ds = toy_dataset(7)
+        flipped = dataclasses.replace(ds, sensitive=-ds.sensitive)
+        for dataset in (ds, flipped):
+            expected = incident_vector(dataset.sensitive)
+            assert dataset.delta.values.tobytes() == expected.values.tobytes()
+            assert dataset.delta.group_sizes == expected.group_sizes
+        assert flipped.delta.group_sizes == (3, 4) != ds.delta.group_sizes
 
 
 def toy_dataset(n, n_labeled=None):

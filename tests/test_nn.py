@@ -402,6 +402,8 @@ class TestCheckpoint:
         [
             ("no layers", "field 'layers' is missing"),
             ("no config", "field 'config' is missing"),
+            ("no seed", "field 'seed' is missing"),
+            ("null seed", "field 'seed' is not an integer: None"),
             ("string weight", "field 'layers[0].w' is not an array of numbers"),
             ("integer hidden", "field 'config.hidden' is not a list of integers: 64"),
             ("a list", "not a JSON object"),
@@ -423,6 +425,10 @@ class TestCheckpoint:
             del doc["layers"]
         elif damage == "no config":
             del doc["config"]
+        elif damage == "no seed":
+            del doc["seed"]
+        elif damage == "null seed":
+            doc["seed"] = None
         elif damage == "string weight":
             doc["layers"][0]["w"][0][0] = "x"
         elif damage == "integer hidden":

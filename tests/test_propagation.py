@@ -4,7 +4,7 @@ import pytest
 from conftest import appnp_step, random_graph
 from fairprop import propagation, train
 from fairprop.data import Dataset
-from fairprop.graph import build_graph, incident_vector
+from fairprop.graph import build_graph
 from fairprop.propagation import ppnp_exact
 
 
@@ -24,7 +24,7 @@ class TestGcnStep:
         s = np.where(np.arange(g.n) % 2 == 0, 1, -1)
         dataset = Dataset(graph=g, features=X, sensitive=s, labels=np.zeros(g.n, dtype=np.int64))
         cfg = train.RunConfig(scheme="sgc", prop_k=2, standardize=False)
-        features, _ = train.prepare(cfg, dataset, None, incident_vector(s))
+        features, _ = train.prepare(cfg, dataset, None)
         np.testing.assert_allclose(features, gcn_step(g, gcn_step(g, X)))
 
     def test_one_step_denoising_identity(self, rng):

@@ -23,6 +23,7 @@ from conftest import (
 from fairprop import autodiff as ad
 from fairprop import debias, train
 from fairprop.data import (
+    MISSING_LABEL,
     Dataset,
     SynthConfig,
     make_splits,
@@ -30,20 +31,11 @@ from fairprop.data import (
     standardize_features,
     synth_generate,
 )
-from fairprop.graph import build_graph, incident_vector
+from fairprop.graph import build_graph
 from fairprop.metrics import MetricsReport
 from fairprop.nn import MlpConfig, _layer_views, init_weights, load_checkpoint, mlp_forward, save_checkpoint
 from fairprop.propagation import ppnp_exact
 from fairprop.train import RunConfig, evaluate, run, summarize, sweep, train_one
-
-
-# the line a label above 1 gets, in training, evaluation and a sweep
-THREE_CLASSES = r"^labeled nodes hold 3 classes: fairprop is two-class, labels 0 and 1$"
-
-
-def three_classes(dataset):
-    """``dataset`` with node i labeled i % 3."""
-    return dataclasses.replace(dataset, labels=np.arange(dataset.labels.size) % 3)
 
 
 def small_cfg(**overrides):
@@ -66,11 +58,13 @@ def small_dataset():
     return synth_generate(SynthConfig(n=50, mean_degree=4.0, feat_dim=6, seed=0))
 
 
-def file_dataset(dataset, directory):
-    """Write ``dataset`` as a node CSV and an edge list; return the config's dataset entry."""
+def file_dataset(dataset, directory, labels=None):
+    """Write ``dataset`` as a node CSV and an edge list, with ``labels`` in
+    place of its own if given; return the config's dataset entry."""
     nodes, edges = directory / "nodes.csv", directory / "edges.txt"
     d = dataset.features.shape[1]
-    rows = zip(dataset.sensitive.tolist(), dataset.labels.tolist(), dataset.features.tolist())
+    labels = dataset.labels if labels is None else labels
+    rows = zip(dataset.sensitive.tolist(), labels.tolist(), dataset.features.tolist())
     lines = [",".join(["id", "sensitive", "label"] + [f"f{k}" for k in range(d)])]
     lines += [",".join(map(repr, (i, s, y, *x))) for i, (s, y, x) in enumerate(rows)]
     nodes.write_text("\n".join(lines) + "\n")
@@ -472,25 +466,6 @@ class TestTrainOne:
             train_one(small_cfg(scheme=scheme, epochs=3), dataset, masks, 0)
         assert losses == []
 
-    @pytest.mark.parametrize("scheme", ["fair", "appnp", "ml1"])
-    def test_three_classes_are_refused_before_the_first_epoch(self, small_dataset, scheme, monkeypatch):
-        # the stack propagates the one logit contrast of two classes, and the
-        # parity gaps read class 1 as the positive class
-        dataset = three_classes(small_dataset)
-        masks = make_splits(dataset, (0.5, 0.25, 0.25), 0)
-        losses, loss = [], ad.cross_entropy_with_logits
-        monkeypatch.setattr(ad, "cross_entropy_with_logits", lambda *a: losses.append(1) or loss(*a))
-        with pytest.raises(ValueError, match=THREE_CLASSES):
-            train_one(small_cfg(scheme=scheme, epochs=3), dataset, masks, 0)
-        assert losses == []
-
-    def test_evaluate_refuses_three_classes_with_the_training_line(self, small_dataset):
-        cfg = small_cfg(epochs=1)
-        masks = make_splits(small_dataset, cfg.split_fractions, 0)
-        model, _, _ = train_one(cfg, small_dataset, masks, 0)
-        with pytest.raises(ValueError, match=THREE_CLASSES):
-            evaluate(cfg, model, three_classes(small_dataset), masks)
-
     def test_evaluate_refuses_a_checkpoint_of_three_outputs(self, small_dataset, tmp_path):
         cfg = small_cfg()
         masks = make_splits(small_dataset, cfg.split_fractions, 0)
@@ -666,8 +641,7 @@ class TestTrainMemory:
 
 def _logits_and_gradients(cfg, dataset, masks):
     """A fresh MLP's logits under ``cfg`` and the train loss's gradient of each MLP parameter."""
-    delta = incident_vector(dataset.sensitive)
-    features, forward = train.prepare(cfg, dataset, masks, delta)
+    features, forward = train.prepare(cfg, dataset, masks)
     mlp = init_weights(MlpConfig(in_dim=features.shape[1], hidden=cfg.hidden, out_dim=2), 0)
     logits, pullback = forward(mlp, features)
     _, dlogits = ad.cross_entropy_with_logits(logits, ad.RowLabels.of(dataset.labels, masks.train))
@@ -730,13 +704,12 @@ class TestStandardizeInFirstLayer:
         for scheme in ("mlp", "sgc"):
             cfg = small_cfg(scheme=scheme, hidden=[])
             masks = make_splits(dataset, cfg.split_fractions, 0)
-            delta = incident_vector(dataset.sensitive)
             mlp = init_weights(MlpConfig(in_dim=2, hidden=[], out_dim=2), 0)
             one = init_weights(MlpConfig(in_dim=1, hidden=[], out_dim=2), 0)
             one.theta[:] = np.concatenate([mlp.weights[0][0], mlp.biases[0]])
             logits = []
             for data, model in ((dataset, mlp), (without, one)):
-                features, forward = train.prepare(cfg, data, masks, delta)
+                features, forward = train.prepare(cfg, data, masks)
                 logits.append(forward(model, features)[0])
             np.testing.assert_allclose(logits[0], logits[1], rtol=0, atol=1e-12)
 
@@ -760,8 +733,7 @@ class TestPpnpKernel:
     def test_logits_match_a_fresh_solve(self, small_dataset):
         cfg = small_cfg(scheme="ppnp_exact", standardize=False)
         mlp = init_weights(MlpConfig(in_dim=6, hidden=[8], out_dim=2), 0)
-        delta = incident_vector(small_dataset.sensitive)
-        features, forward = train.prepare(cfg, small_dataset, None, delta)
+        features, forward = train.prepare(cfg, small_dataset, None)
         logits, _ = forward(mlp, features)
         x_trans, _ = mlp_forward(mlp, small_dataset.features)
         expected = ppnp_exact(small_dataset.graph, x_trans, cfg.alpha)
@@ -774,7 +746,7 @@ class TestPpnpKernel:
         # constant kernel, bit for bit
         cfg = small_cfg(scheme="ppnp_exact")
         masks = make_splits(small_dataset, cfg.split_fractions, 0)
-        features, forward = train.prepare(cfg, small_dataset, masks, incident_vector(small_dataset.sensitive))
+        features, forward = train.prepare(cfg, small_dataset, masks)
         stats = standardize_features(small_dataset.features, masks.train)
         kernel = ppnp_exact(small_dataset.graph, np.eye(small_dataset.graph.n), cfg.alpha)
         mlp = init_weights(MlpConfig(in_dim=6, hidden=[8], out_dim=2), 0)
@@ -831,8 +803,7 @@ class TestGcn:
         mlp = init_weights(MlpConfig(in_dim=6, hidden=hidden, out_dim=2), 0)
         rng = np.random.default_rng(0)
         mlp.theta += rng.standard_normal(mlp.theta.shape)
-        delta = incident_vector(small_dataset.sensitive)
-        features, forward = train.prepare(cfg, small_dataset, masks, delta)
+        features, forward = train.prepare(cfg, small_dataset, masks)
         logits, _ = forward(mlp, features)
         h = standardize_features(small_dataset.features, masks.train).apply(small_dataset.features)
         expected = gcn_oracle(small_dataset.graph, mlp, h)
@@ -843,7 +814,7 @@ class TestGcn:
         """``gcn``'s forward pass on ``dataset``, its input, its row sums A 1 and perturbed weights."""
         cfg = small_cfg(scheme="gcn", hidden=hidden)
         masks = make_splits(dataset, cfg.split_fractions, 0)
-        features, forward = train.prepare(cfg, dataset, masks, incident_vector(dataset.sensitive))
+        features, forward = train.prepare(cfg, dataset, masks)
         mlp = init_weights(MlpConfig(in_dim=6, hidden=hidden, out_dim=2), 0)
         rng = np.random.default_rng(1)
         mlp.theta += rng.standard_normal(mlp.theta.shape)
@@ -918,8 +889,7 @@ class TestSgc:
         cfg = small_cfg(scheme="sgc", prop_k=3)
         masks = make_splits(small_dataset, cfg.split_fractions, 0)
         mlp = init_weights(MlpConfig(in_dim=6, hidden=[8], out_dim=2), 0)
-        delta = incident_vector(small_dataset.sensitive)
-        features, forward = train.prepare(cfg, small_dataset, masks, delta)
+        features, forward = train.prepare(cfg, small_dataset, masks)
         logits, _ = forward(mlp, features)
 
         h = standardize_features(small_dataset.features, masks.train).apply(small_dataset.features)
@@ -951,8 +921,7 @@ class TestAppnp:
         cfg = small_cfg(scheme="appnp", prop_k=prop_k, alpha=alpha)
         masks = make_splits(small_dataset, cfg.split_fractions, 0)
         mlp = init_weights(MlpConfig(in_dim=6, hidden=[8], out_dim=2), 0)
-        delta = incident_vector(small_dataset.sensitive)
-        features, forward = train.prepare(cfg, small_dataset, masks, delta)
+        features, forward = train.prepare(cfg, small_dataset, masks)
         logits, _ = forward(mlp, features)
 
         # prepare's input is the raw features, standardized in the MLP's first layer
@@ -999,15 +968,32 @@ class TestRunAndSweep:
         assert again == rows
         assert len(read_results(path)) == 4
 
-    def test_sweep_refuses_three_classes_before_any_run(self, small_dataset, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "relabel, line",
+        [
+            # the stack propagates the one logit contrast of two classes, and
+            # the parity gaps read class 1 as the positive class
+            (
+                lambda n: np.arange(n) % 3,
+                "labeled nodes hold 3 classes: fairprop is two-class, labels 0 and 1",
+            ),
+            # it was numpy's "zero-size array to reduction operation minimum which has no identity"
+            (
+                lambda n: np.full(n, MISSING_LABEL),
+                "no node is labeled: node classification needs labeled nodes of 2 classes",
+            ),
+        ],
+        ids=["three classes", "no label"],
+    )
+    def test_sweep_refuses_labels_before_any_run(self, small_dataset, tmp_path, monkeypatch, relabel, line):
         # one line for the sweep, not a failed row per run
-        dataset = file_dataset(three_classes(small_dataset), tmp_path)
+        dataset = file_dataset(small_dataset, tmp_path, labels=relabel(small_dataset.graph.n))
         cfg = small_cfg(dataset=dataset, epochs=1, seeds=[0, 1], out_dir=str(tmp_path / "out"))
         started = count_runs(monkeypatch)
-        with pytest.raises(ValueError, match=THREE_CLASSES):
+        with pytest.raises(ValueError, match="^" + re.escape(line) + "$"):
             sweep(cfg, [1.0], [0.0, 5.0])
         assert started == []
-        assert not (tmp_path / "out" / "sweep.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_resume_with_nothing_left_loads_no_dataset(self, tmp_path, monkeypatch):
         cfg = small_cfg(epochs=1, seeds=[0, 1], out_dir=str(tmp_path / "out"))
