@@ -99,14 +99,21 @@ class Dataset:
             and self.labels.shape[0] == n
         ):
             raise ValueError("feature/sensitive/label lengths must equal node count")
-        self.delta = incident_vector(self.sensitive)
-        highest = int(self.labels.max())  # an unlabeled node is MISSING_LABEL, below every class
-        if highest > 1:
-            raise ValueError(f"labeled nodes hold {highest + 1} classes: fairprop is two-class, labels 0 and 1")
+        self.delta = _check_columns(self.sensitive, self.labels)
 
     @property
     def labeled_mask(self) -> Array:
         return self.labels != MISSING_LABEL
+
+
+def _check_columns(sensitive, labels) -> IncidentVector:
+    """``sensitive``'s incident vector, or one ValueError line for an attribute
+    ``incident_vector`` refuses or a label above 1."""
+    delta = incident_vector(sensitive)
+    highest = int(labels.max())  # an unlabeled node is MISSING_LABEL, below every class
+    if highest > 1:
+        raise ValueError(f"labeled nodes hold {highest + 1} classes: fairprop is two-class, labels 0 and 1")
+    return delta
 
 
 @dataclass
@@ -133,8 +140,8 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
     non-numeric, non-integer or non-finite label (named by column), a
     ``sensitive_pos_value`` that matches no cell (named with the column),
     an edge line that is malformed or names an unknown id (quoted without
-    its comment), and what ``Dataset`` refuses: a sensitive column whose
-    cells all match, and a label above 1.
+    its comment), and what ``Dataset`` refuses, before the edge list is
+    read: a sensitive column whose cells all match, and a label above 1.
 
     Two readers give the same arrays. numpy's text reader takes a node CSV
     that holds no quote or NUL and whose non-blank rows all have the
@@ -185,6 +192,7 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
         )
     if not np.any(sensitive == 1):
         raise ValueError(f"sensitive_pos_value {pos_value!r} matches no cell of column {schema['sensitive']!r}")
+    _check_columns(sensitive, labels)  # what Dataset refuses, before the edge parse
     del ids, positive, label_cells  # free the cell strings before the edge parse
 
     blocks = [np.empty((0, 2), dtype=np.int64)]  # the edges of each block of lines

@@ -46,9 +46,10 @@ class Mlp:
     Its parameters are one float64 vector, ``theta``: each layer's weights,
     then its bias, in layer order. ``weights`` and ``biases`` are tuples of
     views of ``theta``, so an update of ``theta`` in place updates them.
+    ``seed``, the one its weights were drawn with, is what ``eval`` splits by.
     """
 
-    def __init__(self, config: MlpConfig, weights, biases, seed=None):
+    def __init__(self, config: MlpConfig, weights, biases, seed: int):
         dims = [(int(i), int(o)) for i, o in config.layer_dims()]
         got = ([np.shape(w) for w in weights], [np.shape(b) for b in biases])
         if got != (dims, [(o,) for _, o in dims]):

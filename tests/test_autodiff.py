@@ -175,7 +175,7 @@ def mlp_layers(rng, k, d, with_relu):
 def run_mlp(x_data, params, **constants):
     """``mlp_forward`` of the weights and biases ``params``: (output, pullback)."""
     dims = [params[0].shape[0]] + [w.shape[1] for w in params[::2]]
-    mlp = Mlp(MlpConfig(dims[0], dims[1:-1], dims[-1]), params[::2], params[1::2])
+    mlp = Mlp(MlpConfig(dims[0], dims[1:-1], dims[-1]), params[::2], params[1::2], seed=0)
     return mlp_forward(mlp, x_data, **constants)
 
 
@@ -305,7 +305,7 @@ class TestDense:
     def test_constant_input_gets_no_gradient(self, rng):
         # the pullback returns the gradient of theta alone, a new array laid out as it
         params = mlp_layers(rng, 3, 2, False)
-        mlp = Mlp(MlpConfig(3, [], 2), params[::2], params[1::2])
+        mlp = Mlp(MlpConfig(3, [], 2), params[::2], params[1::2], seed=0)
         out, pullback = mlp_forward(mlp, rng.standard_normal((4, 3)))
         grad = pullback(np.ones(out.shape))
         assert isinstance(grad, np.ndarray) and grad.shape == mlp.theta.shape
@@ -319,7 +319,7 @@ class TestDense:
             with pytest.raises(ValueError, match="^MLP layer shape mismatch"):
                 _affine(x, w, b)
         params = mlp_layers(rng, 3, 2, True)
-        mlp = Mlp(MlpConfig(3, [2], 2), params[::2], params[1::2])
+        mlp = Mlp(MlpConfig(3, [2], 2), params[::2], params[1::2], seed=0)
         with pytest.raises(TypeError):
             mlp.weights[1] = np.zeros((3, 2))
 

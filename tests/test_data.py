@@ -223,6 +223,20 @@ class TestLoadDataset:
             load_dataset(nodes, edges, SCHEMA)
 
     @pytest.mark.parametrize(
+        "node_text, line",
+        [
+            ("id,sens,y,f0\na,1,0,1.0\nb,1,1,2.0\n", "both sensitive groups must be nonempty"),
+            ("id,sens,y,f0\na,1,1,1.0\nb,0,2,2.0\n", THREE_CLASSES),
+        ],
+        ids=["one group", "three classes"],
+    )
+    def test_node_csv_faults_come_before_the_edge_list(self, tmp_path, node_text, line):
+        # the edge list is not read, so its unknown id is not what gets reported
+        nodes, edges = write_fixture(tmp_path, node_text, "a z\n")
+        with pytest.raises(ValueError, match=exact(line)):
+            load_dataset(nodes, edges, SCHEMA)
+
+    @pytest.mark.parametrize(
         "row, line, got",
         [
             ("b,0,1\n", 3, 3),  # a feature cell is missing

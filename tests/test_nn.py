@@ -50,7 +50,7 @@ class TestMlpForward:
 
     def test_identity_single_layer(self, rng):
         cfg = MlpConfig(in_dim=3, hidden=[], out_dim=3)
-        mlp = Mlp(cfg, [np.eye(3)], [np.zeros(3)])
+        mlp = Mlp(cfg, [np.eye(3)], [np.zeros(3)], seed=0)
         X = rng.standard_normal((4, 3))
         out, _ = mlp_forward(mlp, X)
         np.testing.assert_array_equal(out, X)
@@ -352,6 +352,16 @@ class TestCheckpoint:
         np.testing.assert_allclose(a, b, atol=1e-15)
         assert loaded.seed == 5
 
+    def test_a_model_built_from_layers_loads_back_with_its_seed(self, tmp_path):
+        # a model built without a seed wrote "seed": null, which no checkpoint read accepts
+        cfg = MlpConfig(in_dim=3, hidden=[], out_dim=2)
+        path, run = tmp_path / "model.json", RunConfig(hidden=[])
+        save_checkpoint(path, Mlp(cfg, [np.ones((3, 2))], [np.zeros(2)], seed=4), run)
+        loaded = load_checkpoint(path, run)
+        assert loaded.seed == 4 and np.array_equal(loaded.theta, np.r_[np.ones(6), np.zeros(2)])
+        with pytest.raises(TypeError):
+            Mlp(cfg, [np.ones((3, 2))], [np.zeros(2)])
+
     def test_other_config_is_refused(self, tmp_path):
         mlp = init_weights(MlpConfig(in_dim=4, hidden=[6], out_dim=2), 5)
         path = tmp_path / "model.json"
@@ -467,7 +477,7 @@ class TestMlp:
         w = [rng.standard_normal((3, 4)), rng.standard_normal((4, 2)), rng.standard_normal((2, 2))]
         b = [np.zeros(4), np.zeros(2), np.zeros(2)]
         with pytest.raises(ValueError, match=r"^weight shapes .* do not match the layers \[\(3, 4\), \(4, 2\)\]$"):
-            Mlp(cfg, w[keep], b[keep])
+            Mlp(cfg, w[keep], b[keep], seed=0)
 
     @pytest.mark.parametrize("which", ["weights", "biases"])
     def test_layer_shape_unlike_the_config_is_refused(self, rng, which):
@@ -475,4 +485,4 @@ class TestMlp:
         layers = {"weights": [np.zeros((3, 4)), np.zeros((4, 2))], "biases": [np.zeros(4), np.zeros(2)]}
         layers[which][1] = layers[which][1][:1]
         with pytest.raises(ValueError, match="^weight shapes .* do not match the layers"):
-            Mlp(cfg, layers["weights"], layers["biases"])
+            Mlp(cfg, layers["weights"], layers["biases"], seed=0)

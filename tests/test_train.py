@@ -38,6 +38,15 @@ from fairprop.propagation import ppnp_exact
 from fairprop.train import RunConfig, evaluate, run, summarize, sweep, train_one
 
 
+# the line a label above 1 gets, in training, evaluation and a sweep
+THREE_CLASSES = r"^labeled nodes hold 3 classes: fairprop is two-class, labels 0 and 1$"
+
+
+def three_classes(dataset):
+    """``dataset`` with node i labeled i % 3."""
+    return dataclasses.replace(dataset, labels=np.arange(dataset.labels.size) % 3)
+
+
 def small_cfg(**overrides):
     base = dict(
         dataset={"synth": {"n": 50, "mean_degree": 4.0, "feat_dim": 6, "seed": 0}},
@@ -465,6 +474,13 @@ class TestTrainOne:
         with pytest.raises(ValueError, match=message):
             train_one(small_cfg(scheme=scheme, epochs=3), dataset, masks, 0)
         assert losses == []
+
+    def test_evaluate_refuses_three_classes_with_the_training_line(self, small_dataset):
+        cfg = small_cfg(epochs=1)
+        masks = make_splits(small_dataset, cfg.split_fractions, 0)
+        model, _, _ = train_one(cfg, small_dataset, masks, 0)
+        with pytest.raises(ValueError, match=THREE_CLASSES):
+            evaluate(cfg, model, three_classes(small_dataset), masks)
 
     def test_evaluate_refuses_a_checkpoint_of_three_outputs(self, small_dataset, tmp_path):
         cfg = small_cfg()
