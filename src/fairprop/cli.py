@@ -9,7 +9,16 @@ import sys
 import click
 import numpy as np
 
-from .data import MISSING_LABEL, SynthConfig, is_number, make_splits, parse_labels, read_json, synth_generate
+from .data import (
+    MISSING_LABEL,
+    SynthConfig,
+    csv_rows,
+    is_number,
+    make_splits,
+    parse_labels,
+    read_json,
+    synth_generate,
+)
 from .metrics import accuracy as accuracy_metric
 from .metrics import demographic_parity, equal_opportunity
 from .nn import load_checkpoint
@@ -136,6 +145,22 @@ def synth_cmd(config_path, out_dir):
     )
 
 
+def _read_csv(path, columns):
+    """The rows of the CSV at ``path`` as dicts keyed by its header, blank lines skipped.
+
+    A header without one of ``columns``, or a row whose cell count differs
+    from the header's (``data.csv_rows``), is one ValueError line naming
+    ``path``, as ``load_dataset`` words them.
+    """
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, [])
+        for column in columns:
+            if column not in header:
+                raise ValueError(f"missing column {column!r} in {path}")
+        return [dict(zip(header, row)) for row in csv_rows(reader, len(header), path)]
+
+
 def _check_unique_ids(rows, path):
     """One ValueError line naming the first id that repeats in the CSV at ``path``."""
     seen = set()
@@ -162,15 +187,15 @@ def metrics_cmd(pred_path, truth_path):
     Prediction CSV: columns id,pred, with pred an integer class. Truth CSV:
     columns id,label,sensitive, with sensitive -1 or 1; labels follow the
     node CSV's rule (``parse_labels``): a row with an empty or negative
-    label is unlabeled and is left out, and ``1.0`` is class 1. A pred or
-    sensitive cell outside its range is one ValueError line naming the file.
+    label is unlabeled and is left out, and ``1.0`` is class 1. Each of
+    these is one ValueError line naming the file: a missing column, a row
+    whose cell count differs from the header's (with its line), a repeated
+    id, and a pred or sensitive cell outside its range.
     """
-    with open(pred_path, newline="") as f:
-        pred_rows = list(csv.DictReader(f))
+    pred_rows = _read_csv(pred_path, ("id", "pred"))
     _check_unique_ids(pred_rows, pred_path)
     preds = {row["id"]: _integer_cell(row, "pred", pred_path, "an integer") for row in pred_rows}
-    with open(truth_path, newline="") as f:
-        rows = list(csv.DictReader(f))
+    rows = _read_csv(truth_path, ("id", "label", "sensitive"))
     _check_unique_ids(rows, truth_path)
     labels = parse_labels([row["label"] for row in rows], "label")
     y_hat, y, s = [], [], []

@@ -230,14 +230,7 @@ def _csv_node_table(path, header, key_cols, feat_cols, pos_value):
         next(reader)
         ids, positive, label_cells = [], [], []
         features = array("d")  # row-major feature values, 8 bytes each
-        for row in reader:
-            if len(row) != len(header):
-                if not row:
-                    continue
-                raise ValueError(
-                    f"{path}, line {reader.line_num}: "
-                    f"expected {len(header)} cells, got {len(row)}"
-                )
+        for row in csv_rows(reader, len(header), path):
             ids.append(row[id_col])
             positive.append(row[sens_col] == pos_value)
             label_cells.append(row[label_col])
@@ -254,6 +247,20 @@ def _csv_node_table(path, header, key_cols, feat_cols, pos_value):
                             f"non-numeric feature cell {row[col]!r} in column {header[col]!r}"
                         ) from None
     return ids, positive, label_cells, features
+
+
+def csv_rows(reader, width, path):
+    """The rows a ``csv.reader`` of the file at ``path`` yields, blank lines skipped.
+
+    A row of other than ``width`` cells, the header's count, is one
+    ValueError line naming ``path`` and the line.
+    """
+    for row in reader:
+        if len(row) != width:
+            if not row:
+                continue
+            raise ValueError(f"{path}, line {reader.line_num}: expected {width} cells, got {len(row)}")
+        yield row
 
 
 def _plain_node_table(path, header, key_cols, feat_cols, pos_value):

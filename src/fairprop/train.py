@@ -3,8 +3,10 @@
 An epoch is one forward pass of the run's scheme, which returns the logits
 and a single-use pullback composed of its stages' pullbacks (the MLP, then
 the debiasing stack or ``ppnp_exact``'s kernel product), the loss and its
-gradient in the logits, and one Adam step on the gradient the pullback
-returns for ``Mlp.theta``. Evaluation drops the pullback.
+gradient in the logits, the validation score of the weights it read, and
+one Adam step on the gradient the pullback returns for ``Mlp.theta``. The
+last epoch is scored and takes no step, as no later epoch would score its
+weights: its pullback is dropped unrun. Evaluation drops the pullback.
 """
 
 from __future__ import annotations
@@ -352,7 +354,9 @@ def train_one(cfg: RunConfig, dataset: Dataset, masks: SplitMasks, seed: int):
     the constants its forward pass binds (one ``prepare`` call), the train
     rows the loss averages over and the validation rows selection scores.
     The test report comes from the logits of the selected epoch, which
-    scored the selected weights.
+    scored the selected weights. Each epoch but the last then takes one
+    Adam step; the last epoch's step would make weights nothing scores,
+    saves or returns, so it runs neither that step nor its pullback.
     """
     start = time.perf_counter()
     _check_labels(dataset)
@@ -386,7 +390,8 @@ def train_one(cfg: RunConfig, dataset: Dataset, masks: SplitMasks, seed: int):
             best_logits = logits
             trace.best_epoch = epoch
 
-        adam_step(mlp.theta, pullback(dlogits), state)
+        if epoch + 1 < cfg.epochs:  # the last step's weights would never be scored
+            adam_step(mlp.theta, pullback(dlogits), state)
         del pullback, dlogits  # nothing of this epoch's pass is held through the next forward
 
     report = _report(cfg, best_logits, dataset, masks.test, seed)

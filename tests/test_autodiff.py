@@ -396,3 +396,21 @@ class TestPullbackLifetime:
             assert all(ref() is None for ref in pullbacks), "a pullback outlives train_one"
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("epochs", [1, 2, 4])
+    @pytest.mark.parametrize("scheme", ["mlp", "fair", "ppnp_exact"])
+    def test_train_one_runs_a_pullback_per_step(self, monkeypatch, scheme, epochs):
+        # the last epoch is scored and takes no step, so its pullback never runs
+        runs, forward = [], train.mlp_forward
+
+        def counted(*args, **kwargs):
+            out, pullback = forward(*args, **kwargs)
+            return out, lambda g: runs.append(g.shape) or pullback(g)
+
+        cfg = train.RunConfig(dataset={}, scheme=scheme, hidden=[4], epochs=epochs, seeds=[0])
+        dataset = synth_generate(SynthConfig(n=50, mean_degree=4.0, feat_dim=6, seed=0))
+        masks = make_splits(dataset, cfg.split_fractions, 0)
+        monkeypatch.setattr(train, "mlp_forward", counted)
+        _, _, trace = train.train_one(cfg, dataset, masks, 0)
+        assert len(trace.train_loss) == epochs
+        assert len(runs) == epochs - 1

@@ -367,12 +367,69 @@ class TestEvalSeed:
 
 class TestMetrics:
     @staticmethod
-    def _invoke(runner, tmp_path, truth_rows, pred_rows=("a,1", "b,0", "c,1", "d,0", "e,1")):
+    def _invoke(
+        runner,
+        tmp_path,
+        truth_rows,
+        pred_rows=("a,1", "b,0", "c,1", "d,0", "e,1"),
+        truth_header="id,label,sensitive",
+        pred_header="id,pred",
+    ):
         pred = tmp_path / "pred.csv"
         truth = tmp_path / "truth.csv"
-        pred.write_text("id,pred\n" + "".join(f"{r}\n" for r in pred_rows))
-        truth.write_text("id,label,sensitive\n" + "".join(f"{r}\n" for r in truth_rows))
+        pred.write_text(pred_header + "\n" + "".join(f"{r}\n" for r in pred_rows))
+        truth.write_text(truth_header + "\n" + "".join(f"{r}\n" for r in truth_rows))
         return runner.invoke(main, ["metrics", "--pred", str(pred), "--truth", str(truth)])
+
+    @pytest.mark.parametrize(
+        "truth_header, pred_header, file, column",
+        [
+            ("id,label,sensitive", "key,pred", "pred.csv", "id"),
+            ("id,label,sensitive", "id,class", "pred.csv", "pred"),
+            ("key,label,sensitive", "id,pred", "truth.csv", "id"),
+            ("id,y,sensitive", "id,pred", "truth.csv", "label"),
+            ("id,label,group", "id,pred", "truth.csv", "sensitive"),
+        ],
+    )
+    def test_missing_column_is_one_error(self, runner, tmp_path, truth_header, pred_header, file, column):
+        # a missing column would be a bare KeyError, printed as error: 'id'
+        rows = ["a,1,1", "b,1,-1", "c,0,-1"]
+        result = self._invoke(runner, tmp_path, rows, truth_header=truth_header, pred_header=pred_header)
+        assert isinstance(result.exception, ValueError)
+        assert str(result.exception) == f"missing column {column!r} in {tmp_path / file}"
+
+    @pytest.mark.parametrize("row, cells", [("b", 1), ("b,1", 2), ("b,1,-1,7", 4)])
+    def test_truth_row_of_another_length_is_one_error(self, runner, tmp_path, row, cells):
+        # a short row would read as unlabeled and be left out, and a long one be taken
+        result = self._invoke(runner, tmp_path, ["a,1,1", row, "c,0,-1"])
+        assert isinstance(result.exception, ValueError)
+        assert str(result.exception) == f"{tmp_path / 'truth.csv'}, line 3: expected 3 cells, got {cells}"
+
+    @pytest.mark.parametrize("row, cells", [("b", 1), ("b,0,1", 3)])
+    def test_pred_row_of_another_length_is_one_error(self, runner, tmp_path, row, cells):
+        result = self._invoke(runner, tmp_path, ["a,1,1", "b,1,-1"], ["a,1", row])
+        assert isinstance(result.exception, ValueError)
+        assert str(result.exception) == f"{tmp_path / 'pred.csv'}, line 3: expected 2 cells, got {cells}"
+
+    def test_blank_lines_and_column_order_are_read(self, runner, tmp_path):
+        # csv skips a blank line, and the columns are found by name
+        rows = ["", "1,a,1", "-1,b,1", "", "-1,c,0"]
+        result = self._invoke(runner, tmp_path, rows, truth_header="sensitive,id,label")
+        assert result.exit_code == 0, result.output
+        assert result.output.strip() == "acc=0.3333 dp=0.5000 eo=1.0000"
+
+    def test_missing_column_through_the_entry_point(self, tmp_path, monkeypatch, capsys):
+        import fairprop.cli as cli
+
+        pred, truth = tmp_path / "pred.csv", tmp_path / "truth.csv"
+        pred.write_text("id,pred\na,1\nb,0\n")
+        truth.write_text("id,label\na,1\nb,0\n")
+        monkeypatch.setattr("sys.argv", ["fairprop", "metrics", "--pred", str(pred), "--truth", str(truth)])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.entry()
+        out = capsys.readouterr()
+        assert exit_info.value.code == 1 and out.out == ""
+        assert out.err == f"error: missing column 'sensitive' in {truth}\n"
 
     def test_duplicate_prediction_id_is_one_error(self, runner, tmp_path):
         # the second prediction for b would silently replace the first

@@ -19,6 +19,7 @@ from conftest import (
     gcn_oracle,
     matmul,
     per_layer_mlp,
+    stepping_train_one,
 )
 from fairprop import autodiff as ad
 from fairprop import debias, train
@@ -403,6 +404,23 @@ class TestTrainOne:
         m2, r2, _ = train_one(base_cfg, small_dataset, masks, 0)
         assert np.array_equal(m1.theta, m2.theta)
         assert (r1.accuracy, r1.dp, r1.eo) == (r2.accuracy, r2.dp, r2.eo)
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    @pytest.mark.parametrize("selection", ["val_acc", "last"])
+    @pytest.mark.parametrize("scheme", train.SCHEMES)
+    def test_bitwise_equal_to_a_loop_that_steps_every_epoch(self, small_dataset, scheme, selection, epochs):
+        # the last epoch's step is skipped: its weights were never scored or returned
+        cfg = small_cfg(scheme=scheme, selection=selection, epochs=epochs, lr=0.05)
+        masks = make_splits(small_dataset, cfg.split_fractions, 0)
+        best, report, trace = train_one(cfg, small_dataset, masks, 0)
+        ref_best, ref_report, ref_trace = stepping_train_one(cfg, small_dataset, masks, 0)
+        assert best.theta.tobytes() == ref_best.theta.tobytes()
+        fields, ref_fields = dataclasses.asdict(report), dataclasses.asdict(ref_report)
+        del fields["wall_time_ms"], ref_fields["wall_time_ms"]
+        assert repr(fields) == repr(ref_fields)
+        assert np.array(trace.train_loss).tobytes() == np.array(ref_trace.train_loss).tobytes()
+        assert np.array(trace.val_accuracy).tobytes() == np.array(ref_trace.val_accuracy).tobytes()
+        assert trace.best_epoch == ref_trace.best_epoch
 
     def test_evaluate_matches_training_report(self, small_dataset):
         # the report comes from the selected epoch's logits, which scored the
@@ -897,7 +915,8 @@ class TestGcn:
             train_one(small_cfg(scheme="gcn", epochs=epochs), dataset, masks, 0)
             widths.append(collections.Counter(counter.widths))
         assert widths[1] - widths[0] == {2: 2}
-        assert widths[0] == {6: 1, 1: 1, 2: 2}
+        # one forward product; the last epoch takes no step, so no backward one
+        assert widths[0] == {6: 1, 1: 1, 2: 1}
 
 
 class TestSgc:
