@@ -138,7 +138,8 @@ def synth_cmd(config_path, out_dir):
             f.write("".join(lines))
     with open(edge_path, "w", newline="") as f:
         for lo in range(0, len(edges), WRITE_BLOCK_ROWS):
-            f.write("".join(f"{i} {j}\n" for i, j in edges[lo : lo + WRITE_BLOCK_ROWS].tolist()))
+            block = edges[lo : lo + WRITE_BLOCK_ROWS]
+            f.write(("%d %d\n" * len(block)) % tuple(block.ravel().tolist()))
     click.echo(
         f"n={dataset.graph.n} m={dataset.graph.num_edges} "
         f"nodes={node_path} edges={edge_path}"

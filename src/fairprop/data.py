@@ -23,8 +23,8 @@ Array = np.ndarray
 
 MISSING_LABEL = -1
 
-# Characters of lines parsed at a time (``readlines`` hint): the text, cells
-# and tokens of one block, not of the whole file, are held at once.
+# Characters parsed at a time, a block completed to its line end: the text,
+# cells and tokens of one block, not of the whole file, are held at once.
 BLOCK_CHARS = 1 << 20
 
 
@@ -128,8 +128,10 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
     """Load a node CSV plus edge list.
 
     ``check_schema`` checks ``schema`` first. Nodes are indexed densely in
-    file order. Both files are parsed in blocks of lines (``BLOCK_CHARS``)
-    or row by row, so of the text only the id and label cells outlive their row.
+    file order. The node CSV is parsed in blocks of lines (``BLOCK_CHARS``)
+    or row by row, and the edge list in blocks of ``BLOCK_CHARS`` characters,
+    each completed to its line end, so of the text only the id and label
+    cells outlive their row.
     The edge list holds one pair of ids per line, split on whitespace or
     commas, with ``#`` starting a comment. An empty feature cell reads as 0,
     and an empty or negative label marks the node unlabeled. Each of these
@@ -197,9 +199,8 @@ def load_dataset(node_csv_path, edge_path, schema: dict, name: str = "") -> Data
 
     blocks = [np.empty((0, 2), dtype=np.int64)]  # the edges of each block of lines
     with open(edge_path) as f:
-        while lines := f.readlines(BLOCK_CHARS):
-            text = re.sub(r"#[^\n]*", "", "".join(lines))
-            del lines
+        while text := f.read(BLOCK_CHARS) + f.readline():
+            text = re.sub(r"#[^\n]*", "", text)
             commas_only_line = "," in text and _COMMAS_ONLY_LINE.search(text)
             text = text.replace(",", " ")
             ends = None if commas_only_line else _integer_ends(text, id_index)

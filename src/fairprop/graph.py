@@ -64,19 +64,24 @@ class IncidentVector:
 def build_graph(n: int, edges) -> SparseGraph:
     """Build a SparseGraph from an undirected edge list of shape (m, 2).
 
-    Duplicate edges and reversed orientations are deduplicated. Self-loops
-    are rejected in the input; the normalization adds exactly one per node.
+    The edges hold integer node indices: a non-empty list of any other
+    dtype (float, bool, str) is one ValueError line naming it, where a cast
+    would truncate 1.7 to 1. Duplicate edges and reversed orientations are
+    deduplicated. Self-loops are rejected in the input; the normalization
+    adds exactly one per node.
     Each temporary is freed once used, the edge list before the CSR is
     built, and the COO indices are int32 when the node count fits, the index
     type scipy gives the CSR matrix anyway.
     """
     if n <= 0:
         raise ValueError("node count must be positive")
-    edges = np.asarray(edges, dtype=np.int64)
+    edges = np.asarray(edges)
+    if edges.size and not np.issubdtype(edges.dtype, np.integer):
+        raise ValueError(f"edge list must hold integer node indices, got {edges.dtype}")
     if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
         raise ValueError(f"expected an (m, 2) edge list, got shape {edges.shape}")
-    edges = edges.reshape(-1, 2)
-    lo, hi = edges.min(axis=1), edges.max(axis=1)
+    edges = edges.astype(np.int64, copy=False).reshape(-1, 2)
+    lo, hi = np.minimum(edges[:, 0], edges[:, 1]), np.maximum(edges[:, 0], edges[:, 1])
     bad = (lo < 0) | (hi >= n) | (lo == hi)
     if bad.any():
         i, j = edges[np.argmax(bad)]

@@ -540,7 +540,7 @@ def numpy_outcome(monkeypatch, nodes, edges, schema=SCHEMA):
 class TestReaderAgreement:
     """numpy's text reader and the csv/dict reader give the same arrays or the same error."""
 
-    @pytest.mark.parametrize("block_chars", [data.BLOCK_CHARS, 64])
+    @pytest.mark.parametrize("block_chars", [data.BLOCK_CHARS, 64, 1])
     @pytest.mark.parametrize("case", sorted(READER_CASES))
     def test_same_outcome(self, tmp_path, monkeypatch, case, block_chars):
         monkeypatch.setattr(data, "BLOCK_CHARS", block_chars)

@@ -9,6 +9,7 @@ inputs; ``derandomize`` keeps every run on the same examples.
 
 import tempfile
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -100,7 +101,8 @@ def test_plain_node_table_matches_csv(scratch, drawn):
 
 
 # ---------------------------------------------------------------------------
-# edge list: integer ids (numpy) against letter-prefixed ids (the dict of ids)
+# edge list: integer ids (numpy) against letter-prefixed ids (the dict of ids),
+# each read in blocks of any size and with any line end against one block
 # ---------------------------------------------------------------------------
 
 SEPARATORS = [" ", "\t", ",", ", ", " , ", "  "]
@@ -134,20 +136,20 @@ def edge_lists(draw):
     return n, lines
 
 
-def load_with_ids(directory, n, lines, prefix):
+def load_with_ids(directory, n, lines, prefix, newline="\n"):
     """``load_dataset`` on n nodes named ``prefix + str(k)`` and the edge lines
-    with each id token so prefixed: the arrays' bytes, or the error without
-    the prefix."""
+    with each id token so prefixed, each line ended by ``newline``: the
+    arrays' bytes, or the error without the prefix."""
     directory.mkdir(exist_ok=True)
     nodes, edges = directory / "nodes.csv", directory / "edges.txt"
     order = np.random.default_rng(n).permutation(n)  # ids out of file order
     rows = [f"{prefix}{k},{1 if k % 2 else -1},{k % 2},{k * 0.5}" for k in order.tolist()]
     nodes.write_text("\n".join(["id,sens,y,f0", *rows]) + "\n")
     text = "".join(
-        "".join(prefix + piece[1] if isinstance(piece, tuple) else piece for piece in line) + "\n"
+        "".join(prefix + piece[1] if isinstance(piece, tuple) else piece for piece in line) + newline
         for line in lines
     )
-    edges.write_text(text)
+    edges.write_bytes(text.encode())
     try:
         ds = data.load_dataset(nodes, edges, SCHEMA)
     except ValueError as exc:
@@ -156,11 +158,14 @@ def load_with_ids(directory, n, lines, prefix):
     return [x.tobytes() for x in (a.indptr, a.indices, a.data, ds.features, ds.sensitive, ds.labels)]
 
 
-@examples(400)
-@given(edge_lists())
-def test_integer_ids_match_letter_ids(scratch, drawn):
+@examples(300)
+@given(edge_lists(), st.sampled_from([1, 5, 64, data.BLOCK_CHARS]), st.sampled_from(["\n", "\r\n", "\r"]))
+def test_integer_ids_match_letter_ids(scratch, drawn, block_chars, newline):
     n, lines = drawn
-    assert load_with_ids(scratch / "int", n, lines, "") == load_with_ids(scratch / "letter", n, lines, "v")
+    one_block = load_with_ids(scratch / "one", n, lines, "")
+    with patch.object(data, "BLOCK_CHARS", block_chars):
+        assert load_with_ids(scratch / "int", n, lines, "", newline) == one_block
+        assert load_with_ids(scratch / "letter", n, lines, "v", newline) == one_block
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,36 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match=r"\(m, 2\) edge list"):
             build_graph(3, [(0, 1, 2)])
 
+    @pytest.mark.parametrize(
+        "edges, dtype",
+        [
+            ([[0, 1.7], [1, 2]], "float64"),
+            (np.array([[0.0, 1.9]]), "float64"),
+            ([[True, False]], "bool"),
+            ([["0", "1"]], "<U1"),
+        ],
+    )
+    def test_non_integer_edges_are_refused(self, edges, dtype):
+        # a cast would truncate each to an edge (0, 1)
+        with pytest.raises(ValueError) as info:
+            build_graph(3, edges)
+        assert str(info.value) == f"edge list must hold integer node indices, got {dtype}"
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.int64])
+    def test_integer_dtypes_build_the_same_graph(self, dtype):
+        def csr(g):
+            return [a.tobytes() for a in (g.adjacency.indptr, g.adjacency.indices, g.adjacency.data)]
+
+        g = build_graph(4, np.array([[0, 1], [2, 1], [3, 0]], dtype=dtype))
+        assert csr(g) == csr(build_graph(4, [(0, 1), (2, 1), (3, 0)]))
+
+    def test_empty_edge_lists_build_an_edgeless_graph(self):
+        # [] and an empty float array hold no node index to truncate
+        for edges in ([], np.empty((0, 2))):
+            g = build_graph(3, edges)
+            assert g.num_edges == 0
+            np.testing.assert_array_equal(g.dense_adjacency(), np.eye(3))
+
     def test_random_graphs_match_dense_oracle(self, rng):
         for _ in range(30):
             g = random_graph(rng)
